@@ -107,12 +107,12 @@ SymbolicRun runSharedPairSuite(ExprFactory &F, const Catalog &C, int Bound) {
   return Out;
 }
 
-/// Family-level discharge: every ArrayList pair through one FamilySession,
+/// Family-level discharge: every ArrayList pair through one family tier,
 /// each pair's scope retired when its six methods are done. With
 /// \p Hints, the §5.2.1 scripts attach as labeled split assumptions.
 SymbolicRun runSharedFamilySuite(ExprFactory &F, const Catalog &C, int Bound,
                                  int64_t GcBudget,
-                                 FamilySessionStats *StatsOut = nullptr,
+                                 FamilyTierStats *StatsOut = nullptr,
                                  const std::vector<HintScript> *Hints =
                                      nullptr) {
   SymbolicEngine Engine(F, Bound, /*ConflictBudget=*/200000,
@@ -218,7 +218,7 @@ int main(int argc, char **argv) {
     SymbolicRun OneShot = runSymbolicSuite(F, C, Bound, SolveMode::OneShot);
     SymbolicRun Method = runSymbolicSuite(F, C, Bound, SolveMode::PerMethod);
     SymbolicRun Pair = runSharedPairSuite(F, C, Bound);
-    FamilySessionStats FamStats;
+    FamilyTierStats FamStats;
     SymbolicRun Fam = runSharedFamilySuite(F, C, Bound, /*GcBudget=*/0,
                                            &FamStats);
     CatalogSessionStats CatStats;
@@ -302,7 +302,7 @@ int main(int argc, char **argv) {
       Quick ? std::vector<int64_t>{100, 500, 4000}
             : std::vector<int64_t>{100, 250, 500, 1000, 2000, 4000};
   for (int64_t Budget : GcBudgets) {
-    FamilySessionStats FamStats;
+    FamilyTierStats FamStats;
     SymbolicRun Run = runSharedFamilySuite(F, C, 3, Budget, &FamStats);
     std::printf("%10lld %10.3f %12lld %14llu %12llu %12llu%s\n",
                 (long long)Budget, Run.Seconds, (long long)Run.Conflicts,

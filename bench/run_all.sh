@@ -250,11 +250,11 @@ else
 fi
 
 # Sharded-service snapshots: the same 3-pass full-catalog workload through
-# the sharded front-end (4 shards, prefix image shared, clause exchange
-# on) at 1/2/4/8 drain threads. Their aggregate request rates and warm-up
-# decomposition (prefix import vs encode-from-scratch) join the baseline
-# as sharded_service_stats; serve_batched above is the single-session
-# baseline the scaling ratios are taken against.
+# four shards (shards 1..3 load shard 0's prefix image) at 1/2/4/8 drain
+# threads. Their aggregate request rates and warm-up decomposition
+# (prefix import vs encode-from-scratch) join the baseline as
+# sharded_service_stats; serve_batched above is the one-shard baseline
+# the scaling ratios are taken against.
 if [ -x "$SERVE_BIN" ]; then
   for threads in 1 2 4 8; do
     name="serve_sharded_t$threads"
@@ -507,8 +507,8 @@ if serve_batched:
         "req_per_sec_fifo": fifo_rps,
         "batching_speedup_x": (round(rps / fifo_rps, 3)
                                if rps and fifo_rps else None),
-        "pair_groups": serve_batched.get("pair_groups"),
-        "batched_reuses": serve_batched.get("batched_reuses"),
+        "pair_groups": sess.get("pair_groups"),
+        "batched_reuses": sess.get("batched_reuses"),
         "bridge_compactions": sess.get("bridge_compactions"),
         "released_atom_vars": sess.get("released_atom_vars"),
         "released_selectors": sess.get("released_selectors"),
@@ -521,8 +521,8 @@ if serve_batched:
 # Sharded-service statistics from the serve_sharded_t{1,2,4,8} runs: the
 # warm-up decomposition (what a shard costs to encode the catalog prefix
 # from scratch vs to import shard 0's image), the aggregate request rate
-# at each thread count with its ratio over the single-session serve_batched
-# baseline, and the clause-exchange counters. The host CPU count is
+# at each thread count with its ratio over the one-shard serve_batched
+# baseline. The host CPU count is
 # recorded because the thread-scaling ratios are meaningless without it
 # (a 1-CPU container pins them at ~1x).
 sharded_service_stats = None
@@ -542,14 +542,11 @@ if sharded_runs:
             "req_per_sec": rps,
             "speedup_vs_single_x": (round(rps / base_rps, 3)
                                     if rps and base_rps else None),
-            "exchange": doc_t["sharded_service"].get("exchange"),
         })
     sharded_service_stats = {
         "shards": first.get("shards"),
         "route": first.get("route"),
         "cpus": first.get("cpus"),
-        "share_prefix": first.get("share_prefix"),
-        "share_clauses": first.get("share_clauses"),
         "plan_millis": first.get("plan_millis"),
         "warmup_scratch_millis": first.get("warmup_scratch_millis"),
         "warmup_import_millis_avg": first.get("warmup_import_millis_avg"),

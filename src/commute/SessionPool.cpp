@@ -18,9 +18,9 @@ namespace {
 
 /// Discharges every split of \p Plan against a warm session under a fixed
 /// selector-assumption prefix — the shared tail of SharedSession::discharge
-/// and FamilySession::discharge, so the split loop, core-label recording,
+/// and PairTier::discharge, so the split loop, core-label recording,
 /// countermodel assembly, and the Unsupported-trump rule cannot drift
-/// between the pair and family tiers. \p SessionForSplit returns the
+/// between the pair and catalog tiers. \p SessionForSplit returns the
 /// session each split runs on (OneShot mode re-opens one per split);
 /// \p Sels/\p SelLabels are the selector assumptions prepended to every
 /// split; \p PeakRetained, when set, tracks the retained-clause high-water
@@ -192,8 +192,8 @@ bool SharedSession::discharge(const MethodPlan &Plan, SymbolicResult &R) {
   ExprRef Sel = nullptr;
   // A SharedSession given a family- or catalog-tier mode serves a single
   // pair — the degenerate family — with the same selector discipline as
-  // SharedPair (FamilySession and CatalogSession own the real multi-pair
-  // nesting and eviction).
+  // SharedPair (CatalogSession owns the real multi-pair nesting and
+  // eviction).
   if (Mode == SolveMode::SharedPair || Mode == SolveMode::SharedFamily ||
       Mode == SolveMode::SharedCatalog) {
     if (!Session)
@@ -283,7 +283,7 @@ PairTier::PairTier(ExprFactory &F, SmtSession &Session, std::string Tag,
                    SmtSession::ScopeId Parent, std::vector<ExprRef> PathSels,
                    std::vector<std::string> PathLabels,
                    std::vector<const std::set<ExprRef> *> OuterBases,
-                   int64_t Budget, FamilySessionStats &Stats,
+                   int64_t Budget, FamilyTierStats &Stats,
                    unsigned &SelectorCount)
     : F(F), Session(Session), Tag(std::move(Tag)), Parent(Parent),
       PathSels(std::move(PathSels)), PathLabels(std::move(PathLabels)),
@@ -387,40 +387,13 @@ size_t PairTier::retirePair(const std::string &PairKey) {
   return Evicted;
 }
 
-//===----------------------------------------------------------------------===//
-// FamilySession
-//===----------------------------------------------------------------------===//
-
-FamilySession::FamilySession(ExprFactory &F, const FamilyPlan &Plan,
-                             int64_t Budget, bool Certify)
-    : F(F), Plan(Plan), Session(F),
-      Pairs(F, Session, Plan.FamilyName, SmtSession::RootScope,
-            /*PathSels=*/{}, /*PathLabels=*/{}, {&FamilyBase}, Budget, Stats,
-            SelectorCount) {
-  // Certification must switch on before the first assertion reaches the
-  // solver — the proof's Input steps have to cover the whole database.
-  if (Certify)
-    Session.enableCertification();
-  for (ExprRef C : Plan.FamilyCommon)
-    if (FamilyBase.insert(C).second) {
-      Session.assertBase(C);
-      ++Stats.PrefixAsserts;
-    }
-}
-
-void FamilySession::configureClauseGc(bool Enabled, int64_t FirstLimit) {
-  Session.solver().setClauseGc(Enabled);
-  if (FirstLimit > 0)
-    Session.solver().setClauseGcLimit(FirstLimit);
-}
-
-bool FamilySession::discharge(const std::string &PairKey,
-                              const MethodPlan &MPlan, SymbolicResult &R) {
-  return Pairs.discharge(PairKey, MPlan, R);
-}
-
-size_t FamilySession::retirePair(const std::string &PairKey) {
-  return Pairs.retirePair(PairKey);
+size_t PairTier::retireAll() {
+  size_t Evicted = 0;
+  while (!LivePairs.empty()) {
+    std::string Key = LivePairs.begin()->first;
+    Evicted += retirePair(Key);
+  }
+  return Evicted;
 }
 
 //===----------------------------------------------------------------------===//
@@ -442,6 +415,12 @@ CatalogSession::CatalogSession(ExprFactory &F, const CatalogPlan &Plan,
   // must exist before any bridge clause is encoded.
   if (CompactBridges)
     Session.enableBridgeCompaction(CompactMinDead);
+  // A sole family's common prefix is session base too: its tier then
+  // lives at the root (see ensureFamily).
+  std::vector<ExprRef> Base = Plan.CatalogCommon;
+  if (Plan.Families.size() == 1)
+    Base.insert(Base.end(), Plan.Families[0].FamilyCommon.begin(),
+                Plan.Families[0].FamilyCommon.end());
   if (Prefix && !Prefix->empty()) {
     // Cross-shard prefix sharing: load the pre-encoded image (exported by
     // a sibling session over the *same* plan and factory) instead of
@@ -449,12 +428,11 @@ CatalogSession::CatalogSession(ExprFactory &F, const CatalogPlan &Plan,
     assert(Prefix->HasBridgeLayer == CompactBridges &&
            "prefix image and session disagree on bridge compaction");
     Session.importPrefix(*Prefix);
-    for (ExprRef C : Plan.CatalogCommon)
-      CatalogBase.insert(C);
+    CatalogBase.insert(Base.begin(), Base.end());
     CatStats.PrefixImageLoaded = true;
     return;
   }
-  for (ExprRef C : Plan.CatalogCommon)
+  for (ExprRef C : Base)
     if (CatalogBase.insert(C).second) {
       Session.assertBase(C);
       ++CatStats.PrefixAsserts;
@@ -482,12 +460,24 @@ CatalogSession::FamilyTier &CatalogSession::ensureFamily(size_t FamIdx) {
   std::string Tag = FP.FamilyName;
   if (Epoch > 0)
     Tag += "@e" + std::to_string(Epoch);
-  Tier.Sel = F.var("__fam_" + Tag, Sort::Bool);
-  Tier.Scope =
-      Session.openScope(Tier.Sel, SmtSession::RootScope, /*OwnLayer=*/true);
-  ++SelectorCount;
+  std::vector<ExprRef> PathSels;
+  std::vector<std::string> PathLabels;
+  if (Plan.Families.size() == 1) {
+    // The sole family needs no selector of its own: its common prefix is
+    // session base, so its pair scopes sit directly under the root and
+    // each guarded formula encodes with one selector implication, not two.
+    Tier.Sel = nullptr;
+    Tier.Scope = SmtSession::RootScope;
+  } else {
+    Tier.Sel = F.var("__fam_" + Tag, Sort::Bool);
+    Tier.Scope =
+        Session.openScope(Tier.Sel, SmtSession::RootScope, /*OwnLayer=*/true);
+    ++SelectorCount;
+    PathSels.push_back(Tier.Sel);
+    PathLabels.push_back("fam:" + FP.FamilyName);
+  }
   ++CatStats.FamiliesOpened;
-  Tier.Stats = FamilySessionStats{};
+  Tier.Stats = FamilyTierStats{};
   Tier.FamilyBase.clear();
   // Family-common prefix: formulas already catalog base are reuses; the
   // remainder is asserted once under the family selector.
@@ -502,8 +492,7 @@ CatalogSession::FamilyTier &CatalogSession::ensureFamily(size_t FamIdx) {
     }
   }
   Tier.Pairs = std::make_unique<PairTier>(
-      F, Session, Tag, Tier.Scope, std::vector<ExprRef>{Tier.Sel},
-      std::vector<std::string>{"fam:" + FP.FamilyName},
+      F, Session, Tag, Tier.Scope, std::move(PathSels), std::move(PathLabels),
       std::vector<const std::set<ExprRef> *>{&CatalogBase, &Tier.FamilyBase},
       Budget, Tier.Stats, SelectorCount);
   Tier.Alive = true;
@@ -526,8 +515,13 @@ size_t CatalogSession::retireFamily(size_t FamIdx) {
   FamilyTier &Tier = Tiers[FamIdx];
   if (!Tier.Alive)
     return 0;
-  size_t Evicted = Session.retireScope(Tier.Scope);
-  Tier.Stats.EvictedClauses += Evicted;
+  size_t Evicted;
+  if (Tier.Sel) {
+    Evicted = Session.retireScope(Tier.Scope);
+    Tier.Stats.EvictedClauses += Evicted;
+  } else {
+    Evicted = Tier.Pairs->retireAll(); // A root tier has no subtree.
+  }
   ++CatStats.FamiliesRetired;
   // Fold the tier's counters into the retired accumulator so stats()
   // keeps counting it after the bookkeeping is dropped.
@@ -544,13 +538,13 @@ size_t CatalogSession::retireFamily(size_t FamIdx) {
   return Evicted;
 }
 
-const FamilySessionStats &CatalogSession::familyStats(size_t FamIdx) const {
+const FamilyTierStats &CatalogSession::familyStats(size_t FamIdx) const {
   return Tiers[FamIdx].Stats;
 }
 
 CatalogSessionStats CatalogSession::stats() const {
   CatalogSessionStats S = CatStats;
-  FamilySessionStats Agg = RetiredTierAccum;
+  FamilyTierStats Agg = RetiredTierAccum;
   for (const FamilyTier &Tier : Tiers) {
     if (!Tier.Alive)
       continue;

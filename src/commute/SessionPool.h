@@ -69,12 +69,14 @@ enum class SolveMode : uint8_t {
   /// One warm session per (family, op-pair): all methods of the pair share
   /// one solver under per-method selector literals. The default.
   SharedPair,
-  /// One warm session per *family*: every op-pair's common prefix is
-  /// asserted under a per-pair selector, method prefixes under method
+  /// One warm CatalogSession per *family*, at every thread count: every
+  /// op-pair's remaining common prefix is asserted under a per-pair
+  /// selector nested in the family scope, method prefixes under method
   /// selectors nested inside it, and a finished pair's scope is *retired*
   /// (selector falsified, its clauses evicted) so the clause database is
   /// bounded by the live pair plus the family-common prefix instead of
-  /// growing with the whole family.
+  /// growing with the whole family. SharedCatalog schedules exactly this
+  /// at more than one thread.
   SharedFamily,
   /// One warm session for the whole *catalog*: the catalog-common
   /// well-formedness prefix is asserted once at the session root, each
@@ -169,7 +171,7 @@ struct MethodPlan {
 /// pointer equality structural equality). The fingerprint guards against
 /// two *different* plans sharing a name: a mismatch allocates a fresh
 /// selector instead of silently proving the new plan against the old
-/// plan's prefix. Shared by SharedSession and FamilySession so the
+/// plan's prefix. Shared by SharedSession and PairTier so the
 /// reuse-or-allocate discipline cannot drift between the tiers.
 struct PlanSelectorEntry {
   std::vector<ExprRef> Fingerprint;
@@ -254,11 +256,11 @@ private:
 /// The discharge plans of one (family, op-pair): the six testing methods
 /// in (kind x role) enumeration order.
 struct PairPlan {
-  std::string Key; ///< "op1,op2" — scopes the pair inside a FamilySession.
+  std::string Key; ///< "op1,op2" — scopes the pair inside its family tier.
   std::vector<MethodPlan> Methods;
 };
 
-/// The whole-family discharge plan a FamilySession runs.
+/// One family's share of a CatalogPlan.
 struct FamilyPlan {
   std::string FamilyName;
   /// Well-formedness formulas present in *every* method plan's Common
@@ -269,8 +271,8 @@ struct FamilyPlan {
   std::vector<PairPlan> Pairs;
 };
 
-/// Lifetime statistics of one family-level session.
-struct FamilySessionStats {
+/// Lifetime statistics of one family tier of a CatalogSession.
+struct FamilyTierStats {
   uint64_t PairsOpened = 0;    ///< Pair scopes allocated.
   uint64_t PairsRetired = 0;   ///< Pair scopes evicted (retirePair calls).
   uint64_t EvictedClauses = 0; ///< Clauses eviction removed from the DB.
@@ -291,30 +293,29 @@ struct FamilySessionStats {
 /// selectors nested inside their pair's scope, and the split discharge.
 /// Pair scopes own a Tseitin cache layer (their formulas' definition
 /// variables retire and recycle with them); method scopes share their
-/// pair's layer, since they only ever retire together with it. Shared by
-/// FamilySession (parent = session root) and CatalogSession (parent = a
-/// family scope) so the reuse-or-retire discipline cannot drift between
-/// the tiers.
+/// pair's layer, since they only ever retire together with it. One
+/// PairTier lives under each live family scope of a CatalogSession.
 class PairTier {
 public:
   /// \p Tag names the tier's selectors ("<family>" or "<family>@e<N>" for
   /// a re-opened family scope — selector names must be unique for the
   /// session's lifetime, retired selectors included). \p PathSels /
   /// \p PathLabels are the parent-scope selectors every check assumes
-  /// (empty for the family tier, the family selector for the catalog
-  /// tier). \p OuterBases are formula sets already asserted above the
+  /// (the family selector; none for a root-level tier). \p OuterBases are formula sets already asserted above the
   /// pair scopes; prefix formulas found there are counted as reuses.
   PairTier(ExprFactory &F, SmtSession &Session, std::string Tag,
            SmtSession::ScopeId Parent, std::vector<ExprRef> PathSels,
            std::vector<std::string> PathLabels,
            std::vector<const std::set<ExprRef> *> OuterBases, int64_t Budget,
-           FamilySessionStats &Stats, unsigned &SelectorCount);
+           FamilyTierStats &Stats, unsigned &SelectorCount);
   PairTier(const PairTier &) = delete;
   PairTier &operator=(const PairTier &) = delete;
 
   bool discharge(const std::string &PairKey, const MethodPlan &Plan,
                  SymbolicResult &R);
   size_t retirePair(const std::string &PairKey);
+  /// Retires every live pair scope. Returns the clauses evicted.
+  size_t retireAll();
 
 private:
   /// The live scope of one pair.
@@ -335,80 +336,11 @@ private:
   std::vector<std::string> PathLabels;
   std::vector<const std::set<ExprRef> *> OuterBases;
   int64_t Budget;
-  FamilySessionStats &Stats;
+  FamilyTierStats &Stats;
   unsigned &SelectorCount;
   std::map<std::string, PairScope> LivePairs;
   /// Fresh-name counters for re-opened (previously retired) pair scopes.
   std::map<std::string, unsigned> PairEpochs;
-};
-
-/// A warm solver session shared by every op-pair of one family
-/// (SolveMode::SharedFamily). The family-common prefix is session base;
-/// each pair's remaining common prefix lives under a per-pair selector;
-/// each method's prefix under a method selector nested inside its pair's.
-/// retirePair() permanently deactivates a finished pair, evicts its
-/// clauses (selector-guarded, learned, and the pair layer's Tseitin
-/// definitions), and recycles its definition variable indices, so both
-/// the clause database and the variable array stay bounded by the live
-/// scope. Not thread-safe: one FamilySession lives on one worker.
-class FamilySession {
-public:
-  /// Asserts \p Plan's family-common prefix as session base. The plan must
-  /// outlive the session (only FamilyName and FamilyCommon are read, so
-  /// lazy callers may pass a plan whose Pairs are empty). \p Certify turns
-  /// on proof logging before any assertion reaches the solver.
-  FamilySession(ExprFactory &F, const FamilyPlan &Plan, int64_t Budget,
-                bool Certify = false);
-  FamilySession(const FamilySession &) = delete;
-  FamilySession &operator=(const FamilySession &) = delete;
-
-  /// Clause-GC configuration (see SharedSession::configureClauseGc);
-  /// \p FirstLimit is the --gc-budget knob.
-  void configureClauseGc(bool Enabled, int64_t FirstLimit = 0);
-
-  /// Discharges every split of \p Plan under pair \p PairKey's scope,
-  /// accumulating statistics into \p R. A retired pair key transparently
-  /// gets a fresh scope (re-verification after eviction is legal, it just
-  /// re-asserts the pair's prefix). Returns true when the method verifies.
-  bool discharge(const std::string &PairKey, const MethodPlan &Plan,
-                 SymbolicResult &R);
-
-  /// Permanently retires \p PairKey's scope subtree (pair selector plus
-  /// the method selectors nested under it). Returns the number of clauses
-  /// evicted (0 when the key has no live scope).
-  size_t retirePair(const std::string &PairKey);
-
-  /// Lifetime statistics.
-  uint64_t checks() const { return Session.numChecks(); }
-  int64_t conflicts() const { return Session.totalConflicts(); }
-  uint64_t dbReductions() const {
-    return static_cast<uint64_t>(Session.dbReductions());
-  }
-  uint64_t reclaimedClauses() const {
-    return static_cast<uint64_t>(Session.reclaimedClauses());
-  }
-  uint64_t retainedClauses() const { return Session.retainedClauses(); }
-  unsigned numSelectors() const { return SelectorCount; }
-  const FamilySessionStats &stats() const { return Stats; }
-
-  /// The underlying session, exposed so tests can assert solver invariants
-  /// (reasonInvariantHolds) after evictions.
-  SmtSession &session() { return Session; }
-
-  bool certifying() const { return Session.certifying(); }
-  /// Runs the independent checker over the session's trace (idempotent).
-  const proof::CertifySummary &finishCertification() {
-    return Session.finishCertification();
-  }
-
-private:
-  ExprFactory &F;
-  const FamilyPlan &Plan;
-  SmtSession Session;
-  std::set<ExprRef> FamilyBase; ///< FamilyCommon membership (dedup only).
-  unsigned SelectorCount = 0;
-  FamilySessionStats Stats;
-  PairTier Pairs; ///< Constructed last: captures Session/Stats/counters.
 };
 
 /// The whole-catalog discharge plan a CatalogSession runs. Families carry
@@ -459,8 +391,11 @@ struct CatalogSessionStats {
   bool PrefixImageLoaded = false;
 };
 
-/// A warm solver session shared by every family of the catalog
-/// (SolveMode::SharedCatalog). The catalog-common prefix is session base;
+/// A warm solver session shared by every family of a catalog plan
+/// (SolveMode::SharedCatalog; SharedFamily runs one per family). The
+/// catalog-common prefix is session base — with a one-family plan, so is
+/// the family's common prefix, and its tier lives at the root with no
+/// selector of its own;
 /// each family's remaining common prefix lives under a per-family
 /// selector; pair scopes nest under their family's, method scopes under
 /// their pair's. retirePair()/retireFamily() retire whole subtrees, and
@@ -512,11 +447,12 @@ public:
 
   /// Retires family \p FamIdx's whole scope subtree — the family
   /// selector, every still-live pair under it, and their method scopes —
-  /// in one solver pass. Returns the clauses evicted.
+  /// in one solver pass (a root tier retires its live pairs one by one).
+  /// Returns the clauses evicted.
   size_t retireFamily(size_t FamIdx);
 
   /// Per-family tier statistics (reset when a retired family re-opens).
-  const FamilySessionStats &familyStats(size_t FamIdx) const;
+  const FamilyTierStats &familyStats(size_t FamIdx) const;
   /// Catalog-level statistics snapshot (aggregates live + retired tiers
   /// and the solver's variable accounting).
   CatalogSessionStats stats() const;
@@ -554,10 +490,10 @@ private:
   struct FamilyTier {
     bool Alive = false;
     SmtSession::ScopeId Scope = SmtSession::RootScope;
-    ExprRef Sel = nullptr;
+    ExprRef Sel = nullptr; ///< Null for a one-family plan's root tier.
     std::set<ExprRef> FamilyBase; ///< Formulas under the family selector.
     std::unique_ptr<PairTier> Pairs;
-    FamilySessionStats Stats;
+    FamilyTierStats Stats;
   };
 
   FamilyTier &ensureFamily(size_t FamIdx);
@@ -571,7 +507,7 @@ private:
   std::vector<unsigned> FamilyEpochs;
   unsigned SelectorCount = 0;
   CatalogSessionStats CatStats;        ///< Catalog-level counters.
-  FamilySessionStats RetiredTierAccum; ///< Folded stats of retired tiers.
+  FamilyTierStats RetiredTierAccum; ///< Folded stats of retired tiers.
 };
 
 } // namespace semcomm

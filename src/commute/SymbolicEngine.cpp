@@ -1109,8 +1109,25 @@ FamilyPlan SymbolicEngine::planFamily(
   return FP;
 }
 
+std::vector<SymbolicEngine::FamilyEntries>
+SymbolicEngine::entriesOf(const Catalog &C,
+                          const std::vector<const Family *> &Fams) {
+  std::vector<FamilyEntries> Groups;
+  for (const Family *Fam : Fams) {
+    Groups.push_back({Fam, {}});
+    for (const ConditionEntry &E : C.entries(*Fam))
+      Groups.back().Entries.push_back(&E);
+  }
+  return Groups;
+}
+
 CatalogPlan SymbolicEngine::planCatalog(
     const Catalog &C, const std::vector<const Family *> &Fams) const {
+  return planGroups(entriesOf(C, Fams));
+}
+
+CatalogPlan
+SymbolicEngine::planGroups(const std::vector<FamilyEntries> &Groups) const {
   CatalogPlan CP;
 
   // Per-entry Common prefixes and vocabularies (splits never
@@ -1124,19 +1141,19 @@ CatalogPlan SymbolicEngine::planCatalog(
   std::vector<ExprRef> Candidates; // Union of Commons, first-seen order.
   std::set<ExprRef> CandidateSet;
 
-  for (const Family *Fam : Fams) {
+  for (const FamilyEntries &G : Groups) {
     FamilyPlan FP;
-    FP.FamilyName = Fam->Name;
+    FP.FamilyName = G.Fam->Name;
     bool First = true;
     std::vector<ExprRef> Inter;
-    for (const ConditionEntry &E : C.entries(*Fam)) {
-      std::vector<ExprRef> Com = planCommonOnly(E);
+    for (const ConditionEntry *E : G.Entries) {
+      std::vector<ExprRef> Com = planCommonOnly(*E);
       intersectCommon(First, Inter, Com);
       for (ExprRef F2 : Com)
         if (CandidateSet.insert(F2).second)
           Candidates.push_back(F2);
-      Infos.push_back({&E, std::set<ExprRef>(Com.begin(), Com.end()),
-                       entryVocabulary(E, Fam->Kind, SeqLenBound)});
+      Infos.push_back({E, std::set<ExprRef>(Com.begin(), Com.end()),
+                       entryVocabulary(*E, G.Fam->Kind, SeqLenBound)});
     }
     if (!First)
       FP.FamilyCommon = std::move(Inter);
@@ -1244,97 +1261,31 @@ SymbolicResult SymbolicEngine::verify(const TestingMethod &M) {
   return R;
 }
 
-FamilyOutcome SymbolicEngine::verifyEntries(
-    const std::string &FamilyName,
-    const std::vector<const ConditionEntry *> &Entries) {
-  FamilyOutcome Out;
-  Out.Family = FamilyName;
-
-  // Lazy planning: the session only needs the family-common prefix up
-  // front (cheap — no splits materialize); each pair's full plan is built
-  // just before its discharge and dropped after its scope retires, so
-  // plan memory is bounded by one pair instead of the family.
-  FamilyPlan FP;
-  FP.FamilyName = FamilyName;
-  FP.FamilyCommon = familyCommonOf(Entries);
-
-  FamilySession Sess(F, FP, ConflictBudget, Certify);
-  Sess.configureClauseGc(true, GcBudget);
-  for (size_t PI = 0; PI != Entries.size(); ++PI) {
-    PairPlan PP = planPair(*Entries[PI]);
-    uint64_t PairSplits = splitsOf(PP);
-    Out.TotalSplits += PairSplits;
-    Out.PeakMaterializedSplits =
-        std::max(Out.PeakMaterializedSplits, PairSplits);
-    PairOutcome PO;
-    uint64_t ChecksBefore = Sess.checks();
-    int64_t ConflictsBefore = Sess.conflicts();
-    uint64_t RedBefore = Sess.dbReductions();
-    uint64_t RecBefore = Sess.reclaimedClauses();
-    unsigned SelBefore = Sess.numSelectors();
-    for (const MethodPlan &MP : PP.Methods) {
-      Stopwatch Timer;
-      SymbolicResult R;
-      R.Verified = Sess.discharge(PP.Key, MP, R);
-      PO.MethodMillis.push_back(Timer.millis());
-      PO.Methods.push_back(std::move(R));
-    }
-    PO.Checks = Sess.checks() - ChecksBefore;
-    PO.Conflicts = Sess.conflicts() - ConflictsBefore;
-    PO.RetainedClauses = Sess.retainedClauses();
-    PO.DbReductions = Sess.dbReductions() - RedBefore;
-    PO.ReclaimedClauses = Sess.reclaimedClauses() - RecBefore;
-    PO.Selectors = Sess.numSelectors() - SelBefore;
-    PO.SessionsOpened = PI == 0 ? 1 : 0; // One warm solver per family.
-    // The pair's VCs are done: evict its scope so the clause database is
-    // bounded by the live pair, not the family (its plan dies with this
-    // iteration for the same reason).
-    Sess.retirePair(PP.Key);
-    Out.PairKeys.push_back(PP.Key);
-    Out.Pairs.push_back(std::move(PO));
-  }
-  Out.Stats = Sess.stats();
-  Out.Checks = Sess.checks();
-  Out.Conflicts = Sess.conflicts();
-  Out.RetainedClauses = Sess.retainedClauses();
-  Out.DbReductions = Sess.dbReductions();
-  Out.ReclaimedClauses = Sess.reclaimedClauses();
-  Out.Selectors = Sess.numSelectors();
-  if (Certify) {
-    // One trace covers the whole family session; check it once and stamp
-    // every method with its own queries' verdicts.
-    const proof::CertifySummary &S = Sess.finishCertification();
-    stampOutcomeCertification(S, Out);
-    for (PairOutcome &PO : Out.Pairs) {
-      backfillCertification(S, PO.Methods);
-      stampOutcomeCertification(S, PO);
-    }
-  }
-  return Out;
-}
-
 CatalogOutcome
 SymbolicEngine::verifyCatalog(const Catalog &C,
                               const std::vector<const Family *> &Fams) {
+  return verifyGroups(entriesOf(C, Fams));
+}
+
+CatalogOutcome
+SymbolicEngine::verifyGroups(const std::vector<FamilyEntries> &Groups) {
   CatalogOutcome Out;
-  CatalogPlan CP = planCatalog(C, Fams);
-  CatalogSession Sess(F, CP, ConflictBudget, Certify, CompactBridges,
-                      /*CompactMinDead=*/64, Prefix);
+  CatalogPlan CP = planGroups(Groups);
+  CatalogSession Sess(F, CP, ConflictBudget, Certify, CompactBridges);
   Sess.configureClauseGc(true, GcBudget);
 
-  for (size_t FI = 0; FI != Fams.size(); ++FI) {
-    const Family &Fam = *Fams[FI];
+  for (size_t FI = 0; FI != Groups.size(); ++FI) {
     FamilyOutcome FO;
-    FO.Family = Fam.Name;
+    FO.Family = Groups[FI].Fam->Name;
     uint64_t FamChecksBefore = Sess.checks();
     int64_t FamConflictsBefore = Sess.conflicts();
     uint64_t FamRedBefore = Sess.dbReductions();
     uint64_t FamRecBefore = Sess.reclaimedClauses();
     unsigned FamSelBefore = Sess.numSelectors();
 
-    const std::vector<ConditionEntry> &Entries = C.entries(Fam);
+    const std::vector<const ConditionEntry *> &Entries = Groups[FI].Entries;
     for (size_t PI = 0; PI != Entries.size(); ++PI) {
-      PairPlan PP = planPair(Entries[PI]);
+      PairPlan PP = planPair(*Entries[PI]);
       uint64_t PairSplits = splitsOf(PP);
       FO.TotalSplits += PairSplits;
       FO.PeakMaterializedSplits =
@@ -1405,17 +1356,14 @@ SymbolicEngine::verifyCatalog(const Catalog &C,
 
 FamilyOutcome SymbolicEngine::verifyFamily(const Catalog &C,
                                            const Family &Fam) {
-  std::vector<const ConditionEntry *> Entries;
-  for (const ConditionEntry &E : C.entries(Fam))
-    Entries.push_back(&E);
-  return verifyEntries(Fam.Name, Entries);
+  return std::move(verifyGroups(entriesOf(C, {&Fam})).Families.front());
 }
 
 PairOutcome SymbolicEngine::verifyPair(const ConditionEntry &E) {
   if (Mode == SolveMode::SharedFamily || Mode == SolveMode::SharedCatalog) {
     // A single pair is the degenerate family: same nesting, same eviction.
-    FamilyOutcome FO = verifyEntries(E.Fam->Name, {&E});
-    return FO.Pairs.empty() ? PairOutcome() : std::move(FO.Pairs.front());
+    CatalogOutcome CO = verifyGroups({{E.Fam, {&E}}});
+    return std::move(CO.Families.front().Pairs.front());
   }
   SharedSession Sess(F, ConflictBudget, Mode);
   if (Certify)

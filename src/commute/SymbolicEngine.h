@@ -89,16 +89,16 @@ struct PairOutcome {
   }
 };
 
-/// Outcome of verifying every op-pair of one family through a single
-/// FamilySession (SolveMode::SharedFamily), plus the session-level
-/// statistics the driver reports per family.
+/// Outcome of verifying every op-pair of one family through one family
+/// tier of a CatalogSession, plus the tier-level statistics the driver
+/// reports per family.
 struct FamilyOutcome {
   std::string Family;
   std::vector<std::string> PairKeys; ///< "op1,op2", catalog entry order.
   std::vector<PairOutcome> Pairs;    ///< Parallel to PairKeys; per-pair
                                      ///< stats are deltas over the shared
                                      ///< session.
-  FamilySessionStats Stats;          ///< Eviction / prefix-reuse counters.
+  FamilyTierStats Stats;             ///< Eviction / prefix-reuse counters.
   uint64_t Checks = 0;               ///< SMT checks the session served.
   int64_t Conflicts = 0;             ///< CDCL conflicts across the family.
   uint64_t RetainedClauses = 0;      ///< Clauses alive at the end.
@@ -176,13 +176,14 @@ public:
 
   /// Verifies all six testing methods of \p E through one SharedSession
   /// (one warm solver for the whole pair in SharedPair mode; in
-  /// SharedFamily mode, through a degenerate one-pair FamilySession).
+  /// SharedFamily and SharedCatalog modes, through a degenerate one-pair
+  /// CatalogSession).
   /// Method order is deterministic, so results and statistics are a
   /// function of the options alone.
   PairOutcome verifyPair(const ConditionEntry &E);
 
-  /// Verifies every op-pair of \p Fam through one FamilySession: the
-  /// family-common prefix is asserted once, each pair's plan is
+  /// Verifies every op-pair of \p Fam through a one-family CatalogSession:
+  /// the family-common prefix is asserted once, each pair's plan is
   /// materialized lazily just before its discharge, and the pair's scope
   /// is retired (evicted) — and its plan dropped — when its six methods
   /// are done. Pair and method order are deterministic.
@@ -190,10 +191,11 @@ public:
 
   /// Verifies every op-pair of every family in \p Fams through one
   /// CatalogSession: the catalog-common prefix is asserted once, each
-  /// family opens a selector scope beneath it, pairs are planned lazily,
-  /// discharged, and retired as in verifyFamily, and a finished family's
-  /// whole scope subtree is retired in one pass. Family, pair, and method
-  /// order are deterministic.
+  /// family opens a selector scope beneath it, pairs are planned lazily
+  /// just before their discharge and retired (their plans dropped) when
+  /// their six methods are done, and a finished family's whole scope
+  /// subtree is retired in one pass. Family, pair, and method order are
+  /// deterministic.
   CatalogOutcome verifyCatalog(const Catalog &C,
                                const std::vector<const Family *> &Fams);
 
@@ -240,18 +242,11 @@ public:
   /// --compact-bridges knob): retired scopes release their theory-atom
   /// references, and once every owner of an atom is dead its bridge
   /// clauses are compacted out of the clause database and its variable
-  /// recycled. Only verifyCatalog sessions honor it — the other modes
-  /// retire nothing, so there is nothing to compact.
+  /// recycled. Only catalog sessions (verifyCatalog / verifyFamily)
+  /// honor it — the other modes retire nothing, so there is nothing to
+  /// compact.
   void setBridgeCompaction(bool B) { CompactBridges = B; }
   bool bridgeCompaction() const { return CompactBridges; }
-
-  /// Attaches a pre-encoded catalog prefix image: verifyCatalog sessions
-  /// load it instead of re-encoding the catalog-common prefix (cross-
-  /// shard prefix sharing). The image must have been exported over the
-  /// same factory, the same catalog plan, and the same bridge-compaction
-  /// flag; it must outlive the engine. nullptr detaches.
-  void setPrefixImage(const PrefixImage *Img) { Prefix = Img; }
-  const PrefixImage *prefixImage() const { return Prefix; }
 
   /// Attaches proof-hint scripts: ArrayList method plans whose method
   /// matches a script gain the script's note/pickWitness lemmas as extra
@@ -265,15 +260,27 @@ public:
   SolveMode mode() const { return Mode; }
 
 private:
-  FamilyOutcome verifyEntries(const std::string &FamilyName,
-                              const std::vector<const ConditionEntry *> &E);
+  /// One family's share of a catalog-session run: the entries to verify,
+  /// in order.
+  struct FamilyEntries {
+    const Family *Fam = nullptr;
+    std::vector<const ConditionEntry *> Entries;
+  };
+  /// Every entry of each of \p Fams, in catalog order.
+  static std::vector<FamilyEntries>
+  entriesOf(const Catalog &C, const std::vector<const Family *> &Fams);
+  /// planCatalog over explicit entry lists.
+  CatalogPlan planGroups(const std::vector<FamilyEntries> &Groups) const;
+  /// Verifies \p Groups through one CatalogSession — the one per-pair
+  /// loop behind verifyCatalog, verifyFamily and the degenerate-family
+  /// branch of verifyPair.
+  CatalogOutcome verifyGroups(const std::vector<FamilyEntries> &Groups);
   /// The Common prefix of \p E's method plans without materializing the
   /// ArrayList split lattice (the prefixes are a handful of
   /// well-formedness formulas, identical across an entry's six methods).
   std::vector<ExprRef> planCommonOnly(const ConditionEntry &E) const;
   /// Intersection of planCommonOnly over \p Entries, in first-entry
-  /// order — the family-common prefix shared by planFamily, the lazy
-  /// verify paths, and planCatalog.
+  /// order — planFamily's family-common prefix.
   std::vector<ExprRef>
   familyCommonOf(const std::vector<const ConditionEntry *> &Entries) const;
 
@@ -285,7 +292,6 @@ private:
   bool Certify = false;
   bool CompactBridges = false;
   const std::vector<HintScript> *Hints = nullptr;
-  const PrefixImage *Prefix = nullptr; ///< Not owned; null = encode fresh.
 };
 
 } // namespace semcomm

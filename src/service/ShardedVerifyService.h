@@ -7,12 +7,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// N warm verification sessions behind one submit/drain front-end. Each
+/// N warm verification sessions behind one submit/drain front-end — the
+/// one serving path (semcommute-serve runs one shard by default). Each
 /// shard is a full VerifyService (warm CatalogSession, prefix-batched
 /// drains, compaction) serving the same catalog; requests are routed to
 /// shards by a stable hash of their family (or family+pair — the default,
 /// which balances the four-family catalog), and a drain runs every shard's
-/// batched drain, on a work-stealing ThreadPool when Threads > 1.
+/// batched drain, on a work-stealing ThreadPool when Threads > 1. With one
+/// shard the front-end adds only routing and stats to a bare VerifyService:
+/// same verdict log, same session, same peaks.
 ///
 /// What makes N shards cheaper than N processes:
 ///
@@ -22,19 +25,10 @@
 ///    bridge lattice from scratch and exports it as a PrefixImage; every
 ///    other shard *loads* the image (a propositional replay) instead of
 ///    re-encoding — the warm-up ratio the bench reports.
-///  * Learned-clause import. After its drain, each shard publishes its
-///    root-level learned clauses over prefix-owned variables (glue/size
-///    capped) into the lock-striped ClauseExchange; at the start of the
-///    next drain each shard adopts the other shards' publications. A
-///    shard validates variable ownership before adoption (indices within
-///    the shared prefix and live), and per-shard seen-sets stop ping-pong
-///    re-export. Disabled under Certify: a foreign clause has no local
-///    proof derivation.
 ///
-/// Determinism: routing, per-shard serve order, and the exchange protocol
-/// (publish at drain end, collect at next drain start, both sequenced in
-/// shard-id order around the drain barrier) are all functions of the
-/// request stream alone — never of thread scheduling. drain() returns the
+/// Determinism: routing and per-shard serve order are functions of the
+/// request stream alone — never of thread scheduling — and shards share
+/// nothing mutable while they drain. drain() returns the
 /// per-shard verdict groups concatenated in shard-id order, so at a fixed
 /// shard count the combined verdict log is byte-identical across thread
 /// counts (ShardedServiceTest pins 1 vs 8 threads), and verdict *values*
@@ -45,13 +39,11 @@
 #ifndef SEMCOMM_SERVICE_SHARDEDVERIFYSERVICE_H
 #define SEMCOMM_SERVICE_SHARDEDVERIFYSERVICE_H
 
-#include "service/ClauseExchange.h"
 #include "service/VerifyService.h"
 #include "support/ThreadPool.h"
 
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -74,13 +66,6 @@ struct ShardedServiceConfig {
   /// logs, or per-shard stats — only wall time.
   unsigned Threads = 1;
   RouteBy Route = RouteBy::Pair;
-  /// Load shard 0's exported PrefixImage into shards 1..N-1 (off = every
-  /// shard re-encodes the prefix; the warm-up baseline).
-  bool SharePrefix = true;
-  /// Trade learned clauses through the ClauseExchange (forced off under
-  /// Base.Certify).
-  bool ShareClauses = true;
-  ClauseExchangeConfig Exchange;
 };
 
 /// Per-shard accounting beyond the shard's own ServiceStats.
@@ -88,7 +73,8 @@ struct ShardStats {
   ServiceStats Stats;
   double WarmupMillis = 0;      ///< Shard construction wall time.
   bool PrefixImported = false;  ///< Loaded the image (vs encoded).
-  uint64_t ClausesPublished = 0;
+  /// Always 0: shards trade no learned clauses. Kept only because the
+  /// benchmark's service.clauses_adopted row reads it.
   uint64_t ClausesAdopted = 0;
 };
 
@@ -105,7 +91,6 @@ struct ShardedServiceStats {
   double PlanMillis = 0;
   double WarmupScratchMillis = 0; ///< Plan + shard 0 construction.
   double WarmupImportMillisAvg = 0;
-  ClauseExchangeStats Exchange;
 };
 
 /// The sharded front-end. Not thread-safe at the interface: one caller
@@ -120,10 +105,9 @@ public:
   /// rejection cases).
   bool submit(const ServiceRequest &R, std::string &Error);
 
-  /// Imports pending exchange clauses (shard-id order), drains every
-  /// shard (parallel when Threads > 1), publishes fresh learned clauses,
-  /// and returns the per-shard verdict groups concatenated in shard-id
-  /// order. The combined verdicts are also appended to log().
+  /// Drains every shard (parallel when Threads > 1) and returns the
+  /// per-shard verdict groups concatenated in shard-id order. The
+  /// combined verdicts are also appended to log().
   std::vector<ServiceVerdict> drain();
 
   size_t pending() const;
@@ -134,8 +118,8 @@ public:
   /// The shard a request routes to (exposed for tests).
   size_t shardOf(const ServiceRequest &R) const;
   VerifyService &shard(size_t S) { return *Shards[S]; }
-  /// The shared prefix image (empty when SharePrefix is off or the
-  /// service has a single shard).
+  /// The prefix image shards 1..N-1 loaded (empty with a single shard;
+  /// shard(0).exportPrefix() gives the same bytes before the first drain).
   const PrefixImage &prefixImage() const { return Prefix; }
 
   /// Pass-boundary hook: restarts every shard's peak counters.
@@ -154,26 +138,13 @@ public:
   bool restore(const json::Value &V, std::string &Error);
 
 private:
-  /// Collect-and-adopt for one shard (start of drain, shard-id order).
-  void importForShard(size_t S);
-  /// Export-and-publish for one shard (end of the shard's drain; runs on
-  /// the drain worker, bucket-striped).
-  void publishFromShard(size_t S);
-
   const Catalog &C;
   std::vector<const Family *> Fams;
   ShardedServiceConfig Cfg;
   CatalogPlan Plan; ///< Shared, read-only; outlives every shard.
   PrefixImage Prefix;
   std::vector<std::unique_ptr<VerifyService>> Shards;
-  std::unique_ptr<ClauseExchange> Exchange; ///< Null unless sharing.
-  std::unique_ptr<ThreadPool> Pool;         ///< Null when Threads <= 1.
-
-  /// Clauses this shard has already published or adopted (ping-pong
-  /// stopper); only the shard's own import/publish steps touch it.
-  std::vector<std::set<std::vector<int>>> SeenKeys;
-  std::vector<uint64_t> Published;
-  std::vector<uint64_t> Adopted;
+  std::unique_ptr<ThreadPool> Pool; ///< Null when Threads <= 1.
   std::vector<double> WarmupMillis;
 
   std::vector<ServiceVerdict> VerdictLog;

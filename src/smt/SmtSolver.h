@@ -229,21 +229,8 @@ public:
   /// first operation, after enableCertification()/enableBridgeCompaction()
   /// — and the compaction flag must match the exporting session's. Under
   /// compaction every imported registry entry is root-owned: prefix atoms
-  /// are permanent, so their variables are never recycled — the invariant
-  /// the learned-clause exchange's ownership rule rides on.
+  /// are permanent, so their variables are never recycled.
   void importPrefix(const PrefixImage &Img);
-  /// Variables covered by the exported/imported prefix (0 when neither
-  /// ran) — the ownership bound for the learned-clause exchange.
-  int prefixVars() const { return PrefixVars; }
-  /// Shareable root-level learned clauses: every variable prefix-owned,
-  /// size/glue-capped (see SatSolver::exportLearnedClauses).
-  std::vector<PrefixClause> exportLearnedPrefixClauses(size_t MaxSize,
-                                                       int MaxGlue) const;
-  /// Adopts foreign learned clauses after validating variable ownership
-  /// (all indices within the shared prefix and live). Returns the number
-  /// adopted. Not legal on a certifying session — a foreign clause has no
-  /// local derivation for the trace.
-  size_t importLearnedPrefixClauses(const std::vector<PrefixClause> &In);
 
   /// --- Certification (proof logging + independent checking) -----------
   ///
@@ -427,11 +414,6 @@ private:
   proof::CertifySummary Cert;
   bool CertFinished = false;
   audit::Log *Audit = nullptr; ///< Optional discipline event log.
-
-  /// Variable count of the exported/imported prefix image (0 = no prefix
-  /// sharing); the first PrefixVars indices are root-owned in every shard
-  /// that loaded the same image.
-  int PrefixVars = 0;
 
   size_t Checks = 0;
   int64_t LastConflicts = 0;

@@ -330,12 +330,12 @@ TEST(DriverEngines, SolveModesAgreeOnDriverVerdicts) {
     EXPECT_EQ(P.Selectors, 0u);
   }
 
-  // The family run reports one warm session for the whole family, pair
-  // rows under shared-family mode, and a family_stats row whose eviction
-  // counters show every pair was retired.
-  EXPECT_TRUE(Shared.FamilySessions.empty());
-  ASSERT_EQ(FamilyRun.FamilySessions.size(), 1u);
-  const FamilyStats &FS = FamilyRun.FamilySessions[0];
+  // The family run reports one warm catalog session for the whole family,
+  // pair rows under shared-family mode, and a family_stats row whose
+  // eviction counters show every pair was retired.
+  EXPECT_TRUE(Shared.FamilyTiers.empty());
+  ASSERT_EQ(FamilyRun.FamilyTiers.size(), 1u);
+  const FamilyStats &FS = FamilyRun.FamilyTiers[0];
   EXPECT_EQ(FS.Family, "Set");
   EXPECT_EQ(FS.Mode, "shared-family");
   EXPECT_EQ(FS.Pairs, FamilyRun.Pairs.size());
@@ -343,6 +343,9 @@ TEST(DriverEngines, SolveModesAgreeOnDriverVerdicts) {
   EXPECT_GT(FS.EvictedClauses, 0u);
   EXPECT_GT(FS.PrefixReuses, 0u);
   EXPECT_GT(FS.PeakRetainedClauses, 0u);
+  ASSERT_EQ(FamilyRun.CatalogSessions.size(), 1u);
+  EXPECT_EQ(FamilyRun.CatalogSessions[0].Mode, "shared-family");
+  EXPECT_EQ(FamilyRun.CatalogSessions[0].FamilyNames, "Set");
   uint64_t Sessions = 0;
   for (const PairStats &P : FamilyRun.Pairs) {
     EXPECT_EQ(P.Mode, "shared-family");
@@ -366,8 +369,8 @@ TEST(DriverEngines, SharedFamilyVerdictsAreThreadCountInvariant) {
   Opts.Threads = 1;
   Report Serial = runFullCatalog(Fx.C, Opts);
   EXPECT_EQ(Serial.failures(), 0u);
-  ASSERT_EQ(Serial.FamilySessions.size(), 4u);
-  for (const FamilyStats &FS : Serial.FamilySessions) {
+  ASSERT_EQ(Serial.FamilyTiers.size(), 4u);
+  for (const FamilyStats &FS : Serial.FamilyTiers) {
     EXPECT_EQ(FS.Evictions, FS.Pairs) << FS.Family;
     EXPECT_GT(FS.Checks, 0u) << FS.Family;
   }
@@ -385,16 +388,16 @@ TEST(DriverEngines, SharedFamilyVerdictsAreThreadCountInvariant) {
       EXPECT_EQ(Serial.Results[I].ProofCore, Parallel.Results[I].ProofCore)
           << Serial.Results[I].key();
     }
-    ASSERT_EQ(Serial.FamilySessions.size(), Parallel.FamilySessions.size());
-    for (size_t I = 0; I != Serial.FamilySessions.size(); ++I) {
-      EXPECT_EQ(Serial.FamilySessions[I].Checks,
-                Parallel.FamilySessions[I].Checks);
-      EXPECT_EQ(Serial.FamilySessions[I].Conflicts,
-                Parallel.FamilySessions[I].Conflicts);
-      EXPECT_EQ(Serial.FamilySessions[I].PeakRetainedClauses,
-                Parallel.FamilySessions[I].PeakRetainedClauses);
-      EXPECT_EQ(Serial.FamilySessions[I].EvictedClauses,
-                Parallel.FamilySessions[I].EvictedClauses);
+    ASSERT_EQ(Serial.FamilyTiers.size(), Parallel.FamilyTiers.size());
+    for (size_t I = 0; I != Serial.FamilyTiers.size(); ++I) {
+      EXPECT_EQ(Serial.FamilyTiers[I].Checks,
+                Parallel.FamilyTiers[I].Checks);
+      EXPECT_EQ(Serial.FamilyTiers[I].Conflicts,
+                Parallel.FamilyTiers[I].Conflicts);
+      EXPECT_EQ(Serial.FamilyTiers[I].PeakRetainedClauses,
+                Parallel.FamilyTiers[I].PeakRetainedClauses);
+      EXPECT_EQ(Serial.FamilyTiers[I].EvictedClauses,
+                Parallel.FamilyTiers[I].EvictedClauses);
     }
   }
 }
@@ -420,7 +423,6 @@ TEST(DriverEngines, SharedCatalogAgreesWithOtherModes) {
   EXPECT_TRUE(Shared.sameVerdicts(CatalogRun));
   EXPECT_TRUE(FamilyRun.sameVerdicts(CatalogRun));
   EXPECT_TRUE(Shared.CatalogSessions.empty());
-  EXPECT_TRUE(FamilyRun.CatalogSessions.empty());
 
   // One family at 4 threads: one family-sharded catalog session, which
   // still reports family_stats and pair rows under shared-catalog mode.
@@ -435,9 +437,9 @@ TEST(DriverEngines, SharedCatalogAgreesWithOtherModes) {
   EXPECT_GT(CS.RecycledVars, 0u);
   EXPECT_GT(CS.PeakLiveVars, 0u);
   EXPECT_LT(CS.PeakLiveVars, CS.VarRequests);
-  ASSERT_EQ(CatalogRun.FamilySessions.size(), 1u);
-  EXPECT_EQ(CatalogRun.FamilySessions[0].Mode, "shared-catalog");
-  EXPECT_EQ(CatalogRun.FamilySessions[0].Evictions,
+  ASSERT_EQ(CatalogRun.FamilyTiers.size(), 1u);
+  EXPECT_EQ(CatalogRun.FamilyTiers[0].Mode, "shared-catalog");
+  EXPECT_EQ(CatalogRun.FamilyTiers[0].Evictions,
             CatalogRun.Pairs.size());
   for (const PairStats &P : CatalogRun.Pairs)
     EXPECT_EQ(P.Mode, "shared-catalog");
@@ -463,8 +465,8 @@ TEST(DriverEngines, SharedCatalogVerdictsAreThreadCountInvariant) {
   EXPECT_EQ(Serial.CatalogSessions[0].Families, 4u);
   EXPECT_EQ(Serial.CatalogSessions[0].SubtreeRetirements, 4u);
   EXPECT_GT(Serial.CatalogSessions[0].RecycledVars, 0u);
-  ASSERT_EQ(Serial.FamilySessions.size(), 4u);
-  for (const FamilyStats &FS : Serial.FamilySessions)
+  ASSERT_EQ(Serial.FamilyTiers.size(), 4u);
+  for (const FamilyStats &FS : Serial.FamilyTiers)
     EXPECT_EQ(FS.Evictions, FS.Pairs) << FS.Family;
 
   Opts.Threads = 2;
@@ -625,13 +627,13 @@ TEST(DriverReport, FamilyStatsRoundTrip) {
   Opts.Threads = 2;
 
   Report R = runFullCatalog(Fx.C, Opts);
-  ASSERT_EQ(R.FamilySessions.size(), 2u);
+  ASSERT_EQ(R.FamilyTiers.size(), 2u);
   std::optional<Report> Back = Report::fromJson(R.toJson());
   ASSERT_TRUE(Back.has_value());
-  ASSERT_EQ(Back->FamilySessions.size(), R.FamilySessions.size());
-  for (size_t I = 0; I != R.FamilySessions.size(); ++I) {
-    const FamilyStats &A = R.FamilySessions[I];
-    const FamilyStats &B = Back->FamilySessions[I];
+  ASSERT_EQ(Back->FamilyTiers.size(), R.FamilyTiers.size());
+  for (size_t I = 0; I != R.FamilyTiers.size(); ++I) {
+    const FamilyStats &A = R.FamilyTiers[I];
+    const FamilyStats &B = Back->FamilyTiers[I];
     EXPECT_EQ(B.Family, A.Family);
     EXPECT_EQ(B.Mode, A.Mode);
     EXPECT_EQ(B.Pairs, A.Pairs);

@@ -212,16 +212,28 @@ TEST_P(SharedPairFuzzTest, RandomMethodSubsetsMatchPerMethodSessions) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SharedPairFuzzTest,
                          ::testing::Values(17, 29, 71, 113));
 
+namespace {
+
+/// A one-family catalog plan: the session SharedFamily mode runs.
+CatalogPlan oneFamilyPlan(FamilyPlan FP) {
+  CatalogPlan CP;
+  CP.Families.push_back(std::move(FP));
+  return CP;
+}
+
+} // namespace
+
 TEST(FamilySessionTest, SelectorsNestAndRetireCleanly) {
   // Two "pairs" with contradictory pair-common prefixes coexist under
-  // their pair selectors; retiring one evicts its clauses and leaves the
-  // other scope's proofs intact.
+  // their pair selectors in a one-family catalog session; retiring one
+  // evicts its clauses and leaves the other scope's proofs intact.
   PoolFixture &Fx = fixture();
   ExprRef X = Fx.F.var("fam_x", Sort::Bool);
 
   FamilyPlan FP;
   FP.FamilyName = "demo";
-  FamilySession Sess(Fx.F, FP, /*Budget=*/-1);
+  CatalogPlan CP = oneFamilyPlan(FP);
+  CatalogSession Sess(Fx.F, CP, /*Budget=*/-1);
 
   MethodPlan Pos;
   Pos.Name = "m";
@@ -233,11 +245,12 @@ TEST(FamilySessionTest, SelectorsNestAndRetireCleanly) {
   Neg.Splits.push_back(VcSplit{{{X, "x"}}, ""});
 
   SymbolicResult R1, R2;
-  EXPECT_TRUE(Sess.discharge("p1", Pos, R1));
-  EXPECT_TRUE(Sess.discharge("p2", Neg, R2));
-  // Pair selector + method selector per pair.
+  EXPECT_TRUE(Sess.discharge(0, "p1", Pos, R1));
+  EXPECT_TRUE(Sess.discharge(0, "p2", Neg, R2));
+  // Pair selector + method selector per pair; the sole family's tier is
+  // the session root and needs no selector.
   EXPECT_EQ(Sess.numSelectors(), 4u);
-  EXPECT_EQ(Sess.stats().PairsOpened, 2u);
+  EXPECT_EQ(Sess.familyStats(0).PairsOpened, 2u);
 
   // The core names the pair scope, the method selector, and the split.
   auto Has = [&R1](const char *L) {
@@ -248,17 +261,17 @@ TEST(FamilySessionTest, SelectorsNestAndRetireCleanly) {
   EXPECT_TRUE(Has("not-x"));
 
   uint64_t Retained = Sess.retainedClauses();
-  EXPECT_GT(Sess.retirePair("p1"), 0u);
+  EXPECT_GT(Sess.retirePair(0, "p1"), 0u);
   EXPECT_LT(Sess.retainedClauses(), Retained);
-  EXPECT_EQ(Sess.stats().PairsRetired, 1u);
+  EXPECT_EQ(Sess.familyStats(0).PairsRetired, 1u);
   EXPECT_TRUE(Sess.session().solver().reasonInvariantHolds());
 
   // p2 still verifies after p1's eviction; p1 re-opens under a fresh
   // selector and verifies again.
   SymbolicResult R3, R4;
-  EXPECT_TRUE(Sess.discharge("p2", Neg, R3));
-  EXPECT_TRUE(Sess.discharge("p1", Pos, R4));
-  EXPECT_EQ(Sess.stats().PairsOpened, 3u);
+  EXPECT_TRUE(Sess.discharge(0, "p2", Neg, R3));
+  EXPECT_TRUE(Sess.discharge(0, "p1", Pos, R4));
+  EXPECT_EQ(Sess.familyStats(0).PairsOpened, 3u);
 }
 
 TEST(FamilySessionTest, FamilyCommonPrefixIsSharedAcrossPairs) {
@@ -268,18 +281,21 @@ TEST(FamilySessionTest, FamilyCommonPrefixIsSharedAcrossPairs) {
   FamilyPlan FP;
   FP.FamilyName = "demo2";
   FP.FamilyCommon = {X};
-  FamilySession Sess(Fx.F, FP, /*Budget=*/-1);
+  CatalogPlan CP = oneFamilyPlan(FP);
+  CatalogSession Sess(Fx.F, CP, /*Budget=*/-1);
+  // The sole family's common prefix is session base from the start.
   EXPECT_EQ(Sess.stats().PrefixAsserts, 1u);
 
   MethodPlan M;
   M.Name = "m";
-  M.Common = {X}; // Already family base: counted as a reuse, not asserted.
+  M.Common = {X}; // Already session base: counted as a reuse, not asserted.
   M.Splits.push_back(VcSplit{{{Fx.F.lnot(X), "not-x"}}, ""});
   SymbolicResult R1, R2;
-  EXPECT_TRUE(Sess.discharge("p1", M, R1));
-  EXPECT_TRUE(Sess.discharge("p2", M, R2));
+  EXPECT_TRUE(Sess.discharge(0, "p1", M, R1));
+  EXPECT_TRUE(Sess.discharge(0, "p2", M, R2));
   EXPECT_EQ(Sess.stats().PrefixAsserts, 1u);
-  EXPECT_EQ(Sess.stats().PrefixReuses, 2u);
+  // One reuse when the family tier opens, one per pair.
+  EXPECT_EQ(Sess.familyStats(0).PrefixReuses, 3u);
 }
 
 TEST(SymbolicEngineTest, VerifyFamilyMatchesSharedPairOnWholeCatalog) {
@@ -316,7 +332,7 @@ TEST(SymbolicEngineTest, EvictionBoundsRetainedClausesAcrossAFamily) {
   // The point of the family tier's eviction: the peak database stays near
   // one live pair's footprint instead of accumulating every pair's. The
   // no-eviction reference discharges the same plans through the same
-  // session without ever retiring a pair.
+  // one-family catalog session without ever retiring a pair.
   PoolFixture &Fx = fixture();
   SymbolicEngine Eng(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000,
                      SolveMode::SharedFamily);
@@ -327,25 +343,24 @@ TEST(SymbolicEngineTest, EvictionBoundsRetainedClausesAcrossAFamily) {
   std::vector<const ConditionEntry *> Entries;
   for (const ConditionEntry &E : Fx.C.entries(Fam))
     Entries.push_back(&E);
-  FamilyPlan FP = Eng.planFamily(Fam.Name, Entries);
-  FamilySession NoEvict(Fx.F, FP, /*Budget=*/200000);
-  for (const PairPlan &PP : FP.Pairs)
+  CatalogPlan CP = oneFamilyPlan(Eng.planFamily(Fam.Name, Entries));
+  CatalogSession NoEvict(Fx.F, CP, /*Budget=*/200000);
+  for (const PairPlan &PP : CP.Families[0].Pairs)
     for (const MethodPlan &MP : PP.Methods) {
       SymbolicResult R;
-      NoEvict.discharge(PP.Key, MP, R);
+      NoEvict.discharge(0, PP.Key, MP, R);
     }
+  uint64_t NoEvictPeak = NoEvict.familyStats(0).PeakRetainedClauses;
 
   EXPECT_GT(Evicting.Stats.EvictedClauses, 0u);
-  EXPECT_LT(Evicting.Stats.PeakRetainedClauses,
-            NoEvict.stats().PeakRetainedClauses);
+  EXPECT_LT(Evicting.Stats.PeakRetainedClauses, NoEvictPeak);
   // Not proportional to family size: the evicting peak stays well under
   // half of the accumulate-everything peak on the 49-pair Map family.
-  EXPECT_LT(Evicting.Stats.PeakRetainedClauses,
-            NoEvict.stats().PeakRetainedClauses / 2);
+  EXPECT_LT(Evicting.Stats.PeakRetainedClauses, NoEvictPeak / 2);
 }
 
 /// Eviction-soundness fuzz: random pair discharge / retire / re-verify
-/// orders through one FamilySession — including mutant catalogs whose
+/// orders through one family tier — including mutant catalogs whose
 /// proofs fail — against a no-eviction per-pair reference. Verdicts must
 /// match everywhere and the solver's reason invariant must survive every
 /// eviction.
@@ -373,8 +388,9 @@ TEST_P(FamilyEvictionFuzzTest, RandomRetireOrdersMatchNoEvictionReference) {
     std::vector<const ConditionEntry *> Ptrs;
     for (const ConditionEntry &E : Picked)
       Ptrs.push_back(&E);
-    FamilyPlan FP = Planner.planFamily(Fam->Name, Ptrs);
-    FamilySession Sess(Fx.F, FP, /*Budget=*/200000);
+    CatalogPlan CP = oneFamilyPlan(Planner.planFamily(Fam->Name, Ptrs));
+    const FamilyPlan &FP = CP.Families[0];
+    CatalogSession Sess(Fx.F, CP, /*Budget=*/200000);
     Sess.configureClauseGc(true, /*FirstLimit=*/64);
 
     // Random operation sequence over the picked pairs: discharge a random
@@ -387,7 +403,7 @@ TEST_P(FamilyEvictionFuzzTest, RandomRetireOrdersMatchNoEvictionReference) {
       // so a mutant and its original stay distinguishable to the test.
       std::string Key = PP.Key + "#" + std::to_string(PI);
       if (Rng() % 4 == 0) {
-        Sess.retirePair(Key);
+        Sess.retirePair(0, Key);
         ASSERT_TRUE(Sess.session().solver().reasonInvariantHolds())
             << "seed=" << GetParam() << " trial=" << Trial
             << " step=" << Step;
@@ -395,7 +411,7 @@ TEST_P(FamilyEvictionFuzzTest, RandomRetireOrdersMatchNoEvictionReference) {
       }
       const MethodPlan &MP = PP.Methods[Rng() % PP.Methods.size()];
       SymbolicResult Got;
-      Got.Verified = Sess.discharge(Key, MP, Got);
+      Got.Verified = Sess.discharge(0, Key, MP, Got);
 
       SharedSession Ref(Fx.F, /*Budget=*/200000, SolveMode::PerMethod);
       SymbolicResult Want;
@@ -408,7 +424,7 @@ TEST_P(FamilyEvictionFuzzTest, RandomRetireOrdersMatchNoEvictionReference) {
     }
     // Retire everything that is still live and confirm the solver state.
     for (size_t PI = 0; PI != FP.Pairs.size(); ++PI)
-      Sess.retirePair(FP.Pairs[PI].Key + "#" + std::to_string(PI));
+      Sess.retirePair(0, FP.Pairs[PI].Key + "#" + std::to_string(PI));
     ASSERT_TRUE(Sess.session().solver().reasonInvariantHolds());
   }
 }

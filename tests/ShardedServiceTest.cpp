@@ -6,13 +6,12 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The sharded serving front-end and its two sharing mechanisms: the
-// pre-encoded catalog prefix image (byte-identical across independent
-// builds, verdict-identical to encode-from-scratch) and the cross-shard
-// learned-clause exchange (ownership-validated adoption, deterministic
-// at drain boundaries). The load-bearing property: verdicts and the
-// combined verdict log are invariant across thread counts and equal to
-// the single-session VerifyService reference.
+// The sharded serving front-end and its prefix sharing: the pre-encoded
+// catalog prefix image is byte-identical across independent builds and
+// verdict-identical to encode-from-scratch. The load-bearing property:
+// verdicts and the combined verdict log are invariant across thread
+// counts and equal to the single-session VerifyService reference — and a
+// one-shard front-end is that reference, log, peaks and snapshot alike.
 //
 //===----------------------------------------------------------------------===//
 
@@ -111,145 +110,118 @@ TEST(ShardedServiceTest, PrefixImportMatchesScratchEncoding) {
   }
 }
 
+/// The serve_millis-free text of a service snapshot (the one timing field).
+std::string untimed(json::Value Snap) {
+  Snap.set("serve_millis", json::Value::number(0));
+  return Snap.dump();
+}
+
 // The sharded front-end at 1 worker thread and at 8 worker threads must
-// produce elementwise-identical verdict logs (the determinism contract),
-// identical exchange statistics, and verdict values equal to a
-// single-session VerifyService reference — over a randomized stream with
-// randomized drain points, with clause sharing on.
+// produce elementwise-identical verdict logs (the determinism contract)
+// and verdict values equal to a single-session VerifyService reference —
+// over a randomized stream with randomized drain points. At 4 shards,
+// shards 1..3 load shard 0's prefix image. At 1 shard (what
+// semcommute-serve runs by default) the front-end is the reference: the
+// same verdict log in the same order, the same per-shard peaks, and a
+// snapshot whose shard image equals the reference's and round-trips.
 TEST(ShardedServiceTest, VerdictsInvariantAcrossThreadCounts) {
   ExprFactory F;
   Catalog C(F);
   std::vector<const Family *> Fams = families({"Accumulator", "Set"});
-
-  ShardedServiceConfig One;
-  One.Base.CompactMinDead = 8;
-  One.Shards = 4;
-  One.Threads = 1;
-  ShardedServiceConfig Eight = One;
-  Eight.Threads = 8;
-
-  ShardedVerifyService A(C, Fams, One);
-  ShardedVerifyService B(C, Fams, Eight);
-  VerifyService Ref(C, Fams, One.Base);
-
-  for (unsigned S = 1; S != 4; ++S) {
-    EXPECT_TRUE(A.stats().Shards[S].PrefixImported);
-    EXPECT_TRUE(B.stats().Shards[S].PrefixImported);
-  }
-  EXPECT_FALSE(A.stats().Shards[0].PrefixImported);
-
   std::vector<ServiceRequest> Universe = allRequests(C, Fams);
-  std::mt19937 Rng(20110604);
-  std::uniform_int_distribution<size_t> Pick(0, Universe.size() - 1);
-  std::uniform_int_distribution<int> DrainNow(0, 8);
 
-  std::string Error;
-  for (int R = 0; R != 80; ++R) {
-    const ServiceRequest &Req = Universe[Pick(Rng)];
-    EXPECT_EQ(A.shardOf(Req), B.shardOf(Req));
-    ASSERT_TRUE(A.submit(Req, Error)) << Error;
-    ASSERT_TRUE(B.submit(Req, Error)) << Error;
-    ASSERT_TRUE(Ref.submit(Req, Error)) << Error;
-    if (DrainNow(Rng) == 0 || R == 79) {
-      std::vector<ServiceVerdict> VA = A.drain();
-      std::vector<ServiceVerdict> VB = B.drain();
-      std::vector<ServiceVerdict> VR = Ref.drain();
-      ASSERT_EQ(VA.size(), VB.size());
-      ASSERT_EQ(VA.size(), VR.size());
-      // Thread counts: elementwise-identical order and values.
-      for (size_t I = 0; I != VA.size(); ++I) {
-        ASSERT_EQ(keyOf(VA[I].Req), keyOf(VB[I].Req))
-            << "log order divergence at request " << R;
-        ASSERT_EQ(VA[I].Sound, VB[I].Sound) << keyOf(VA[I].Req);
-        ASSERT_EQ(VA[I].Complete, VB[I].Complete) << keyOf(VA[I].Req);
-      }
-      // Single-session reference: verdict values as maps (sharded group
-      // order differs from the reference's batched order).
-      std::map<std::string, std::pair<bool, bool>> MA, MR;
-      for (const ServiceVerdict &V : VA)
-        MA[keyOf(V.Req)] = {V.Sound, V.Complete};
-      for (const ServiceVerdict &V : VR)
-        MR[keyOf(V.Req)] = {V.Sound, V.Complete};
-      ASSERT_EQ(MA, MR) << "verdict divergence at request " << R;
+  for (unsigned NumShards : {4u, 1u}) {
+    SCOPED_TRACE("shards=" + std::to_string(NumShards));
+    ShardedServiceConfig One;
+    One.Base.CompactMinDead = 8;
+    One.Shards = NumShards;
+    One.Threads = 1;
+    ShardedServiceConfig Eight = One;
+    Eight.Threads = 8;
+
+    ShardedVerifyService A(C, Fams, One);
+    ShardedVerifyService B(C, Fams, Eight);
+    VerifyService Ref(C, Fams, One.Base);
+
+    EXPECT_FALSE(A.stats().Shards[0].PrefixImported);
+    for (unsigned S = 1; S != NumShards; ++S) {
+      EXPECT_TRUE(A.stats().Shards[S].PrefixImported);
+      EXPECT_TRUE(B.stats().Shards[S].PrefixImported);
     }
+
+    std::mt19937 Rng(20110604);
+    std::uniform_int_distribution<size_t> Pick(0, Universe.size() - 1);
+    std::uniform_int_distribution<int> DrainNow(0, 8);
+
+    std::string Error;
+    for (int R = 0; R != 80; ++R) {
+      const ServiceRequest &Req = Universe[Pick(Rng)];
+      EXPECT_EQ(A.shardOf(Req), B.shardOf(Req));
+      ASSERT_TRUE(A.submit(Req, Error)) << Error;
+      ASSERT_TRUE(B.submit(Req, Error)) << Error;
+      ASSERT_TRUE(Ref.submit(Req, Error)) << Error;
+      if (DrainNow(Rng) == 0 || R == 79) {
+        std::vector<ServiceVerdict> VA = A.drain();
+        std::vector<ServiceVerdict> VB = B.drain();
+        std::vector<ServiceVerdict> VR = Ref.drain();
+        ASSERT_EQ(VA.size(), VB.size());
+        ASSERT_EQ(VA.size(), VR.size());
+        // Thread counts: elementwise-identical order and values.
+        for (size_t I = 0; I != VA.size(); ++I) {
+          ASSERT_EQ(keyOf(VA[I].Req), keyOf(VB[I].Req))
+              << "log order divergence at request " << R;
+          ASSERT_EQ(VA[I].Sound, VB[I].Sound) << keyOf(VA[I].Req);
+          ASSERT_EQ(VA[I].Complete, VB[I].Complete) << keyOf(VA[I].Req);
+        }
+        // Single-session reference: verdict values as maps (sharded group
+        // order differs from the reference's batched order).
+        std::map<std::string, std::pair<bool, bool>> MA, MR;
+        for (const ServiceVerdict &V : VA)
+          MA[keyOf(V.Req)] = {V.Sound, V.Complete};
+        for (const ServiceVerdict &V : VR)
+          MR[keyOf(V.Req)] = {V.Sound, V.Complete};
+        ASSERT_EQ(MA, MR) << "verdict divergence at request " << R;
+      }
+    }
+
+    ShardedServiceStats SA = A.stats(), SB = B.stats();
+    EXPECT_EQ(SA.Requests, SB.Requests);
+    EXPECT_EQ(SA.Drains, SB.Drains);
+    for (size_t S = 0; S != NumShards; ++S) {
+      EXPECT_EQ(SA.Shards[S].Stats.Requests, SB.Shards[S].Stats.Requests);
+      EXPECT_EQ(SA.Shards[S].ClausesAdopted, 0u);
+      // Every shard's solver survives its compacting drains.
+      EXPECT_TRUE(B.shard(S).session().solver().reasonInvariantHolds());
+    }
+    if (NumShards != 1)
+      continue;
+
+    // One shard: the front-end's log is the reference's, order included.
+    ASSERT_EQ(A.log().size(), Ref.log().size());
+    for (size_t I = 0; I != A.log().size(); ++I) {
+      EXPECT_EQ(keyOf(A.log()[I].Req), keyOf(Ref.log()[I].Req)) << I;
+      EXPECT_EQ(A.log()[I].Sound, Ref.log()[I].Sound) << I;
+      EXPECT_EQ(A.log()[I].Complete, Ref.log()[I].Complete) << I;
+    }
+    const CatalogSessionStats &Got = SA.Shards[0].Stats.Session;
+    const CatalogSessionStats Want = Ref.stats().Session;
+    EXPECT_EQ(Got.PeakLiveVars, Want.PeakLiveVars);
+    EXPECT_EQ(Got.PeakLiveClauses, Want.PeakLiveClauses);
+    EXPECT_EQ(Got.PeakLiveBridges, Want.PeakLiveBridges);
+    EXPECT_EQ(Got.PairsOpened, Want.PairsOpened);
+
+    // The snapshot carries the reference's image and round-trips.
+    json::Value Image = A.snapshot();
+    EXPECT_EQ(untimed(Image["shard_snapshots"].at(0)),
+              untimed(Ref.snapshot()));
+    std::optional<json::Value> Parsed = json::Value::parse(Image.dump(2));
+    ASSERT_TRUE(Parsed.has_value());
+    ShardedVerifyService Fresh(C, Fams, One);
+    ASSERT_TRUE(Fresh.restore(*Parsed, Error)) << Error;
+    EXPECT_EQ(Fresh.log().size(), A.log().size());
+    EXPECT_EQ(untimed(Fresh.snapshot()["shard_snapshots"].at(0)),
+              untimed(Image["shard_snapshots"].at(0)));
   }
-
-  ShardedServiceStats SA = A.stats(), SB = B.stats();
-  EXPECT_EQ(SA.Requests, SB.Requests);
-  EXPECT_EQ(SA.Drains, SB.Drains);
-  EXPECT_EQ(SA.Exchange.Published, SB.Exchange.Published);
-  EXPECT_EQ(SA.Exchange.Collected, SB.Exchange.Collected);
-  for (size_t S = 0; S != 4; ++S) {
-    EXPECT_EQ(SA.Shards[S].Stats.Requests, SB.Shards[S].Stats.Requests);
-    EXPECT_EQ(SA.Shards[S].ClausesPublished, SB.Shards[S].ClausesPublished);
-    EXPECT_EQ(SA.Shards[S].ClausesAdopted, SB.Shards[S].ClausesAdopted);
-  }
-  // Every shard's solver survives its compacting drains.
-  for (size_t S = 0; S != 4; ++S)
-    EXPECT_TRUE(B.shard(S).session().solver().reasonInvariantHolds());
-}
-
-// The exchange itself: bucket dedup, the per-shard cap, and per-consumer
-// cursors that hand each collect exactly the not-yet-seen publications.
-TEST(ShardedServiceTest, ClauseExchangeDedupCapAndCursors) {
-  ClauseExchangeConfig Cfg;
-  Cfg.MaxSize = 3;
-  Cfg.MaxGlue = 2;
-  Cfg.PerShardCap = 4;
-  ClauseExchange Ex(3, Cfg);
-
-  PrefixClause Ok1{{1, 2}, 1};
-  PrefixClause Ok2{{-3, 4, 5}, 2};
-  PrefixClause TooBig{{1, 2, 3, 4}, 1};
-  PrefixClause TooGlued{{6, 7}, 3};
-  Ex.publish(0, {Ok1, Ok2, TooBig, TooGlued, Ok1 /* duplicate */});
-  ClauseExchangeStats S = Ex.stats();
-  EXPECT_EQ(S.Published, 2u);
-  EXPECT_EQ(S.Dropped, 3u);
-
-  // Shard 1 collects both; a re-collect sees nothing new.
-  std::vector<PrefixClause> Got = Ex.collectFor(1);
-  ASSERT_EQ(Got.size(), 2u);
-  EXPECT_EQ(Got[0].Lits, Ok1.Lits);
-  EXPECT_EQ(Got[1].Lits, Ok2.Lits);
-  EXPECT_TRUE(Ex.collectFor(1).empty());
-  // Shard 2's cursor is independent.
-  EXPECT_EQ(Ex.collectFor(2).size(), 2u);
-  // A shard never collects its own bucket.
-  EXPECT_TRUE(Ex.collectFor(0).empty());
-
-  // The cap: two more fill the bucket, the next is dropped.
-  Ex.publish(0, {{{8}, 1}, {{9}, 1}, {{10}, 1}});
-  S = Ex.stats();
-  EXPECT_EQ(S.Published, 4u);
-  EXPECT_EQ(S.Dropped, 4u);
-  EXPECT_EQ(Ex.collectFor(1).size(), 2u);
-}
-
-// Adoption validates variable ownership: a clause mentioning a variable
-// outside the shared prefix (or malformed) is refused, never installed.
-TEST(ShardedServiceTest, LearnedImportValidatesOwnership) {
-  ExprFactory F;
-  Catalog C(F);
-  // Accumulator alone has an empty catalog-common prefix (nothing shared
-  // across its pairs); Set contributes the prefix whose variables the
-  // ownership filter guards.
-  std::vector<const Family *> Fams = families({"Accumulator", "Set"});
-
-  ShardedServiceConfig Cfg;
-  Cfg.Shards = 2;
-  ShardedVerifyService Svc(C, Fams, Cfg);
-
-  SmtSession &S1 = Svc.shard(1).session();
-  int PV = S1.prefixVars();
-  ASSERT_GT(PV, 0);
-
-  // A variable past the prefix watermark is not prefix-owned.
-  EXPECT_EQ(S1.importLearnedPrefixClauses({{{PV + 5, 1}, 1}}), 0u);
-  // Variable index 0 is invalid.
-  EXPECT_EQ(S1.importLearnedPrefixClauses({{{0}, 1}}), 0u);
-  // A tautology over prefix variables is refused by the solver.
-  EXPECT_EQ(S1.importLearnedPrefixClauses({{{1, -1}, 1}}), 0u);
 }
 
 // The sharded snapshot round-trips through its textual form, restores
@@ -304,8 +276,9 @@ TEST(ShardedServiceTest, SnapshotRoundTripAndConfigMismatch) {
   EXPECT_NE(Error.find("route"), std::string::npos) << Error;
 }
 
-// Certify mode still works shard-locally: clause sharing is forced off,
-// every shard logs its own DRAT trace, and the folded summary accepts.
+// Certify mode works shard-locally: every shard logs its own DRAT trace
+// (shards 1..N-1 replay the prefix image into theirs), and the folded
+// summary accepts.
 TEST(ShardedServiceTest, PerShardCertificationStillPasses) {
   ExprFactory F;
   Catalog C(F);
@@ -332,8 +305,6 @@ TEST(ShardedServiceTest, PerShardCertificationStillPasses) {
   EXPECT_TRUE(Cert.Ok) << Cert.Error;
   EXPECT_GT(Cert.Queries, 0u);
   EXPECT_EQ(Cert.Queries, Cert.QueriesPassed);
-  // Sharing is disabled under certification: no foreign clauses entered.
-  EXPECT_EQ(Svc.stats().Exchange.Published, 0u);
 }
 
 } // namespace

@@ -197,7 +197,7 @@ struct PairGroup {
 };
 
 /// Copies a pair outcome into its stats row (shared by the pair-group and
-/// family-group paths). Millis is the sum of the method times; the
+/// catalog-group paths). Millis is the sum of the method times; the
 /// pair-group path overwrites it with its own wall clock.
 void fillPairStats(const PairOutcome &O, const ConditionEntry &E,
                    const char *ModeName, PairStats &Stats);
@@ -222,9 +222,8 @@ void runPairGroup(const Catalog &C, const DriverOptions &Opts,
   Stats.Millis = Timer.millis();
 }
 
-/// The unit of work for symbolic commutativity jobs in SharedFamily mode:
-/// every pair of one family runs on one worker through one FamilySession
-/// (pair order = catalog entry order = enumeration order).
+/// Every pair of one family, as one catalog session's family tier runs
+/// them (pair order = catalog entry order = enumeration order).
 struct FamilyGroup {
   const Family *Fam = nullptr;
   std::vector<PairGroup> Pairs;
@@ -253,9 +252,8 @@ void fillPairStats(const PairOutcome &O, const ConditionEntry &E,
     Stats.Millis += Ms;
 }
 
-/// Copies one family outcome into its job records, pair-stats rows, and
-/// family-stats row — shared by the family-group and catalog-group paths
-/// (the catalog path hands over each family tier's slice).
+/// Copies one family tier's outcome into its job records, pair-stats rows,
+/// and family-stats row.
 void fillFamilyRecords(const FamilyOutcome &FO, const FamilyGroup &G,
                        const char *ModeName, std::vector<JobRecord> &Jobs,
                        std::vector<PairStats> &Pairs, FamilyStats &Stats) {
@@ -293,23 +291,10 @@ void fillFamilyRecords(const FamilyOutcome &FO, const FamilyGroup &G,
   Stats.Selectors = FO.Selectors;
 }
 
-void runFamilyGroup(const Catalog &C, const DriverOptions &Opts,
-                    const FamilyGroup &G, std::vector<JobRecord> &Jobs,
-                    std::vector<PairStats> &Pairs, FamilyStats &Stats) {
-  Stopwatch Timer;
-  SymbolicEngine Sym(C.factory(), Opts.SymbolicSeqLenBound,
-                     Opts.SymbolicConflictBudget, SolveMode::SharedFamily);
-  Sym.setClauseGcBudget(Opts.GcBudget);
-  Sym.setCertify(Opts.Certify);
-  FamilyOutcome FO = Sym.verifyFamily(C, *G.Fam);
-  fillFamilyRecords(FO, G, solveModeName(SolveMode::SharedFamily), Jobs,
-                    Pairs, Stats);
-  Stats.Millis = Timer.millis();
-}
-
-/// The unit of work in SharedCatalog mode: one CatalogSession serving a
-/// deterministic list of family groups — all of them at one thread, one
-/// per session (family shards) otherwise.
+/// The unit of work in SharedCatalog and SharedFamily modes: one
+/// CatalogSession serving a deterministic list of family groups — all of
+/// them under SharedCatalog at one thread, one per session (family
+/// shards) otherwise.
 struct CatalogGroup {
   std::vector<size_t> FamGroupIdx; ///< Indices into the FamilyGroup list.
 };
@@ -318,11 +303,11 @@ void runCatalogGroup(const Catalog &C, const DriverOptions &Opts,
                      const std::vector<FamilyGroup> &FamGroups,
                      const CatalogGroup &CG, std::vector<JobRecord> &Jobs,
                      std::vector<PairStats> &Pairs,
-                     std::vector<FamilyStats> &FamSessions,
+                     std::vector<FamilyStats> &FamTiers,
                      CatalogStats &Stats) {
   Stopwatch Timer;
   SymbolicEngine Sym(C.factory(), Opts.SymbolicSeqLenBound,
-                     Opts.SymbolicConflictBudget, SolveMode::SharedCatalog);
+                     Opts.SymbolicConflictBudget, Opts.SymbolicMode);
   Sym.setClauseGcBudget(Opts.GcBudget);
   Sym.setCertify(Opts.Certify);
   Sym.setBridgeCompaction(Opts.CompactBridges);
@@ -333,11 +318,11 @@ void runCatalogGroup(const Catalog &C, const DriverOptions &Opts,
   assert(CO.Families.size() == CG.FamGroupIdx.size() &&
          "catalog group out of sync with the plan");
 
-  const char *ModeName = solveModeName(SolveMode::SharedCatalog);
+  const char *ModeName = solveModeName(Opts.SymbolicMode);
   Stats.Mode = ModeName;
   for (size_t I = 0; I != CG.FamGroupIdx.size(); ++I) {
     const FamilyGroup &G = FamGroups[CG.FamGroupIdx[I]];
-    FamilyStats &FS = FamSessions[CG.FamGroupIdx[I]];
+    FamilyStats &FS = FamTiers[CG.FamGroupIdx[I]];
     fillFamilyRecords(CO.Families[I], G, ModeName, Jobs, Pairs, FS);
     FS.Millis = 0; // Shared wall clock: reported on the catalog row.
     Stats.FamilyNames += (Stats.FamilyNames.empty() ? "" : ",") + G.Fam->Name;
@@ -427,14 +412,14 @@ Report driver::runFullCatalog(const Catalog &C, const DriverOptions &Opts) {
   }
   std::vector<PairStats> Pairs(Groups.size());
 
-  // In SharedFamily and SharedCatalog modes the unit of work grows to the
-  // whole family: one worker runs every pair of a family through one
-  // session (group order follows the first pair's position, i.e.
-  // enumeration order).
-  bool FamilyMode = Opts.SymbolicMode == SolveMode::SharedFamily;
-  bool CatalogMode = Opts.SymbolicMode == SolveMode::SharedCatalog;
+  // In SharedFamily and SharedCatalog modes the unit of work grows to at
+  // least a whole family: one worker runs every pair of a family through
+  // one catalog session (group order follows the first pair's position,
+  // i.e. enumeration order).
+  bool CatalogMode = Opts.SymbolicMode == SolveMode::SharedFamily ||
+                     Opts.SymbolicMode == SolveMode::SharedCatalog;
   std::vector<FamilyGroup> FamGroups;
-  if (FamilyMode || CatalogMode) {
+  if (CatalogMode) {
     std::map<const Family *, size_t> FamGroupOf;
     for (size_t G = 0; G != Groups.size(); ++G) {
       const Family *Fam = Groups[G].Entry->Fam;
@@ -447,16 +432,16 @@ Report driver::runFullCatalog(const Catalog &C, const DriverOptions &Opts) {
       FamGroups[It->second].PairRows.push_back(G);
     }
   }
-  std::vector<FamilyStats> FamSessions(FamGroups.size());
+  std::vector<FamilyStats> FamTiers(FamGroups.size());
 
-  // SharedCatalog scheduling: at one thread the whole catalog runs
-  // through a single CatalogSession; with more threads each family runs
-  // as its own catalog session (family shards), so the shard list — and
-  // with it every statistic — is a function of the options alone.
+  // Catalog-session scheduling: SharedCatalog at one thread runs the
+  // whole catalog through a single CatalogSession; otherwise each family
+  // runs as its own catalog session (family shards), so the shard list —
+  // and with it every statistic — is a function of the options alone.
   unsigned Threads = Opts.Threads == 0 ? 1 : Opts.Threads;
   std::vector<CatalogGroup> CatGroups;
   if (CatalogMode && !FamGroups.empty()) {
-    if (Threads == 1) {
+    if (Threads == 1 && Opts.SymbolicMode == SolveMode::SharedCatalog) {
       CatGroups.push_back({});
       for (size_t G = 0; G != FamGroups.size(); ++G)
         CatGroups.back().FamGroupIdx.push_back(G);
@@ -473,7 +458,7 @@ Report driver::runFullCatalog(const Catalog &C, const DriverOptions &Opts) {
     ThreadPool Pool(Threads);
     for (size_t I = 0; I != Jobs.size(); ++I) {
       if (Prepared[I].Symbolic && !Prepared[I].Inverse)
-        continue; // Runs inside its pair, family, or catalog group.
+        continue; // Runs inside its pair or catalog group.
       Pool.submit([&Engine, &C, &Opts, &Prepared, &Jobs, I] {
         runJob(Engine, C, Opts, Prepared[I], Jobs[I]);
       });
@@ -481,14 +466,9 @@ Report driver::runFullCatalog(const Catalog &C, const DriverOptions &Opts) {
     if (CatalogMode) {
       for (size_t G = 0; G != CatGroups.size(); ++G)
         Pool.submit([&C, &Opts, &FamGroups, &CatGroups, &Jobs, &Pairs,
-                     &FamSessions, &CatSessions, G] {
+                     &FamTiers, &CatSessions, G] {
           runCatalogGroup(C, Opts, FamGroups, CatGroups[G], Jobs, Pairs,
-                          FamSessions, CatSessions[G]);
-        });
-    } else if (FamilyMode) {
-      for (size_t G = 0; G != FamGroups.size(); ++G)
-        Pool.submit([&C, &Opts, &FamGroups, &Jobs, &Pairs, &FamSessions, G] {
-          runFamilyGroup(C, Opts, FamGroups[G], Jobs, Pairs, FamSessions[G]);
+                          FamTiers, CatSessions[G]);
         });
     } else {
       for (size_t G = 0; G != Groups.size(); ++G)
@@ -506,7 +486,7 @@ Report driver::runFullCatalog(const Catalog &C, const DriverOptions &Opts) {
   R.Bounds = Opts.Bounds;
   R.Results = std::move(Jobs);
   R.Pairs = std::move(Pairs);
-  R.FamilySessions = std::move(FamSessions);
+  R.FamilyTiers = std::move(FamTiers);
   R.CatalogSessions = std::move(CatSessions);
 
   for (const Family *Fam : Fams) {
@@ -626,9 +606,9 @@ json::Value Report::toJson() const {
     Root.set("pair_stats", std::move(PairArr));
   }
 
-  if (!FamilySessions.empty()) {
+  if (!FamilyTiers.empty()) {
     json::Value FamSessArr = json::Value::array();
-    for (const FamilyStats &S : FamilySessions) {
+    for (const FamilyStats &S : FamilyTiers) {
       json::Value V = json::Value::object();
       V.set("family", json::Value::string(S.Family));
       V.set("mode", json::Value::string(S.Mode));
@@ -855,7 +835,7 @@ std::optional<Report> Report::fromJson(const json::Value &V) {
           static_cast<uint64_t>(P["reclaimed_clauses"].asInt());
       S.Selectors = static_cast<unsigned>(P["selectors"].asInt());
       S.Millis = P["ms"].asDouble();
-      R.FamilySessions.push_back(std::move(S));
+      R.FamilyTiers.push_back(std::move(S));
     }
   }
 
@@ -1014,19 +994,19 @@ std::string driver::renderSummary(const Report &R) {
                     static_cast<unsigned long long>(TotalReclaimed));
       Out += Buf;
     }
-    if (!R.FamilySessions.empty()) {
+    if (!R.FamilyTiers.empty()) {
       uint64_t Evictions = 0, Evicted = 0, Peak = 0, Reuses = 0;
-      for (const FamilyStats &S : R.FamilySessions) {
+      for (const FamilyStats &S : R.FamilyTiers) {
         Evictions += S.Evictions;
         Evicted += S.EvictedClauses;
         Peak = std::max(Peak, S.PeakRetainedClauses);
         Reuses += S.PrefixReuses;
       }
       std::snprintf(Buf, sizeof(Buf),
-                    "family sessions: %zu families, %llu pair evictions "
+                    "family tiers: %zu families, %llu pair evictions "
                     "dropping %llu clauses, peak %llu retained, %llu "
                     "prefix-assert reuses\n",
-                    R.FamilySessions.size(),
+                    R.FamilyTiers.size(),
                     static_cast<unsigned long long>(Evictions),
                     static_cast<unsigned long long>(Evicted),
                     static_cast<unsigned long long>(Peak),

@@ -64,11 +64,11 @@ struct DriverOptions {
   /// Per-VC CDCL conflict budget for the symbolic engine.
   int64_t SymbolicConflictBudget = 200000;
   /// Session strategy for the symbolic engine: shared-pair (default),
-  /// shared-family (one warm solver per family, with scoped eviction),
-  /// shared-catalog (one warm solver for the whole catalog at one thread,
-  /// family-sharded catalog sessions at more threads; selector-tree
-  /// scopes with subtree retirement and variable recycling), or the
-  /// per-method / oneshot comparison baselines.
+  /// shared-family (one catalog session per family at every thread
+  /// count), shared-catalog (one catalog session for the whole catalog at
+  /// one thread, one per family at more threads; selector-tree scopes
+  /// with subtree retirement and variable recycling), or the per-method /
+  /// oneshot comparison baselines.
   SolveMode SymbolicMode = SolveMode::SharedPair;
   /// Clause-GC budget: live learned clauses at which a warm session's
   /// first database reduction fires (--gc-budget; 0 keeps the solver
@@ -169,8 +169,9 @@ struct PairStats {
   double Millis = 0;
 };
 
-/// Reuse and eviction statistics of one family-level session (symbolic
-/// commutativity jobs under SolveMode::SharedFamily; one row per family).
+/// Reuse and eviction statistics of one family tier of a catalog session
+/// (symbolic commutativity jobs under SolveMode::SharedFamily or
+/// SharedCatalog; one row per family).
 struct FamilyStats {
   std::string Family;
   std::string Mode; ///< solveModeName of the run.
@@ -196,9 +197,9 @@ struct FamilyStats {
 };
 
 /// Reuse, retirement, and recycling statistics of one catalog-level
-/// session (symbolic commutativity jobs under SolveMode::SharedCatalog;
-/// one row per catalog session — a single row at one thread, one per
-/// family shard otherwise).
+/// session (symbolic commutativity jobs under SolveMode::SharedFamily or
+/// SharedCatalog; one row per catalog session — a single row for
+/// shared-catalog at one thread, one per family shard otherwise).
 struct CatalogStats {
   std::string Mode;        ///< solveModeName of the run.
   std::string FamilyNames; ///< Comma-joined families this session served.
@@ -245,11 +246,11 @@ struct Report {
   /// Per-pair shared-session reuse stats (empty for exhaustive-only runs
   /// and for reports predating the field).
   std::vector<PairStats> Pairs;
-  /// Per-family session stats (SolveMode::SharedFamily and SharedCatalog
-  /// runs; under shared-catalog each row is one family tier's slice of
-  /// its catalog session).
-  std::vector<FamilyStats> FamilySessions;
-  /// Per-catalog-session stats (SolveMode::SharedCatalog runs only).
+  /// Per-family tier stats (SolveMode::SharedFamily and SharedCatalog
+  /// runs; each row is one family tier's slice of its catalog session).
+  std::vector<FamilyStats> FamilyTiers;
+  /// Per-catalog-session stats (SolveMode::SharedFamily and SharedCatalog
+  /// runs).
   std::vector<CatalogStats> CatalogSessions;
   /// Non-empty when the run never started (e.g. unknown family name); a
   /// report with an Error has no results and counts as failed.

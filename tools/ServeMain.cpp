@@ -5,17 +5,17 @@
 // on Linked Data Structures" (PLDI 2011).
 //
 // The warm catalog verification service loop: submits (family, pair,
-// condition-kind) requests against one long-lived CatalogSession, with
-// prefix-batched drains, bridge compaction, and selector release keeping
-// the session bounded across arbitrarily many catalog passes:
+// condition-kind) requests to a ShardedVerifyService whose shards are
+// long-lived CatalogSessions, with prefix-batched drains, bridge
+// compaction, and selector release keeping each session bounded across
+// arbitrarily many catalog passes:
 //
 //   semcommute-serve --families all --passes 3 --assert-plateau
 //   semcommute-serve --requests 10000 --seed 7 --check-verdicts
 //
-// With --threads N (or --shards N) the requests are served by the sharded
-// front-end instead: N warm sessions behind one submit/drain interface,
-// shards 1..N-1 loading shard 0's pre-encoded prefix image, learned
-// clauses traded through the cross-shard exchange at drain boundaries:
+// The front-end runs --shards warm sessions (default: --threads, which
+// defaults to 1), shards 1..N-1 loading shard 0's pre-encoded prefix
+// image:
 //
 //   semcommute-serve --threads 4 --requests 10000 --check-verdicts
 //
@@ -24,7 +24,6 @@
 #include "DriverCore.h"
 
 #include "service/ShardedVerifyService.h"
-#include "service/VerifyService.h"
 #include "support/Timing.h"
 
 #include <cstdio>
@@ -46,8 +45,8 @@ void printUsage(const char *Argv0) {
   std::printf(
       "usage: %s [options]\n"
       "\n"
-      "Serves commutativity verification requests from one warm catalog\n"
-      "session (bridge compaction + selector release keep it bounded).\n"
+      "Serves commutativity verification requests from warm catalog\n"
+      "sessions (bridge compaction + selector release keep them bounded).\n"
       "\n"
       "request stream (pick one):\n"
       "  --passes N        N full catalog passes: every entry x kind of\n"
@@ -73,20 +72,16 @@ void printUsage(const char *Argv0) {
       "  --certify         DRAT proof logging + independent RUP checking\n"
       "                    of every Unsat verdict the service produces\n"
       "\n"
-      "sharded serving (ShardedVerifyService):\n"
-      "  --threads N       drain worker threads; N > 1 selects the sharded\n"
-      "                    front-end (default: 1, single warm session)\n"
+      "sharding (ShardedVerifyService):\n"
+      "  --threads N       drain worker threads (default: 1)\n"
       "  --shards N        warm sessions behind the front-end (default:\n"
-      "                    --threads); N > 1 also selects sharded mode\n"
+      "                    --threads); shards 1..N-1 load shard 0's\n"
+      "                    prefix image\n"
       "  --route MODE      request routing: pair (default) hashes\n"
       "                    family+pair, family keeps a family on one shard\n"
-      "  --no-share-prefix every shard re-encodes the catalog prefix\n"
-      "                    instead of loading shard 0's image\n"
-      "  --no-share-clauses  disable the cross-shard learned-clause\n"
-      "                    exchange\n"
       "  --dump-prefix FILE  write the serialized prefix image to FILE and\n"
-      "                    continue (byte-identical across runs; works in\n"
-      "                    both modes)\n"
+      "                    continue (byte-identical across runs and shard\n"
+      "                    counts)\n"
       "\n"
       "checks and output:\n"
       "  --check-verdicts  re-verify the served catalog in-process with\n"
@@ -153,92 +148,40 @@ PassPeaks peaksOf(const ServiceStats &S, uint64_t Requests, double Millis) {
   return P;
 }
 
-/// Either serving front-end behind the one request loop: a single warm
-/// session or the sharded service. Sharded statistics are aggregated to
-/// the single-session shape (counters and peaks summed across shards —
-/// each shard's peaks plateau individually, so the total footprint
-/// plateaus) so the reporting below is mode-agnostic.
-struct AnyService {
-  std::unique_ptr<VerifyService> Single;
-  std::unique_ptr<ShardedVerifyService> Sharded;
-
-  bool submit(const ServiceRequest &R, std::string &Error) {
-    return Single ? Single->submit(R, Error) : Sharded->submit(R, Error);
+/// The front-end's statistics in one session's shape: counters and peaks
+/// summed across shards (each shard's peaks plateau individually, so the
+/// total footprint plateaus). With one shard this is that shard's stats.
+ServiceStats aggregateStats(const ShardedServiceStats &SS) {
+  ServiceStats Agg;
+  Agg.Requests = SS.Requests;
+  Agg.Drains = SS.Drains;
+  Agg.ServeMillis = SS.ServeMillis;
+  for (const ShardStats &Sh : SS.Shards) {
+    Agg.PairGroups += Sh.Stats.PairGroups;
+    Agg.BatchedReuses += Sh.Stats.BatchedReuses;
+    Agg.MethodsDischarged += Sh.Stats.MethodsDischarged;
+    const CatalogSessionStats &In = Sh.Stats.Session;
+    CatalogSessionStats &Out = Agg.Session;
+    Out.FamiliesOpened += In.FamiliesOpened;
+    Out.FamiliesRetired += In.FamiliesRetired;
+    Out.PairsOpened += In.PairsOpened;
+    Out.PairsRetired += In.PairsRetired;
+    Out.PrefixAsserts += In.PrefixAsserts;
+    Out.PrefixReuses += In.PrefixReuses;
+    Out.EvictedClauses += In.EvictedClauses;
+    Out.PeakRetainedClauses += In.PeakRetainedClauses;
+    Out.RecycledVars += In.RecycledVars;
+    Out.PeakLiveVars += In.PeakLiveVars;
+    Out.PeakLiveClauses += In.PeakLiveClauses;
+    Out.VarRequests += In.VarRequests;
+    Out.BridgeCompactions += In.BridgeCompactions;
+    Out.ReleasedAtomVars += In.ReleasedAtomVars;
+    Out.ReleasedSelectors += In.ReleasedSelectors;
+    Out.LiveBridges += In.LiveBridges;
+    Out.PeakLiveBridges += In.PeakLiveBridges;
   }
-  std::vector<ServiceVerdict> drain() {
-    return Single ? Single->drain() : Sharded->drain();
-  }
-  size_t pending() const {
-    return Single ? Single->pending() : Sharded->pending();
-  }
-  const std::vector<ServiceVerdict> &log() const {
-    return Single ? Single->log() : Sharded->log();
-  }
-  void resetPeakStats() {
-    if (Single)
-      Single->resetPeakStats();
-    else
-      Sharded->resetPeakStats();
-  }
-  bool certifying() const {
-    return Single ? Single->certifying() : Sharded->certifying();
-  }
-  proof::CertifySummary finishCertification() {
-    return Single ? Single->finishCertification()
-                  : Sharded->finishCertification();
-  }
-  json::Value snapshot() const {
-    return Single ? Single->snapshot() : Sharded->snapshot();
-  }
-  bool restore(const json::Value &V, std::string &Error) {
-    return Single ? Single->restore(V, Error) : Sharded->restore(V, Error);
-  }
-  /// Legal only before any request is served (see SmtSession::exportPrefix);
-  /// the sharded front-end hands back the image it already captured, or
-  /// exports from shard 0 when prefix sharing is off.
-  PrefixImage exportPrefix() {
-    if (Single)
-      return Single->exportPrefix();
-    if (!Sharded->prefixImage().empty())
-      return Sharded->prefixImage();
-    return Sharded->shard(0).exportPrefix();
-  }
-
-  ServiceStats stats() const {
-    if (Single)
-      return Single->stats();
-    ShardedServiceStats SS = Sharded->stats();
-    ServiceStats Agg;
-    Agg.Requests = SS.Requests;
-    Agg.Drains = SS.Drains;
-    Agg.ServeMillis = SS.ServeMillis;
-    for (const ShardStats &Sh : SS.Shards) {
-      Agg.PairGroups += Sh.Stats.PairGroups;
-      Agg.BatchedReuses += Sh.Stats.BatchedReuses;
-      Agg.MethodsDischarged += Sh.Stats.MethodsDischarged;
-      const CatalogSessionStats &In = Sh.Stats.Session;
-      CatalogSessionStats &Out = Agg.Session;
-      Out.FamiliesOpened += In.FamiliesOpened;
-      Out.FamiliesRetired += In.FamiliesRetired;
-      Out.PairsOpened += In.PairsOpened;
-      Out.PairsRetired += In.PairsRetired;
-      Out.PrefixAsserts += In.PrefixAsserts;
-      Out.PrefixReuses += In.PrefixReuses;
-      Out.EvictedClauses += In.EvictedClauses;
-      Out.PeakRetainedClauses += In.PeakRetainedClauses;
-      Out.RecycledVars += In.RecycledVars;
-      Out.PeakLiveVars += In.PeakLiveVars;
-      Out.PeakLiveClauses += In.PeakLiveClauses;
-      Out.VarRequests += In.VarRequests;
-      Out.BridgeCompactions += In.BridgeCompactions;
-      Out.ReleasedAtomVars += In.ReleasedAtomVars;
-      Out.ReleasedSelectors += In.ReleasedSelectors;
-      Out.LiveBridges += In.LiveBridges;
-      Out.PeakLiveBridges += In.PeakLiveBridges;
-    }
-    return Agg;
-  }
-};
+  return Agg;
+}
 
 } // namespace
 
@@ -252,9 +195,9 @@ int main(int argc, char **argv) {
   bool CheckVerdicts = false, AssertPlateau = false, Quiet = false;
   std::string SnapshotPath, ReloadPath, JsonPath, DumpPrefixPath;
   long Threads = 1;
-  long ShardCount = -1; // Default: one shard per worker thread.
+  long ShardCount = 0;
+  bool ShardsGiven = false; // Default: one shard per worker thread.
   RouteBy Route = RouteBy::Pair;
-  bool SharePrefix = true, ShareClauses = true;
 
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
@@ -297,6 +240,7 @@ int main(int argc, char **argv) {
       Threads = std::atol(needValue("--threads"));
     } else if (Arg == "--shards") {
       ShardCount = std::atol(needValue("--shards"));
+      ShardsGiven = true;
     } else if (Arg == "--route") {
       std::string Mode = needValue("--route");
       if (Mode == "pair") {
@@ -307,10 +251,6 @@ int main(int argc, char **argv) {
         std::fprintf(stderr, "--route must be pair or family\n");
         return 2;
       }
-    } else if (Arg == "--no-share-prefix") {
-      SharePrefix = false;
-    } else if (Arg == "--no-share-clauses") {
-      ShareClauses = false;
     } else if (Arg == "--dump-prefix") {
       DumpPrefixPath = needValue("--dump-prefix");
     } else if (Arg == "--check-verdicts") {
@@ -342,7 +282,7 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "--assert-plateau requires --passes >= 3\n");
     return 2;
   }
-  if (Threads < 1 || ShardCount == 0) {
+  if (Threads < 1 || (ShardsGiven && ShardCount < 1)) {
     std::fprintf(stderr, "--threads and --shards must be positive\n");
     return 2;
   }
@@ -357,31 +297,24 @@ int main(int argc, char **argv) {
 
   ExprFactory F;
   Catalog C(F);
-  AnyService Svc;
-  bool UseSharded = Threads > 1 || ShardCount > 1;
-  if (UseSharded) {
-    ShardedServiceConfig SCfg;
-    SCfg.Base = Cfg;
-    SCfg.Shards =
-        static_cast<unsigned>(ShardCount > 0 ? ShardCount : Threads);
-    SCfg.Threads = static_cast<unsigned>(Threads);
-    SCfg.Route = Route;
-    SCfg.SharePrefix = SharePrefix;
-    SCfg.ShareClauses = ShareClauses;
-    Svc.Sharded = std::make_unique<ShardedVerifyService>(C, Fams, SCfg);
-    if (!Quiet)
-      std::printf("sharded: %u shards, %ld threads, route=%s\n",
-                  Svc.Sharded->numShards(), Threads,
-                  Route == RouteBy::Pair ? "pair" : "family");
-  } else {
-    Svc.Single = std::make_unique<VerifyService>(C, Fams, Cfg);
-  }
+  ShardedServiceConfig SCfg;
+  SCfg.Base = Cfg;
+  SCfg.Shards = static_cast<unsigned>(ShardsGiven ? ShardCount : Threads);
+  SCfg.Threads = static_cast<unsigned>(Threads);
+  SCfg.Route = Route;
+  ShardedVerifyService Svc(C, Fams, SCfg);
+  if (!Quiet && Svc.numShards() > 1)
+    std::printf("sharded: %u shards, %ld threads, route=%s\n",
+                Svc.numShards(), Threads,
+                Route == RouteBy::Pair ? "pair" : "family");
 
   if (!DumpPrefixPath.empty()) {
     // Must run before any request is served: the image is the warm
     // session's pristine catalog-common prefix. Byte-identical across
-    // runs — CI pins two independent processes' dumps with cmp.
-    PrefixImage Img = Svc.exportPrefix();
+    // runs and shard counts — CI pins independent processes' dumps with
+    // cmp. A single shard captured no image, so export its own.
+    PrefixImage Img = Svc.numShards() > 1 ? Svc.prefixImage()
+                                          : Svc.shard(0).exportPrefix();
     std::ofstream OutFile(DumpPrefixPath, std::ios::binary);
     if (!OutFile) {
       std::fprintf(stderr, "cannot write %s\n", DumpPrefixPath.c_str());
@@ -438,7 +371,8 @@ int main(int argc, char **argv) {
         Svc.drain();
     }
     Svc.drain();
-    PassStats.push_back(peaksOf(Svc.stats(), Submitted, Window.millis()));
+    PassStats.push_back(
+        peaksOf(aggregateStats(Svc.stats()), Submitted, Window.millis()));
   } else {
     // Full catalog passes: one drain per pass; per-pass peaks restart so
     // the plateau criterion compares passes, not the cumulative maximum.
@@ -452,8 +386,8 @@ int main(int argc, char **argv) {
           return 2;
         }
       Svc.drain();
-      PassStats.push_back(
-          peaksOf(Svc.stats(), PassReqs.size(), PassTimer.millis()));
+      PassStats.push_back(peaksOf(aggregateStats(Svc.stats()),
+                                  PassReqs.size(), PassTimer.millis()));
       if (!Quiet)
         std::printf("pass %ld: %zu requests, %.1f ms, peak live "
                     "vars=%llu clauses=%llu bridges=%llu\n",
@@ -466,7 +400,8 @@ int main(int argc, char **argv) {
   double TotalMillis = Total.millis();
 
   int Exit = 0;
-  ServiceStats S = Svc.stats();
+  ShardedServiceStats SS = Svc.stats();
+  ServiceStats S = aggregateStats(SS);
 
   // Every served request must have verified both of its testing methods
   // (the catalog is the paper's: everything verifies).
@@ -581,6 +516,8 @@ int main(int argc, char **argv) {
     auto SetU = [&Sess](const char *K, uint64_t V) {
       Sess.set(K, json::Value::integer(static_cast<int64_t>(V)));
     };
+    SetU("pair_groups", S.PairGroups);
+    SetU("batched_reuses", S.BatchedReuses);
     SetU("pairs_opened", S.Session.PairsOpened);
     SetU("pairs_retired", S.Session.PairsRetired);
     SetU("prefix_asserts", S.Session.PrefixAsserts);
@@ -611,70 +548,49 @@ int main(int argc, char **argv) {
       PassArr.push(std::move(Row));
     }
     J.set("pass_stats", std::move(PassArr));
-    if (Svc.Sharded) {
-      // The headline sharded numbers: warm-up decomposition (what one
-      // shard costs to re-encode vs to import the prefix image) and the
-      // per-shard serving + exchange accounting.
-      ShardedServiceStats SS = Svc.Sharded->stats();
-      json::Value Sh = json::Value::object();
-      Sh.set("shards", json::Value::integer(
-                           static_cast<int64_t>(SS.Shards.size())));
-      Sh.set("threads", json::Value::integer(static_cast<int64_t>(
-                            Svc.Sharded->config().Threads)));
-      Sh.set("route", json::Value::string(
-                          Svc.Sharded->config().Route == RouteBy::Pair
-                              ? "pair"
-                              : "family"));
-      Sh.set("share_prefix",
-             json::Value::boolean(Svc.Sharded->config().SharePrefix));
-      Sh.set("share_clauses",
-             json::Value::boolean(Svc.Sharded->config().ShareClauses));
-      // Hardware context for the thread-scaling numbers: on a 1-CPU
-      // container the req/s ratio across thread counts is pinned at ~1x
-      // no matter how well the drain parallelizes.
-      Sh.set("cpus", json::Value::integer(static_cast<int64_t>(
-                         std::thread::hardware_concurrency())));
-      Sh.set("plan_millis", json::Value::number(SS.PlanMillis));
-      Sh.set("warmup_scratch_millis",
-             json::Value::number(SS.WarmupScratchMillis));
-      Sh.set("warmup_import_millis_avg",
-             json::Value::number(SS.WarmupImportMillisAvg));
-      Sh.set("warmup_speedup_x",
-             json::Value::number(SS.WarmupImportMillisAvg > 0
-                                     ? SS.WarmupScratchMillis /
-                                           SS.WarmupImportMillisAvg
-                                     : 0));
-      json::Value Ex = json::Value::object();
-      Ex.set("published", json::Value::integer(
-                              static_cast<int64_t>(SS.Exchange.Published)));
-      Ex.set("dropped", json::Value::integer(
-                            static_cast<int64_t>(SS.Exchange.Dropped)));
-      Ex.set("collected", json::Value::integer(
-                              static_cast<int64_t>(SS.Exchange.Collected)));
-      Sh.set("exchange", std::move(Ex));
-      json::Value ShardArr = json::Value::array();
-      for (const ShardStats &St : SS.Shards) {
-        json::Value Row = json::Value::object();
-        Row.set("requests", json::Value::integer(
-                                static_cast<int64_t>(St.Stats.Requests)));
-        Row.set("warmup_millis", json::Value::number(St.WarmupMillis));
-        Row.set("prefix_imported", json::Value::boolean(St.PrefixImported));
-        Row.set("clauses_published",
-                json::Value::integer(
-                    static_cast<int64_t>(St.ClausesPublished)));
-        Row.set("clauses_adopted", json::Value::integer(
-                                       static_cast<int64_t>(St.ClausesAdopted)));
-        Row.set("peak_live_vars",
-                json::Value::integer(static_cast<int64_t>(
-                    St.Stats.Session.PeakLiveVars)));
-        Row.set("peak_live_clauses",
-                json::Value::integer(static_cast<int64_t>(
-                    St.Stats.Session.PeakLiveClauses)));
-        ShardArr.push(std::move(Row));
-      }
-      Sh.set("per_shard", std::move(ShardArr));
-      J.set("sharded_service", std::move(Sh));
+    // The headline sharded numbers: warm-up decomposition (what one
+    // shard costs to re-encode vs to import the prefix image) and the
+    // per-shard serving accounting.
+    json::Value Sh = json::Value::object();
+    Sh.set("shards", json::Value::integer(
+                         static_cast<int64_t>(SS.Shards.size())));
+    Sh.set("threads", json::Value::integer(
+                          static_cast<int64_t>(Svc.config().Threads)));
+    Sh.set("route", json::Value::string(
+                        Svc.config().Route == RouteBy::Pair ? "pair"
+                                                            : "family"));
+    // Hardware context for the thread-scaling numbers: on a 1-CPU
+    // container the req/s ratio across thread counts is pinned at ~1x
+    // no matter how well the drain parallelizes.
+    Sh.set("cpus", json::Value::integer(static_cast<int64_t>(
+                       std::thread::hardware_concurrency())));
+    Sh.set("plan_millis", json::Value::number(SS.PlanMillis));
+    Sh.set("warmup_scratch_millis",
+           json::Value::number(SS.WarmupScratchMillis));
+    Sh.set("warmup_import_millis_avg",
+           json::Value::number(SS.WarmupImportMillisAvg));
+    Sh.set("warmup_speedup_x",
+           json::Value::number(SS.WarmupImportMillisAvg > 0
+                                   ? SS.WarmupScratchMillis /
+                                         SS.WarmupImportMillisAvg
+                                   : 0));
+    json::Value ShardArr = json::Value::array();
+    for (const ShardStats &St : SS.Shards) {
+      json::Value Row = json::Value::object();
+      Row.set("requests", json::Value::integer(
+                              static_cast<int64_t>(St.Stats.Requests)));
+      Row.set("warmup_millis", json::Value::number(St.WarmupMillis));
+      Row.set("prefix_imported", json::Value::boolean(St.PrefixImported));
+      Row.set("peak_live_vars",
+              json::Value::integer(static_cast<int64_t>(
+                  St.Stats.Session.PeakLiveVars)));
+      Row.set("peak_live_clauses",
+              json::Value::integer(static_cast<int64_t>(
+                  St.Stats.Session.PeakLiveClauses)));
+      ShardArr.push(std::move(Row));
     }
+    Sh.set("per_shard", std::move(ShardArr));
+    J.set("sharded_service", std::move(Sh));
     uint64_t ServedNow = Svc.log().size() - RestoredVerdicts;
     J.set("wall_millis", json::Value::number(TotalMillis));
     J.set("requests_per_sec",
