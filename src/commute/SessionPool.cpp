@@ -1,4 +1,4 @@
-//===- commute/SessionPool.cpp - Shared per-pair solver sessions ------------===//
+//===- commute/SessionPool.cpp - Warm and cold solver sessions ------------===//
 //
 // Part of the SemCommute project: a reproduction of Kim & Rinard,
 // "Verification of Semantic Commutativity Conditions and Inverse Operations
@@ -7,6 +7,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "commute/SessionPool.h"
+#include "support/Timing.h"
 
 #include <algorithm>
 #include <cassert>
@@ -16,12 +17,12 @@ using namespace semcomm;
 
 namespace {
 
-/// Discharges every split of \p Plan against a warm session under a fixed
-/// selector-assumption prefix — the shared tail of SharedSession::discharge
-/// and PairTier::discharge, so the split loop, core-label recording,
-/// countermodel assembly, and the Unsupported-trump rule cannot drift
-/// between the pair and catalog tiers. \p SessionForSplit returns the
-/// session each split runs on (OneShot mode re-opens one per split);
+/// Discharges every split of \p Plan under a fixed selector-assumption
+/// prefix — the shared tail of PairTier::discharge and dischargeCold, so
+/// the split loop, core-label recording, countermodel assembly, and the
+/// Unsupported-trump rule cannot drift between the warm and cold paths.
+/// \p SessionForSplit returns the session each split runs on (OneShot mode
+/// re-opens one per split);
 /// \p Sels/\p SelLabels are the selector assumptions prepended to every
 /// split; \p PeakRetained, when set, tracks the retained-clause high-water
 /// mark across checks.
@@ -130,149 +131,96 @@ const char *semcomm::solveModeName(SolveMode M) {
   return "shared-pair";
 }
 
-std::vector<ExprRef> semcomm::planFingerprint(const MethodPlan &Plan) {
-  // The fingerprint is the plan's prefix content; hash-consing makes
-  // pointer equality structural equality, so two plans match iff their
-  // prefixes are the same formulas.
-  std::vector<ExprRef> Fingerprint = Plan.Common;
-  Fingerprint.push_back(nullptr); // Separator: Common vs Scoped.
-  for (const TaggedAssumption &S : Plan.Scoped)
-    Fingerprint.push_back(S.E);
-  return Fingerprint;
+void semcomm::backfillCertification(const proof::CertifySummary &S,
+                                    SymbolicResult &R) {
+  R.ProofClauses = S.PeakClauses;
+  R.ProofChecked = S.Error.empty() && S.allPassed(R.ProofQueryTags);
 }
 
-ExprRef semcomm::findPlanSelector(
-    const std::vector<PlanSelectorEntry> &Entries,
-    const std::vector<ExprRef> &Fingerprint) {
-  for (const PlanSelectorEntry &E : Entries)
-    if (E.Fingerprint == Fingerprint)
-      return E.Sel;
-  return nullptr;
-}
+PairOutcome semcomm::dischargeCold(ExprFactory &F,
+                                   const std::vector<MethodPlan> &Plans,
+                                   SolveMode Mode, int64_t Budget,
+                                   int64_t GcBudget, bool Certify) {
+  assert(isColdMode(Mode) && "warm modes discharge on a CatalogSession");
+  PairOutcome Out;
+  proof::CertifySummary Cert;
+  std::unique_ptr<SmtSession> Session;
 
-void SharedSession::openSession() {
-  if (Session) {
-    ClosedChecks += Session->numChecks();
-    ClosedConflicts += Session->totalConflicts();
-    ClosedReductions += static_cast<uint64_t>(Session->dbReductions());
-    ClosedReclaimed += static_cast<uint64_t>(Session->reclaimedClauses());
-    // Check the closing session's trace now: the trace dies with the
-    // session, and the fold makes the rotated sessions (OneShot /
-    // PerMethod open one per plan or split) certify as one run.
-    if (Certify && !CertFolded)
-      Cert.fold(Session->finishCertification());
-  }
-  Session = std::make_unique<SmtSession>(F);
-  if (Certify)
-    Session->enableCertification();
-  CertFolded = false;
-  Session->solver().setClauseGc(GcEnabled);
-  if (GcLimit > 0)
-    Session->solver().setClauseGcLimit(GcLimit);
-  ++SessionsOpened;
-  // Selectors and common formulas belong to the discarded database.
-  AssertedCommon.clear();
-  Selectors.clear();
-  SelectorCount = 0;
-}
-
-void SharedSession::assertPrefix(const MethodPlan &Plan, ExprRef Sel) {
-  for (ExprRef C : Plan.Common)
-    if (AssertedCommon.insert(C).second)
-      Session->assertBase(C);
-  for (const TaggedAssumption &S : Plan.Scoped) {
-    if (Sel)
-      Session->assertScoped(Sel, S.E);
-    else
-      Session->assertBase(S.E);
-  }
-}
-
-bool SharedSession::discharge(const MethodPlan &Plan, SymbolicResult &R) {
-  ExprRef Sel = nullptr;
-  // A SharedSession given a family- or catalog-tier mode serves a single
-  // pair — the degenerate family — with the same selector discipline as
-  // SharedPair (CatalogSession owns the real multi-pair nesting and
-  // eviction).
-  if (Mode == SolveMode::SharedPair || Mode == SolveMode::SharedFamily ||
-      Mode == SolveMode::SharedCatalog) {
+  // Folds the open session's totals into the outcome and checks its trace
+  // now: the trace dies with the session.
+  auto Close = [&] {
     if (!Session)
-      openSession();
-    std::vector<ExprRef> Fingerprint = planFingerprint(Plan);
-    std::vector<PlanSelectorEntry> &Entries = Selectors[Plan.Name];
-    Sel = findPlanSelector(Entries, Fingerprint);
-    if (!Sel) {
-      // A repeated name with a different prefix (e.g. a mutated entry
-      // whose methods share names with the original's) gets its own
-      // selector; "#N" keeps the literal distinct in the shared factory.
-      std::string SelName = "__sel_" + Plan.Name;
-      if (!Entries.empty())
-        SelName += "#" + std::to_string(Entries.size());
-      Sel = F.var(SelName, Sort::Bool);
-      Entries.push_back({std::move(Fingerprint), Sel});
-      ++SelectorCount;
-      assertPrefix(Plan, Sel);
-    }
-  } else if (Mode == SolveMode::PerMethod) {
-    openSession();
-    assertPrefix(Plan, nullptr);
+      return;
+    Out.Checks += Session->numChecks();
+    Out.Conflicts += Session->totalConflicts();
+    Out.DbReductions += static_cast<uint64_t>(Session->dbReductions());
+    Out.ReclaimedClauses +=
+        static_cast<uint64_t>(Session->reclaimedClauses());
+    Out.RetainedClauses = Session->retainedClauses();
+    if (Certify)
+      Cert.fold(Session->finishCertification());
+    Session.reset();
+  };
+  auto Open = [&](const MethodPlan &Plan) -> SmtSession & {
+    Close();
+    Session = std::make_unique<SmtSession>(F);
+    if (Certify)
+      Session->enableCertification();
+    Session->solver().setClauseGc(true);
+    if (GcBudget > 0)
+      Session->solver().setClauseGcLimit(GcBudget);
+    ++Out.SessionsOpened;
+    std::set<ExprRef> Asserted;
+    for (ExprRef C : Plan.Common)
+      if (Asserted.insert(C).second)
+        Session->assertBase(C);
+    for (const TaggedAssumption &S : Plan.Scoped)
+      Session->assertBase(S.E);
+    return *Session;
+  };
+
+  bool PerSplit = Mode == SolveMode::OneShot;
+  for (const MethodPlan &Plan : Plans) {
+    Stopwatch Timer;
+    SymbolicResult R;
+    uint64_t RedBefore = Out.DbReductions;
+    uint64_t RecBefore = Out.ReclaimedClauses;
+    if (!PerSplit)
+      Open(Plan);
+    R.Verified = dischargeSplits(
+        Plan, Budget, {}, {}, /*TrackRetained=*/!PerSplit,
+        /*PeakRetained=*/nullptr,
+        [&]() -> SmtSession & { return PerSplit ? Open(Plan) : *Session; },
+        R);
+    Close();
+    R.DbReductions = Out.DbReductions - RedBefore;
+    R.ReclaimedClauses = Out.ReclaimedClauses - RecBefore;
+    Out.MethodMillis.push_back(Timer.millis());
+    Out.Methods.push_back(std::move(R));
   }
-
-  uint64_t RedBefore = dbReductions();
-  uint64_t RecBefore = reclaimedClauses();
-
-  std::vector<ExprRef> Sels;
-  std::vector<std::string> SelLabels;
-  if (Sel) {
-    Sels.push_back(Sel);
-    SelLabels.push_back("sel:" + Plan.Name);
+  if (Certify) {
+    stampOutcomeCertification(Cert, Out);
+    for (SymbolicResult &R : Out.Methods)
+      backfillCertification(Cert, R);
   }
-  bool Ok = dischargeSplits(
-      Plan, Budget, Sels, SelLabels,
-      /*TrackRetained=*/Mode != SolveMode::OneShot, /*PeakRetained=*/nullptr,
-      [this, &Plan]() -> SmtSession & {
-        if (Mode == SolveMode::OneShot) {
-          openSession();
-          assertPrefix(Plan, nullptr);
-        }
-        assert(Session && "split discharged without a session");
-        return *Session;
-      },
-      R);
-
-  R.DbReductions += dbReductions() - RedBefore;
-  R.ReclaimedClauses += reclaimedClauses() - RecBefore;
-  return Ok;
+  return Out;
 }
 
-const proof::CertifySummary &SharedSession::finishCertification() {
-  if (Session && Certify && !CertFolded) {
-    Cert.fold(Session->finishCertification());
-    CertFolded = true;
-  }
-  return Cert;
-}
-
-uint64_t SharedSession::checks() const {
-  return ClosedChecks + (Session ? Session->numChecks() : 0);
-}
-
-int64_t SharedSession::conflicts() const {
-  return ClosedConflicts + (Session ? Session->totalConflicts() : 0);
-}
-
-uint64_t SharedSession::dbReductions() const {
-  return ClosedReductions +
-         (Session ? static_cast<uint64_t>(Session->dbReductions()) : 0);
-}
-
-uint64_t SharedSession::reclaimedClauses() const {
-  return ClosedReclaimed +
-         (Session ? static_cast<uint64_t>(Session->reclaimedClauses()) : 0);
-}
-
-uint64_t SharedSession::retainedClauses() const {
-  return Session ? Session->retainedClauses() : 0;
+SymbolicResult semcomm::dischargePlan(ExprFactory &F, const MethodPlan &Plan,
+                                      SolveMode Mode, int64_t Budget,
+                                      int64_t GcBudget, bool Certify) {
+  if (isColdMode(Mode))
+    return std::move(
+        dischargeCold(F, {Plan}, Mode, Budget, GcBudget, Certify).Methods[0]);
+  CatalogPlan CP;
+  CP.Families.push_back({Plan.Name, Plan.Common, {PairPlan{Plan.Name, {}}}});
+  CatalogSession Sess(F, CP, Budget, Certify);
+  Sess.configureClauseGc(true, GcBudget);
+  SymbolicResult R;
+  R.Verified = Sess.discharge(0, Plan.Name, Plan, R);
+  if (Certify)
+    backfillCertification(Sess.finishCertification(), R);
+  return R;
 }
 
 //===----------------------------------------------------------------------===//
@@ -283,12 +231,12 @@ PairTier::PairTier(ExprFactory &F, SmtSession &Session, std::string Tag,
                    SmtSession::ScopeId Parent, std::vector<ExprRef> PathSels,
                    std::vector<std::string> PathLabels,
                    std::vector<const std::set<ExprRef> *> OuterBases,
-                   int64_t Budget, FamilyTierStats &Stats,
-                   unsigned &SelectorCount)
+                   std::optional<std::string> RootPair, int64_t Budget,
+                   FamilyTierStats &Stats, unsigned &SelectorCount)
     : F(F), Session(Session), Tag(std::move(Tag)), Parent(Parent),
       PathSels(std::move(PathSels)), PathLabels(std::move(PathLabels)),
-      OuterBases(std::move(OuterBases)), Budget(Budget), Stats(Stats),
-      SelectorCount(SelectorCount) {}
+      OuterBases(std::move(OuterBases)), RootPair(std::move(RootPair)),
+      Budget(Budget), Stats(Stats), SelectorCount(SelectorCount) {}
 
 PairTier::PairScope &PairTier::ensurePair(const std::string &Key) {
   auto It = LivePairs.find(Key);
@@ -298,16 +246,23 @@ PairTier::PairScope &PairTier::ensurePair(const std::string &Key) {
   // is permanently false, so reusing it would vacuously "verify"
   // everything discharged under it.
   unsigned Epoch = PairEpochs[Key]++;
+  PairScope &PS = LivePairs[Key];
+  ++Stats.PairsOpened;
+  if (RootPair && Key == *RootPair) {
+    // The root pair needs no selector of its own: its prefix is the
+    // parent's, so its method scopes sit directly under the parent and
+    // each guarded formula encodes with one selector implication, not two.
+    PS.Scope = Parent;
+    return PS;
+  }
   std::string SelName = "__pair_" + Tag + ":" + Key;
   if (Epoch > 0)
     SelName += "#" + std::to_string(Epoch);
-  PairScope &PS = LivePairs[Key];
   PS.Sel = F.var(SelName, Sort::Bool);
   // The pair scope owns a Tseitin layer: its formulas' definition vars
   // retire — and their indices recycle — with the scope.
   PS.Scope = Session.openScope(PS.Sel, Parent, /*OwnLayer=*/true);
   ++SelectorCount;
-  ++Stats.PairsOpened;
   return PS;
 }
 
@@ -334,13 +289,23 @@ bool PairTier::discharge(const std::string &PairKey, const MethodPlan &MPlan,
     }
   }
 
-  // Method selector, nested under the pair's (same fingerprint discipline
-  // as SharedSession: a repeated name with a different prefix gets a fresh
-  // selector instead of inheriting the old prefix). Method scopes share
-  // the pair's Tseitin layer — they retire only with the pair.
-  std::vector<ExprRef> Fingerprint = planFingerprint(MPlan);
+  // Method selector, nested under the pair's. A repeated name with a
+  // different prefix (e.g. a mutated entry whose methods share names with
+  // the original's) gets a fresh selector instead of inheriting the old
+  // prefix. The fingerprint is the plan's prefix content; hash-consing
+  // makes pointer equality structural equality. Method scopes share the
+  // pair's Tseitin layer — they retire only with the pair.
+  std::vector<ExprRef> Fingerprint = MPlan.Common;
+  Fingerprint.push_back(nullptr); // Separator: Common vs Scoped.
+  for (const TaggedAssumption &S : MPlan.Scoped)
+    Fingerprint.push_back(S.E);
   std::vector<PlanSelectorEntry> &Entries = PS.Methods[MPlan.Name];
-  ExprRef MSel = findPlanSelector(Entries, Fingerprint);
+  ExprRef MSel = nullptr;
+  for (const PlanSelectorEntry &E : Entries)
+    if (E.Fingerprint == Fingerprint) {
+      MSel = E.Sel;
+      break;
+    }
   if (!MSel) {
     std::string SelName = "__sel_" + MPlan.Name + "@" + Tag + ":" + PairKey;
     unsigned Epoch = PairEpochs[PairKey] - 1;
@@ -358,10 +323,12 @@ bool PairTier::discharge(const std::string &PairKey, const MethodPlan &MPlan,
   }
 
   std::vector<ExprRef> Sels = PathSels;
-  Sels.push_back(PS.Sel);
-  Sels.push_back(MSel);
   std::vector<std::string> SelLabels = PathLabels;
-  SelLabels.push_back("pair:" + PairKey);
+  if (PS.Sel) {
+    Sels.push_back(PS.Sel);
+    SelLabels.push_back("pair:" + PairKey);
+  }
+  Sels.push_back(MSel);
   SelLabels.push_back("sel:" + MPlan.Name);
 
   uint64_t RedBefore = static_cast<uint64_t>(Session.dbReductions());
@@ -380,7 +347,10 @@ size_t PairTier::retirePair(const std::string &PairKey) {
   auto It = LivePairs.find(PairKey);
   if (It == LivePairs.end())
     return 0;
-  size_t Evicted = Session.retireScope(It->second.Scope);
+  // The root pair has no scope of its own: its method scopes stay under
+  // the parent, unreachable once their bookkeeping is dropped (a re-opened
+  // root pair allocates epoch-named method selectors).
+  size_t Evicted = It->second.Sel ? Session.retireScope(It->second.Scope) : 0;
   LivePairs.erase(It);
   ++Stats.PairsRetired;
   Stats.EvictedClauses += Evicted;
@@ -462,12 +432,16 @@ CatalogSession::FamilyTier &CatalogSession::ensureFamily(size_t FamIdx) {
     Tag += "@e" + std::to_string(Epoch);
   std::vector<ExprRef> PathSels;
   std::vector<std::string> PathLabels;
+  std::optional<std::string> RootPair;
   if (Plan.Families.size() == 1) {
     // The sole family needs no selector of its own: its common prefix is
     // session base, so its pair scopes sit directly under the root and
     // each guarded formula encodes with one selector implication, not two.
+    // The same rule one level down: a sole pair sits at the root too.
     Tier.Sel = nullptr;
     Tier.Scope = SmtSession::RootScope;
+    if (FP.Pairs.size() == 1)
+      RootPair = FP.Pairs[0].Key;
   } else {
     Tier.Sel = F.var("__fam_" + Tag, Sort::Bool);
     Tier.Scope =
@@ -494,7 +468,7 @@ CatalogSession::FamilyTier &CatalogSession::ensureFamily(size_t FamIdx) {
   Tier.Pairs = std::make_unique<PairTier>(
       F, Session, Tag, Tier.Scope, std::move(PathSels), std::move(PathLabels),
       std::vector<const std::set<ExprRef> *>{&CatalogBase, &Tier.FamilyBase},
-      Budget, Tier.Stats, SelectorCount);
+      std::move(RootPair), Budget, Tier.Stats, SelectorCount);
   Tier.Alive = true;
   return Tier;
 }

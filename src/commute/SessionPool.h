@@ -1,4 +1,4 @@
-//===- commute/SessionPool.h - Shared per-pair solver sessions --*- C++ -*-===//
+//===- commute/SessionPool.h - Warm and cold solver sessions ----*- C++ -*-===//
 //
 // Part of the SemCommute project: a reproduction of Kim & Rinard,
 // "Verification of Semantic Commutativity Conditions and Inverse Operations
@@ -23,18 +23,20 @@
 ///  * Splits:  the VC instances (one per ArrayList case split), each a
 ///             set of labeled assumption formulas.
 ///
-/// SharedSession discharges plans in one of three modes:
+/// Every warm mode discharges plans on one CatalogSession, at pair, family
+/// or catalog granularity: a scope tree whose catalog-common prefix is
+/// session base, with family, pair and method scopes nested beneath it.
+/// A tier with nothing to share sits at its parent with no selector of its
+/// own — the sole family of a one-family plan at the root, and the sole
+/// pair of a one-pair plan there too — so the default shared-pair mode
+/// asserts the pair-common prefix once as base, each method's Scoped
+/// prefix under its method selector, and checks every split under
+/// (selector + split) assumptions. Tseitin definitions, theory bridges,
+/// and learned clauses are shared by everything the session discharges.
 ///
-///  * SharedPair (default): one warm SmtSession serves every plan
-///    discharged through the session. Common formulas are asserted once,
-///    each method's Scoped prefix is asserted as `selector -> formula`,
-///    and every split is checked under (selector + split) assumptions.
-///    Tseitin definitions, theory bridges, and learned clauses are shared
-///    across all methods of the pair — soundness and completeness of one
-///    kind share literally their whole encoding.
-///  * PerMethod: one warm session per discharge() call (the pre-pair
-///    behavior, kept as the comparison baseline).
-///  * OneShot: a fresh session per split (the cold-start baseline).
+/// The two cold baselines run through dischargeCold() instead: PerMethod
+/// opens a fresh SmtSession per plan, OneShot one per split, each with the
+/// plan's whole prefix asserted as base.
 ///
 /// After an Unsat check, the solver's assumption core is mapped back to the
 /// labels of the assumptions it names (selector / split / hint literals),
@@ -51,6 +53,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -66,8 +69,9 @@ enum class SolveMode : uint8_t {
   /// once and every case split is discharged under assumption literals.
   /// The pre-shared-session incremental mode, kept for comparison.
   PerMethod,
-  /// One warm session per (family, op-pair): all methods of the pair share
-  /// one solver under per-method selector literals. The default.
+  /// One warm CatalogSession per (family, op-pair): the pair sits at the
+  /// session root, so all six methods share one solver under per-method
+  /// selector literals and no pair selector. The default.
   SharedPair,
   /// One warm CatalogSession per *family*, at every thread count: every
   /// op-pair's remaining common prefix is asserted under a per-pair
@@ -150,11 +154,11 @@ struct VcSplit {
 struct MethodPlan {
   /// Paper-style method name; also names the selector literal.
   std::string Name;
-  /// Pair-common prefix: asserted once per shared session (deduplicated
+  /// Pair-common prefix: asserted once per warm session (deduplicated
   /// across the plans discharged through it).
   std::vector<ExprRef> Common;
   /// Method-own prefix: asserted under the method's selector literal in
-  /// SharedPair mode, as plain base otherwise.
+  /// the warm modes, as plain base in the cold ones.
   std::vector<TaggedAssumption> Scoped;
   /// The VC instances, discharged in order; discharge stops at the first
   /// failure.
@@ -166,99 +170,88 @@ struct MethodPlan {
   std::string UnsupportedNote;
 };
 
-/// One registered method selector with the plan fingerprint it was
-/// allocated for (the plan's Common + Scoped formulas; hash-consing makes
-/// pointer equality structural equality). The fingerprint guards against
-/// two *different* plans sharing a name: a mismatch allocates a fresh
-/// selector instead of silently proving the new plan against the old
-/// plan's prefix. Shared by SharedSession and PairTier so the
-/// reuse-or-allocate discipline cannot drift between the tiers.
-struct PlanSelectorEntry {
-  std::vector<ExprRef> Fingerprint;
-  ExprRef Sel = nullptr;
-};
-
-/// The fingerprint of \p Plan's prefix content, and the selector an entry
-/// list already holds for it (nullptr when none matches).
-std::vector<ExprRef> planFingerprint(const MethodPlan &Plan);
-ExprRef findPlanSelector(const std::vector<PlanSelectorEntry> &Entries,
-                         const std::vector<ExprRef> &Fingerprint);
-
-/// A warm solver session shared by the testing methods of one (family,
-/// op-pair). Not thread-safe: one SharedSession lives on one worker.
-class SharedSession {
-public:
-  SharedSession(ExprFactory &F, int64_t Budget, SolveMode Mode)
-      : F(F), Budget(Budget), Mode(Mode) {}
-  SharedSession(const SharedSession &) = delete;
-  SharedSession &operator=(const SharedSession &) = delete;
-
-  /// Discharges every split of \p Plan, accumulating statistics into \p R.
-  /// Returns true when all splits are refuted (the method verifies).
-  bool discharge(const MethodPlan &Plan, SymbolicResult &R);
-
-  /// Clause-GC configuration applied to every solver this session opens
-  /// (benches pin the no-GC baseline; tests force aggressive reduction).
-  void configureClauseGc(bool Enabled, int64_t FirstLimit = 0) {
-    GcEnabled = Enabled;
-    GcLimit = FirstLimit;
-  }
-
-  /// Turns on proof logging + independent checking for every solver this
-  /// session opens (must be called before the first discharge). Rotated
-  /// sessions (OneShot / PerMethod) each certify individually; their
-  /// summaries fold.
-  void enableCertification() { Certify = true; }
-  bool certifying() const { return Certify; }
-  /// Checks the current session's trace (if any) and returns the folded
-  /// summary over every session this SharedSession ever opened.
-  const proof::CertifySummary &finishCertification();
-
-  /// Lifetime statistics (across re-opened sessions in the non-shared
-  /// modes).
-  uint64_t checks() const;
-  int64_t conflicts() const;
-  uint64_t dbReductions() const;
-  uint64_t reclaimedClauses() const;
-  /// Clauses alive in the current warm solver (0 when none is open).
-  uint64_t retainedClauses() const;
-  unsigned numSelectors() const { return SelectorCount; }
-  size_t sessionsOpened() const { return SessionsOpened; }
-
-private:
-  void openSession();
-  void assertPrefix(const MethodPlan &Plan, ExprRef Sel);
-
-  ExprFactory &F;
-  int64_t Budget;
-  SolveMode Mode;
-  bool GcEnabled = true;
-  int64_t GcLimit = 0; ///< 0 keeps the solver default.
-  bool Certify = false;
-  bool CertFolded = false; ///< Current session already folded into Cert.
-  proof::CertifySummary Cert; ///< Folded over closed sessions.
-
-  std::unique_ptr<SmtSession> Session;
-  std::set<ExprRef> AssertedCommon; ///< Dedup only; never iterated.
-
-  /// Registered selectors, keyed by plan name (see PlanSelectorEntry).
-  std::map<std::string, std::vector<PlanSelectorEntry>> Selectors;
-  unsigned SelectorCount = 0;
-  size_t SessionsOpened = 0;
-
-  // Totals of sessions already closed (OneShot / PerMethod modes).
-  uint64_t ClosedChecks = 0;
-  int64_t ClosedConflicts = 0;
-  uint64_t ClosedReductions = 0;
-  uint64_t ClosedReclaimed = 0;
-};
-
 /// The discharge plans of one (family, op-pair): the six testing methods
-/// in (kind x role) enumeration order.
+/// in (kind x role) enumeration order. A lazy catalog plan records only
+/// the Key and materializes the methods just before discharge.
 struct PairPlan {
   std::string Key; ///< "op1,op2" — scopes the pair inside its family tier.
   std::vector<MethodPlan> Methods;
 };
+
+/// Outcome of discharging all six testing methods of one pair, plus the
+/// session-level reuse statistics the driver reports per pair.
+struct PairOutcome {
+  /// Per-method results in enumeration order: before/between/after x
+  /// soundness/completeness.
+  std::vector<SymbolicResult> Methods;
+  std::vector<double> MethodMillis; ///< Wall time per method.
+  uint64_t Checks = 0;              ///< SMT checks the session served.
+  int64_t Conflicts = 0;            ///< CDCL conflicts across the pair.
+  uint64_t RetainedClauses = 0;     ///< Clauses alive at the end.
+  uint64_t DbReductions = 0;        ///< Clause-GC runs.
+  uint64_t ReclaimedClauses = 0;    ///< Clauses the GC reclaimed.
+  unsigned Selectors = 0;           ///< Selector literals registered.
+  /// Solver sessions opened: 1 for a warm session (0 for the later pairs
+  /// of a family or catalog session), one per method in PerMethod mode,
+  /// one per split in OneShot mode.
+  size_t SessionsOpened = 0;
+
+  /// Certification aggregates (zero unless the engine certifies): the
+  /// checker's verdict over the pair's session trace, its step/query
+  /// counts, and its database high-water mark.
+  bool Certified = false;
+  uint64_t ProofSteps = 0;
+  uint64_t ProofQueries = 0;
+  uint64_t ProofClauses = 0;
+
+  unsigned failures() const {
+    unsigned N = 0;
+    for (const SymbolicResult &R : Methods)
+      N += !R.Verified;
+    return N;
+  }
+};
+
+/// Stamps a session's certification verdict onto one method result: the
+/// checker database high-water mark, and whether every one of the
+/// method's own Unsat-query tags was checked and passed (a fatal trace
+/// error voids everything — the trace itself could not be replayed).
+void backfillCertification(const proof::CertifySummary &S, SymbolicResult &R);
+
+/// The outcome-level aggregate (pair, family or catalog) of one session's
+/// certification summary.
+template <typename Outcome>
+void stampOutcomeCertification(const proof::CertifySummary &S, Outcome &O) {
+  O.Certified = S.Checked && S.Ok;
+  O.ProofSteps = S.Steps;
+  O.ProofQueries = S.Queries;
+  O.ProofClauses = S.PeakClauses;
+}
+
+/// True for the cold baselines, which open fresh sessions instead of
+/// discharging on a warm CatalogSession.
+inline bool isColdMode(SolveMode M) {
+  return M == SolveMode::OneShot || M == SolveMode::PerMethod;
+}
+
+/// The cold baselines: discharges \p Plans in order, each with its Common
+/// and Scoped prefix asserted as plain session base, on a fresh SmtSession
+/// per split (OneShot) or per plan (PerMethod). The outcome's session
+/// totals sum over every session opened; when \p Certify is set each
+/// session certifies on its own and the summaries fold, so the whole run
+/// certifies as one. \p GcBudget is the clause-GC first limit (0 keeps
+/// the solver default).
+PairOutcome dischargeCold(ExprFactory &F, const std::vector<MethodPlan> &Plans,
+                          SolveMode Mode, int64_t Budget, int64_t GcBudget,
+                          bool Certify);
+
+/// Discharges one standalone plan (a single testing method, an inverse
+/// VC) in \p Mode: a warm mode runs it on a one-pair CatalogSession whose
+/// family-common prefix is the plan's Common, a cold mode through
+/// dischargeCold. The result carries its certification verdict.
+SymbolicResult dischargePlan(ExprFactory &F, const MethodPlan &Plan,
+                             SolveMode Mode, int64_t Budget, int64_t GcBudget,
+                             bool Certify);
 
 /// One family's share of a CatalogPlan.
 struct FamilyPlan {
@@ -268,13 +261,18 @@ struct FamilyPlan {
   /// (they constrain only the family's shared argument/element vocabulary,
   /// so they are sound for every pair).
   std::vector<ExprRef> FamilyCommon;
+  /// The family's pairs in discharge order (Methods may be empty: lazy
+  /// callers materialize them just before discharge). A one-family plan
+  /// with exactly one pair puts that pair at the session root.
   std::vector<PairPlan> Pairs;
 };
 
 /// Lifetime statistics of one family tier of a CatalogSession.
 struct FamilyTierStats {
   uint64_t PairsOpened = 0;    ///< Pair scopes allocated.
-  uint64_t PairsRetired = 0;   ///< Pair scopes evicted (retirePair calls).
+  /// Pair scopes retired (retirePair calls on a live pair; a root pair
+  /// counts although it has no scope of its own to evict).
+  uint64_t PairsRetired = 0;
   uint64_t EvictedClauses = 0; ///< Clauses eviction removed from the DB.
   /// High-water mark of retained clauses across every check — the number
   /// scoped eviction is meant to bound (without it, the DB grows with the
@@ -293,20 +291,26 @@ struct FamilyTierStats {
 /// selectors nested inside their pair's scope, and the split discharge.
 /// Pair scopes own a Tseitin cache layer (their formulas' definition
 /// variables retire and recycle with them); method scopes share their
-/// pair's layer, since they only ever retire together with it. One
-/// PairTier lives under each live family scope of a CatalogSession.
+/// pair's layer, since they only ever retire together with it. The *root
+/// pair* — the sole pair of a one-pair plan — gets no selector and no
+/// layer: its prefix is the parent's, and its method scopes open directly
+/// under the parent. One PairTier lives under each live family scope of a
+/// CatalogSession.
 class PairTier {
 public:
   /// \p Tag names the tier's selectors ("<family>" or "<family>@e<N>" for
   /// a re-opened family scope — selector names must be unique for the
   /// session's lifetime, retired selectors included). \p PathSels /
   /// \p PathLabels are the parent-scope selectors every check assumes
-  /// (the family selector; none for a root-level tier). \p OuterBases are formula sets already asserted above the
-  /// pair scopes; prefix formulas found there are counted as reuses.
+  /// (the family selector; none for a root-level tier). \p OuterBases are
+  /// formula sets already asserted above the pair scopes; prefix formulas
+  /// found there are counted as reuses. \p RootPair, when set, is the key
+  /// of the root pair.
   PairTier(ExprFactory &F, SmtSession &Session, std::string Tag,
            SmtSession::ScopeId Parent, std::vector<ExprRef> PathSels,
            std::vector<std::string> PathLabels,
-           std::vector<const std::set<ExprRef> *> OuterBases, int64_t Budget,
+           std::vector<const std::set<ExprRef> *> OuterBases,
+           std::optional<std::string> RootPair, int64_t Budget,
            FamilyTierStats &Stats, unsigned &SelectorCount);
   PairTier(const PairTier &) = delete;
   PairTier &operator=(const PairTier &) = delete;
@@ -318,11 +322,23 @@ public:
   size_t retireAll();
 
 private:
+  /// One registered method selector with the plan fingerprint it was
+  /// allocated for (the plan's Common + Scoped formulas; hash-consing makes
+  /// pointer equality structural equality). The fingerprint guards against
+  /// two *different* plans sharing a name: a mismatch allocates a fresh
+  /// selector instead of silently proving the new plan against the old
+  /// plan's prefix.
+  struct PlanSelectorEntry {
+    std::vector<ExprRef> Fingerprint;
+    ExprRef Sel = nullptr;
+  };
+
   /// The live scope of one pair.
   struct PairScope {
     SmtSession::ScopeId Scope = SmtSession::RootScope;
-    ExprRef Sel = nullptr;
+    ExprRef Sel = nullptr; ///< Null for the root pair.
     std::set<ExprRef> AssertedCommon; ///< Dedup under this pair's selector.
+    /// Registered method selectors, keyed by plan name.
     std::map<std::string, std::vector<PlanSelectorEntry>> Methods;
   };
 
@@ -335,6 +351,7 @@ private:
   std::vector<ExprRef> PathSels;
   std::vector<std::string> PathLabels;
   std::vector<const std::set<ExprRef> *> OuterBases;
+  std::optional<std::string> RootPair;
   int64_t Budget;
   FamilyTierStats &Stats;
   unsigned &SelectorCount;
@@ -391,11 +408,12 @@ struct CatalogSessionStats {
   bool PrefixImageLoaded = false;
 };
 
-/// A warm solver session shared by every family of a catalog plan
-/// (SolveMode::SharedCatalog; SharedFamily runs one per family). The
-/// catalog-common prefix is session base — with a one-family plan, so is
-/// the family's common prefix, and its tier lives at the root with no
-/// selector of its own;
+/// The warm solver session of every warm mode: one per pair
+/// (SolveMode::SharedPair), per family (SharedFamily) or for the whole
+/// catalog (SharedCatalog). The catalog-common prefix is session base —
+/// with a one-family plan, so is the family's common prefix, and its tier
+/// lives at the root with no selector of its own; with a one-pair plan,
+/// the pair lives there too and only method selectors remain. Otherwise
 /// each family's remaining common prefix lives under a per-family
 /// selector; pair scopes nest under their family's, method scopes under
 /// their pair's. retirePair()/retireFamily() retire whole subtrees, and
@@ -431,7 +449,8 @@ public:
   /// see SmtSession::exportPrefix).
   PrefixImage exportPrefix();
 
-  /// Clause-GC configuration (see SharedSession::configureClauseGc).
+  /// Clause-GC configuration applied to the session's solver (benches pin
+  /// the no-GC baseline; tests force aggressive reduction).
   void configureClauseGc(bool Enabled, int64_t FirstLimit = 0);
 
   /// Discharges every split of \p Plan under family \p FamIdx (an index

@@ -1147,6 +1147,9 @@ SymbolicEngine::planGroups(const std::vector<FamilyEntries> &Groups) const {
     bool First = true;
     std::vector<ExprRef> Inter;
     for (const ConditionEntry *E : G.Entries) {
+      // Pair keys only: verifyGroups materializes each pair's methods
+      // just before its discharge.
+      FP.Pairs.push_back({E->pairName(), {}});
       std::vector<ExprRef> Com = planCommonOnly(*E);
       intersectCommon(First, Inter, Com);
       for (ExprRef F2 : Com)
@@ -1221,44 +1224,8 @@ SymbolicEngine::planGroups(const std::vector<FamilyEntries> &Groups) const {
   return CP;
 }
 
-namespace {
-
-/// Stamps the session's certification verdict onto every method result:
-/// the database high-water mark, and whether every one of the method's
-/// own Unsat-query tags was checked and passed (a fatal trace error
-/// voids everything — the trace itself could not be replayed).
-void backfillCertification(const proof::CertifySummary &S,
-                           std::vector<SymbolicResult> &Methods) {
-  for (SymbolicResult &R : Methods) {
-    R.ProofClauses = S.PeakClauses;
-    R.ProofChecked = S.Error.empty() && S.allPassed(R.ProofQueryTags);
-  }
-}
-
-/// The outcome-level aggregate of one session's summary.
-template <typename Outcome>
-void stampOutcomeCertification(const proof::CertifySummary &S, Outcome &O) {
-  O.Certified = S.Checked && S.Ok;
-  O.ProofSteps = S.Steps;
-  O.ProofQueries = S.Queries;
-  O.ProofClauses = S.PeakClauses;
-}
-
-} // namespace
-
 SymbolicResult SymbolicEngine::verify(const TestingMethod &M) {
-  SharedSession Sess(F, ConflictBudget, Mode);
-  if (Certify)
-    Sess.enableCertification();
-  Sess.configureClauseGc(true, GcBudget);
-  SymbolicResult R;
-  R.Verified = Sess.discharge(plan(M), R);
-  if (Certify) {
-    const proof::CertifySummary &S = Sess.finishCertification();
-    R.ProofClauses = S.PeakClauses;
-    R.ProofChecked = S.Error.empty() && S.allPassed(R.ProofQueryTags);
-  }
-  return R;
+  return dischargePlan(F, plan(M), Mode, ConflictBudget, GcBudget, Certify);
 }
 
 CatalogOutcome
@@ -1346,7 +1313,8 @@ SymbolicEngine::verifyGroups(const std::vector<FamilyEntries> &Groups) {
     for (FamilyOutcome &FO : Out.Families) {
       stampOutcomeCertification(S, FO);
       for (PairOutcome &PO : FO.Pairs) {
-        backfillCertification(S, PO.Methods);
+        for (SymbolicResult &R : PO.Methods)
+          backfillCertification(S, R);
         stampOutcomeCertification(S, PO);
       }
     }
@@ -1360,41 +1328,10 @@ FamilyOutcome SymbolicEngine::verifyFamily(const Catalog &C,
 }
 
 PairOutcome SymbolicEngine::verifyPair(const ConditionEntry &E) {
-  if (Mode == SolveMode::SharedFamily || Mode == SolveMode::SharedCatalog) {
-    // A single pair is the degenerate family: same nesting, same eviction.
-    CatalogOutcome CO = verifyGroups({{E.Fam, {&E}}});
-    return std::move(CO.Families.front().Pairs.front());
-  }
-  SharedSession Sess(F, ConflictBudget, Mode);
-  if (Certify)
-    Sess.enableCertification();
-  Sess.configureClauseGc(true, GcBudget);
-  PairOutcome Out;
-  for (ConditionKind K : {ConditionKind::Before, ConditionKind::Between,
-                          ConditionKind::After})
-    for (MethodRole Role :
-         {MethodRole::Soundness, MethodRole::Completeness}) {
-      TestingMethod M;
-      M.Entry = &E;
-      M.Kind = K;
-      M.Role = Role;
-      Stopwatch Timer;
-      SymbolicResult R;
-      R.Verified = Sess.discharge(plan(M), R);
-      Out.MethodMillis.push_back(Timer.millis());
-      Out.Methods.push_back(std::move(R));
-    }
-  Out.Checks = Sess.checks();
-  Out.Conflicts = Sess.conflicts();
-  Out.RetainedClauses = Sess.retainedClauses();
-  Out.DbReductions = Sess.dbReductions();
-  Out.ReclaimedClauses = Sess.reclaimedClauses();
-  Out.Selectors = Sess.numSelectors();
-  Out.SessionsOpened = Sess.sessionsOpened();
-  if (Certify) {
-    const proof::CertifySummary &S = Sess.finishCertification();
-    stampOutcomeCertification(S, Out);
-    backfillCertification(S, Out.Methods);
-  }
-  return Out;
+  if (isColdMode(Mode))
+    return dischargeCold(F, planPair(E).Methods, Mode, ConflictBudget,
+                         GcBudget, Certify);
+  // A single pair is a one-pair catalog plan: the pair sits at the root.
+  CatalogOutcome CO = verifyGroups({{E.Fam, {&E}}});
+  return std::move(CO.Families.front().Pairs.front());
 }

@@ -35,12 +35,13 @@
 ///
 /// Discharge strategy: each testing method is compiled to a MethodPlan
 /// (pair-common prefix, selector-scoped method prefix, labeled VC splits)
-/// and handed to a SharedSession (see SessionPool.h). In the default
-/// SolveMode::SharedPair, verifyPair() runs all six testing methods of one
-/// (family, op-pair) against a single warm solver under per-method selector
-/// literals; PerMethod (the pre-pair incremental mode) and OneShot (cold
-/// start per split) remain as comparison baselines for
-/// bench/perf_engine_scaling.cpp.
+/// and discharged on a CatalogSession (see SessionPool.h) — one per pair,
+/// per family or per catalog, all through the one per-pair loop of
+/// verifyGroups. In the default SolveMode::SharedPair, verifyPair() runs
+/// all six testing methods of one (family, op-pair) against a single warm
+/// solver under per-method selector literals; PerMethod (the pre-pair
+/// incremental mode) and OneShot (cold start per split) remain as the cold
+/// comparison baselines for bench/perf_engine_scaling.cpp.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,38 +57,6 @@
 #include <vector>
 
 namespace semcomm {
-
-/// Outcome of verifying all six testing methods of one pair through one
-/// SharedSession, plus the session-level reuse statistics the driver
-/// reports per pair.
-struct PairOutcome {
-  /// Per-method results in enumeration order: before/between/after x
-  /// soundness/completeness.
-  std::vector<SymbolicResult> Methods;
-  std::vector<double> MethodMillis; ///< Wall time per method.
-  uint64_t Checks = 0;              ///< SMT checks the session served.
-  int64_t Conflicts = 0;            ///< CDCL conflicts across the pair.
-  uint64_t RetainedClauses = 0;     ///< Clauses alive at the end.
-  uint64_t DbReductions = 0;        ///< Clause-GC runs.
-  uint64_t ReclaimedClauses = 0;    ///< Clauses the GC reclaimed.
-  unsigned Selectors = 0;           ///< Selector literals registered.
-  size_t SessionsOpened = 0;        ///< 1 in SharedPair mode.
-
-  /// Certification aggregates (zero unless the engine certifies): the
-  /// checker's verdict over the pair's session trace, its step/query
-  /// counts, and its database high-water mark.
-  bool Certified = false;
-  uint64_t ProofSteps = 0;
-  uint64_t ProofQueries = 0;
-  uint64_t ProofClauses = 0;
-
-  unsigned failures() const {
-    unsigned N = 0;
-    for (const SymbolicResult &R : Methods)
-      N += !R.Verified;
-    return N;
-  }
-};
 
 /// Outcome of verifying every op-pair of one family through one family
 /// tier of a CatalogSession, plus the tier-level statistics the driver
@@ -169,15 +138,14 @@ public:
       : F(F), SeqLenBound(SeqLenBound), ConflictBudget(ConflictBudget),
         Mode(Mode) {}
 
-  /// Verifies one testing method symbolically in a session of its own.
-  /// Safe to call concurrently from several engines sharing one
-  /// (thread-safe) ExprFactory.
+  /// Verifies one testing method symbolically in a session of its own (a
+  /// one-pair CatalogSession in the warm modes). Safe to call concurrently
+  /// from several engines sharing one (thread-safe) ExprFactory.
   SymbolicResult verify(const TestingMethod &M);
 
-  /// Verifies all six testing methods of \p E through one SharedSession
-  /// (one warm solver for the whole pair in SharedPair mode; in
-  /// SharedFamily and SharedCatalog modes, through a degenerate one-pair
-  /// CatalogSession).
+  /// Verifies all six testing methods of \p E: in every warm mode through
+  /// a one-pair CatalogSession (one warm solver for the whole pair, the
+  /// pair at the session root), in the cold modes through dischargeCold.
   /// Method order is deterministic, so results and statistics are a
   /// function of the options alone.
   PairOutcome verifyPair(const ConditionEntry &E);
@@ -217,8 +185,8 @@ public:
       const;
 
   /// Compiles the catalog-level plan for \p Fams: per-family common
-  /// prefixes (pairs left unmaterialized — verifyCatalog plans them
-  /// lazily) plus the catalog-common prefix, the well-formedness formulas
+  /// prefixes and pair keys (methods left unmaterialized — verifyCatalog
+  /// plans them lazily) plus the catalog-common prefix, the well-formedness formulas
   /// every entry either asserts in its own Common prefix or provably
   /// cannot mention (none of the formula's variables occur in the entry's
   /// vocabulary), hoisted to the session root.
@@ -272,8 +240,7 @@ private:
   /// planCatalog over explicit entry lists.
   CatalogPlan planGroups(const std::vector<FamilyEntries> &Groups) const;
   /// Verifies \p Groups through one CatalogSession — the one per-pair
-  /// loop behind verifyCatalog, verifyFamily and the degenerate-family
-  /// branch of verifyPair.
+  /// loop behind verifyCatalog, verifyFamily and the warm verifyPair.
   CatalogOutcome verifyGroups(const std::vector<FamilyEntries> &Groups);
   /// The Common prefix of \p E's method plans without materializing the
   /// ArrayList split lattice (the prefixes are a handful of

@@ -208,15 +208,6 @@ SymbolicResult semcomm::verifyInverseSymbolic(ExprFactory &F,
     break;
   }
 
-  SharedSession Sess(F, ConflictBudget, Mode);
-  if (Certify)
-    Sess.enableCertification();
-  SymbolicResult R;
-  R.Verified = Sess.discharge(Plan, R);
-  if (Certify) {
-    const proof::CertifySummary &S = Sess.finishCertification();
-    R.ProofClauses = S.PeakClauses;
-    R.ProofChecked = S.Error.empty() && S.allPassed(R.ProofQueryTags);
-  }
-  return R;
+  return dischargePlan(F, Plan, Mode, ConflictBudget, /*GcBudget=*/0,
+                       Certify);
 }

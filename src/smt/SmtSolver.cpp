@@ -546,13 +546,6 @@ SmtSession::ScopeId SmtSession::openScope(ExprRef Selector, ScopeId Parent,
   return Id;
 }
 
-SmtSession::ScopeId SmtSession::ensureScope(ExprRef Selector, ScopeId Parent) {
-  auto It = ScopeOf.find(Selector);
-  if (It != ScopeOf.end())
-    return It->second;
-  return openScope(Selector, Parent, /*OwnLayer=*/false);
-}
-
 void SmtSession::assertInScope(ScopeId Scope, ExprRef Body) {
   assert(Scope < Scopes.size() && Scopes[Scope].Alive &&
          "asserting into a dead scope");
@@ -576,20 +569,6 @@ void SmtSession::assertInScope(ScopeId Scope, ExprRef Body) {
   Encoder.setActiveLayer(Scopes[Scope].Layer);
   Encoder.assertTrue(N);
   Encoder.setActiveLayer(Saved);
-}
-
-void SmtSession::assertScoped(ExprRef Selector, ExprRef Body) {
-  assertInScope(ensureScope(Selector, RootScope), Body);
-}
-
-void SmtSession::assertScopedUnder(ExprRef Outer, ExprRef Selector,
-                                   ExprRef Body) {
-  ScopeId Parent = ensureScope(Outer, RootScope);
-  auto It = ScopeOf.find(Selector);
-  ScopeId Scope = It != ScopeOf.end() ? It->second
-                                      : openScope(Selector, Parent,
-                                                  /*OwnLayer=*/false);
-  assertInScope(Scope, Body);
 }
 
 size_t SmtSession::retireScope(ScopeId Scope) {
@@ -804,44 +783,6 @@ size_t SmtSession::compactBridges() {
   ++BridgeCompactions;
   assert(Sat.reasonInvariantHolds() && "compaction broke a reason reference");
   return Evicted;
-}
-
-size_t SmtSession::retireScope(ExprRef Selector,
-                               const std::vector<ExprRef> &SubSelectors) {
-  // Sub-selectors registered as tree descendants retire with the subtree;
-  // unregistered ones (legacy callers name nested selectors explicitly)
-  // are falsified and swept alongside it.
-  auto It = ScopeOf.find(Selector);
-  if (It == ScopeOf.end()) {
-    // Never asserted through the tree: fall back to a direct solver-level
-    // retirement over the named selectors.
-    Lit SelLit = Encoder.encode(normalize(Selector));
-    std::vector<Lit> Selectors{SelLit};
-    for (ExprRef S : SubSelectors) {
-      Selectors.push_back(Encoder.encode(normalize(S)));
-      ScopedAtoms.erase(S);
-    }
-    ScopedAtoms.erase(Selector);
-    return Sat.retireScopes(Selectors, {});
-  }
-  for (ExprRef S : SubSelectors) {
-    auto SubIt = ScopeOf.find(S);
-    if (SubIt == ScopeOf.end()) {
-      Sat.retireScopes({Encoder.encode(normalize(S))}, {});
-      ScopedAtoms.erase(S);
-    } else {
-      assert(SubIt->second != It->second && "selector nested under itself");
-    }
-  }
-  return retireScope(It->second);
-}
-
-SatResult SmtSession::check(const std::vector<ExprRef> &Assumed,
-                            int64_t MaxConflicts, ExprRef ActiveScope) {
-  std::vector<ExprRef> ActiveSels;
-  if (ActiveScope)
-    ActiveSels.push_back(ActiveScope);
-  return check(Assumed, MaxConflicts, ActiveSels);
 }
 
 SmtSession::ScopeId SmtSession::innermostScope(

@@ -31,15 +31,19 @@
 /// verdict-deterministic.
 ///
 /// Scoped assertions live on a selector *tree* (catalog → family → pair →
-/// method paths): each scope is guarded by a boolean selector, asserting
-/// into a scope implies the whole selector path, and a scope may own a
-/// Tseitin cache layer so its formulas' definition variables are private
-/// to its subtree. retireScope() then retires a whole subtree in one
-/// solver pass — selectors falsified, guarded and definition clauses
-/// evicted, definition variable indices recycled — so both the clause
-/// database *and the variable array* stay bounded by the live scope over
-/// a catalog-length session. Atom variables and theory bridges stay
-/// global: they are the shared lattice the long-lived tiers amortize.
+/// method paths) with one API: openScope() adds a node guarded by a
+/// boolean selector, assertInScope() asserts a formula under the node's
+/// whole selector path, and check() takes the active selectors. A scope
+/// may own a Tseitin cache layer so its formulas' definition variables
+/// are private to its subtree; a scope without one shares its parent's
+/// (method scopes, and the method scopes of a one-pair session, which
+/// open directly under the root). retireScope() retires a whole subtree
+/// in one solver pass — selectors falsified, guarded and definition
+/// clauses evicted, definition variable indices recycled — so both the
+/// clause database *and the variable array* stay bounded by the live
+/// scope over a catalog-length session. Atom variables and theory bridges
+/// stay global: they are the shared lattice the long-lived tiers
+/// amortize.
 ///
 /// SmtSolver is the original one-shot facade, now a thin wrapper that runs
 /// each check() in a fresh session.
@@ -125,36 +129,17 @@ public:
   /// must open a fresh one. Returns the number of clauses evicted.
   size_t retireScope(ScopeId Scope);
 
-  /// Asserts `Selector -> Body`, auto-registering \p Selector as a root
-  /// child (shared per-pair sessions assert every method's prefix this
-  /// way; the selector shares the root Tseitin layer, preserving whole-
-  /// session encoding reuse for tiers that never retire).
-  void assertScoped(ExprRef Selector, ExprRef Body);
-
-  /// Asserts `Outer -> (Selector -> Body)`, auto-registering \p Outer as
-  /// a root child and \p Selector beneath it.
-  void assertScopedUnder(ExprRef Outer, ExprRef Selector, ExprRef Body);
-
-  /// Retires the scope registered for \p Selector (with its subtree).
-  /// \p SubSelectors not already registered as descendants are falsified
-  /// and swept along with it (legacy callers named nested selectors
-  /// explicitly). Returns the number of clauses evicted.
-  size_t retireScope(ExprRef Selector,
-                     const std::vector<ExprRef> &SubSelectors = {});
-
   /// Decides base ∧ ⋀Assumed under a per-call conflict budget (negative =
   /// unlimited). The \p Assumed formulas hold for this call only; their
   /// Tseitin encodings, bridge clauses, and any learned clauses are
-  /// retained for future calls. \p ActiveScope (a selector previously
-  /// passed to assertScoped) widens the countermodel vocabulary to that
-  /// scope's atoms.
+  /// retained for future calls. \p ActiveScopes (the selectors of opened
+  /// scopes — a catalog session passes the family, pair and method
+  /// selectors of the method it discharges) widen the countermodel
+  /// vocabulary to those scopes' atoms, and the deepest one's Tseitin
+  /// layer hosts the query encodings.
   SatResult check(const std::vector<ExprRef> &Assumed,
-                  int64_t MaxConflicts = -1, ExprRef ActiveScope = nullptr);
-
-  /// As above, with several active scopes (a family session passes the
-  /// pair selector and the method selector together).
-  SatResult check(const std::vector<ExprRef> &Assumed, int64_t MaxConflicts,
-                  const std::vector<ExprRef> &ActiveScopes);
+                  int64_t MaxConflicts = -1,
+                  const std::vector<ExprRef> &ActiveScopes = {});
 
   /// Runs check()'s encoding pipeline — normalization, bridge emission,
   /// scope-layer routing, Tseitin encoding — without the SAT search. The
@@ -331,9 +316,6 @@ private:
   ExprRef canonicalIntAtom(ExprKind K, ExprRef A, ExprRef B);
   ExprRef eqObj(ExprRef A, ExprRef B);
 
-  /// The registered scope of \p Selector, opening one under \p Parent
-  /// (sharing the parent layer) if none exists.
-  ScopeId ensureScope(ExprRef Selector, ScopeId Parent);
   /// Deepest registered scope among \p ActiveScopes (its layer hosts the
   /// query encodings), or RootScope.
   ScopeId innermostScope(const std::vector<ExprRef> &ActiveScopes) const;

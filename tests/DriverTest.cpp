@@ -944,3 +944,24 @@ TEST(ThreadPool, ParallelForCoversTheRange) {
 }
 
 } // namespace
+
+TEST(DriverCli, ParseIntIsStrictAndBounded) {
+  // The one numeric-flag parser of semcommute-verify and semcommute-serve:
+  // whole base-10 integers inside [Min, Max], nothing else.
+  EXPECT_EQ(parseInt("3", 1), 3);
+  EXPECT_EQ(parseInt("0", 0), 0);
+  EXPECT_EQ(parseInt("-7", -10), -7);
+  EXPECT_EQ(parseInt("4294967295", 0, UINT32_MAX), 4294967295LL);
+
+  EXPECT_FALSE(parseInt("0", 1));   // --seq-bound 0 verifies vacuously.
+  EXPECT_FALSE(parseInt("-1", 0));  // --compact-min-dead -1 wrapped.
+  EXPECT_FALSE(parseInt("xyz", 1)); // --budget xyz read as budget 0.
+  EXPECT_FALSE(parseInt("abc", 1)); // --requests abc read as 0 requests.
+  EXPECT_FALSE(parseInt("", 0));
+  EXPECT_FALSE(parseInt("12abc", 0));
+  EXPECT_FALSE(parseInt(" 5", 0));
+  EXPECT_FALSE(parseInt("5 ", 0));
+  EXPECT_FALSE(parseInt("2147483648", 1)); // Above the default INT32_MAX.
+  EXPECT_FALSE(parseInt("4294967296", 0, UINT32_MAX));
+  EXPECT_FALSE(parseInt("99999999999999999999999", 0, INT64_MAX));
+}

@@ -139,17 +139,33 @@ TEST(IndexFuzzTest, SharedIndexServesConcurrentVMs) {
   const FamilyIndex *FI = Fx.Idx.familyIndex(setFamily());
   ASSERT_NE(FI, nullptr);
   const IndexProgram *Prog = nullptr;
+  unsigned Op1 = 0, Op2 = 0;
   for (unsigned I = 0; I != FI->numOps() && !Prog; ++I)
     for (unsigned J = 0; J != FI->numOps() && !Prog; ++J)
-      Prog = FI->program(I, J, SlotBetweenConservative);
+      if ((Prog = FI->program(I, J, SlotBetweenConservative))) {
+        Op1 = I;
+        Op2 = J;
+      }
   ASSERT_NE(Prog, nullptr);
 
   AbstractState Live = AbstractState::makeSet();
   Live.setInsert(Value::obj(1));
   const StateView *Views[NumStateSlots] = {nullptr, &Live, nullptr};
+  // Fill the bank from the pair's signatures, as crossCheck does: both
+  // operations' arguments, then their two return values, each of its own
+  // sort (a program reads a boolean slot with Value::asBool).
+  const std::vector<Operation> &Ops = setFamily().Ops;
+  std::vector<Sort> Sorts = Ops[Op1].ArgSorts;
+  Sorts.insert(Sorts.end(), Ops[Op2].ArgSorts.begin(),
+               Ops[Op2].ArgSorts.end());
+  Sorts.push_back(Ops[Op1].ReturnSort);
+  Sorts.push_back(Ops[Op2].ReturnSort);
+  ASSERT_LE(Sorts.size(), MaxArgSlots);
   Value Args[MaxArgSlots];
-  for (unsigned I = 0; I != MaxArgSlots; ++I)
-    Args[I] = Value::obj(static_cast<int64_t>(I % 3));
+  for (unsigned I = 0; I != Sorts.size(); ++I)
+    Args[I] = Sorts[I] == Sort::Bool  ? Value::boolean(I % 2 == 0)
+              : Sorts[I] == Sort::Int ? Value::integer(I)
+                                      : Value::obj(I % 3);
 
   IndexVM Reference(Fx.Idx.stats().MaxRegs);
   bool Expected = Reference.runBool(*Prog, Args, Views);

@@ -6,12 +6,13 @@
 //
 //===----------------------------------------------------------------------===//
 ///
-/// The shared per-pair session layer must be invisible in the verdicts:
-/// selector literals isolate each method's scoped prefix inside the shared
-/// clause database, and discharging any subset of a pair's methods in any
-/// order through one SharedSession agrees with independent per-method
-/// sessions. The fuzz sweep below drives exactly that comparison over
-/// random method subsets, including mutants whose proofs fail.
+/// The shared session layer must be invisible in the verdicts: selector
+/// literals isolate each method's scoped prefix inside the shared clause
+/// database, and discharging any subset of a pair's methods in any order
+/// through one one-pair CatalogSession (the shared-pair session, its pair
+/// at the root) agrees with independent per-method sessions. The fuzz
+/// sweep below drives exactly that comparison over random method subsets,
+/// including mutants whose proofs fail.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,6 +36,14 @@ PoolFixture &fixture() {
   return Fx;
 }
 
+/// A one-family, one-pair catalog plan: the session shared-pair mode runs,
+/// with pair \p Key at the session root.
+CatalogPlan onePairPlan(const std::string &Key = "p") {
+  CatalogPlan CP;
+  CP.Families.push_back({"demo", {}, {PairPlan{Key, {}}}});
+  return CP;
+}
+
 } // namespace
 
 TEST(SharedSessionTest, SelectorsIsolateContradictoryScopedPrefixes) {
@@ -54,12 +63,12 @@ TEST(SharedSessionTest, SelectorsIsolateContradictoryScopedPrefixes) {
   NegPlan.Scoped.push_back({Fx.F.lnot(X), "not-x"});
   NegPlan.Splits.push_back(VcSplit{{{X, "x"}}, ""});
 
-  SharedSession Sess(Fx.F, /*Budget=*/-1, SolveMode::SharedPair);
+  CatalogPlan CP = onePairPlan();
+  CatalogSession Sess(Fx.F, CP, /*Budget=*/-1);
   SymbolicResult R1, R2;
-  EXPECT_TRUE(Sess.discharge(PosPlan, R1));
-  EXPECT_TRUE(Sess.discharge(NegPlan, R2));
-  EXPECT_EQ(Sess.numSelectors(), 2u);
-  EXPECT_EQ(Sess.sessionsOpened(), 1u);
+  EXPECT_TRUE(Sess.discharge(0, "p", PosPlan, R1));
+  EXPECT_TRUE(Sess.discharge(0, "p", NegPlan, R2));
+  EXPECT_EQ(Sess.numSelectors(), 2u); // Method selectors only.
 
   // Had either scoped prefix leaked into the global base, the database
   // would now be contradictory and this satisfiable plan would "verify".
@@ -68,7 +77,7 @@ TEST(SharedSessionTest, SelectorsIsolateContradictoryScopedPrefixes) {
   SatPlan.Splits.push_back(
       VcSplit{{{Fx.F.var("shared_y", Sort::Bool), "y"}}, ""});
   SymbolicResult R3;
-  EXPECT_FALSE(Sess.discharge(SatPlan, R3));
+  EXPECT_FALSE(Sess.discharge(0, "p", SatPlan, R3));
   EXPECT_EQ(R3.LastOutcome, SatResult::Sat);
 }
 
@@ -89,16 +98,17 @@ TEST(SharedSessionTest, SameNameDifferentPlansGetDistinctSelectors) {
   B.Scoped.clear();
   B.Scoped.push_back({Fx.F.lnot(X), "not-x"});
 
-  SharedSession Sess(Fx.F, /*Budget=*/-1, SolveMode::SharedPair);
+  CatalogPlan CP = onePairPlan();
+  CatalogSession Sess(Fx.F, CP, /*Budget=*/-1);
   SymbolicResult RA, RB, RA2;
-  EXPECT_TRUE(Sess.discharge(A, RA));
+  EXPECT_TRUE(Sess.discharge(0, "p", A, RA));
   // Under B's own prefix (¬x) the split ¬x is satisfiable — had B reused
   // A's selector (prefix x), it would wrongly verify.
-  EXPECT_FALSE(Sess.discharge(B, RB));
+  EXPECT_FALSE(Sess.discharge(0, "p", B, RB));
   EXPECT_EQ(RB.LastOutcome, SatResult::Sat);
   EXPECT_EQ(Sess.numSelectors(), 2u);
   // Re-discharging A reuses its original selector.
-  EXPECT_TRUE(Sess.discharge(A, RA2));
+  EXPECT_TRUE(Sess.discharge(0, "p", A, RA2));
   EXPECT_EQ(Sess.numSelectors(), 2u);
 }
 
@@ -117,9 +127,10 @@ TEST(SharedSessionTest, UnsatCoreLabelsNameTheUsedAssumptions) {
                {Fx.F.var("core_unused", Sort::Bool), "unused"}},
               ""});
 
-  SharedSession Sess(Fx.F, /*Budget=*/-1, SolveMode::SharedPair);
+  CatalogPlan CP = onePairPlan();
+  CatalogSession Sess(Fx.F, CP, /*Budget=*/-1);
   SymbolicResult R;
-  ASSERT_TRUE(Sess.discharge(Plan, R));
+  ASSERT_TRUE(Sess.discharge(0, "p", Plan, R));
   auto Has = [&R](const char *L) {
     return std::find(R.CoreLabels.begin(), R.CoreLabels.end(), L) !=
            R.CoreLabels.end();
@@ -128,6 +139,7 @@ TEST(SharedSessionTest, UnsatCoreLabelsNameTheUsedAssumptions) {
   EXPECT_TRUE(Has("a"));
   EXPECT_TRUE(Has("not-b"));
   EXPECT_FALSE(Has("unused"));
+  EXPECT_FALSE(Has("pair:p")); // The root pair has no selector to name.
 }
 
 TEST(SharedSessionTest, UnsupportedPlanReportsItsNote) {
@@ -139,10 +151,37 @@ TEST(SharedSessionTest, UnsupportedPlanReportsItsNote) {
   // Even a refutable final split must not count as a proof.
   Plan.Splits.push_back(VcSplit{{{Fx.F.falseExpr(), "false"}}, "n=0"});
 
-  SharedSession Sess(Fx.F, /*Budget=*/-1, SolveMode::SharedPair);
+  CatalogPlan CP = onePairPlan();
+  CatalogSession Sess(Fx.F, CP, /*Budget=*/-1);
   SymbolicResult R;
-  EXPECT_FALSE(Sess.discharge(Plan, R));
+  EXPECT_FALSE(Sess.discharge(0, "p", Plan, R));
   EXPECT_EQ(R.Countermodel, Plan.UnsupportedNote);
+}
+
+TEST(SharedSessionTest, SharedPairRegistersSixMethodSelectorsAndNoPairSelector) {
+  // The shared-pair session puts its sole pair at the session root: the
+  // six methods get one selector each and the pair none, so every scoped
+  // formula encodes under one selector implication. A pair selector here
+  // would change the encoding (and the conflict counts) of the default
+  // mode.
+  PoolFixture &Fx = fixture();
+  SymbolicEngine Engine(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000,
+                        SolveMode::SharedPair);
+  const ConditionEntry &E = Fx.C.entry(mapFamily(), "put_", "remove_");
+  PairOutcome O = Engine.verifyPair(E);
+  EXPECT_EQ(O.failures(), 0u);
+  EXPECT_EQ(O.Selectors, 6u);
+  EXPECT_EQ(O.SessionsOpened, 1u);
+  for (const SymbolicResult &R : O.Methods)
+    for (const std::string &L : R.CoreLabels)
+      EXPECT_NE(L.rfind("pair:", 0), 0u) << L;
+
+  // The family-tier modes run a lone pair through the same session.
+  SymbolicEngine Family(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000,
+                        SolveMode::SharedFamily);
+  PairOutcome FO = Family.verifyPair(E);
+  EXPECT_EQ(FO.Selectors, 6u);
+  EXPECT_EQ(FO.Conflicts, O.Conflicts);
 }
 
 /// Fuzz: random subsets of a pair's six methods, in random order, through
@@ -187,7 +226,8 @@ TEST_P(SharedPairFuzzTest, RandomMethodSubsetsMatchPerMethodSessions) {
     std::shuffle(All.begin(), All.end(), Rng);
     size_t Take = 1 + Rng() % All.size();
 
-    SharedSession Sess(Fx.F, /*Budget=*/200000, SolveMode::SharedPair);
+    CatalogPlan CP = onePairPlan(E.pairName());
+    CatalogSession Sess(Fx.F, CP, /*Budget=*/200000);
     for (size_t I = 0; I != Take; ++I) {
       TestingMethod M;
       M.Entry = &E;
@@ -195,7 +235,7 @@ TEST_P(SharedPairFuzzTest, RandomMethodSubsetsMatchPerMethodSessions) {
       M.Role = All[I].second;
 
       SymbolicResult Got;
-      Got.Verified = Sess.discharge(Shared.plan(M), Got);
+      Got.Verified = Sess.discharge(0, E.pairName(), Shared.plan(M), Got);
       SymbolicResult Want = PerMethod.verify(M);
 
       ASSERT_EQ(Got.Verified, Want.Verified)
@@ -204,7 +244,6 @@ TEST_P(SharedPairFuzzTest, RandomMethodSubsetsMatchPerMethodSessions) {
           << (Mutated ? " (mutant)" : "");
       ASSERT_EQ(Got.NumVcs, Want.NumVcs) << M.name();
     }
-    EXPECT_EQ(Sess.sessionsOpened(), 1u);
     EXPECT_EQ(Sess.numSelectors(), Take);
   }
 }
@@ -413,9 +452,9 @@ TEST_P(FamilyEvictionFuzzTest, RandomRetireOrdersMatchNoEvictionReference) {
       SymbolicResult Got;
       Got.Verified = Sess.discharge(0, Key, MP, Got);
 
-      SharedSession Ref(Fx.F, /*Budget=*/200000, SolveMode::PerMethod);
-      SymbolicResult Want;
-      Want.Verified = Ref.discharge(MP, Want);
+      SymbolicResult Want =
+          dischargePlan(Fx.F, MP, SolveMode::PerMethod, /*Budget=*/200000,
+                        /*GcBudget=*/0, /*Certify=*/false);
 
       ASSERT_EQ(Got.Verified, Want.Verified)
           << "seed=" << GetParam() << " trial=" << Trial << " step=" << Step

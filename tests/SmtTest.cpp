@@ -754,14 +754,16 @@ TEST(SmtSessionTest, RetireScopeEvictsAndReVerifies) {
   ExprRef X = F.var("retire_x", Sort::Bool);
   ExprRef Y = F.var("retire_y", Sort::Bool);
 
-  S.assertScoped(PairSel, X);
-  S.assertScopedUnder(PairSel, MSel, F.implies(X, Y));
+  SmtSession::ScopeId Pair = S.openScope(PairSel);
+  SmtSession::ScopeId M = S.openScope(MSel, Pair);
+  S.assertInScope(Pair, X);
+  S.assertInScope(M, F.implies(X, Y));
   // Under both selectors, x holds and x->y holds, so ~y is refuted.
   ASSERT_EQ(S.check({PairSel, MSel, F.lnot(Y)}, -1, {PairSel, MSel}),
             SatResult::Unsat);
 
   size_t Retained = S.retainedClauses();
-  size_t Evicted = S.retireScope(PairSel, {MSel});
+  size_t Evicted = S.retireScope(Pair); // The method scope goes with it.
   EXPECT_GT(Evicted, 0u);
   EXPECT_LT(S.retainedClauses(), Retained);
   EXPECT_EQ(S.scopeRetirements(), 1);
@@ -771,9 +773,10 @@ TEST(SmtSessionTest, RetireScopeEvictsAndReVerifies) {
   EXPECT_EQ(S.check({F.lnot(Y)}), SatResult::Sat);
   // A fresh selector re-asserts the same content and verifies again.
   ExprRef PairSel2 = F.var("pair_sel2", Sort::Bool);
-  S.assertScoped(PairSel2, X);
-  S.assertScoped(PairSel2, F.implies(X, Y));
-  EXPECT_EQ(S.check({PairSel2, F.lnot(Y)}, -1, PairSel2), SatResult::Unsat);
+  SmtSession::ScopeId Pair2 = S.openScope(PairSel2);
+  S.assertInScope(Pair2, X);
+  S.assertInScope(Pair2, F.implies(X, Y));
+  EXPECT_EQ(S.check({PairSel2, F.lnot(Y)}, -1, {PairSel2}), SatResult::Unsat);
 }
 
 // --- Core-minimizing restarts -------------------------------------------------

@@ -17,7 +17,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 
 using namespace semcomm;
@@ -37,6 +40,32 @@ const char *driver::engineKindName(EngineKind E) {
     return "both";
   }
   return "exhaustive";
+}
+
+std::optional<int64_t> driver::parseInt(const char *Text, int64_t Min,
+                                        int64_t Max) {
+  if (!Text || !*Text || std::isspace(static_cast<unsigned char>(*Text)))
+    return std::nullopt;
+  char *End = nullptr;
+  errno = 0;
+  long long N = std::strtoll(Text, &End, 10);
+  if (*End != '\0' || errno == ERANGE || N < Min || N > Max)
+    return std::nullopt;
+  return static_cast<int64_t>(N);
+}
+
+int64_t driver::intFlagOrExit(const char *Flag, const char *Text, int64_t Min,
+                              int64_t Max) {
+  if (std::optional<int64_t> N = parseInt(Text, Min, Max))
+    return *N;
+  if (Max == INT32_MAX)
+    std::fprintf(stderr, "%s wants an integer >= %lld, got '%s'\n", Flag,
+                 static_cast<long long>(Min), Text);
+  else
+    std::fprintf(stderr, "%s wants an integer in [%lld, %lld], got '%s'\n",
+                 Flag, static_cast<long long>(Min),
+                 static_cast<long long>(Max), Text);
+  std::exit(2);
 }
 
 std::vector<const Family *>

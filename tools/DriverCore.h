@@ -267,6 +267,18 @@ struct Report {
   bool sameVerdicts(const Report &O) const;
 };
 
+/// Parses \p Text as a whole base-10 integer in [\p Min, \p Max]. Empty
+/// text, surrounding whitespace, trailing characters, and out-of-range
+/// values are rejected (nullopt), never read as 0 or wrapped.
+std::optional<int64_t> parseInt(const char *Text, int64_t Min,
+                                int64_t Max = INT32_MAX);
+
+/// The numeric-flag parser of the command-line tools: parseInt(\p Text,
+/// \p Min, \p Max), or a one-line diagnostic naming \p Flag on stderr and
+/// exit status 2.
+int64_t intFlagOrExit(const char *Flag, const char *Text, int64_t Min,
+                      int64_t Max = INT32_MAX);
+
 /// Resolves \p Names ("all" or family names, case-sensitive) to family
 /// pointers in the paper's presentation order. Unknown names yield an empty
 /// vector and set \p Error.

@@ -137,18 +137,10 @@ int main(int argc, char **argv) {
         return 2;
       }
     } else if (Arg == "--seq-bound") {
-      const char *Val = needValue("--seq-bound");
-      char *End = nullptr;
-      long N = std::strtol(Val, &End, 10);
-      if (End == Val || *End != '\0' || N < 1) {
-        // A bound below 1 would make every ArrayList split vacuous and
-        // "verify" the family with zero VCs.
-        std::fprintf(stderr, "--seq-bound wants a positive integer, got "
-                             "'%s'\n",
-                     Val);
-        return 2;
-      }
-      Opts.SymbolicSeqLenBound = static_cast<int>(N);
+      // A bound below 1 would make every ArrayList split vacuous and
+      // "verify" the family with zero VCs.
+      Opts.SymbolicSeqLenBound = static_cast<int>(
+          intFlagOrExit("--seq-bound", needValue("--seq-bound"), 1));
       SeqBoundSet = true;
     } else if (Arg == "--solve-mode") {
       std::string M = needValue("--solve-mode");
@@ -172,34 +164,17 @@ int main(int argc, char **argv) {
       }
       SolveModeSet = true;
     } else if (Arg == "--gc-budget") {
-      const char *Val = needValue("--gc-budget");
-      char *End = nullptr;
-      long N = std::strtol(Val, &End, 10);
-      if (End == Val || *End != '\0' || N < 1) {
-        std::fprintf(stderr, "--gc-budget wants a positive integer, got "
-                             "'%s'\n",
-                     Val);
-        return 2;
-      }
-      Opts.GcBudget = static_cast<int64_t>(N);
+      Opts.GcBudget = intFlagOrExit("--gc-budget", needValue("--gc-budget"), 1);
       GcBudgetSet = true;
     } else if (Arg == "--certify") {
       Opts.Certify = true;
     } else if (Arg == "--compact-bridges") {
       Opts.CompactBridges = true;
     } else if (Arg == "--threads") {
-      const char *Val = needValue("--threads");
-      char *End = nullptr;
-      long N = std::strtol(Val, &End, 10);
-      if (End == Val || *End != '\0' || N < 1) {
-        // Threads=0 used to be silently promoted to 1; reject it instead
-        // of guessing what the caller meant.
-        std::fprintf(stderr, "--threads wants a positive integer, got "
-                             "'%s'\n",
-                     Val);
-        return 2;
-      }
-      Opts.Threads = static_cast<unsigned>(N);
+      // Threads=0 is rejected rather than promoted to 1: there is no way
+      // to tell what the caller meant.
+      Opts.Threads = static_cast<unsigned>(
+          intFlagOrExit("--threads", needValue("--threads"), 1));
     } else if (Arg == "--no-commute") {
       Opts.Commutativity = false;
     } else if (Arg == "--no-inverse") {
