@@ -501,6 +501,8 @@ if serve_batched:
     rps = serve_batched.get("requests_per_sec")
     fifo_rps = serve_fifo.get("requests_per_sec") if serve_fifo else None
     service_stats = {
+        # The request rates (and their ratio) are host timings.
+        "cpus": serve_batched.get("sharded_service", {}).get("cpus"),
         "passes": len(passes),
         "requests": sum(p.get("requests", 0) for p in passes),
         "req_per_sec_batched": rps,
@@ -508,6 +510,7 @@ if serve_batched:
         "batching_speedup_x": (round(rps / fifo_rps, 3)
                                if rps and fifo_rps else None),
         "pair_groups": sess.get("pair_groups"),
+        "plans_built": sess.get("plans_built"),
         "batched_reuses": sess.get("batched_reuses"),
         "bridge_compactions": sess.get("bridge_compactions"),
         "released_atom_vars": sess.get("released_atom_vars"),

@@ -87,6 +87,13 @@ bool VerifyService::submit(const ServiceRequest &R, std::string &Error) {
   return true;
 }
 
+const PairPlan &VerifyService::planFor(const ConditionEntry &E) {
+  auto It = Plans.find(&E);
+  if (It == Plans.end())
+    It = Plans.emplace(&E, Eng.planPair(E)).first;
+  return It->second;
+}
+
 void VerifyService::serveOne(const ResolvedRequest &RR, const PairPlan &PP,
                              std::vector<ServiceVerdict> &Out) {
   size_t KindIdx = static_cast<size_t>(RR.Req.Kind);
@@ -113,8 +120,8 @@ std::vector<ServiceVerdict> VerifyService::drain() {
   if (Cfg.Batch) {
     // Group pending requests by family, then by pair, both in
     // first-appearance order: every request of a (family, pair) group is
-    // served against one warm pair scope under one freshly built plan,
-    // and the scope retires when its group completes.
+    // served against one warm pair scope, and the scope retires when its
+    // group completes.
     struct Group {
       const ConditionEntry *Entry;
       std::vector<const ResolvedRequest *> Reqs;
@@ -139,7 +146,7 @@ std::vector<ServiceVerdict> VerifyService::drain() {
     }
     for (size_t FamIdx : FamOrder)
       for (const Group &G : Groups[FamIdx]) {
-        PairPlan PP = Eng.planPair(*G.Entry);
+        const PairPlan &PP = planFor(*G.Entry);
         ++PairGroups;
         BatchedReuses += G.Reqs.size() - 1;
         for (const ResolvedRequest *RR : G.Reqs)
@@ -147,11 +154,10 @@ std::vector<ServiceVerdict> VerifyService::drain() {
         Sess->retirePair(FamIdx, PP.Key);
       }
   } else {
-    // FIFO baseline: arrival order, one plan + one pair scope per
-    // request, retired immediately — every request pays the full
-    // planning and prefix-assertion cost.
+    // FIFO baseline: arrival order, one pair scope per request, retired
+    // immediately — every request pays the full prefix-assertion cost.
     for (const ResolvedRequest &RR : Pending) {
-      PairPlan PP = Eng.planPair(*RR.Entry);
+      const PairPlan &PP = planFor(*RR.Entry);
       ++PairGroups;
       serveOne(RR, PP, Out);
       Sess->retirePair(RR.FamIdx, PP.Key);
@@ -170,6 +176,7 @@ ServiceStats VerifyService::stats() const {
   S.PairGroups = PairGroups;
   S.BatchedReuses = BatchedReuses;
   S.MethodsDischarged = MethodsDischarged;
+  S.PlansBuilt = Plans.size();
   S.ServeMillis = ServeMillis;
   S.Session = Sess->stats();
   return S;

@@ -14,15 +14,22 @@
 ///
 /// Serving discipline:
 ///
+///  * Plan table: a pair's six method plans are a pure function of its
+///    catalog entry, the sequence bound and the hints, and their ExprRefs
+///    live in the catalog's factory. Each service therefore builds a
+///    pair's plan once per lifetime, the first time the pair is served,
+///    and every later drain (batched or FIFO) reads it from the table.
+///    The table is bounded by the catalog's pairs.
+///
 ///  * Prefix batching (the default): pending requests are grouped by
-///    family, then by op-pair, in first-appearance order. A pair's plan is
-///    built once per group, its scope opened once, every request of the
-///    group discharged against the warm pair scope, and the scope retired
-///    when the group completes — so N same-pair requests pay one planning
-///    + prefix-assertion cost instead of N. The FIFO baseline (Batch =
-///    false) serves arrival order, re-planning and re-opening the pair
-///    scope per request; the requests/sec delta between the two is the
-///    number the bench harness reports.
+///    family, then by op-pair, in first-appearance order. A pair's scope
+///    is opened once per group, every request of the group discharged
+///    against the warm pair scope, and the scope retired when the group
+///    completes — so N same-pair requests pay one scope open/retire
+///    instead of N. The FIFO baseline (Batch = false) serves arrival
+///    order, re-opening and retiring the pair scope per request; the
+///    requests/sec delta between the two is the number the bench harness
+///    reports.
 ///
 ///  * Long-horizon compaction: with CompactBridges (the default) the
 ///    session reference-counts theory atoms by the scopes that mention
@@ -52,6 +59,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace semcomm {
@@ -98,6 +106,10 @@ struct ServiceStats {
   /// drain already opened (zero under FIFO).
   uint64_t BatchedReuses = 0;
   uint64_t MethodsDischarged = 0;
+  /// Pair plans built: the plan table's size, at most one per catalog
+  /// pair served. Not part of snapshot() — a restored service re-plans
+  /// lazily.
+  uint64_t PlansBuilt = 0;
   double ServeMillis = 0; ///< Wall time spent inside drain().
   CatalogSessionStats Session;
 };
@@ -173,6 +185,9 @@ private:
     const ConditionEntry *Entry = nullptr;
   };
 
+  /// \p E's pair plan from the plan table, built on first use.
+  const PairPlan &planFor(const ConditionEntry &E);
+
   /// Discharges \p RR's two testing methods out of \p PP against the warm
   /// pair scope and appends the verdict.
   void serveOne(const ResolvedRequest &RR, const PairPlan &PP,
@@ -188,6 +203,8 @@ private:
   const CatalogPlan *Plan; ///< Pairs unmaterialized; must outlive Sess.
   std::unique_ptr<CatalogSession> Sess;
   std::map<std::string, size_t> FamIdxByName;
+  /// Pair plans by catalog entry, filled lazily by planFor().
+  std::unordered_map<const ConditionEntry *, PairPlan> Plans;
 
   std::vector<ResolvedRequest> Pending;
   std::vector<ServiceVerdict> VerdictLog;

@@ -946,17 +946,22 @@ TEST(ThreadPool, ParallelForCoversTheRange) {
 } // namespace
 
 TEST(DriverCli, ParseIntIsStrictAndBounded) {
-  // The one numeric-flag parser of semcommute-verify and semcommute-serve:
-  // whole base-10 integers inside [Min, Max], nothing else.
+  // The one numeric-flag parser of semcommute-verify, -serve, -lint and
+  // -indexgen: whole base-10 integers inside [Min, Max], nothing else.
   EXPECT_EQ(parseInt("3", 1), 3);
   EXPECT_EQ(parseInt("0", 0), 0);
   EXPECT_EQ(parseInt("-7", -10), -7);
   EXPECT_EQ(parseInt("4294967295", 0, UINT32_MAX), 4294967295LL);
+  EXPECT_EQ(parseInt("12441", 0, INT64_MAX), 12441);
 
   EXPECT_FALSE(parseInt("0", 1));   // --seq-bound 0 verifies vacuously.
-  EXPECT_FALSE(parseInt("-1", 0));  // --compact-min-dead -1 wrapped.
+  EXPECT_FALSE(parseInt("-1", 0));  // --compact-min-dead / --selfcheck -1
+                                    // wrapped.
   EXPECT_FALSE(parseInt("xyz", 1)); // --budget xyz read as budget 0.
   EXPECT_FALSE(parseInt("abc", 1)); // --requests abc read as 0 requests.
+  EXPECT_FALSE(parseInt("abc", 0)); // lint --seq-bound abc linted at 0.
+  EXPECT_FALSE(parseInt("4x", 1));  // indexgen --threads 4x read as 4.
+  EXPECT_FALSE(parseInt("abc", 0, INT64_MAX)); // --seed abc became 0.
   EXPECT_FALSE(parseInt("", 0));
   EXPECT_FALSE(parseInt("12abc", 0));
   EXPECT_FALSE(parseInt(" 5", 0));
@@ -964,4 +969,14 @@ TEST(DriverCli, ParseIntIsStrictAndBounded) {
   EXPECT_FALSE(parseInt("2147483648", 1)); // Above the default INT32_MAX.
   EXPECT_FALSE(parseInt("4294967296", 0, UINT32_MAX));
   EXPECT_FALSE(parseInt("99999999999999999999999", 0, INT64_MAX));
+}
+
+TEST(DriverCli, IntFlagOrExitDiagnosesAndExits2) {
+  // A bad value is a one-line diagnostic naming the flag and exit status 2.
+  EXPECT_EQ(intFlagOrExit("--seq-bound", "0", 0), 0);
+  EXPECT_EXIT(intFlagOrExit("--selfcheck", "-1", 0),
+              ::testing::ExitedWithCode(2),
+              "--selfcheck wants an integer >= 0, got '-1'");
+  EXPECT_EXIT(intFlagOrExit("--seed", "abc", 0, INT64_MAX),
+              ::testing::ExitedWithCode(2), "--seed wants an integer in");
 }

@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <set>
 
 using namespace semcomm;
 using namespace semcomm::service;
@@ -100,6 +101,105 @@ TEST(ServiceTest, BatchingGroupsSamePairRequests) {
   EXPECT_EQ(S.BatchedReuses, 3u);
   EXPECT_EQ(S.MethodsDischarged, 10u);
   EXPECT_TRUE(Svc.session().solver().reasonInvariantHolds());
+}
+
+// A pair's plan is built once per service lifetime: two full passes over
+// the whole catalog build one plan per catalog entry, while every pass
+// still opens (and retires) its own pair scopes — under batching one per
+// pair, under FIFO one per request.
+TEST(ServiceTest, PlansBuiltOncePerPair) {
+  ExprFactory F;
+  Catalog C(F);
+  std::vector<const Family *> Fams = families({"all"});
+  uint64_t Entries = 0;
+  for (const Family *Fam : Fams)
+    Entries += C.entries(*Fam).size();
+  std::vector<ServiceRequest> Pass = allRequests(C, Fams);
+
+  for (bool Batch : {true, false}) {
+    SCOPED_TRACE(Batch ? "batched" : "fifo");
+    ServiceConfig Cfg;
+    Cfg.Batch = Batch;
+    VerifyService Svc(C, Fams, Cfg);
+    std::string Error;
+    for (int P = 0; P != 2; ++P) {
+      for (const ServiceRequest &R : Pass)
+        ASSERT_TRUE(Svc.submit(R, Error)) << Error;
+      for (const ServiceVerdict &V : Svc.drain())
+        EXPECT_TRUE(V.verified()) << keyOf(V.Req);
+      EXPECT_EQ(Svc.stats().PlansBuilt, Entries) << "after pass " << P;
+    }
+    ServiceStats S = Svc.stats();
+    EXPECT_EQ(S.PairGroups, Batch ? 2 * Entries : 2 * Pass.size());
+  }
+}
+
+// Cached plans are as good as fresh ones: pairs served again after their
+// scopes were retired and their bridges compacted (CompactMinDead = 8)
+// reuse the table's plan, and every verdict equals a fresh verifyPair on
+// a new engine — a new plan in a new session.
+TEST(ServiceTest, CachedPlansMatchFreshPlans) {
+  ExprFactory F;
+  Catalog C(F);
+  std::vector<const Family *> Fams =
+      families({"Accumulator", "Set", "ArrayList"});
+
+  ServiceConfig Cfg;
+  Cfg.CompactMinDead = 8;
+  VerifyService Svc(C, Fams, Cfg);
+
+  auto PairOf = [](const ServiceRequest &R) {
+    return R.Family + "|" + R.Op1 + "," + R.Op2;
+  };
+  std::map<std::string, const ConditionEntry *> EntryOf;
+  for (const Family *Fam : Fams)
+    for (const ConditionEntry &E : C.entries(*Fam))
+      EntryOf[PairOf({Fam->Name, E.op1().Name, E.op2().Name})] = &E;
+  std::map<const ConditionEntry *, PairOutcome> Fresh;
+  auto FreshVerdict = [&](const ServiceRequest &R) {
+    const ConditionEntry *E = EntryOf.at(PairOf(R));
+    auto It = Fresh.find(E);
+    if (It == Fresh.end()) {
+      SymbolicEngine Eng(F, Cfg.SeqLenBound, Cfg.ConflictBudget);
+      It = Fresh.emplace(E, Eng.verifyPair(*E)).first;
+    }
+    size_t KindIdx = static_cast<size_t>(R.Kind);
+    return std::make_pair(It->second.Methods[2 * KindIdx].Verified,
+                          It->second.Methods[2 * KindIdx + 1].Verified);
+  };
+
+  std::vector<ServiceRequest> Universe = allRequests(C, Fams);
+  std::mt19937 Rng(19830);
+  std::uniform_int_distribution<size_t> Pick(0, Universe.size() - 1);
+  std::uniform_int_distribution<int> DrainNow(0, 5);
+  std::set<std::string> ServedBefore;
+  // ArrayList requests whose pair an earlier drain served and retired,
+  // with at least one compaction in between.
+  unsigned SeqRepeatsAfterCompaction = 0;
+  std::string Error;
+  for (int R = 0; R != 80; ++R) {
+    ASSERT_TRUE(Svc.submit(Universe[Pick(Rng)], Error)) << Error;
+    if (DrainNow(Rng) != 0 && R != 79)
+      continue;
+    bool Compacted = Svc.stats().Session.BridgeCompactions > 0;
+    std::vector<ServiceVerdict> Served = Svc.drain();
+    for (const ServiceVerdict &V : Served) {
+      EXPECT_EQ(std::make_pair(V.Sound, V.Complete), FreshVerdict(V.Req))
+          << keyOf(V.Req) << " at request " << R;
+      SeqRepeatsAfterCompaction += Compacted &&
+                                   V.Req.Family == "ArrayList" &&
+                                   ServedBefore.count(PairOf(V.Req));
+    }
+    for (const ServiceVerdict &V : Served)
+      ServedBefore.insert(PairOf(V.Req));
+    ASSERT_TRUE(Svc.session().solver().reasonInvariantHolds());
+  }
+
+  ServiceStats S = Svc.stats();
+  EXPECT_EQ(S.PlansBuilt, Fresh.size());
+  EXPECT_LT(S.PlansBuilt, S.PairGroups) << "no pair was served twice";
+  EXPECT_GT(S.Session.BridgeCompactions, 0u);
+  EXPECT_GT(SeqRepeatsAfterCompaction, 0u);
 }
 
 // The tentpole property: a compacting, selector-releasing, batched
@@ -263,6 +363,8 @@ TEST(ServiceTest, SnapshotRoundTripsAndResumesServing) {
   }
   EXPECT_EQ(Fresh.stats().Requests, Svc.stats().Requests);
   EXPECT_EQ(Fresh.stats().Drains, Svc.stats().Drains);
+  // The plan table is not part of the image: it refills lazily.
+  EXPECT_EQ(Fresh.stats().PlansBuilt, 0u);
 
   // The restored service re-warms and keeps serving with the same
   // verdicts the original produced.
@@ -270,6 +372,7 @@ TEST(ServiceTest, SnapshotRoundTripsAndResumesServing) {
   std::vector<ServiceVerdict> More = Fresh.drain();
   ASSERT_EQ(More.size(), 1u);
   EXPECT_TRUE(More.front().verified());
+  EXPECT_EQ(Fresh.stats().PlansBuilt, 1u);
 
   // Restoring into a service that has already served is rejected.
   EXPECT_FALSE(Fresh.restore(*Parsed, Error));

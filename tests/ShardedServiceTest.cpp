@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <set>
 
 using namespace semcomm;
 using namespace semcomm::service;
@@ -222,6 +223,50 @@ TEST(ShardedServiceTest, VerdictsInvariantAcrossThreadCounts) {
     EXPECT_EQ(untimed(Fresh.snapshot()["shard_snapshots"].at(0)),
               untimed(Image["shard_snapshots"].at(0)));
   }
+}
+
+// Each shard keeps its own plan table. Pair routing sends every request
+// of a pair to one shard, so the per-shard plan counts partition the
+// distinct pairs served: their sum is that count, with no pair planned
+// on two shards.
+TEST(ShardedServiceTest, PlanTablesPartitionServedPairs) {
+  ExprFactory F;
+  Catalog C(F);
+  std::vector<const Family *> Fams = families({"Accumulator", "Set"});
+  std::vector<ServiceRequest> Universe = allRequests(C, Fams);
+
+  ShardedServiceConfig Cfg;
+  Cfg.Shards = 4;
+  Cfg.Threads = 4;
+  ShardedVerifyService Svc(C, Fams, Cfg);
+
+  std::vector<std::set<std::string>> PairsOf(Cfg.Shards);
+  std::set<std::string> Distinct;
+  std::mt19937 Rng(4242);
+  std::uniform_int_distribution<size_t> Pick(0, Universe.size() - 1);
+  std::string Error;
+  for (int R = 0; R != 200; ++R) {
+    const ServiceRequest &Req = Universe[Pick(Rng)];
+    std::string Pair = Req.Family + "|" + Req.Op1 + "," + Req.Op2;
+    PairsOf[Svc.shardOf(Req)].insert(Pair);
+    Distinct.insert(Pair);
+    ASSERT_TRUE(Svc.submit(Req, Error)) << Error;
+    if (R % 32 != 31 && R != 199)
+      continue;
+    for (const ServiceVerdict &V : Svc.drain())
+      EXPECT_TRUE(V.verified()) << keyOf(V.Req);
+  }
+
+  ShardedServiceStats S = Svc.stats();
+  uint64_t Planned = 0, Groups = 0;
+  for (size_t Sh = 0; Sh != Cfg.Shards; ++Sh) {
+    EXPECT_EQ(S.Shards[Sh].Stats.PlansBuilt, PairsOf[Sh].size())
+        << "shard " << Sh;
+    Planned += S.Shards[Sh].Stats.PlansBuilt;
+    Groups += S.Shards[Sh].Stats.PairGroups;
+  }
+  EXPECT_EQ(Planned, Distinct.size());
+  EXPECT_LT(Planned, Groups) << "no pair was served in two drains";
 }
 
 // The sharded snapshot round-trips through its textual form, restores

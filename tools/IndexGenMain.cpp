@@ -22,6 +22,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "DriverCore.h"
 #include "index/CommutativityIndex.h"
 #include "index/IndexFuzz.h"
 
@@ -89,21 +90,18 @@ int main(int argc, char **argv) {
       continue;
     }
     if (Arg == "--selfcheck") {
-      SelfCheck = static_cast<unsigned>(std::atoi(NextValue("--selfcheck")));
+      SelfCheck = static_cast<unsigned>(
+          driver::intFlagOrExit("--selfcheck", NextValue("--selfcheck"), 0));
       continue;
     }
     if (Arg == "--threads") {
-      int N = std::atoi(NextValue("--threads"));
-      if (N < 1) {
-        std::fprintf(stderr, "semcommute-indexgen: --threads must be >= 1\n");
-        return 2;
-      }
-      Threads = static_cast<unsigned>(N);
+      Threads = static_cast<unsigned>(
+          driver::intFlagOrExit("--threads", NextValue("--threads"), 1));
       continue;
     }
     if (Arg == "--seed") {
-      Seed = static_cast<uint64_t>(std::strtoull(NextValue("--seed"),
-                                                 nullptr, 10));
+      Seed = static_cast<uint64_t>(driver::intFlagOrExit(
+          "--seed", NextValue("--seed"), 0, INT64_MAX));
       continue;
     }
     if (Arg == "--json") {

@@ -20,6 +20,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "DriverCore.h"
 #include "lint/Lint.h"
 
 #include "logic/ExprFactory.h"
@@ -128,11 +129,8 @@ int main(int argc, char **argv) {
       continue;
     }
     if (Arg == "--seq-bound") {
-      SeqLenBound = std::atoi(NextValue("--seq-bound"));
-      if (SeqLenBound < 0) {
-        std::fprintf(stderr, "semcommute-lint: --seq-bound must be >= 0\n");
-        return 2;
-      }
+      SeqLenBound = static_cast<int>(
+          driver::intFlagOrExit("--seq-bound", NextValue("--seq-bound"), 0));
       continue;
     }
     if (Arg == "--json") {

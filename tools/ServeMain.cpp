@@ -160,6 +160,7 @@ ServiceStats aggregateStats(const ShardedServiceStats &SS) {
     Agg.PairGroups += Sh.Stats.PairGroups;
     Agg.BatchedReuses += Sh.Stats.BatchedReuses;
     Agg.MethodsDischarged += Sh.Stats.MethodsDischarged;
+    Agg.PlansBuilt += Sh.Stats.PlansBuilt;
     const CatalogSessionStats &In = Sh.Stats.Session;
     CatalogSessionStats &Out = Agg.Session;
     Out.FamiliesOpened += In.FamiliesOpened;
@@ -512,6 +513,7 @@ int main(int argc, char **argv) {
     };
     SetU("pair_groups", S.PairGroups);
     SetU("batched_reuses", S.BatchedReuses);
+    SetU("plans_built", S.PlansBuilt);
     SetU("pairs_opened", S.Session.PairsOpened);
     SetU("pairs_retired", S.Session.PairsRetired);
     SetU("prefix_asserts", S.Session.PrefixAsserts);
@@ -607,12 +609,13 @@ int main(int argc, char **argv) {
 
   uint64_t ServedNow = Svc.log().size() - RestoredVerdicts;
   std::printf("served %llu requests in %.1f ms (%.1f req/s): %s; "
-              "%llu pair groups, %llu batched reuses, %llu compactions, "
-              "%llu selectors released\n",
+              "%llu pair groups, %llu plans built, %llu batched reuses, "
+              "%llu compactions, %llu selectors released\n",
               (unsigned long long)ServedNow, TotalMillis,
               TotalMillis > 0 ? 1e3 * (double)ServedNow / TotalMillis : 0.0,
               Exit == 0 ? "OK" : "FAILED",
               (unsigned long long)S.PairGroups,
+              (unsigned long long)S.PlansBuilt,
               (unsigned long long)S.BatchedReuses,
               (unsigned long long)S.Session.BridgeCompactions,
               (unsigned long long)S.Session.ReleasedSelectors);
