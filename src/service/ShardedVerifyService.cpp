@@ -10,7 +10,7 @@
 
 #include "support/Timing.h"
 
-#include <cassert>
+#include <cmath>
 
 using namespace semcomm;
 using namespace semcomm::service;
@@ -27,6 +27,83 @@ uint64_t fnv1a(const std::string &S, uint64_t H = 1469598103934665603ull) {
   return H;
 }
 
+const char *routeName(RouteBy R) {
+  return R == RouteBy::Pair ? "pair" : "family";
+}
+
+/// The config block of a snapshot: every ServiceConfig field plus the
+/// shard count and routing (not Threads: it never changes a verdict, a
+/// log or a counter).
+json::Value configImage(const ShardedServiceConfig &Cfg) {
+  const ServiceConfig &B = Cfg.Base;
+  json::Value V = json::Value::object();
+  V.set("batch", json::Value::boolean(B.Batch));
+  V.set("compact_bridges", json::Value::boolean(B.CompactBridges));
+  V.set("release_selectors", json::Value::boolean(B.ReleaseSelectors));
+  V.set("certify", json::Value::boolean(B.Certify));
+  V.set("seq_len_bound", json::Value::integer(B.SeqLenBound));
+  V.set("conflict_budget", json::Value::integer(B.ConflictBudget));
+  V.set("compact_min_dead",
+        json::Value::integer(static_cast<int64_t>(B.CompactMinDead)));
+  V.set("shards", json::Value::integer(Cfg.Shards));
+  V.set("route", json::Value::string(routeName(Cfg.Route)));
+  return V;
+}
+
+json::Value verdictRow(const ServiceVerdict &V) {
+  json::Value Row = json::Value::object();
+  Row.set("family", json::Value::string(V.Req.Family));
+  Row.set("op1", json::Value::string(V.Req.Op1));
+  Row.set("op2", json::Value::string(V.Req.Op2));
+  Row.set("kind", json::Value::string(conditionKindName(V.Req.Kind)));
+  Row.set("sound", json::Value::boolean(V.Sound));
+  Row.set("complete", json::Value::boolean(V.Complete));
+  return Row;
+}
+
+json::Value counter(uint64_t N) {
+  return json::Value::integer(static_cast<int64_t>(N));
+}
+
+/// Checks that \p Got is an object with exactly \p Want's members, in
+/// order and of the same kinds, every number finite and non-negative —
+/// the layout snapshot() writes, so whatever restore() accepts
+/// re-snapshots to the same image. \p Where names \p Got ("" at the
+/// root).
+bool sameLayout(const json::Value &Got, const json::Value &Want,
+                const std::string &Where, std::string &Error) {
+  auto Field = [&](const std::string &Key) {
+    return "snapshot field '" + (Where.empty() ? Key : Where + "." + Key) +
+           "' ";
+  };
+  if (!Got.isObject()) {
+    Error = "snapshot field '" + Where + "' is not an object";
+    return false;
+  }
+  const auto &Have = Got.members();
+  const auto &Need = Want.members();
+  for (size_t I = 0; I != Need.size(); ++I) {
+    const std::string &Key = Need[I].first;
+    if (I == Have.size() || Have[I].first != Key) {
+      Error = Field(Key) + (Got.find(Key) ? "is out of order" : "is missing");
+      return false;
+    }
+    const json::Value &V = Have[I].second;
+    if (V.kind() != Need[I].second.kind()) {
+      Error = Field(Key) + "has the wrong type";
+      return false;
+    }
+    if (V.isNumber() && !(V.asDouble() >= 0 && std::isfinite(V.asDouble()))) {
+      Error = Field(Key) + "is negative or not finite";
+      return false;
+    }
+  }
+  if (Have.size() == Need.size())
+    return true;
+  Error = Field(Have[Need.size()].first) + "is unknown";
+  return false;
+}
+
 } // namespace
 
 ShardedVerifyService::ShardedVerifyService(
@@ -35,6 +112,8 @@ ShardedVerifyService::ShardedVerifyService(
     : C(C), Fams(Fams), Cfg(Config) {
   if (Cfg.Shards == 0)
     Cfg.Shards = 1;
+  for (size_t I = 0; I != Fams.size(); ++I)
+    FamIdxByName.emplace(Fams[I]->Name, I);
 
   Stopwatch PlanTimer;
   {
@@ -50,8 +129,8 @@ ShardedVerifyService::ShardedVerifyService(
   for (unsigned S = 0; S != Cfg.Shards; ++S) {
     const PrefixImage *Img = (S > 0 && !Prefix.empty()) ? &Prefix : nullptr;
     Stopwatch WarmTimer;
-    Shards.push_back(std::make_unique<VerifyService>(C, Fams, Cfg.Base,
-                                                     &Plan, Img));
+    Shards.push_back(
+        std::make_unique<VerifyService>(C, Plan, Cfg.Base, Img));
     WarmupMillis[S] = WarmTimer.millis();
     // Shard 0 encoded the prefix from scratch; capture it once for every
     // later shard (the export itself is outside the shard warm-up time —
@@ -71,9 +150,32 @@ size_t ShardedVerifyService::shardOf(const ServiceRequest &R) const {
   return static_cast<size_t>(H % Shards.size());
 }
 
+bool ShardedVerifyService::resolve(const ServiceRequest &R,
+                                   ResolvedRequest &Out,
+                                   std::string &Error) const {
+  auto FI = FamIdxByName.find(R.Family);
+  if (FI == FamIdxByName.end()) {
+    Error = "family '" + R.Family + "' is not served by this service";
+    return false;
+  }
+  for (const ConditionEntry &E : C.entries(*Fams[FI->second]))
+    if (E.op1().Name == R.Op1 && E.op2().Name == R.Op2) {
+      Out = {R, FI->second, &E};
+      return true;
+    }
+  Error = "no catalog entry for pair (" + R.Op1 + ", " + R.Op2 +
+          ") in family " + R.Family;
+  return false;
+}
+
 bool ShardedVerifyService::submit(const ServiceRequest &R,
                                   std::string &Error) {
-  return Shards[shardOf(R)]->submit(R, Error);
+  ResolvedRequest RR;
+  if (!resolve(R, RR, Error))
+    return false;
+  Shards[shardOf(R)]->submit(RR);
+  Error.clear();
+  return true;
 }
 
 size_t ShardedVerifyService::pending() const {
@@ -102,8 +204,8 @@ std::vector<ServiceVerdict> ShardedVerifyService::drain() {
 
   for (std::vector<ServiceVerdict> &Group : PerShard)
     for (ServiceVerdict &V : Group) {
-      Combined.push_back(V);
-      VerdictLog.push_back(std::move(V));
+      VerdictLog.push_back(V);
+      Combined.push_back(std::move(V));
     }
   ServeMillis += Timer.millis();
   return Combined;
@@ -158,31 +260,29 @@ proof::CertifySummary ShardedVerifyService::finishCertification() {
 }
 
 json::Value ShardedVerifyService::snapshot() const {
-  json::Value V = json::Value::object();
-  V.set("schema", json::Value::integer(2));
-  V.set("shards", json::Value::integer(static_cast<int64_t>(Shards.size())));
-  V.set("route", json::Value::string(Cfg.Route == RouteBy::Pair ? "pair"
-                                                                : "family"));
-  V.set("drains", json::Value::integer(static_cast<int64_t>(Drains)));
-  V.set("serve_millis", json::Value::number(ServeMillis));
-
-  json::Value Log = json::Value::array();
-  for (const ServiceVerdict &SV : VerdictLog) {
+  json::Value Families = json::Value::array();
+  for (const Family *F : Fams)
+    Families.push(json::Value::string(F->Name));
+  json::Value ShardRows = json::Value::array();
+  for (const auto &S : Shards) {
+    ServiceStats St = S->stats();
     json::Value Row = json::Value::object();
-    Row.set("family", json::Value::string(SV.Req.Family));
-    Row.set("op1", json::Value::string(SV.Req.Op1));
-    Row.set("op2", json::Value::string(SV.Req.Op2));
-    Row.set("kind", json::Value::string(serviceKindName(SV.Req.Kind)));
-    Row.set("sound", json::Value::boolean(SV.Sound));
-    Row.set("complete", json::Value::boolean(SV.Complete));
-    Log.push(std::move(Row));
+    Row.set("drains", counter(St.Drains));
+    Row.set("pair_groups", counter(St.PairGroups));
+    ShardRows.push(std::move(Row));
   }
-  V.set("log", std::move(Log));
+  json::Value Log = json::Value::array();
+  for (const ServiceVerdict &SV : VerdictLog)
+    Log.push(verdictRow(SV));
 
-  json::Value ShardSnaps = json::Value::array();
-  for (const auto &S : Shards)
-    ShardSnaps.push(S->snapshot());
-  V.set("shard_snapshots", std::move(ShardSnaps));
+  json::Value V = json::Value::object();
+  V.set("schema", json::Value::integer(3));
+  V.set("config", configImage(Cfg));
+  V.set("families", std::move(Families));
+  V.set("drains", counter(Drains));
+  V.set("serve_millis", json::Value::number(ServeMillis));
+  V.set("shard_counters", std::move(ShardRows));
+  V.set("log", std::move(Log));
   return V;
 }
 
@@ -193,62 +293,92 @@ bool ShardedVerifyService::restore(const json::Value &V,
             "requests)";
     return false;
   }
-  const json::Value *Schema = V.find("schema");
-  if (!Schema || !Schema->isInt() || Schema->asInt() != 2) {
-    Error = "unsupported sharded snapshot schema";
+  // The fresh service's own image is the layout template. Everything is
+  // validated into locals first: a rejected snapshot leaves the service
+  // fresh.
+  const json::Value Fresh = snapshot();
+  if (V["schema"] != Fresh["schema"]) {
+    Error = "snapshot field 'schema' is not 3 (unsupported snapshot schema)";
     return false;
   }
-  const json::Value *NumShards = V.find("shards");
-  if (!NumShards || !NumShards->isInt() ||
-      NumShards->asInt() != static_cast<int64_t>(Shards.size())) {
-    Error = "snapshot config field 'shards' is " +
-            std::string(NumShards && NumShards->isInt()
-                            ? std::to_string(NumShards->asInt())
-                            : "missing") +
-            " but the live service has " + std::to_string(Shards.size());
+  if (!sameLayout(V, Fresh, "", Error) ||
+      !sameLayout(V["config"], Fresh["config"], "config", Error))
     return false;
-  }
-  const json::Value *Route = V.find("route");
-  std::string LiveRoute = Cfg.Route == RouteBy::Pair ? "pair" : "family";
-  if (!Route || !Route->isString() || Route->asString() != LiveRoute) {
-    Error = "snapshot config field 'route' does not match the live "
-            "service's ('" +
-            LiveRoute + "')";
-    return false;
-  }
-
-  const json::Value *ShardSnaps = V.find("shard_snapshots");
-  if (!ShardSnaps || !ShardSnaps->isArray() ||
-      ShardSnaps->size() != Shards.size()) {
-    Error = "snapshot has no per-shard snapshots";
-    return false;
-  }
-  for (size_t S = 0; S != Shards.size(); ++S)
-    if (!Shards[S]->restore(ShardSnaps->at(S), Error)) {
-      Error = "shard " + std::to_string(S) + ": " + Error;
+  for (const auto &[Key, Live] : Fresh["config"].members())
+    if (V["config"][Key] != Live) {
+      Error = "snapshot config field '" + Key + "' is " +
+              V["config"][Key].dump() + " but the live service has " +
+              Live.dump();
       return false;
     }
+  if (V["families"] != Fresh["families"]) {
+    Error = "snapshot field 'families' does not match the service's "
+            "family set";
+    return false;
+  }
 
+  // The log, resolved and routed: the routing rebuilds each shard's
+  // request count.
   std::vector<ServiceVerdict> Restored;
-  const json::Value *Log = V.find("log");
-  if (!Log || !Log->isArray()) {
-    Error = "snapshot has no verdict log";
-    return false;
-  }
-  for (size_t I = 0; I != Log->size(); ++I) {
-    const json::Value &Row = Log->at(I);
-    ServiceVerdict SV;
-    SV.Req.Family = Row["family"].asString();
-    SV.Req.Op1 = Row["op1"].asString();
-    SV.Req.Op2 = Row["op2"].asString();
-    if (!parseServiceKind(Row["kind"].asString(), SV.Req.Kind)) {
-      Error = "snapshot log row " + std::to_string(I) + " has a bad kind";
+  std::vector<uint64_t> Routed(Shards.size(), 0);
+  const json::Value RowLayout = verdictRow(ServiceVerdict());
+  const json::Value &Log = V["log"];
+  for (size_t I = 0; I != Log.size(); ++I) {
+    std::string Where = "log[" + std::to_string(I) + "]";
+    const json::Value &Row = Log.at(I);
+    if (!sameLayout(Row, RowLayout, Where, Error))
+      return false;
+    ServiceVerdict SV{{Row["family"].asString(), Row["op1"].asString(),
+                       Row["op2"].asString()},
+                      Row["sound"].asBool(),
+                      Row["complete"].asBool()};
+    bool KnownKind = false;
+    for (ConditionKind K : {ConditionKind::Before, ConditionKind::Between,
+                            ConditionKind::After})
+      if (Row["kind"].asString() == conditionKindName(K)) {
+        SV.Req.Kind = K;
+        KnownKind = true;
+      }
+    if (!KnownKind) {
+      Error = "snapshot field '" + Where + ".kind' is not before, between "
+              "or after";
       return false;
     }
-    SV.Sound = Row["sound"].asBool();
-    SV.Complete = Row["complete"].asBool();
+    ResolvedRequest RR;
+    if (!resolve(SV.Req, RR, Error)) {
+      Error = "snapshot field '" + Where + "': " + Error;
+      return false;
+    }
+    ++Routed[shardOf(SV.Req)];
     Restored.push_back(std::move(SV));
   }
+
+  const json::Value &ShardRows = V["shard_counters"];
+  if (ShardRows.size() != Shards.size()) {
+    Error = "snapshot field 'shard_counters' does not hold one row per "
+            "shard";
+    return false;
+  }
+  for (size_t S = 0; S != Shards.size(); ++S) {
+    std::string Where = "shard_counters[" + std::to_string(S) + "]";
+    if (!sameLayout(ShardRows.at(S), Fresh["shard_counters"].at(0), Where,
+                    Error))
+      return false;
+    // Every served request belongs to exactly one pair group.
+    if (ShardRows.at(S)["pair_groups"].asInt() >
+        static_cast<int64_t>(Routed[S])) {
+      Error = "snapshot field '" + Where + ".pair_groups' exceeds the " +
+              std::to_string(Routed[S]) + " requests the log routes to "
+              "the shard";
+      return false;
+    }
+  }
+
+  for (size_t S = 0; S != Shards.size(); ++S)
+    Shards[S]->restoreCounters(
+        Routed[S],
+        static_cast<uint64_t>(ShardRows.at(S)["drains"].asInt()),
+        static_cast<uint64_t>(ShardRows.at(S)["pair_groups"].asInt()));
   VerdictLog = std::move(Restored);
   Drains = static_cast<uint64_t>(V["drains"].asInt());
   ServeMillis = V["serve_millis"].asDouble();

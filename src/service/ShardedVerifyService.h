@@ -7,20 +7,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// N warm verification sessions behind one submit/drain front-end — the
-/// one serving path (semcommute-serve runs one shard by default). Each
-/// shard is a full VerifyService (warm CatalogSession, prefix-batched
-/// drains, compaction) serving the same catalog; requests are routed to
-/// shards by a stable hash of their family (or family+pair — the default,
-/// which balances the four-family catalog), and a drain runs every shard's
-/// batched drain, on a work-stealing ThreadPool when Threads > 1. With one
-/// shard the front-end adds only routing and stats to a bare VerifyService:
-/// same verdict log, same session, same peaks.
+/// The verification service: N warm sessions (shards) behind one
+/// submit/drain front-end — the one serving path (semcommute-serve runs
+/// one shard by default). The front-end resolves every request against
+/// the served catalog, routes it to a shard by a stable hash of its family
+/// (or family+pair — the default, which balances the four-family
+/// catalog), keeps the one verdict log, and owns the snapshot. Each shard
+/// is a VerifyService (warm CatalogSession, plan table, prefix-batched
+/// drains, compaction) that serves only what it is handed; a drain runs
+/// every shard's drain, on a work-stealing ThreadPool when Threads > 1.
 ///
 /// What makes N shards cheaper than N processes:
 ///
-///  * One catalog plan. planCatalog runs once; every shard serves from
-///    the shared read-only plan.
+///  * One catalog plan. planCatalog runs once, here; every shard serves
+///    from the shared read-only plan.
 ///  * One prefix encoding. Shard 0 asserts the catalog-common prefix +
 ///    bridge lattice from scratch and exports it as a PrefixImage; every
 ///    other shard *loads* the image (a propositional replay) instead of
@@ -28,11 +28,20 @@
 ///
 /// Determinism: routing and per-shard serve order are functions of the
 /// request stream alone — never of thread scheduling — and shards share
-/// nothing mutable while they drain. drain() returns the
-/// per-shard verdict groups concatenated in shard-id order, so at a fixed
-/// shard count the combined verdict log is byte-identical across thread
-/// counts (ShardedServiceTest pins 1 vs 8 threads), and verdict *values*
-/// equal the single-session VerifyService reference.
+/// nothing mutable while they drain. drain() returns the per-shard verdict
+/// groups concatenated in shard-id order, so at a fixed shard count the
+/// verdict log is byte-identical across thread counts (ShardedServiceTest
+/// pins 1 vs 8 threads), and verdict *values* are the same at every shard
+/// count.
+///
+/// Snapshot / reload: snapshot() serializes the service image (schema 3:
+/// the config, the served families, the front-end counters, one counter
+/// row per shard, and the verdict log) to JSON; restore() loads it into a
+/// freshly constructed service. A shard's request count is not stored:
+/// restore routes the restored log through shardOf. The warm solver state
+/// is deliberately not serialized — it is a deterministic function of the
+/// catalog, so a reloaded service re-warms lazily as requests arrive while
+/// its counters and log continue from the snapshot.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,9 +49,11 @@
 #define SEMCOMM_SERVICE_SHARDEDVERIFYSERVICE_H
 
 #include "service/VerifyService.h"
+#include "support/Json.h"
 #include "support/ThreadPool.h"
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -93,21 +104,23 @@ struct ShardedServiceStats {
   double WarmupImportMillisAvg = 0;
 };
 
-/// The sharded front-end. Not thread-safe at the interface: one caller
-/// submits and drains; drains fan out internally.
+/// The verification service: the front-end over its shards. Not
+/// thread-safe at the interface: one caller submits and drains; drains
+/// fan out internally.
 class ShardedVerifyService {
 public:
   ShardedVerifyService(const Catalog &C,
                        const std::vector<const Family *> &Fams,
                        const ShardedServiceConfig &Cfg);
 
-  /// Routes and queues one request (see VerifyService::submit for the
-  /// rejection cases).
+  /// Resolves, routes and queues one request. Returns false — with
+  /// \p Error set — when the family is not served or the pair has no
+  /// catalog entry.
   bool submit(const ServiceRequest &R, std::string &Error);
 
   /// Drains every shard (parallel when Threads > 1) and returns the
   /// per-shard verdict groups concatenated in shard-id order. The
-  /// combined verdicts are also appended to log().
+  /// verdicts are also appended to log().
   std::vector<ServiceVerdict> drain();
 
   size_t pending() const;
@@ -130,16 +143,24 @@ public:
   /// checked independently — per-shard --certify).
   proof::CertifySummary finishCertification();
 
-  /// Serializes the full sharded image: front-end config, the combined
-  /// verdict log, and every shard's own snapshot.
+  /// Serializes the service image (schema 3; see the file comment).
   json::Value snapshot() const;
-  /// Restores a snapshot() into a freshly constructed front-end. The
-  /// shard count, routing, and every per-shard config must match.
+  /// Restores a snapshot() into a freshly constructed service. Every
+  /// config field and the family set must match this service's, every
+  /// field must have its type and range, and every log row must name a
+  /// served (family, pair). Anything else is rejected with a one-line
+  /// \p Error naming the field, and the service stays fresh.
   bool restore(const json::Value &V, std::string &Error);
 
 private:
+  /// Resolves \p R against the served catalog (false with \p Error set
+  /// when the family is not served or the pair has no catalog entry).
+  bool resolve(const ServiceRequest &R, ResolvedRequest &Out,
+               std::string &Error) const;
+
   const Catalog &C;
   std::vector<const Family *> Fams;
+  std::map<std::string, size_t> FamIdxByName;
   ShardedServiceConfig Cfg;
   CatalogPlan Plan; ///< Shared, read-only; outlives every shard.
   PrefixImage Prefix;

@@ -1,4 +1,4 @@
-//===- service/VerifyService.cpp - Warm catalog verification service --------===//
+//===- service/VerifyService.cpp - Verification service shard ------------===//
 //
 // Part of the SemCommute project: a reproduction of Kim & Rinard,
 // "Verification of Semantic Commutativity Conditions and Inverse Operations
@@ -11,80 +11,21 @@
 #include "support/Timing.h"
 
 #include <cassert>
-#include <utility>
+#include <map>
 
 using namespace semcomm;
 using namespace semcomm::service;
 
-const char *semcomm::service::serviceKindName(ConditionKind K) {
-  switch (K) {
-  case ConditionKind::Before:
-    return "before";
-  case ConditionKind::Between:
-    return "between";
-  case ConditionKind::After:
-    return "after";
-  }
-  return "before";
-}
-
-bool semcomm::service::parseServiceKind(const std::string &Name,
-                                        ConditionKind &K) {
-  if (Name == "before")
-    K = ConditionKind::Before;
-  else if (Name == "between")
-    K = ConditionKind::Between;
-  else if (Name == "after")
-    K = ConditionKind::After;
-  else
-    return false;
-  return true;
-}
-
-VerifyService::VerifyService(const Catalog &C,
-                             const std::vector<const Family *> &Fams,
+VerifyService::VerifyService(const Catalog &C, const CatalogPlan &Plan,
                              const ServiceConfig &Cfg,
-                             const CatalogPlan *SharedPlan,
                              const PrefixImage *Prefix)
-    : C(C), Fams(Fams), Cfg(Cfg),
+    : Cfg(Cfg),
       Eng(C.factory(), Cfg.SeqLenBound, Cfg.ConflictBudget,
-          SolveMode::SharedCatalog) {
-  if (SharedPlan) {
-    Plan = SharedPlan;
-  } else {
-    OwnedPlan = std::make_unique<CatalogPlan>(Eng.planCatalog(C, Fams));
-    Plan = OwnedPlan.get();
-  }
-  for (size_t I = 0; I != Fams.size(); ++I)
-    FamIdxByName.emplace(Fams[I]->Name, I);
-  Sess = std::make_unique<CatalogSession>(C.factory(), *Plan,
-                                          Cfg.ConflictBudget, Cfg.Certify,
-                                          Cfg.CompactBridges,
-                                          Cfg.CompactMinDead, Prefix);
-  Sess->configureClauseGc(true);
-  Sess->session().setSelectorRelease(Cfg.ReleaseSelectors);
-}
-
-bool VerifyService::submit(const ServiceRequest &R, std::string &Error) {
-  auto FI = FamIdxByName.find(R.Family);
-  if (FI == FamIdxByName.end()) {
-    Error = "family '" + R.Family + "' is not served by this service";
-    return false;
-  }
-  const ConditionEntry *Entry = nullptr;
-  for (const ConditionEntry &E : C.entries(*Fams[FI->second]))
-    if (E.op1().Name == R.Op1 && E.op2().Name == R.Op2) {
-      Entry = &E;
-      break;
-    }
-  if (!Entry) {
-    Error = "no catalog entry for pair (" + R.Op1 + ", " + R.Op2 +
-            ") in family " + R.Family;
-    return false;
-  }
-  Pending.push_back({R, FI->second, Entry});
-  Error.clear();
-  return true;
+          SolveMode::SharedCatalog),
+      Sess(C.factory(), Plan, Cfg.ConflictBudget, Cfg.Certify,
+           Cfg.CompactBridges, Cfg.CompactMinDead, Prefix) {
+  Sess.configureClauseGc(true);
+  Sess.session().setSelectorRelease(Cfg.ReleaseSelectors);
 }
 
 const PairPlan &VerifyService::planFor(const ConditionEntry &E) {
@@ -102,12 +43,10 @@ void VerifyService::serveOne(const ResolvedRequest &RR, const PairPlan &PP,
   for (size_t Role = 0; Role != 2; ++Role) {
     const MethodPlan &MP = PP.Methods[2 * KindIdx + Role];
     SymbolicResult R;
-    bool Ok = Sess->discharge(RR.FamIdx, PP.Key, MP, R);
-    ++MethodsDischarged;
-    (Role == 0 ? V.Sound : V.Complete) = Ok;
+    (Role == 0 ? V.Sound : V.Complete) =
+        Sess.discharge(RR.FamIdx, PP.Key, MP, R);
   }
-  Out.push_back(V);
-  VerdictLog.push_back(std::move(V));
+  Out.push_back(std::move(V));
 }
 
 std::vector<ServiceVerdict> VerifyService::drain() {
@@ -148,10 +87,9 @@ std::vector<ServiceVerdict> VerifyService::drain() {
       for (const Group &G : Groups[FamIdx]) {
         const PairPlan &PP = planFor(*G.Entry);
         ++PairGroups;
-        BatchedReuses += G.Reqs.size() - 1;
         for (const ResolvedRequest *RR : G.Reqs)
           serveOne(*RR, PP, Out);
-        Sess->retirePair(FamIdx, PP.Key);
+        Sess.retirePair(FamIdx, PP.Key);
       }
   } else {
     // FIFO baseline: arrival order, one pair scope per request, retired
@@ -160,10 +98,11 @@ std::vector<ServiceVerdict> VerifyService::drain() {
       const PairPlan &PP = planFor(*RR.Entry);
       ++PairGroups;
       serveOne(RR, PP, Out);
-      Sess->retirePair(RR.FamIdx, PP.Key);
+      Sess.retirePair(RR.FamIdx, PP.Key);
     }
   }
 
+  Requests += Pending.size();
   Pending.clear();
   ServeMillis += Timer.millis();
   return Out;
@@ -171,124 +110,21 @@ std::vector<ServiceVerdict> VerifyService::drain() {
 
 ServiceStats VerifyService::stats() const {
   ServiceStats S;
-  S.Requests = VerdictLog.size();
+  S.Requests = Requests;
   S.Drains = Drains;
   S.PairGroups = PairGroups;
-  S.BatchedReuses = BatchedReuses;
-  S.MethodsDischarged = MethodsDischarged;
+  S.BatchedReuses = Requests - PairGroups;
+  S.MethodsDischarged = 2 * Requests;
   S.PlansBuilt = Plans.size();
   S.ServeMillis = ServeMillis;
-  S.Session = Sess->stats();
+  S.Session = Sess.stats();
   return S;
 }
 
-json::Value VerifyService::snapshot() const {
-  json::Value Config = json::Value::object();
-  Config.set("batch", json::Value::boolean(Cfg.Batch));
-  Config.set("compact_bridges", json::Value::boolean(Cfg.CompactBridges));
-  Config.set("release_selectors",
-             json::Value::boolean(Cfg.ReleaseSelectors));
-  Config.set("certify", json::Value::boolean(Cfg.Certify));
-  Config.set("seq_len_bound", json::Value::integer(Cfg.SeqLenBound));
-  Config.set("conflict_budget", json::Value::integer(Cfg.ConflictBudget));
-  Config.set("compact_min_dead",
-             json::Value::integer(static_cast<int64_t>(Cfg.CompactMinDead)));
-
-  json::Value Families = json::Value::array();
-  for (const Family *F : Fams)
-    Families.push(json::Value::string(F->Name));
-
-  json::Value Log = json::Value::array();
-  for (const ServiceVerdict &V : VerdictLog) {
-    json::Value Row = json::Value::object();
-    Row.set("family", json::Value::string(V.Req.Family));
-    Row.set("op1", json::Value::string(V.Req.Op1));
-    Row.set("op2", json::Value::string(V.Req.Op2));
-    Row.set("kind", json::Value::string(serviceKindName(V.Req.Kind)));
-    Row.set("sound", json::Value::boolean(V.Sound));
-    Row.set("complete", json::Value::boolean(V.Complete));
-    Log.push(std::move(Row));
-  }
-
-  json::Value V = json::Value::object();
-  V.set("schema", json::Value::integer(1));
-  V.set("config", std::move(Config));
-  V.set("families", std::move(Families));
-  V.set("drains", json::Value::integer(static_cast<int64_t>(Drains)));
-  V.set("pair_groups",
-        json::Value::integer(static_cast<int64_t>(PairGroups)));
-  V.set("batched_reuses",
-        json::Value::integer(static_cast<int64_t>(BatchedReuses)));
-  V.set("methods_discharged",
-        json::Value::integer(static_cast<int64_t>(MethodsDischarged)));
-  V.set("serve_millis", json::Value::number(ServeMillis));
-  V.set("log", std::move(Log));
-  return V;
-}
-
-bool VerifyService::restore(const json::Value &V, std::string &Error) {
-  if (!VerdictLog.empty() || !Pending.empty()) {
-    Error = "restore requires a fresh service (no served or pending "
-            "requests)";
-    return false;
-  }
-  const json::Value *Schema = V.find("schema");
-  if (!Schema || !Schema->isInt() || Schema->asInt() != 1) {
-    Error = "unsupported snapshot schema";
-    return false;
-  }
-  // A snapshot from a differently batched service carries counters
-  // (PairGroups, BatchedReuses) this service's drains could never have
-  // produced — reject instead of silently mixing disciplines.
-  const json::Value *Config = V.find("config");
-  const json::Value *Batch = Config ? Config->find("batch") : nullptr;
-  if (Batch && Batch->isBool() && Batch->asBool() != Cfg.Batch) {
-    Error = std::string("snapshot config field 'batch' is ") +
-            (Batch->asBool() ? "true" : "false") +
-            " but the live service was built with batch=" +
-            (Cfg.Batch ? "true" : "false");
-    return false;
-  }
-  const json::Value *Families = V.find("families");
-  if (!Families || !Families->isArray() || Families->size() != Fams.size()) {
-    Error = "snapshot family set does not match the service's";
-    return false;
-  }
-  for (size_t I = 0; I != Fams.size(); ++I)
-    if (!Families->at(I).isString() ||
-        Families->at(I).asString() != Fams[I]->Name) {
-      Error = "snapshot family set does not match the service's";
-      return false;
-    }
-
-  std::vector<ServiceVerdict> Restored;
-  const json::Value *Log = V.find("log");
-  if (!Log || !Log->isArray()) {
-    Error = "snapshot has no verdict log";
-    return false;
-  }
-  for (size_t I = 0; I != Log->size(); ++I) {
-    const json::Value &Row = Log->at(I);
-    ServiceVerdict SV;
-    SV.Req.Family = Row["family"].asString();
-    SV.Req.Op1 = Row["op1"].asString();
-    SV.Req.Op2 = Row["op2"].asString();
-    if (!parseServiceKind(Row["kind"].asString(), SV.Req.Kind)) {
-      Error = "snapshot log row " + std::to_string(I) + " has a bad kind";
-      return false;
-    }
-    SV.Sound = Row["sound"].asBool();
-    SV.Complete = Row["complete"].asBool();
-    Restored.push_back(std::move(SV));
-  }
-
-  VerdictLog = std::move(Restored);
-  Drains = static_cast<uint64_t>(V["drains"].asInt());
-  PairGroups = static_cast<uint64_t>(V["pair_groups"].asInt());
-  BatchedReuses = static_cast<uint64_t>(V["batched_reuses"].asInt());
-  MethodsDischarged =
-      static_cast<uint64_t>(V["methods_discharged"].asInt());
-  ServeMillis = V["serve_millis"].asDouble();
-  Error.clear();
-  return true;
+void VerifyService::restoreCounters(uint64_t Served, uint64_t DrainCount,
+                                    uint64_t Groups) {
+  assert(Requests == 0 && Pending.empty() && "restore into a fresh shard");
+  Requests = Served;
+  Drains = DrainCount;
+  PairGroups = Groups;
 }

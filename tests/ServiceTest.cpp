@@ -6,20 +6,25 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The verification service over a warm catalog session: request routing,
-// prefix-batched drains, bridge compaction + selector release keeping the
-// session bounded across passes, snapshot/reload, and — the load-bearing
+// The verification service over one warm shard (what semcommute-serve
+// runs by default): request resolution, prefix-batched drains, bridge
+// compaction + selector release keeping the session bounded across
+// passes, snapshot/reload and its validation, and — the load-bearing
 // property — verdict equality between a compacting service and a
 // no-compaction reference under randomized request/retire orders.
 //
 //===----------------------------------------------------------------------===//
 
-#include "service/VerifyService.h"
+#include "service/ShardedVerifyService.h"
 
 #include "DriverCore.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <memory>
+#include <optional>
 #include <random>
 #include <set>
 
@@ -49,14 +54,80 @@ allRequests(const Catalog &C, const std::vector<const Family *> &Fams) {
 
 std::string keyOf(const ServiceRequest &R) {
   return R.Family + "|" + R.Op1 + "," + R.Op2 + "|" +
-         std::string(serviceKindName(R.Kind));
+         std::string(conditionKindName(R.Kind));
 }
+
+/// A one-shard service over \p Base.
+ShardedServiceConfig oneShard(const ServiceConfig &Base = ServiceConfig()) {
+  ShardedServiceConfig Cfg;
+  Cfg.Base = Base;
+  Cfg.Shards = 1;
+  return Cfg;
+}
+
+ServiceStats shardStats(const ShardedVerifyService &Svc) {
+  return Svc.stats().Shards[0].Stats;
+}
+
+/// A snapshot with its one timing field zeroed.
+json::Value untimed(json::Value Snap) {
+  if (Snap.isObject() && Snap.find("serve_millis"))
+    Snap.set("serve_millis", json::Value::number(0));
+  return Snap;
+}
+
+/// A copy of object \p Obj with member \p Key set to \p V, or dropped
+/// when \p V is empty.
+json::Value edited(const json::Value &Obj, const std::string &Key,
+                   std::optional<json::Value> V) {
+  json::Value Out = json::Value::object();
+  for (const auto &[K, Member] : Obj.members())
+    if (K != Key)
+      Out.set(K, Member);
+    else if (V)
+      Out.set(K, *V);
+  return Out;
+}
+
+/// \p Image with log row 0 replaced by \p Row.
+json::Value withFirstRow(const json::Value &Image, json::Value Row) {
+  json::Value Log = json::Value::array();
+  Log.push(std::move(Row));
+  for (size_t I = 1; I < Image["log"].size(); ++I)
+    Log.push(Image["log"].at(I));
+  return edited(Image, "log", Log);
+}
+
+/// A service that never served: no log, no counters.
+void expectFresh(const ShardedVerifyService &Svc) {
+  EXPECT_TRUE(Svc.log().empty());
+  EXPECT_EQ(Svc.pending(), 0u);
+  ShardedServiceStats S = Svc.stats();
+  EXPECT_EQ(S.Drains, 0u);
+  for (const ShardStats &Sh : S.Shards) {
+    EXPECT_EQ(Sh.Stats.Requests, 0u);
+    EXPECT_EQ(Sh.Stats.Drains, 0u);
+    EXPECT_EQ(Sh.Stats.PairGroups, 0u);
+  }
+}
+
+/// splitmix64: the mutation fuzzer's deterministic generator.
+struct SplitMix64 {
+  uint64_t State;
+  uint64_t next() {
+    uint64_t Z = (State += 0x9e3779b97f4a7c15ull);
+    Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebull;
+    return Z ^ (Z >> 31);
+  }
+  size_t below(size_t N) { return N ? static_cast<size_t>(next() % N) : 0; }
+};
 
 TEST(ServiceTest, SubmitValidatesFamilyAndPair) {
   ExprFactory F;
   Catalog C(F);
   ServiceConfig Cfg;
-  VerifyService Svc(C, families({"Accumulator"}), Cfg);
+  ShardedVerifyService Svc(C, families({"Accumulator"}), oneShard(Cfg));
 
   std::string Error;
   EXPECT_FALSE(Svc.submit({"Set", "add", "add", ConditionKind::Before},
@@ -75,7 +146,7 @@ TEST(ServiceTest, BatchingGroupsSamePairRequests) {
   ExprFactory F;
   Catalog C(F);
   ServiceConfig Cfg;
-  VerifyService Svc(C, families({"Accumulator"}), Cfg);
+  ShardedVerifyService Svc(C, families({"Accumulator"}), oneShard(Cfg));
 
   // Three kinds of one pair, interleaved with another pair: batching must
   // serve them as two pair groups, not five scope opens.
@@ -95,12 +166,12 @@ TEST(ServiceTest, BatchingGroupsSamePairRequests) {
   for (const ServiceVerdict &V : Verdicts)
     EXPECT_TRUE(V.verified()) << keyOf(V.Req);
 
-  ServiceStats S = Svc.stats();
+  ServiceStats S = shardStats(Svc);
   EXPECT_EQ(S.Drains, 1u);
   EXPECT_EQ(S.PairGroups, 2u);
   EXPECT_EQ(S.BatchedReuses, 3u);
   EXPECT_EQ(S.MethodsDischarged, 10u);
-  EXPECT_TRUE(Svc.session().solver().reasonInvariantHolds());
+  EXPECT_TRUE(Svc.shard(0).session().solver().reasonInvariantHolds());
 }
 
 // A pair's plan is built once per service lifetime: two full passes over
@@ -120,16 +191,16 @@ TEST(ServiceTest, PlansBuiltOncePerPair) {
     SCOPED_TRACE(Batch ? "batched" : "fifo");
     ServiceConfig Cfg;
     Cfg.Batch = Batch;
-    VerifyService Svc(C, Fams, Cfg);
+    ShardedVerifyService Svc(C, Fams, oneShard(Cfg));
     std::string Error;
     for (int P = 0; P != 2; ++P) {
       for (const ServiceRequest &R : Pass)
         ASSERT_TRUE(Svc.submit(R, Error)) << Error;
       for (const ServiceVerdict &V : Svc.drain())
         EXPECT_TRUE(V.verified()) << keyOf(V.Req);
-      EXPECT_EQ(Svc.stats().PlansBuilt, Entries) << "after pass " << P;
+      EXPECT_EQ(shardStats(Svc).PlansBuilt, Entries) << "after pass " << P;
     }
-    ServiceStats S = Svc.stats();
+    ServiceStats S = shardStats(Svc);
     EXPECT_EQ(S.PairGroups, Batch ? 2 * Entries : 2 * Pass.size());
   }
 }
@@ -146,7 +217,7 @@ TEST(ServiceTest, CachedPlansMatchFreshPlans) {
 
   ServiceConfig Cfg;
   Cfg.CompactMinDead = 8;
-  VerifyService Svc(C, Fams, Cfg);
+  ShardedVerifyService Svc(C, Fams, oneShard(Cfg));
 
   auto PairOf = [](const ServiceRequest &R) {
     return R.Family + "|" + R.Op1 + "," + R.Op2;
@@ -181,7 +252,7 @@ TEST(ServiceTest, CachedPlansMatchFreshPlans) {
     ASSERT_TRUE(Svc.submit(Universe[Pick(Rng)], Error)) << Error;
     if (DrainNow(Rng) != 0 && R != 79)
       continue;
-    bool Compacted = Svc.stats().Session.BridgeCompactions > 0;
+    bool Compacted = shardStats(Svc).Session.BridgeCompactions > 0;
     std::vector<ServiceVerdict> Served = Svc.drain();
     for (const ServiceVerdict &V : Served) {
       EXPECT_EQ(std::make_pair(V.Sound, V.Complete), FreshVerdict(V.Req))
@@ -192,10 +263,10 @@ TEST(ServiceTest, CachedPlansMatchFreshPlans) {
     }
     for (const ServiceVerdict &V : Served)
       ServedBefore.insert(PairOf(V.Req));
-    ASSERT_TRUE(Svc.session().solver().reasonInvariantHolds());
+    ASSERT_TRUE(Svc.shard(0).session().solver().reasonInvariantHolds());
   }
 
-  ServiceStats S = Svc.stats();
+  ServiceStats S = shardStats(Svc);
   EXPECT_EQ(S.PlansBuilt, Fresh.size());
   EXPECT_LT(S.PlansBuilt, S.PairGroups) << "no pair was served twice";
   EXPECT_GT(S.Session.BridgeCompactions, 0u);
@@ -213,13 +284,13 @@ TEST(ServiceTest, FuzzCompactionMatchesReference) {
 
   ServiceConfig Compacting;
   Compacting.CompactMinDead = 8; // Force frequent compaction passes.
-  VerifyService Svc(C, Fams, Compacting);
+  ShardedVerifyService Svc(C, Fams, oneShard(Compacting));
 
   ServiceConfig Reference;
   Reference.Batch = false;
   Reference.CompactBridges = false;
   Reference.ReleaseSelectors = false;
-  VerifyService Ref(C, Fams, Reference);
+  ShardedVerifyService Ref(C, Fams, oneShard(Reference));
 
   std::vector<ServiceRequest> Universe = allRequests(C, Fams);
   std::mt19937 Rng(20110604);
@@ -235,7 +306,7 @@ TEST(ServiceTest, FuzzCompactionMatchesReference) {
     if (DrainNow(Rng) == 0 || R == 59) {
       std::vector<ServiceVerdict> A = Svc.drain();
       std::vector<ServiceVerdict> B = Ref.drain();
-      ASSERT_TRUE(Svc.session().solver().reasonInvariantHolds())
+      ASSERT_TRUE(Svc.shard(0).session().solver().reasonInvariantHolds())
           << "after drain at request " << R;
       ASSERT_EQ(A.size(), B.size());
       // Batched order differs from FIFO order; compare as verdict maps.
@@ -256,7 +327,7 @@ TEST(ServiceTest, FuzzCompactionMatchesReference) {
         << KV.first << " failed verification";
   }
   // The stream retires enough scopes to exercise both growth killers.
-  ServiceStats S = Svc.stats();
+  ServiceStats S = shardStats(Svc);
   EXPECT_GT(S.Session.BridgeCompactions, 0u);
   EXPECT_GT(S.Session.ReleasedSelectors, 0u);
 }
@@ -272,7 +343,7 @@ TEST(ServiceTest, LivePeaksPlateauAcrossPasses) {
 
   ServiceConfig Cfg;
   Cfg.CompactMinDead = 8;
-  VerifyService Svc(C, Fams, Cfg);
+  ShardedVerifyService Svc(C, Fams, oneShard(Cfg));
   std::vector<ServiceRequest> Pass = allRequests(C, Fams);
 
   struct Peaks {
@@ -286,8 +357,8 @@ TEST(ServiceTest, LivePeaksPlateauAcrossPasses) {
       ASSERT_TRUE(Svc.submit(R, Error)) << Error;
     for (const ServiceVerdict &V : Svc.drain())
       EXPECT_TRUE(V.verified()) << keyOf(V.Req);
-    ASSERT_TRUE(Svc.session().solver().reasonInvariantHolds());
-    ServiceStats S = Svc.stats();
+    ASSERT_TRUE(Svc.shard(0).session().solver().reasonInvariantHolds());
+    ServiceStats S = shardStats(Svc);
     PassPeaks.push_back({S.Session.PeakLiveVars, S.Session.PeakLiveClauses,
                          S.Session.PeakLiveBridges});
   }
@@ -299,7 +370,7 @@ TEST(ServiceTest, LivePeaksPlateauAcrossPasses) {
   EXPECT_LE(static_cast<double>(PassPeaks[2].Bridges),
             1.05 * static_cast<double>(PassPeaks[1].Bridges));
 
-  ServiceStats S = Svc.stats();
+  ServiceStats S = shardStats(Svc);
   EXPECT_GT(S.Session.BridgeCompactions, 0u);
   EXPECT_GT(S.Session.ReleasedSelectors, 0u);
   EXPECT_GT(S.Session.ReleasedAtomVars, 0u);
@@ -316,7 +387,7 @@ TEST(ServiceTest, CompactingSessionCertifies) {
   ServiceConfig Cfg;
   Cfg.Certify = true;
   Cfg.CompactMinDead = 4;
-  VerifyService Svc(C, Fams, Cfg);
+  ShardedVerifyService Svc(C, Fams, oneShard(Cfg));
 
   std::vector<ServiceRequest> Pass = allRequests(C, Fams);
   std::string Error;
@@ -328,7 +399,7 @@ TEST(ServiceTest, CompactingSessionCertifies) {
   }
 
   ASSERT_TRUE(Svc.certifying());
-  const proof::CertifySummary &Cert = Svc.finishCertification();
+  proof::CertifySummary Cert = Svc.finishCertification();
   EXPECT_TRUE(Cert.Checked);
   EXPECT_TRUE(Cert.Ok) << Cert.Error;
   EXPECT_GT(Cert.Queries, 0u);
@@ -341,7 +412,7 @@ TEST(ServiceTest, SnapshotRoundTripsAndResumesServing) {
   std::vector<const Family *> Fams = families({"Accumulator"});
   ServiceConfig Cfg;
 
-  VerifyService Svc(C, Fams, Cfg);
+  ShardedVerifyService Svc(C, Fams, oneShard(Cfg));
   std::vector<ServiceRequest> Pass = allRequests(C, Fams);
   std::string Error;
   for (const ServiceRequest &R : Pass)
@@ -353,7 +424,7 @@ TEST(ServiceTest, SnapshotRoundTripsAndResumesServing) {
   std::optional<json::Value> Parsed = json::Value::parse(Image.dump(2));
   ASSERT_TRUE(Parsed.has_value());
 
-  VerifyService Fresh(C, Fams, Cfg);
+  ShardedVerifyService Fresh(C, Fams, oneShard(Cfg));
   ASSERT_TRUE(Fresh.restore(*Parsed, Error)) << Error;
   ASSERT_EQ(Fresh.log().size(), Svc.log().size());
   for (size_t I = 0; I != Fresh.log().size(); ++I) {
@@ -363,8 +434,12 @@ TEST(ServiceTest, SnapshotRoundTripsAndResumesServing) {
   }
   EXPECT_EQ(Fresh.stats().Requests, Svc.stats().Requests);
   EXPECT_EQ(Fresh.stats().Drains, Svc.stats().Drains);
+  EXPECT_EQ(shardStats(Fresh).Requests, shardStats(Svc).Requests);
+  EXPECT_EQ(shardStats(Fresh).PairGroups, shardStats(Svc).PairGroups);
+  EXPECT_EQ(shardStats(Fresh).BatchedReuses, shardStats(Svc).BatchedReuses);
+  EXPECT_EQ(untimed(Fresh.snapshot()).dump(), untimed(Image).dump());
   // The plan table is not part of the image: it refills lazily.
-  EXPECT_EQ(Fresh.stats().PlansBuilt, 0u);
+  EXPECT_EQ(shardStats(Fresh).PlansBuilt, 0u);
 
   // The restored service re-warms and keeps serving with the same
   // verdicts the original produced.
@@ -372,12 +447,12 @@ TEST(ServiceTest, SnapshotRoundTripsAndResumesServing) {
   std::vector<ServiceVerdict> More = Fresh.drain();
   ASSERT_EQ(More.size(), 1u);
   EXPECT_TRUE(More.front().verified());
-  EXPECT_EQ(Fresh.stats().PlansBuilt, 1u);
+  EXPECT_EQ(shardStats(Fresh).PlansBuilt, 1u);
 
   // Restoring into a service that has already served is rejected.
   EXPECT_FALSE(Fresh.restore(*Parsed, Error));
   // A mismatched family set is rejected.
-  VerifyService Other(C, families({"Set"}), Cfg);
+  ShardedVerifyService Other(C, families({"Set"}), oneShard(Cfg));
   EXPECT_FALSE(Other.restore(*Parsed, Error));
   EXPECT_NE(Error.find("family set"), std::string::npos) << Error;
 }
@@ -392,7 +467,7 @@ TEST(ServiceTest, RestoreRejectsBatchMismatch) {
   std::vector<const Family *> Fams = families({"Accumulator"});
 
   ServiceConfig Batched;
-  VerifyService Svc(C, Fams, Batched);
+  ShardedVerifyService Svc(C, Fams, oneShard(Batched));
   std::vector<ServiceRequest> Pass = allRequests(C, Fams);
   std::string Error;
   for (const ServiceRequest &R : Pass)
@@ -402,9 +477,227 @@ TEST(ServiceTest, RestoreRejectsBatchMismatch) {
 
   ServiceConfig Fifo = Batched;
   Fifo.Batch = false;
-  VerifyService Other(C, Fams, Fifo);
+  ShardedVerifyService Other(C, Fams, oneShard(Fifo));
   EXPECT_FALSE(Other.restore(Image, Error));
   EXPECT_NE(Error.find("batch"), std::string::npos) << Error;
+}
+
+// restore() checks every config field snapshot() writes, not only the
+// batching discipline: a snapshot whose config differs in any one field
+// is rejected with an error naming that field, and the service stays
+// fresh.
+TEST(ServiceTest, RestoreChecksEveryConfigField) {
+  ExprFactory F;
+  Catalog C(F);
+  std::vector<const Family *> Fams = families({"Accumulator"});
+  ShardedVerifyService Svc(C, Fams, oneShard());
+  std::string Error;
+  for (const ServiceRequest &R : allRequests(C, Fams))
+    ASSERT_TRUE(Svc.submit(R, Error)) << Error;
+  Svc.drain();
+  json::Value Image = Svc.snapshot();
+
+  // One differing value per field, of the field's own type.
+  const std::vector<std::pair<std::string, json::Value>> Mismatches = {
+      {"batch", json::Value::boolean(false)},
+      {"compact_bridges", json::Value::boolean(false)},
+      {"release_selectors", json::Value::boolean(false)},
+      {"certify", json::Value::boolean(true)},
+      {"seq_len_bound", json::Value::integer(2)},
+      {"conflict_budget", json::Value::integer(1000)},
+      {"compact_min_dead", json::Value::integer(8)},
+      {"shards", json::Value::integer(2)},
+      {"route", json::Value::string("family")},
+  };
+  ASSERT_EQ(Mismatches.size(), Image["config"].members().size());
+  ShardedVerifyService Fresh(C, Fams, oneShard());
+  for (const auto &[Key, Other] : Mismatches) {
+    SCOPED_TRACE(Key);
+    ASSERT_NE(Image["config"][Key], Other);
+    json::Value Bad =
+        edited(Image, "config", edited(Image["config"], Key, Other));
+    EXPECT_FALSE(Fresh.restore(Bad, Error));
+    EXPECT_NE(Error.find("'" + Key + "'"), std::string::npos) << Error;
+    expectFresh(Fresh);
+  }
+  EXPECT_TRUE(Fresh.restore(Image, Error)) << Error;
+}
+
+// Mistyped, out-of-range or unresolvable snapshot fields are rejected
+// with an error naming the field, never defaulted; a rejected restore
+// leaves the service fresh, able to restore a valid image and serve.
+TEST(ServiceTest, RestoreRejectsMistypedFields) {
+  ExprFactory F;
+  Catalog C(F);
+  std::vector<const Family *> Fams = families({"Accumulator"});
+  ShardedVerifyService Svc(C, Fams, oneShard());
+  std::vector<ServiceRequest> Pass = allRequests(C, Fams);
+  std::string Error;
+  for (const ServiceRequest &R : Pass)
+    ASSERT_TRUE(Svc.submit(R, Error)) << Error;
+  Svc.drain();
+  json::Value Image = Svc.snapshot();
+  const json::Value &Row = Image["log"].at(0);
+  json::Value Counters = json::Value::array();
+  Counters.push(edited(Image["shard_counters"].at(0), "pair_groups",
+                       json::Value::integer(
+                           static_cast<int64_t>(Pass.size()) + 1)));
+
+  const std::vector<std::pair<json::Value, std::string>> Cases = {
+      {withFirstRow(Image, edited(Row, "family", json::Value::integer(5))),
+       "'log[0].family' has the wrong type"},
+      {edited(Image, "drains", json::Value::integer(-1)),
+       "'drains' is negative"},
+      {withFirstRow(Image, edited(Row, "sound", std::nullopt)),
+       "'log[0].sound' is missing"},
+      {withFirstRow(Image, edited(Row, "family", json::Value::string("Set"))),
+       "family 'Set' is not served"},
+      {withFirstRow(Image,
+                    edited(Row, "op2", json::Value::string("nonesuch"))),
+       "no catalog entry"},
+      {withFirstRow(Image, edited(Row, "kind", json::Value::string("never"))),
+       "'log[0].kind'"},
+      {edited(Image, "config",
+              edited(Image["config"], "seq_len_bound",
+                     json::Value::string("3"))),
+       "'config.seq_len_bound' has the wrong type"},
+      {edited(Image, "serve_millis", json::Value::number(-1)),
+       "'serve_millis'"},
+      {edited(Image, "shard_counters", Counters),
+       "'shard_counters[0].pair_groups'"},
+      {edited(Image, "schema", json::Value::integer(2)), "'schema'"},
+  };
+  ShardedVerifyService Fresh(C, Fams, oneShard());
+  for (const auto &[Bad, Want] : Cases) {
+    SCOPED_TRACE(Want);
+    EXPECT_FALSE(Fresh.restore(Bad, Error));
+    EXPECT_NE(Error.find(Want), std::string::npos) << Error;
+    EXPECT_EQ(Error.find('\n'), std::string::npos) << Error;
+    expectFresh(Fresh);
+  }
+  json::Value Extra = Image;
+  Extra.set("extra", json::Value::integer(1));
+  EXPECT_FALSE(Fresh.restore(Extra, Error));
+  EXPECT_NE(Error.find("'extra' is unknown"), std::string::npos) << Error;
+  expectFresh(Fresh);
+
+  ASSERT_TRUE(Fresh.restore(Image, Error)) << Error;
+  ASSERT_TRUE(Fresh.submit(Pass.front(), Error)) << Error;
+  std::vector<ServiceVerdict> More = Fresh.drain();
+  ASSERT_EQ(More.size(), 1u);
+  EXPECT_TRUE(More.front().verified());
+  EXPECT_EQ(Fresh.stats().Requests, Pass.size() + 1);
+}
+
+// Deterministic mutation fuzzing of the snapshot text: splitmix64-seeded
+// byte flips, truncations and splices of two valid images. Every mutant
+// either fails to parse, is rejected with a non-empty error (leaving the
+// service fresh), or restores and re-snapshots to exactly the parsed
+// mutant (serve_millis aside).
+TEST(ServiceTest, SnapshotMutantsRejectOrRoundTrip) {
+  ExprFactory F;
+  Catalog C(F);
+  std::vector<const Family *> Fams = families({"Accumulator"});
+  ShardedServiceConfig Cfg;
+  Cfg.Shards = 2;
+  ShardedVerifyService Svc(C, Fams, Cfg);
+  std::vector<ServiceRequest> Pass = allRequests(C, Fams);
+  std::string Error;
+  for (const ServiceRequest &R : Pass)
+    ASSERT_TRUE(Svc.submit(R, Error)) << Error;
+  Svc.drain();
+  // The seeds' one timing field is zeroed, so the mutants are the same
+  // on every run.
+  const std::string First = untimed(Svc.snapshot()).dump(2);
+  for (size_t I = 0; I != 3; ++I)
+    ASSERT_TRUE(Svc.submit(Pass[I], Error)) << Error;
+  Svc.drain();
+  const std::string Seeds[2] = {First, untimed(Svc.snapshot()).dump(2)};
+
+  const std::string Bytes = "0123456789-.eE\"{}[],: tfnlu\\";
+  SplitMix64 Rng{0x5eed5ull};
+  // The bounds of the line of \p S around offset \p At, newline included
+  // (the seeds are indented dumps: one member or element per line).
+  auto LineOf = [](const std::string &S, size_t At) {
+    size_t Begin = At == 0 ? std::string::npos : S.rfind('\n', At - 1);
+    size_t End = S.find('\n', At);
+    return std::make_pair(Begin == std::string::npos ? 0 : Begin + 1,
+                          End == std::string::npos ? S.size() : End + 1);
+  };
+  auto Mutate = [&](std::string T) {
+    for (size_t Ops = 1 + Rng.below(3); Ops != 0; --Ops) {
+      size_t At = Rng.below(T.size() + 1);
+      const std::string &Other = Seeds[Rng.below(2)];
+      switch (Rng.below(8)) {
+      case 0: // Bit flip.
+        if (At < T.size())
+          T[At] = static_cast<char>(T[At] ^ (1u << Rng.below(8)));
+        break;
+      case 1: // Byte replacement from the JSON alphabet.
+        if (At < T.size())
+          T[At] = Bytes[Rng.below(Bytes.size())];
+        break;
+      case 2: // Truncation.
+        T.resize(At);
+        break;
+      case 3: // Deletion of a short range.
+        T.erase(At, Rng.below(16));
+        break;
+      case 4: { // Splice: this prefix, the other seed's suffix from a
+                // nearby offset.
+        size_t From = std::min(Other.size(), At + Rng.below(9));
+        From = From >= 4 ? From - 4 : 0;
+        T = T.substr(0, At) + Other.substr(From);
+        break;
+      }
+      case 5: { // Line move: reorders members and elements.
+        auto [Begin, End] = LineOf(T, At);
+        std::string Line = T.substr(Begin, End - Begin);
+        T.erase(Begin, End - Begin);
+        T.insert(LineOf(T, Rng.below(T.size() + 1)).first, Line);
+        break;
+      }
+      case 6: { // Line splice: a whole line of the other seed.
+        auto [Begin, End] = LineOf(Other, Rng.below(Other.size()));
+        T.insert(LineOf(T, At).first, Other.substr(Begin, End - Begin));
+        break;
+      }
+      default: // Insertion of a chunk of the other seed.
+        T.insert(At, Other.substr(Rng.below(Other.size()), Rng.below(48)));
+        break;
+      }
+    }
+    return T;
+  };
+
+  unsigned Unparsable = 0, Rejected = 0, RoundTripped = 0;
+  auto Target = std::make_unique<ShardedVerifyService>(C, Fams, Cfg);
+  for (unsigned N = 0; N != 4000; ++N) {
+    std::string Text = Mutate(Seeds[N % 2]);
+    std::optional<json::Value> Parsed = json::Value::parse(Text);
+    if (!Parsed) {
+      ++Unparsable;
+      continue;
+    }
+    Error.clear();
+    if (!Target->restore(*Parsed, Error)) {
+      ++Rejected;
+      ASSERT_FALSE(Error.empty()) << "mutant " << N << ": " << Text;
+      ASSERT_TRUE(Target->log().empty() && Target->stats().Drains == 0)
+          << "mutant " << N << " left the service dirty";
+      continue;
+    }
+    ++RoundTripped;
+    ASSERT_EQ(untimed(Target->snapshot()).dump(), untimed(*Parsed).dump())
+        << "mutant " << N << " did not round-trip: " << Text;
+    Target = std::make_unique<ShardedVerifyService>(C, Fams, Cfg);
+  }
+  EXPECT_GT(Unparsable, 0u);
+  EXPECT_GT(Rejected, 0u);
+  EXPECT_GT(RoundTripped, 0u);
+  std::printf("snapshot mutants: %u unparsable, %u rejected, %u "
+              "round-tripped\n",
+              Unparsable, Rejected, RoundTripped);
 }
 
 } // namespace

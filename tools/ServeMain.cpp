@@ -89,9 +89,10 @@ void printUsage(const char *Argv0) {
       "                    verdict mismatch\n"
       "  --assert-plateau  with --passes >= 3: fail unless pass 3's peak\n"
       "                    live vars/clauses/bridges are <= 1.05x pass 2's\n"
-      "  --snapshot FILE   write the service image (config, stats, verdict\n"
-      "                    log) to FILE on exit\n"
-      "  --reload FILE     restore a service image before serving\n"
+      "  --snapshot FILE   write the service image (config, families,\n"
+      "                    counters, verdict log) to FILE on exit\n"
+      "  --reload FILE     restore a service image before serving; its\n"
+      "                    config, shard count and route must match\n"
       "  --json FILE       write service statistics to FILE ('-' stdout)\n"
       "  --quiet           print only the final summary line\n"
       "  --help            this message\n"
@@ -478,7 +479,7 @@ int main(int argc, char **argv) {
           It->second.second != V.Complete) {
         std::fprintf(stderr, "verdict mismatch: %s %s,%s %s\n",
                      V.Req.Family.c_str(), V.Req.Op1.c_str(),
-                     V.Req.Op2.c_str(), serviceKindName(V.Req.Kind));
+                     V.Req.Op2.c_str(), conditionKindName(V.Req.Kind));
         ++Mismatches;
       }
     }
