@@ -8,18 +8,16 @@
 // §4.1's small-scope argument: the verdicts stabilize by scope 3 while the
 // cost grows combinatorially — the reason the default scope suffices.
 //
-// The symbolic section compares the five discharge strategies — one-shot
+// The symbolic section compares the four discharge strategies — one-shot
 // session-per-VC, the per-method warm session, the shared per-pair session
 // (selector literals, one warm solver for all six methods of an op-pair),
-// the shared family session (one warm solver for the whole family,
-// per-pair scopes retired when done), and the shared catalog session
-// (selector-tree scopes, family subtrees retired in one pass, Tseitin
-// variables recycled) — and emits machine-readable BENCH_JSON lines that
-// bench/run_all.sh collects into BENCH_semcommute.json, including the
-// pair-over-method, family-over-pair, and catalog-over-family speedup
-// ratios, the clause-GC/eviction counters, and a peak-live-variables
-// series (peak live vs. cumulative variable demand, per bound) showing
-// what index recycling buys.
+// and the shared family session (one warm solver for the whole family,
+// per-pair scopes retired when done, Tseitin variables recycled) — and
+// emits machine-readable BENCH_JSON lines that bench/run_all.sh collects
+// into BENCH_semcommute.json, including the pair-over-method and
+// family-over-pair speedup ratios, the clause-GC/eviction counters, and a
+// peak-live-variables series (peak live vs. cumulative variable demand,
+// per bound) showing what index recycling buys.
 //
 // A second sweep varies the clause-GC budget (the --gc-budget knob /
 // SatSolver::setClauseGcLimit) over the shared-family ArrayList suite so
@@ -107,21 +105,23 @@ SymbolicRun runSharedPairSuite(ExprFactory &F, const Catalog &C, int Bound) {
   return Out;
 }
 
-/// Family-level discharge: every ArrayList pair through one family tier,
-/// each pair's scope retired when its six methods are done. With
+/// Family-level discharge: every ArrayList pair through one family
+/// session, each pair's scope retired when its six methods are done. With
 /// \p Hints, the §5.2.1 scripts attach as labeled split assumptions.
 SymbolicRun runSharedFamilySuite(ExprFactory &F, const Catalog &C, int Bound,
                                  int64_t GcBudget,
                                  FamilyTierStats *StatsOut = nullptr,
                                  const std::vector<HintScript> *Hints =
-                                     nullptr) {
+                                     nullptr,
+                                 CatalogSessionStats *SessionOut = nullptr) {
   SymbolicEngine Engine(F, Bound, /*ConflictBudget=*/200000,
                         SolveMode::SharedFamily);
   Engine.setClauseGcBudget(GcBudget);
   Engine.attachHints(Hints);
   SymbolicRun Out;
   Stopwatch W;
-  FamilyOutcome FO = Engine.verifyFamily(C, arrayListFamily());
+  CatalogOutcome CO = Engine.verifyCatalog(C, {&arrayListFamily()});
+  const FamilyOutcome &FO = CO.Families.front();
   for (const PairOutcome &O : FO.Pairs)
     for (const SymbolicResult &R : O.Methods) {
       Out.Vcs += R.NumVcs;
@@ -136,34 +136,8 @@ SymbolicRun runSharedFamilySuite(ExprFactory &F, const Catalog &C, int Bound,
   Out.Seconds = W.seconds();
   if (StatsOut)
     *StatsOut = FO.Stats;
-  return Out;
-}
-
-/// Catalog-level discharge of the same ArrayList workload: one
-/// CatalogSession (selector-tree scopes, subtree retirement, variable
-/// recycling) serving the family as its only shard.
-SymbolicRun runSharedCatalogSuite(ExprFactory &F, const Catalog &C, int Bound,
-                                  CatalogSessionStats *StatsOut = nullptr) {
-  SymbolicEngine Engine(F, Bound, /*ConflictBudget=*/200000,
-                        SolveMode::SharedCatalog);
-  SymbolicRun Out;
-  Stopwatch W;
-  CatalogOutcome CO = Engine.verifyCatalog(C, {&arrayListFamily()});
-  for (const FamilyOutcome &FO : CO.Families)
-    for (const PairOutcome &O : FO.Pairs)
-      for (const SymbolicResult &R : O.Methods) {
-        Out.Vcs += R.NumVcs;
-        Out.MaxVcConflicts = std::max(Out.MaxVcConflicts, R.MaxVcConflicts);
-        Out.Failures += !R.Verified;
-        ++Out.Methods;
-      }
-  Out.Conflicts = CO.Conflicts;
-  Out.RetainedClauses = CO.Stats.PeakRetainedClauses;
-  Out.DbReductions = CO.DbReductions;
-  Out.ReclaimedClauses = CO.ReclaimedClauses;
-  Out.Seconds = W.seconds();
-  if (StatsOut)
-    *StatsOut = CO.Stats;
+  if (SessionOut)
+    *SessionOut = CO.Stats;
   return Out;
 }
 
@@ -205,12 +179,10 @@ int main(int argc, char **argv) {
 
   std::printf("\nSymbolic engine, full ArrayList method suite by length "
               "bound:\none-shot session-per-VC vs per-method warm session "
-              "vs shared per-pair vs shared family vs shared catalog "
-              "session:\n\n");
-  std::printf("%8s %10s %12s %12s %12s %12s %12s %12s %9s %9s %9s\n",
-              "bound", "methods", "VCs", "oneshot(s)", "method(s)",
-              "pair(s)", "family(s)", "catalog(s)", "pair-gain", "fam-gain",
-              "cat-gain");
+              "vs shared per-pair vs shared family session:\n\n");
+  std::printf("%8s %10s %12s %12s %12s %12s %12s %9s %9s\n", "bound",
+              "methods", "VCs", "oneshot(s)", "method(s)", "pair(s)",
+              "family(s)", "pair-gain", "fam-gain");
   for (int Bound = 2; Bound <= MaxSymbolicBound; ++Bound) {
     // Untimed warm-up: intern this bound's expressions into the shared
     // factory so no timed leg pays first-time allocation.
@@ -219,45 +191,40 @@ int main(int argc, char **argv) {
     SymbolicRun Method = runSymbolicSuite(F, C, Bound, SolveMode::PerMethod);
     SymbolicRun Pair = runSharedPairSuite(F, C, Bound);
     FamilyTierStats FamStats;
+    CatalogSessionStats SessStats;
     SymbolicRun Fam = runSharedFamilySuite(F, C, Bound, /*GcBudget=*/0,
-                                           &FamStats);
-    CatalogSessionStats CatStats;
-    SymbolicRun Cat = runSharedCatalogSuite(F, C, Bound, &CatStats);
+                                           &FamStats, nullptr, &SessStats);
     // The acceptance metrics: each tier must at least hold the line
     // against the one below it.
     double PairGain = Pair.Seconds > 0 ? Method.Seconds / Pair.Seconds : 0;
     double FamGain = Fam.Seconds > 0 ? Pair.Seconds / Fam.Seconds : 0;
-    double CatGain = Cat.Seconds > 0 ? Fam.Seconds / Cat.Seconds : 0;
     double IncrGain = Method.Seconds > 0 ? OneShot.Seconds / Method.Seconds
                                          : 0;
-    unsigned Failures = OneShot.Failures + Method.Failures + Pair.Failures +
-                        Fam.Failures + Cat.Failures;
-    std::printf("%8d %10u %12llu %12.3f %12.3f %12.3f %12.3f %12.3f "
-                "%8.2fx %8.2fx %8.2fx%s\n",
+    unsigned Failures =
+        OneShot.Failures + Method.Failures + Pair.Failures + Fam.Failures;
+    std::printf("%8d %10u %12llu %12.3f %12.3f %12.3f %12.3f "
+                "%8.2fx %8.2fx%s\n",
                 Bound, Pair.Methods, (unsigned long long)Pair.Vcs,
                 OneShot.Seconds, Method.Seconds, Pair.Seconds, Fam.Seconds,
-                Cat.Seconds, PairGain, FamGain, CatGain,
-                Failures ? "  FAILURES!" : "");
+                PairGain, FamGain, Failures ? "  FAILURES!" : "");
     // The peak-live-variables series: what recycling buys at this bound.
-    std::printf("%8s catalog vars: peak %llu live of %llu requested, "
+    std::printf("%8s family vars: peak %llu live of %llu requested, "
                 "%llu recycled, peak %llu live clauses\n", "",
-                (unsigned long long)CatStats.PeakLiveVars,
-                (unsigned long long)CatStats.VarRequests,
-                (unsigned long long)CatStats.RecycledVars,
-                (unsigned long long)CatStats.PeakLiveClauses);
+                (unsigned long long)SessStats.PeakLiveVars,
+                (unsigned long long)SessStats.VarRequests,
+                (unsigned long long)SessStats.RecycledVars,
+                (unsigned long long)SessStats.PeakLiveClauses);
     // Machine-readable line for bench/run_all.sh's aggregate baseline.
     std::printf("BENCH_JSON {\"bench\":\"perf_engine_scaling\","
                 "\"metric\":\"symbolic_arraylist_suite\",\"bound\":%d,"
                 "\"methods\":%u,\"vcs\":%llu,\"oneshot_s\":%.4f,"
                 "\"per_method_s\":%.4f,\"shared_pair_s\":%.4f,"
-                "\"shared_family_s\":%.4f,\"shared_catalog_s\":%.4f,"
+                "\"shared_family_s\":%.4f,"
                 "\"speedup\":%.3f,\"pair_over_method_speedup\":%.3f,"
                 "\"family_over_pair_speedup\":%.3f,"
-                "\"catalog_over_family_speedup\":%.3f,"
                 "\"oneshot_conflicts\":%lld,\"per_method_conflicts\":%lld,"
                 "\"shared_pair_conflicts\":%lld,"
                 "\"shared_family_conflicts\":%lld,"
-                "\"shared_catalog_conflicts\":%lld,"
                 "\"shared_pair_retained_clauses\":%llu,"
                 "\"shared_pair_db_reductions\":%llu,"
                 "\"shared_pair_reclaimed_clauses\":%llu,"
@@ -265,17 +232,16 @@ int main(int argc, char **argv) {
                 "\"family_evictions\":%llu,"
                 "\"family_evicted_clauses\":%llu,"
                 "\"family_prefix_reuses\":%llu,"
-                "\"catalog_peak_live_vars\":%llu,"
-                "\"catalog_var_requests\":%llu,"
-                "\"catalog_recycled_vars\":%llu,"
-                "\"catalog_peak_live_clauses\":%llu,"
+                "\"family_peak_live_vars\":%llu,"
+                "\"family_var_requests\":%llu,"
+                "\"family_recycled_vars\":%llu,"
+                "\"family_peak_live_clauses\":%llu,"
                 "\"failures\":%u}\n",
                 Bound, Pair.Methods, (unsigned long long)Pair.Vcs,
                 OneShot.Seconds, Method.Seconds, Pair.Seconds, Fam.Seconds,
-                Cat.Seconds, IncrGain, PairGain, FamGain, CatGain,
-                (long long)OneShot.Conflicts,
+                IncrGain, PairGain, FamGain, (long long)OneShot.Conflicts,
                 (long long)Method.Conflicts, (long long)Pair.Conflicts,
-                (long long)Fam.Conflicts, (long long)Cat.Conflicts,
+                (long long)Fam.Conflicts,
                 (unsigned long long)Pair.RetainedClauses,
                 (unsigned long long)Pair.DbReductions,
                 (unsigned long long)Pair.ReclaimedClauses,
@@ -283,10 +249,10 @@ int main(int argc, char **argv) {
                 (unsigned long long)FamStats.PairsRetired,
                 (unsigned long long)FamStats.EvictedClauses,
                 (unsigned long long)FamStats.PrefixReuses,
-                (unsigned long long)CatStats.PeakLiveVars,
-                (unsigned long long)CatStats.VarRequests,
-                (unsigned long long)CatStats.RecycledVars,
-                (unsigned long long)CatStats.PeakLiveClauses, Failures);
+                (unsigned long long)SessStats.PeakLiveVars,
+                (unsigned long long)SessStats.VarRequests,
+                (unsigned long long)SessStats.RecycledVars,
+                (unsigned long long)SessStats.PeakLiveClauses, Failures);
   }
 
   // Clause-GC budget sweep over the shared-family ArrayList suite: the

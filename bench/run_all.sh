@@ -146,16 +146,17 @@ else
   failures=$((failures + 1))
 fi
 
-# Family-tier snapshot: the same catalog under --solve-mode shared-family,
-# whose per-family eviction / peak-retention / prefix-reuse counters join
-# the baseline so family-session regressions (unbounded retention, lost
-# prefix sharing) are caught like wall-time ones.
+# Family-session snapshot: the same catalog under --solve-mode
+# shared-family at one thread, whose per-session eviction / peak-retention
+# / prefix-reuse / subtree-retirement / variable-recycling counters join
+# the baseline so family-session regressions (unbounded retention or
+# variable growth, lost prefix sharing) are caught like wall-time ones.
 FAMILY_JSON="$RESULTS_DIR/driver_family_stats.json"
 if [ -x "$DRIVER_BIN" ]; then
   echo "== semcommute-verify (shared-family session snapshot)"
   start=$(now)
   if "$DRIVER_BIN" --families all --engine symbolic \
-       --solve-mode shared-family --quiet \
+       --solve-mode shared-family --threads 1 --quiet \
        --json "$FAMILY_JSON" > "$RESULTS_DIR/driver_family_stats.txt" 2>&1
   then status=ok; else
     status=failed
@@ -169,40 +170,16 @@ else
   record "driver_family_stats" 0 missing
 fi
 
-# Catalog-tier snapshot: one warm solver for the whole catalog
-# (--solve-mode shared-catalog at one thread), whose subtree-retirement /
-# variable-recycling / peak-liveness counters join the baseline so
-# catalog-session regressions (unbounded variable growth, lost prefix
-# amortization) are caught like wall-time ones.
-CATALOG_JSON="$RESULTS_DIR/driver_catalog_stats.json"
-if [ -x "$DRIVER_BIN" ]; then
-  echo "== semcommute-verify (shared-catalog session snapshot)"
-  start=$(now)
-  if "$DRIVER_BIN" --families all --engine symbolic \
-       --solve-mode shared-catalog --threads 1 --quiet \
-       --json "$CATALOG_JSON" > "$RESULTS_DIR/driver_catalog_stats.txt" 2>&1
-  then status=ok; else
-    status=failed
-    echo "FAILED  semcommute-verify shared-catalog (see $RESULTS_DIR/driver_catalog_stats.txt)"
-    failures=$((failures + 1))
-  fi
-  end=$(now)
-  record "driver_catalog_stats" \
-    "$(awk "BEGIN{printf \"%.3f\", $end - $start}")" "$status"
-else
-  record "driver_catalog_stats" 0 missing
-fi
-
-# Certification snapshot: the same one-thread shared-catalog run with
+# Certification snapshot: the same one-thread shared-family run with
 # --certify, so the baseline records the cost of proof logging + the
 # in-process RUP check relative to the uncertified run directly above
 # (certify_overhead_x) alongside the certificate counts.
 CERTIFY_JSON="$RESULTS_DIR/driver_certify_stats.json"
 if [ -x "$DRIVER_BIN" ]; then
-  echo "== semcommute-verify (certified shared-catalog snapshot)"
+  echo "== semcommute-verify (certified shared-family snapshot)"
   start=$(now)
   if "$DRIVER_BIN" --families all --engine symbolic \
-       --solve-mode shared-catalog --threads 1 --certify --quiet \
+       --solve-mode shared-family --threads 1 --certify --quiet \
        --json "$CERTIFY_JSON" > "$RESULTS_DIR/driver_certify_stats.txt" 2>&1
   then status=ok; else
     status=failed
@@ -363,7 +340,8 @@ if os.path.exists(driver_path):
             },
         }
 
-# Family-session statistics from the shared-family snapshot run.
+# Family-session statistics from the shared-family snapshot run: one
+# catalog_stats row per family session.
 family_stats = None
 family_path = os.path.join(results_dir, "driver_family_stats.json")
 if os.path.exists(family_path):
@@ -376,31 +354,12 @@ if os.path.exists(family_path):
         family_stats = {
             "engine": "symbolic",
             "mode": "shared-family",
-            "families": report.get("family_stats", []),
-        }
-
-# Catalog-session statistics from the shared-catalog snapshot run: the
-# single one-thread session's prefix/retirement/recycling counters plus
-# its per-family-tier slices.
-catalog_stats = None
-catalog_path = os.path.join(results_dir, "driver_catalog_stats.json")
-if os.path.exists(catalog_path):
-    try:
-        with open(catalog_path) as f:
-            report = json.load(f)
-    except json.JSONDecodeError:
-        report = None
-    if report:
-        catalog_stats = {
-            "engine": "symbolic",
-            "mode": "shared-catalog",
             "sessions": report.get("catalog_stats", []),
-            "families": report.get("family_stats", []),
         }
 
 # Certification statistics from the --certify snapshot: certificate and
 # checker-database counts, whether every proof checked, and the wall-time
-# ratio against the uncertified shared-catalog run (certify_overhead_x).
+# ratio against the uncertified shared-family run (certify_overhead_x).
 certify_stats = None
 certify_path = os.path.join(results_dir, "driver_certify_stats.json")
 if os.path.exists(certify_path):
@@ -413,16 +372,16 @@ if os.path.exists(certify_path):
         sym = [r for r in report.get("results", [])
                if r.get("engine") == "symbolic"]
         plain_wall = None
-        if catalog_stats is not None:
+        if family_stats is not None:
             try:
-                with open(catalog_path) as f:
+                with open(family_path) as f:
                     plain_wall = json.load(f).get("wall_ms")
             except (json.JSONDecodeError, OSError):
                 pass
         wall = report.get("wall_ms")
         certify_stats = {
             "engine": "symbolic",
-            "mode": "shared-catalog",
+            "mode": "shared-family",
             "jobs": len(sym),
             "jobs_proof_checked": sum(1 for r in sym
                                       if r.get("proof_checked")),
@@ -566,7 +525,6 @@ doc = {
     "google_benchmarks": google,
     "driver_solver_stats": driver_stats,
     "driver_family_stats": family_stats,
-    "driver_catalog_stats": catalog_stats,
     "driver_certify_stats": certify_stats,
     "index_stats": index_stats,
     "speculation_stats": speculation_stats,

@@ -79,18 +79,12 @@ enum class SolveMode : uint8_t {
   /// selectors nested inside it, and a finished pair's scope is *retired*
   /// (selector falsified, its clauses evicted) so the clause database is
   /// bounded by the live pair plus the family-common prefix instead of
-  /// growing with the whole family. SharedCatalog schedules exactly this
-  /// at more than one thread.
+  /// growing with the whole family.
   SharedFamily,
-  /// One warm session for the whole *catalog*: the catalog-common
-  /// well-formedness prefix is asserted once at the session root, each
-  /// family's remaining common prefix under a per-family selector, pairs
-  /// under pair selectors nested inside it, methods inside those. Pair
-  /// and family scopes are retired as subtrees when their VCs are done,
-  /// and their Tseitin definition variables are recycled, so both the
-  /// clause database and the variable array are bounded by the live pair
-  /// — while the atom table, bridge lattice, and root Tseitin skeleton
-  /// are derived once and shared by all four families.
+  /// Formerly one warm session for the whole catalog at one thread. It
+  /// was slower than SharedFamily and peaked higher in memory, so the
+  /// driver rejects it; the member stays only because the frozen
+  /// perfbench parser names it. The engine treats it as any warm mode.
   SharedCatalog,
 };
 
@@ -409,8 +403,9 @@ struct CatalogSessionStats {
 };
 
 /// The warm solver session of every warm mode: one per pair
-/// (SolveMode::SharedPair), per family (SharedFamily) or for the whole
-/// catalog (SharedCatalog). The catalog-common prefix is session base —
+/// (SolveMode::SharedPair) or per family (SharedFamily) in the driver,
+/// one over all served families in the verification service. The
+/// catalog-common prefix is session base —
 /// with a one-family plan, so is the family's common prefix, and its tier
 /// lives at the root with no selector of its own; with a one-pair plan,
 /// the pair lives there too and only method selectors remain. Otherwise

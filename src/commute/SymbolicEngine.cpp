@@ -1238,7 +1238,7 @@ CatalogOutcome
 SymbolicEngine::verifyGroups(const std::vector<FamilyEntries> &Groups) {
   CatalogOutcome Out;
   CatalogPlan CP = planGroups(Groups);
-  CatalogSession Sess(F, CP, ConflictBudget, Certify, CompactBridges);
+  CatalogSession Sess(F, CP, ConflictBudget, Certify);
   Sess.configureClauseGc(true, GcBudget);
 
   for (size_t FI = 0; FI != Groups.size(); ++FI) {
@@ -1320,11 +1320,6 @@ SymbolicEngine::verifyGroups(const std::vector<FamilyEntries> &Groups) {
     }
   }
   return Out;
-}
-
-FamilyOutcome SymbolicEngine::verifyFamily(const Catalog &C,
-                                           const Family &Fam) {
-  return std::move(verifyGroups(entriesOf(C, {&Fam})).Families.front());
 }
 
 PairOutcome SymbolicEngine::verifyPair(const ConditionEntry &E) {

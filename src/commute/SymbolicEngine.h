@@ -35,13 +35,12 @@
 ///
 /// Discharge strategy: each testing method is compiled to a MethodPlan
 /// (pair-common prefix, selector-scoped method prefix, labeled VC splits)
-/// and discharged on a CatalogSession (see SessionPool.h) — one per pair,
-/// per family or per catalog, all through the one per-pair loop of
-/// verifyGroups. In the default SolveMode::SharedPair, verifyPair() runs
-/// all six testing methods of one (family, op-pair) against a single warm
-/// solver under per-method selector literals; PerMethod (the pre-pair
-/// incremental mode) and OneShot (cold start per split) remain as the cold
-/// comparison baselines for bench/perf_engine_scaling.cpp.
+/// and discharged on a CatalogSession (see SessionPool.h) through the one
+/// per-pair loop of verifyGroups, whatever the session serves: one pair,
+/// one family, or several families. Every warm SolveMode is alike here;
+/// only how a caller groups pairs into sessions differs. PerMethod (the
+/// pre-pair incremental mode) and OneShot (cold start per split) remain as
+/// the cold comparison baselines, discharged through dischargeCold.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -59,8 +58,7 @@
 namespace semcomm {
 
 /// Outcome of verifying every op-pair of one family through one family
-/// tier of a CatalogSession, plus the tier-level statistics the driver
-/// reports per family.
+/// tier of a CatalogSession, plus the tier-level statistics.
 struct FamilyOutcome {
   std::string Family;
   std::vector<std::string> PairKeys; ///< "op1,op2", catalog entry order.
@@ -96,11 +94,10 @@ struct FamilyOutcome {
   }
 };
 
-/// Outcome of verifying several families through a single CatalogSession
-/// (SolveMode::SharedCatalog): per-family outcomes in the same shape
-/// verifyFamily produces (so reporting code is shared), plus the
-/// catalog-session statistics — prefix amortization, subtree
-/// retirements, variable recycling, and the peak-liveness bounds.
+/// Outcome of verifying one or more families through a single
+/// CatalogSession: per-family outcomes plus the session statistics —
+/// prefix amortization, subtree retirements, variable recycling, and the
+/// peak-liveness bounds.
 struct CatalogOutcome {
   std::vector<FamilyOutcome> Families; ///< Requested-family order.
   CatalogSessionStats Stats;
@@ -150,20 +147,23 @@ public:
   /// function of the options alone.
   PairOutcome verifyPair(const ConditionEntry &E);
 
-  /// Verifies every op-pair of \p Fam through a one-family CatalogSession:
-  /// the family-common prefix is asserted once, each pair's plan is
-  /// materialized lazily just before its discharge, and the pair's scope
-  /// is retired (evicted) — and its plan dropped — when its six methods
-  /// are done. Pair and method order are deterministic.
-  FamilyOutcome verifyFamily(const Catalog &C, const Family &Fam);
+  /// One family's share of a warm session: the entries to verify, in
+  /// order.
+  struct FamilyEntries {
+    const Family *Fam = nullptr;
+    std::vector<const ConditionEntry *> Entries;
+  };
 
-  /// Verifies every op-pair of every family in \p Fams through one
-  /// CatalogSession: the catalog-common prefix is asserted once, each
-  /// family opens a selector scope beneath it, pairs are planned lazily
-  /// just before their discharge and retired (their plans dropped) when
-  /// their six methods are done, and a finished family's whole scope
-  /// subtree is retired in one pass. Family, pair, and method order are
-  /// deterministic.
+  /// Verifies \p Groups through one CatalogSession, the engine's one warm
+  /// entry point: the catalog-common prefix is asserted once, each family
+  /// opens a selector scope beneath it, pairs are planned lazily just
+  /// before their discharge and retired (their plans dropped) when their
+  /// six methods are done, and a finished family's whole scope subtree is
+  /// retired in one pass. A single pair sits at the session root. Family,
+  /// pair, and method order are deterministic.
+  CatalogOutcome verifyGroups(const std::vector<FamilyEntries> &Groups);
+
+  /// verifyGroups over every entry of each of \p Fams, in catalog order.
   CatalogOutcome verifyCatalog(const Catalog &C,
                                const std::vector<const Family *> &Fams);
 
@@ -185,7 +185,7 @@ public:
       const;
 
   /// Compiles the catalog-level plan for \p Fams: per-family common
-  /// prefixes and pair keys (methods left unmaterialized — verifyCatalog
+  /// prefixes and pair keys (methods left unmaterialized — verifyGroups
   /// plans them lazily) plus the catalog-common prefix, the well-formedness formulas
   /// every entry either asserts in its own Common prefix or provably
   /// cannot mention (none of the formula's variables occur in the entry's
@@ -206,16 +206,6 @@ public:
   void setCertify(bool C) { Certify = C; }
   bool certify() const { return Certify; }
 
-  /// Turns on bridge compaction for catalog sessions (the driver's
-  /// --compact-bridges knob): retired scopes release their theory-atom
-  /// references, and once every owner of an atom is dead its bridge
-  /// clauses are compacted out of the clause database and its variable
-  /// recycled. Only catalog sessions (verifyCatalog / verifyFamily)
-  /// honor it — the other modes retire nothing, so there is nothing to
-  /// compact.
-  void setBridgeCompaction(bool B) { CompactBridges = B; }
-  bool bridgeCompaction() const { return CompactBridges; }
-
   /// Attaches proof-hint scripts: ArrayList method plans whose method
   /// matches a script gain the script's note/pickWitness lemmas as extra
   /// *labeled* split assumptions, so unsat cores can name the hint
@@ -225,23 +215,12 @@ public:
     Hints = Scripts;
   }
 
-  SolveMode mode() const { return Mode; }
-
 private:
-  /// One family's share of a catalog-session run: the entries to verify,
-  /// in order.
-  struct FamilyEntries {
-    const Family *Fam = nullptr;
-    std::vector<const ConditionEntry *> Entries;
-  };
   /// Every entry of each of \p Fams, in catalog order.
   static std::vector<FamilyEntries>
   entriesOf(const Catalog &C, const std::vector<const Family *> &Fams);
   /// planCatalog over explicit entry lists.
   CatalogPlan planGroups(const std::vector<FamilyEntries> &Groups) const;
-  /// Verifies \p Groups through one CatalogSession — the one per-pair
-  /// loop behind verifyCatalog, verifyFamily and the warm verifyPair.
-  CatalogOutcome verifyGroups(const std::vector<FamilyEntries> &Groups);
   /// The Common prefix of \p E's method plans without materializing the
   /// ArrayList split lattice (the prefixes are a handful of
   /// well-formedness formulas, identical across an entry's six methods).
@@ -257,7 +236,6 @@ private:
   SolveMode Mode;
   int64_t GcBudget = 0;
   bool Certify = false;
-  bool CompactBridges = false;
   const std::vector<HintScript> *Hints = nullptr;
 };
 

@@ -456,8 +456,7 @@ LintResult lint::lintCatalog(ExprFactory &F, int SeqLenBound,
 
   // 2. The catalog-common hoisting rule, against materialized plans. The
   //    conflict budget is irrelevant: the lint never solves.
-  SymbolicEngine Eng(F, SeqLenBound, /*ConflictBudget=*/1,
-                     SolveMode::SharedCatalog);
+  SymbolicEngine Eng(F, SeqLenBound, /*ConflictBudget=*/1);
   CatalogPlan CP = Eng.planCatalog(C, Fams);
   R.HoistedChecked = CP.CatalogCommon.size();
   Append(checkCatalogHoisting(Eng, C, Fams));

@@ -118,8 +118,7 @@ ShardedVerifyService::ShardedVerifyService(
   Stopwatch PlanTimer;
   {
     SymbolicEngine Planner(C.factory(), Cfg.Base.SeqLenBound,
-                           Cfg.Base.ConflictBudget,
-                           SolveMode::SharedCatalog);
+                           Cfg.Base.ConflictBudget);
     Plan = Planner.planCatalog(C, Fams);
   }
   PlanMillis = PlanTimer.millis();

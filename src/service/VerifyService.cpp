@@ -20,8 +20,7 @@ VerifyService::VerifyService(const Catalog &C, const CatalogPlan &Plan,
                              const ServiceConfig &Cfg,
                              const PrefixImage *Prefix)
     : Cfg(Cfg),
-      Eng(C.factory(), Cfg.SeqLenBound, Cfg.ConflictBudget,
-          SolveMode::SharedCatalog),
+      Eng(C.factory(), Cfg.SeqLenBound, Cfg.ConflictBudget),
       Sess(C.factory(), Plan, Cfg.ConflictBudget, Cfg.Certify,
            Cfg.CompactBridges, Cfg.CompactMinDead, Prefix) {
   Sess.configureClauseGc(true);

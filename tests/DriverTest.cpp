@@ -330,22 +330,36 @@ TEST(DriverEngines, SolveModesAgreeOnDriverVerdicts) {
     EXPECT_EQ(P.Selectors, 0u);
   }
 
-  // The family run reports one warm catalog session for the whole family,
-  // pair rows under shared-family mode, and a family_stats row whose
-  // eviction counters show every pair was retired.
-  EXPECT_TRUE(Shared.FamilyTiers.empty());
-  ASSERT_EQ(FamilyRun.FamilyTiers.size(), 1u);
-  const FamilyStats &FS = FamilyRun.FamilyTiers[0];
-  EXPECT_EQ(FS.Family, "Set");
-  EXPECT_EQ(FS.Mode, "shared-family");
-  EXPECT_EQ(FS.Pairs, FamilyRun.Pairs.size());
-  EXPECT_EQ(FS.Evictions, FamilyRun.Pairs.size());
-  EXPECT_GT(FS.EvictedClauses, 0u);
-  EXPECT_GT(FS.PrefixReuses, 0u);
-  EXPECT_GT(FS.PeakRetainedClauses, 0u);
+  // Every warm mode reports one session row per session: one per pair
+  // under shared-pair.
+  ASSERT_EQ(Shared.CatalogSessions.size(), Shared.Pairs.size());
+  for (size_t I = 0; I != Shared.Pairs.size(); ++I) {
+    const CatalogStats &CS = Shared.CatalogSessions[I];
+    EXPECT_EQ(CS.Mode, "shared-pair");
+    EXPECT_EQ(CS.FamilyNames, "Set");
+    EXPECT_EQ(CS.Pairs, 1u);
+    EXPECT_EQ(CS.Checks, Shared.Pairs[I].Checks);
+    EXPECT_GT(CS.PeakLiveVars, 0u);
+  }
+  EXPECT_TRUE(PerMethod.CatalogSessions.empty()); // Cold: no warm session.
+
+  // The family run reports one warm session for the whole family, pair
+  // rows under shared-family mode, and a session row whose eviction,
+  // retirement and recycling counters show every pair was retired.
   ASSERT_EQ(FamilyRun.CatalogSessions.size(), 1u);
-  EXPECT_EQ(FamilyRun.CatalogSessions[0].Mode, "shared-family");
-  EXPECT_EQ(FamilyRun.CatalogSessions[0].FamilyNames, "Set");
+  const CatalogStats &CS = FamilyRun.CatalogSessions[0];
+  EXPECT_EQ(CS.Mode, "shared-family");
+  EXPECT_EQ(CS.FamilyNames, "Set");
+  EXPECT_EQ(CS.Families, 1u);
+  EXPECT_EQ(CS.Pairs, FamilyRun.Pairs.size());
+  EXPECT_EQ(CS.PairEvictions, FamilyRun.Pairs.size());
+  EXPECT_EQ(CS.SubtreeRetirements, 1u);
+  EXPECT_GT(CS.EvictedClauses, 0u);
+  EXPECT_GT(CS.PrefixReuses, 0u);
+  EXPECT_GT(CS.PeakRetainedClauses, 0u);
+  EXPECT_GT(CS.RecycledVars, 0u);
+  EXPECT_GT(CS.PeakLiveVars, 0u);
+  EXPECT_LT(CS.PeakLiveVars, CS.VarRequests);
   uint64_t Sessions = 0;
   for (const PairStats &P : FamilyRun.Pairs) {
     EXPECT_EQ(P.Mode, "shared-family");
@@ -356,10 +370,11 @@ TEST(DriverEngines, SolveModesAgreeOnDriverVerdicts) {
 }
 
 TEST(DriverEngines, SharedFamilyVerdictsAreThreadCountInvariant) {
-  // The acceptance bar of the family tier: on the full catalog,
+  // The acceptance bar of the family session: on the full catalog,
   // shared-family verdicts and solver statistics are identical at 1, 2
   // and 8 threads (each family runs its pairs in catalog order on one
-  // worker), and every family row shows bounded retention via eviction.
+  // worker), and every session row shows bounded retention via eviction,
+  // one family-subtree retirement and recycled variables.
   DriverFixture Fx;
   DriverOptions Opts;
   Opts.Engine = EngineKind::Symbolic;
@@ -369,11 +384,17 @@ TEST(DriverEngines, SharedFamilyVerdictsAreThreadCountInvariant) {
   Opts.Threads = 1;
   Report Serial = runFullCatalog(Fx.C, Opts);
   EXPECT_EQ(Serial.failures(), 0u);
-  ASSERT_EQ(Serial.FamilyTiers.size(), 4u);
-  for (const FamilyStats &FS : Serial.FamilyTiers) {
-    EXPECT_EQ(FS.Evictions, FS.Pairs) << FS.Family;
-    EXPECT_GT(FS.Checks, 0u) << FS.Family;
+  ASSERT_EQ(Serial.CatalogSessions.size(), 4u);
+  for (const CatalogStats &CS : Serial.CatalogSessions) {
+    EXPECT_EQ(CS.Families, 1u) << CS.FamilyNames;
+    EXPECT_EQ(CS.PairEvictions, CS.Pairs) << CS.FamilyNames;
+    EXPECT_EQ(CS.SubtreeRetirements, 1u) << CS.FamilyNames;
+    EXPECT_GT(CS.Checks, 0u) << CS.FamilyNames;
   }
+  uint64_t Recycled = 0;
+  for (const CatalogStats &CS : Serial.CatalogSessions)
+    Recycled += CS.RecycledVars;
+  EXPECT_GT(Recycled, 0u);
 
   for (unsigned Threads : {2u, 8u}) {
     Opts.Threads = Threads;
@@ -388,120 +409,32 @@ TEST(DriverEngines, SharedFamilyVerdictsAreThreadCountInvariant) {
       EXPECT_EQ(Serial.Results[I].ProofCore, Parallel.Results[I].ProofCore)
           << Serial.Results[I].key();
     }
-    ASSERT_EQ(Serial.FamilyTiers.size(), Parallel.FamilyTiers.size());
-    for (size_t I = 0; I != Serial.FamilyTiers.size(); ++I) {
-      EXPECT_EQ(Serial.FamilyTiers[I].Checks,
-                Parallel.FamilyTiers[I].Checks);
-      EXPECT_EQ(Serial.FamilyTiers[I].Conflicts,
-                Parallel.FamilyTiers[I].Conflicts);
-      EXPECT_EQ(Serial.FamilyTiers[I].PeakRetainedClauses,
-                Parallel.FamilyTiers[I].PeakRetainedClauses);
-      EXPECT_EQ(Serial.FamilyTiers[I].EvictedClauses,
-                Parallel.FamilyTiers[I].EvictedClauses);
+    ASSERT_EQ(Serial.CatalogSessions.size(), Parallel.CatalogSessions.size());
+    for (size_t I = 0; I != Serial.CatalogSessions.size(); ++I) {
+      const CatalogStats &A = Serial.CatalogSessions[I];
+      const CatalogStats &B = Parallel.CatalogSessions[I];
+      EXPECT_EQ(A.FamilyNames, B.FamilyNames);
+      EXPECT_EQ(A.Checks, B.Checks) << A.FamilyNames;
+      EXPECT_EQ(A.Conflicts, B.Conflicts) << A.FamilyNames;
+      EXPECT_EQ(A.PeakLiveVars, B.PeakLiveVars) << A.FamilyNames;
+      EXPECT_EQ(A.EvictedClauses, B.EvictedClauses) << A.FamilyNames;
+      EXPECT_EQ(A.RecycledVars, B.RecycledVars) << A.FamilyNames;
     }
   }
 }
 
-TEST(DriverEngines, SharedCatalogAgreesWithOtherModes) {
-  // The catalog tier must be invisible in the verdicts: shared-catalog
-  // agrees with shared-family and shared-pair, and reports catalog_stats
-  // rows whose retirement/recycling counters show the tier actually ran.
-  DriverFixture Fx;
-  DriverOptions Opts;
-  Opts.Engine = EngineKind::Symbolic;
-  Opts.Families = {"Set"};
-  Opts.Threads = 4;
-
-  Opts.SymbolicMode = SolveMode::SharedPair;
-  Report Shared = runFullCatalog(Fx.C, Opts);
-  Opts.SymbolicMode = SolveMode::SharedFamily;
-  Report FamilyRun = runFullCatalog(Fx.C, Opts);
-  Opts.SymbolicMode = SolveMode::SharedCatalog;
-  Report CatalogRun = runFullCatalog(Fx.C, Opts);
-
-  EXPECT_EQ(CatalogRun.failures(), 0u);
-  EXPECT_TRUE(Shared.sameVerdicts(CatalogRun));
-  EXPECT_TRUE(FamilyRun.sameVerdicts(CatalogRun));
-  EXPECT_TRUE(Shared.CatalogSessions.empty());
-
-  // One family at 4 threads: one family-sharded catalog session, which
-  // still reports family_stats and pair rows under shared-catalog mode.
-  ASSERT_EQ(CatalogRun.CatalogSessions.size(), 1u);
-  const CatalogStats &CS = CatalogRun.CatalogSessions[0];
-  EXPECT_EQ(CS.Mode, "shared-catalog");
-  EXPECT_EQ(CS.FamilyNames, "Set");
-  EXPECT_EQ(CS.Families, 1u);
-  EXPECT_EQ(CS.Pairs, CatalogRun.Pairs.size());
-  EXPECT_EQ(CS.SubtreeRetirements, 1u);
-  EXPECT_EQ(CS.PairEvictions, CatalogRun.Pairs.size());
-  EXPECT_GT(CS.RecycledVars, 0u);
-  EXPECT_GT(CS.PeakLiveVars, 0u);
-  EXPECT_LT(CS.PeakLiveVars, CS.VarRequests);
-  ASSERT_EQ(CatalogRun.FamilyTiers.size(), 1u);
-  EXPECT_EQ(CatalogRun.FamilyTiers[0].Mode, "shared-catalog");
-  EXPECT_EQ(CatalogRun.FamilyTiers[0].Evictions,
-            CatalogRun.Pairs.size());
-  for (const PairStats &P : CatalogRun.Pairs)
-    EXPECT_EQ(P.Mode, "shared-catalog");
-}
-
-TEST(DriverEngines, SharedCatalogVerdictsAreThreadCountInvariant) {
-  // The acceptance bar of the catalog tier: on the full catalog,
-  // shared-catalog verdicts are identical at 1, 2, and 8 threads. At one
-  // thread the whole catalog runs through a single session; at more,
-  // deterministic family shards — so statistics agree between the
-  // sharded runs, and only verdicts are compared against the 1-thread
-  // single-session run.
+TEST(DriverEngines, SharedCatalogModeYieldsErrorReport) {
+  // The whole-catalog schedule is gone: asking for it fails the run
+  // instead of quietly running another schedule.
   DriverFixture Fx;
   DriverOptions Opts;
   Opts.Engine = EngineKind::Symbolic;
   Opts.SymbolicMode = SolveMode::SharedCatalog;
-  Opts.SymbolicSeqLenBound = 2;
-
-  Opts.Threads = 1;
-  Report Serial = runFullCatalog(Fx.C, Opts);
-  EXPECT_EQ(Serial.failures(), 0u);
-  ASSERT_EQ(Serial.CatalogSessions.size(), 1u);
-  EXPECT_EQ(Serial.CatalogSessions[0].Families, 4u);
-  EXPECT_EQ(Serial.CatalogSessions[0].SubtreeRetirements, 4u);
-  EXPECT_GT(Serial.CatalogSessions[0].RecycledVars, 0u);
-  ASSERT_EQ(Serial.FamilyTiers.size(), 4u);
-  for (const FamilyStats &FS : Serial.FamilyTiers)
-    EXPECT_EQ(FS.Evictions, FS.Pairs) << FS.Family;
-
-  Opts.Threads = 2;
-  Report Two = runFullCatalog(Fx.C, Opts);
-  Opts.Threads = 8;
-  Report Eight = runFullCatalog(Fx.C, Opts);
-  EXPECT_TRUE(Serial.sameVerdicts(Two));
-  EXPECT_TRUE(Serial.sameVerdicts(Eight));
-  EXPECT_EQ(Two.failures(), 0u);
-  EXPECT_EQ(Eight.failures(), 0u);
-
-  // Sharded runs are deterministic: 2 and 8 threads use the same
-  // one-session-per-family shards, so stats agree exactly.
-  ASSERT_EQ(Two.CatalogSessions.size(), 4u);
-  ASSERT_EQ(Eight.CatalogSessions.size(), 4u);
-  for (size_t I = 0; I != Two.CatalogSessions.size(); ++I) {
-    EXPECT_EQ(Two.CatalogSessions[I].FamilyNames,
-              Eight.CatalogSessions[I].FamilyNames);
-    EXPECT_EQ(Two.CatalogSessions[I].Checks,
-              Eight.CatalogSessions[I].Checks);
-    EXPECT_EQ(Two.CatalogSessions[I].Conflicts,
-              Eight.CatalogSessions[I].Conflicts);
-    EXPECT_EQ(Two.CatalogSessions[I].RecycledVars,
-              Eight.CatalogSessions[I].RecycledVars);
-    EXPECT_EQ(Two.CatalogSessions[I].PeakLiveVars,
-              Eight.CatalogSessions[I].PeakLiveVars);
-  }
-  for (size_t I = 0; I != Two.Results.size(); ++I) {
-    EXPECT_EQ(Two.Results[I].Vcs, Eight.Results[I].Vcs)
-        << Two.Results[I].key();
-    EXPECT_EQ(Two.Results[I].Conflicts, Eight.Results[I].Conflicts)
-        << Two.Results[I].key();
-    EXPECT_EQ(Two.Results[I].ProofCore, Eight.Results[I].ProofCore)
-        << Two.Results[I].key();
-  }
+  Opts.Families = {"Accumulator"};
+  Report R = runFullCatalog(Fx.C, Opts);
+  EXPECT_NE(R.Error.find("shared-family"), std::string::npos) << R.Error;
+  EXPECT_TRUE(R.Results.empty());
+  EXPECT_EQ(R.failures(), 1u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -618,7 +551,7 @@ TEST(DriverReport, EngineAndSolverStatsRoundTrip) {
   EXPECT_EQ(Back->toJson().dump(2), R.toJson().dump(2));
 }
 
-TEST(DriverReport, FamilyStatsRoundTrip) {
+TEST(DriverReport, CatalogStatsRoundTrip) {
   DriverFixture Fx;
   DriverOptions Opts;
   Opts.Engine = EngineKind::Symbolic;
@@ -627,44 +560,9 @@ TEST(DriverReport, FamilyStatsRoundTrip) {
   Opts.Threads = 2;
 
   Report R = runFullCatalog(Fx.C, Opts);
-  ASSERT_EQ(R.FamilyTiers.size(), 2u);
-  std::optional<Report> Back = Report::fromJson(R.toJson());
-  ASSERT_TRUE(Back.has_value());
-  ASSERT_EQ(Back->FamilyTiers.size(), R.FamilyTiers.size());
-  for (size_t I = 0; I != R.FamilyTiers.size(); ++I) {
-    const FamilyStats &A = R.FamilyTiers[I];
-    const FamilyStats &B = Back->FamilyTiers[I];
-    EXPECT_EQ(B.Family, A.Family);
-    EXPECT_EQ(B.Mode, A.Mode);
-    EXPECT_EQ(B.Pairs, A.Pairs);
-    EXPECT_EQ(B.Methods, A.Methods);
-    EXPECT_EQ(B.Vcs, A.Vcs);
-    EXPECT_EQ(B.Checks, A.Checks);
-    EXPECT_EQ(B.Conflicts, A.Conflicts);
-    EXPECT_EQ(B.PrefixAsserts, A.PrefixAsserts);
-    EXPECT_EQ(B.PrefixReuses, A.PrefixReuses);
-    EXPECT_EQ(B.PeakRetainedClauses, A.PeakRetainedClauses);
-    EXPECT_EQ(B.Evictions, A.Evictions);
-    EXPECT_EQ(B.EvictedClauses, A.EvictedClauses);
-    EXPECT_EQ(B.DbReductions, A.DbReductions);
-    EXPECT_EQ(B.ReclaimedClauses, A.ReclaimedClauses);
-    EXPECT_EQ(B.Selectors, A.Selectors);
-    EXPECT_EQ(B.Millis, A.Millis);
-  }
-  EXPECT_EQ(Back->toJson().dump(2), R.toJson().dump(2));
-}
-
-TEST(DriverReport, CatalogStatsRoundTrip) {
-  DriverFixture Fx;
-  DriverOptions Opts;
-  Opts.Engine = EngineKind::Symbolic;
-  Opts.SymbolicMode = SolveMode::SharedCatalog;
-  Opts.Families = {"Accumulator", "Set"};
-  Opts.Threads = 1;
-
-  Report R = runFullCatalog(Fx.C, Opts);
-  ASSERT_EQ(R.CatalogSessions.size(), 1u);
-  EXPECT_EQ(R.CatalogSessions[0].FamilyNames, "Accumulator,Set");
+  ASSERT_EQ(R.CatalogSessions.size(), 2u);
+  EXPECT_EQ(R.CatalogSessions[0].FamilyNames, "Accumulator");
+  EXPECT_EQ(R.CatalogSessions[1].FamilyNames, "Set");
   std::optional<Report> Back = Report::fromJson(R.toJson());
   ASSERT_TRUE(Back.has_value());
   ASSERT_EQ(Back->CatalogSessions.size(), R.CatalogSessions.size());
@@ -689,6 +587,10 @@ TEST(DriverReport, CatalogStatsRoundTrip) {
     EXPECT_EQ(B.PeakLiveClauses, A.PeakLiveClauses);
     EXPECT_EQ(B.VarRequests, A.VarRequests);
     EXPECT_EQ(B.PeakRetainedClauses, A.PeakRetainedClauses);
+    EXPECT_EQ(B.BridgeCompactions, A.BridgeCompactions);
+    EXPECT_EQ(B.ReleasedAtomVars, A.ReleasedAtomVars);
+    EXPECT_EQ(B.ReleasedSelectors, A.ReleasedSelectors);
+    EXPECT_EQ(B.PeakLiveBridges, A.PeakLiveBridges);
     EXPECT_EQ(B.Selectors, A.Selectors);
     EXPECT_EQ(B.Millis, A.Millis);
   }

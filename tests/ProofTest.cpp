@@ -417,8 +417,7 @@ TEST(CertifiedEngineTest, CatalogSessionCertifiesThroughRetireAndRecycle) {
   // clause-DB reductions all land in one trace that must check out.
   ExprFactory F;
   Catalog C(F);
-  SymbolicEngine Eng(F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000,
-                     SolveMode::SharedCatalog);
+  SymbolicEngine Eng(F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000);
   Eng.setCertify(true);
   Eng.setClauseGcBudget(50); // Aggressive reduction exercises Delete steps.
   std::vector<const Family *> Fams = {&accumulatorFamily(), &setFamily()};
@@ -441,13 +440,13 @@ TEST(CertifiedEngineTest, CatalogSessionCertifiesThroughRetireAndRecycle) {
 TEST(CertifiedEngineTest, CertifyAgreesWithUncertifiedVerdicts) {
   ExprFactory F1;
   Catalog C1(F1);
-  SymbolicEngine Plain(F1, 2, 200000, SolveMode::SharedCatalog);
+  SymbolicEngine Plain(F1, 2, 200000);
   std::vector<const Family *> Fams1 = {&accumulatorFamily(), &setFamily()};
   CatalogOutcome A = Plain.verifyCatalog(C1, Fams1);
 
   ExprFactory F2;
   Catalog C2(F2);
-  SymbolicEngine Certified(F2, 2, 200000, SolveMode::SharedCatalog);
+  SymbolicEngine Certified(F2, 2, 200000);
   Certified.setCertify(true);
   std::vector<const Family *> Fams2 = {&accumulatorFamily(), &setFamily()};
   CatalogOutcome B = Certified.verifyCatalog(C2, Fams2);

@@ -348,7 +348,7 @@ TEST(SymbolicEngineTest, VerifyFamilyMatchesSharedPairOnWholeCatalog) {
                       SolveMode::SharedPair);
 
   for (const Family *Fam : allFamilies()) {
-    FamilyOutcome FO = FamEng.verifyFamily(Fx.C, *Fam);
+    FamilyOutcome FO = FamEng.verifyCatalog(Fx.C, {Fam}).Families.front();
     const std::vector<ConditionEntry> &Entries = Fx.C.entries(*Fam);
     ASSERT_EQ(FO.Pairs.size(), Entries.size()) << Fam->Name;
     EXPECT_EQ(FO.Stats.PairsRetired, Entries.size());
@@ -377,7 +377,8 @@ TEST(SymbolicEngineTest, EvictionBoundsRetainedClausesAcrossAFamily) {
                      SolveMode::SharedFamily);
 
   const Family &Fam = mapFamily();
-  FamilyOutcome Evicting = Eng.verifyFamily(Fx.C, Fam);
+  FamilyOutcome Evicting =
+      Eng.verifyCatalog(Fx.C, {&Fam}).Families.front();
 
   std::vector<const ConditionEntry *> Entries;
   for (const ConditionEntry &E : Fx.C.entries(Fam))
@@ -537,8 +538,7 @@ TEST(SymbolicEngineTest, VerifyCatalogMatchesSharedPairOnWholeCatalog) {
   // method; every pair and every family subtree is retired; and the
   // session recycles variables.
   PoolFixture &Fx = fixture();
-  SymbolicEngine CatEng(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000,
-                        SolveMode::SharedCatalog);
+  SymbolicEngine CatEng(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000);
   SymbolicEngine Pair(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000,
                       SolveMode::SharedPair);
 
@@ -573,8 +573,7 @@ TEST(SymbolicEngineTest, CatalogCommonPrefixHoistsSharedWellFormedness) {
   // non-null constraints qualify (Set and ArrayList assert them; the
   // families that skip them never mention those variables).
   PoolFixture &Fx = fixture();
-  SymbolicEngine Eng(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000,
-                     SolveMode::SharedCatalog);
+  SymbolicEngine Eng(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000);
   CatalogPlan CP = Eng.planCatalog(Fx.C, allFamilies());
   ASSERT_EQ(CP.Families.size(), 4u);
   EXPECT_FALSE(CP.CatalogCommon.empty());
@@ -592,8 +591,7 @@ TEST(SymbolicEngineTest, CatalogRecyclingBoundsLiveVarsBelowDemand) {
   // peak live variable count stays measurably below the cumulative
   // allocation a no-recycling run needs for the same discharge sequence.
   PoolFixture &Fx = fixture();
-  SymbolicEngine Eng(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000,
-                     SolveMode::SharedCatalog);
+  SymbolicEngine Eng(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000);
   CatalogPlan CP = Eng.planCatalog(Fx.C, allFamilies());
 
   auto RunAll = [&](CatalogSession &Sess) {
@@ -637,13 +635,14 @@ TEST(SymbolicEngineTest, CatalogRecyclingBoundsLiveVarsBelowDemand) {
 }
 
 TEST(SymbolicEngineTest, LazyPlanningBoundsMaterializedSplits) {
-  // verifyFamily/verifyCatalog materialize each pair's splits just
-  // before discharge and drop them after retirePair: the peak number of
-  // live splits is one pair's worth, far below the whole family's.
+  // verifyGroups materializes each pair's splits just before discharge
+  // and drops them after retirePair: the peak number of live splits is
+  // one pair's worth, far below the whole family's.
   PoolFixture &Fx = fixture();
   SymbolicEngine Eng(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000,
                      SolveMode::SharedFamily);
-  FamilyOutcome FO = Eng.verifyFamily(Fx.C, arrayListFamily());
+  FamilyOutcome FO =
+      Eng.verifyCatalog(Fx.C, {&arrayListFamily()}).Families.front();
   EXPECT_GT(FO.PeakMaterializedSplits, 0u);
   EXPECT_GT(FO.TotalSplits, FO.PeakMaterializedSplits * 10);
 

@@ -86,8 +86,7 @@ TEST(ShardedServiceTest, PrefixImportMatchesScratchEncoding) {
   std::vector<const Family *> Fams = families({"Accumulator", "Set"});
   ServiceConfig Cfg;
   Cfg.CompactMinDead = 8;
-  CatalogPlan Plan = SymbolicEngine(F, Cfg.SeqLenBound, Cfg.ConflictBudget,
-                                    SolveMode::SharedCatalog)
+  CatalogPlan Plan = SymbolicEngine(F, Cfg.SeqLenBound, Cfg.ConflictBudget)
                          .planCatalog(C, Fams);
 
   VerifyService Scratch(C, Plan, Cfg, nullptr);

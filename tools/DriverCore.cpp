@@ -217,50 +217,22 @@ void runJob(const ExhaustiveEngine &Engine, const Catalog &C,
   Out.Millis = Timer.millis();
 }
 
-/// The unit of work for symbolic commutativity jobs: all six testing
-/// methods of one (family, op-pair), run on one worker so they share one
-/// warm session (SolveMode::SharedPair).
+/// The symbolic commutativity jobs of one (family, op-pair): its six
+/// testing methods.
 struct PairGroup {
   const ConditionEntry *Entry = nullptr;
   std::vector<size_t> JobIdx; ///< Six jobs, in (kind x role) order.
 };
 
-/// Copies a pair outcome into its stats row (shared by the pair-group and
-/// catalog-group paths). Millis is the sum of the method times; the
-/// pair-group path overwrites it with its own wall clock.
-void fillPairStats(const PairOutcome &O, const ConditionEntry &E,
-                   const char *ModeName, PairStats &Stats);
-
-void runPairGroup(const Catalog &C, const DriverOptions &Opts,
-                  const PairGroup &G, std::vector<JobRecord> &Jobs,
-                  PairStats &Stats) {
-  Stopwatch Timer;
-  SymbolicEngine Sym(C.factory(), Opts.SymbolicSeqLenBound,
-                     Opts.SymbolicConflictBudget, Opts.SymbolicMode);
-  Sym.setClauseGcBudget(Opts.GcBudget);
-  Sym.setCertify(Opts.Certify);
-  PairOutcome O = Sym.verifyPair(*G.Entry);
-  assert(O.Methods.size() == G.JobIdx.size() &&
-         "pair group out of sync with enumeration");
-  for (size_t I = 0; I != G.JobIdx.size(); ++I) {
-    JobRecord &Out = Jobs[G.JobIdx[I]];
-    fillSymbolicRecord(O.Methods[I], Out);
-    Out.Millis = O.MethodMillis[I];
-  }
-  fillPairStats(O, *G.Entry, solveModeName(Opts.SymbolicMode), Stats);
-  Stats.Millis = Timer.millis();
-}
-
-/// Every pair of one family, as one catalog session's family tier runs
-/// them (pair order = catalog entry order = enumeration order).
-struct FamilyGroup {
-  const Family *Fam = nullptr;
-  std::vector<PairGroup> Pairs;
-  /// PairStats row of each pair (same index space as the pair-group list),
-  /// so stats placement never relies on families being contiguous there.
-  std::vector<size_t> PairRows;
+/// The unit of symbolic commutativity work, run on one worker: the pairs
+/// one session serves — one pair under shared-pair and the cold modes, one
+/// whole family under shared-family — in enumeration order.
+struct SessionGroup {
+  std::vector<size_t> PairIdx; ///< Indices into the PairGroup list.
 };
 
+/// Copies a pair outcome into its stats row. Millis is the sum of the
+/// method times.
 void fillPairStats(const PairOutcome &O, const ConditionEntry &E,
                    const char *ModeName, PairStats &Stats) {
   Stats.Family = E.Fam->Name;
@@ -281,85 +253,20 @@ void fillPairStats(const PairOutcome &O, const ConditionEntry &E,
     Stats.Millis += Ms;
 }
 
-/// Copies one family tier's outcome into its job records, pair-stats rows,
-/// and family-stats row.
-void fillFamilyRecords(const FamilyOutcome &FO, const FamilyGroup &G,
-                       const char *ModeName, std::vector<JobRecord> &Jobs,
-                       std::vector<PairStats> &Pairs, FamilyStats &Stats) {
-  assert(FO.Pairs.size() == G.Pairs.size() &&
-         "family group out of sync with the catalog");
-  for (size_t PI = 0; PI != G.Pairs.size(); ++PI) {
-    const PairGroup &PG = G.Pairs[PI];
-    const PairOutcome &PO = FO.Pairs[PI];
-    assert(PO.Methods.size() == PG.JobIdx.size() &&
-           "pair group out of sync with enumeration");
-    for (size_t I = 0; I != PG.JobIdx.size(); ++I) {
-      JobRecord &Out = Jobs[PG.JobIdx[I]];
-      fillSymbolicRecord(PO.Methods[I], Out);
-      Out.Millis = PO.MethodMillis[I];
+/// Copies a warm session's outcome into its stats row.
+void fillSessionStats(const CatalogOutcome &CO, const char *ModeName,
+                      CatalogStats &Stats) {
+  Stats.Mode = ModeName;
+  for (const FamilyOutcome &FO : CO.Families) {
+    Stats.FamilyNames += (Stats.FamilyNames.empty() ? "" : ",") + FO.Family;
+    Stats.Pairs += static_cast<unsigned>(FO.Pairs.size());
+    for (const PairOutcome &PO : FO.Pairs) {
+      Stats.Methods += static_cast<unsigned>(PO.Methods.size());
+      for (const SymbolicResult &R : PO.Methods)
+        Stats.Vcs += R.NumVcs;
     }
-    fillPairStats(PO, *PG.Entry, ModeName, Pairs[G.PairRows[PI]]);
   }
-  Stats.Family = G.Fam->Name;
-  Stats.Mode = ModeName;
-  Stats.Pairs = static_cast<unsigned>(FO.Pairs.size());
-  for (const PairOutcome &PO : FO.Pairs) {
-    Stats.Methods += static_cast<unsigned>(PO.Methods.size());
-    for (const SymbolicResult &R : PO.Methods)
-      Stats.Vcs += R.NumVcs;
-  }
-  Stats.Checks = FO.Checks;
-  Stats.Conflicts = FO.Conflicts;
-  Stats.PrefixAsserts = FO.Stats.PrefixAsserts;
-  Stats.PrefixReuses = FO.Stats.PrefixReuses;
-  Stats.PeakRetainedClauses = FO.Stats.PeakRetainedClauses;
-  Stats.Evictions = FO.Stats.PairsRetired;
-  Stats.EvictedClauses = FO.Stats.EvictedClauses;
-  Stats.DbReductions = FO.DbReductions;
-  Stats.ReclaimedClauses = FO.ReclaimedClauses;
-  Stats.Selectors = FO.Selectors;
-}
-
-/// The unit of work in SharedCatalog and SharedFamily modes: one
-/// CatalogSession serving a deterministic list of family groups — all of
-/// them under SharedCatalog at one thread, one per session (family
-/// shards) otherwise.
-struct CatalogGroup {
-  std::vector<size_t> FamGroupIdx; ///< Indices into the FamilyGroup list.
-};
-
-void runCatalogGroup(const Catalog &C, const DriverOptions &Opts,
-                     const std::vector<FamilyGroup> &FamGroups,
-                     const CatalogGroup &CG, std::vector<JobRecord> &Jobs,
-                     std::vector<PairStats> &Pairs,
-                     std::vector<FamilyStats> &FamTiers,
-                     CatalogStats &Stats) {
-  Stopwatch Timer;
-  SymbolicEngine Sym(C.factory(), Opts.SymbolicSeqLenBound,
-                     Opts.SymbolicConflictBudget, Opts.SymbolicMode);
-  Sym.setClauseGcBudget(Opts.GcBudget);
-  Sym.setCertify(Opts.Certify);
-  Sym.setBridgeCompaction(Opts.CompactBridges);
-  std::vector<const Family *> Fams;
-  for (size_t GI : CG.FamGroupIdx)
-    Fams.push_back(FamGroups[GI].Fam);
-  CatalogOutcome CO = Sym.verifyCatalog(C, Fams);
-  assert(CO.Families.size() == CG.FamGroupIdx.size() &&
-         "catalog group out of sync with the plan");
-
-  const char *ModeName = solveModeName(Opts.SymbolicMode);
-  Stats.Mode = ModeName;
-  for (size_t I = 0; I != CG.FamGroupIdx.size(); ++I) {
-    const FamilyGroup &G = FamGroups[CG.FamGroupIdx[I]];
-    FamilyStats &FS = FamTiers[CG.FamGroupIdx[I]];
-    fillFamilyRecords(CO.Families[I], G, ModeName, Jobs, Pairs, FS);
-    FS.Millis = 0; // Shared wall clock: reported on the catalog row.
-    Stats.FamilyNames += (Stats.FamilyNames.empty() ? "" : ",") + G.Fam->Name;
-    Stats.Pairs += FS.Pairs;
-    Stats.Methods += FS.Methods;
-    Stats.Vcs += FS.Vcs;
-  }
-  Stats.Families = static_cast<unsigned>(CG.FamGroupIdx.size());
+  Stats.Families = static_cast<unsigned>(CO.Families.size());
   Stats.Checks = CO.Checks;
   Stats.Conflicts = CO.Conflicts;
   Stats.PrefixAsserts = CO.Stats.PrefixAsserts;
@@ -377,7 +284,59 @@ void runCatalogGroup(const Catalog &C, const DriverOptions &Opts,
   Stats.ReleasedSelectors = CO.Stats.ReleasedSelectors;
   Stats.PeakLiveBridges = CO.Stats.PeakLiveBridges;
   Stats.Selectors = CO.Selectors;
-  Stats.Millis = Timer.millis();
+}
+
+/// Runs one session group: a warm mode through one CatalogSession
+/// (SymbolicEngine::verifyGroups), a cold mode through dischargeCold.
+/// Writes the group's job records and pair rows and, when \p Session is
+/// set (warm modes), its session row. A one-pair group's pair row carries
+/// the group's wall clock.
+void runSessionGroup(const Catalog &C, const DriverOptions &Opts,
+                     const std::vector<PairGroup> &PairGroups,
+                     const SessionGroup &G, std::vector<JobRecord> &Jobs,
+                     std::vector<PairStats> &Pairs, CatalogStats *Session) {
+  Stopwatch Timer;
+  SymbolicEngine Sym(C.factory(), Opts.SymbolicSeqLenBound,
+                     Opts.SymbolicConflictBudget, Opts.SymbolicMode);
+  Sym.setClauseGcBudget(Opts.GcBudget);
+  Sym.setCertify(Opts.Certify);
+  CatalogOutcome CO;
+  if (isColdMode(Opts.SymbolicMode)) {
+    assert(G.PairIdx.size() == 1 && "a cold session group is one pair");
+    CO.Families.emplace_back();
+    CO.Families[0].Pairs.push_back(
+        Sym.verifyPair(*PairGroups[G.PairIdx[0]].Entry));
+  } else {
+    SymbolicEngine::FamilyEntries Group;
+    Group.Fam = PairGroups[G.PairIdx[0]].Entry->Fam;
+    for (size_t PI : G.PairIdx)
+      Group.Entries.push_back(PairGroups[PI].Entry);
+    CO = Sym.verifyGroups({Group});
+  }
+
+  const char *ModeName = solveModeName(Opts.SymbolicMode);
+  const std::vector<PairOutcome> &Outcomes = CO.Families.front().Pairs;
+  assert(Outcomes.size() == G.PairIdx.size() &&
+         "session group out of sync with its outcome");
+  for (size_t I = 0; I != G.PairIdx.size(); ++I) {
+    const PairGroup &PG = PairGroups[G.PairIdx[I]];
+    const PairOutcome &PO = Outcomes[I];
+    assert(PO.Methods.size() == PG.JobIdx.size() &&
+           "pair group out of sync with enumeration");
+    for (size_t M = 0; M != PG.JobIdx.size(); ++M) {
+      JobRecord &Out = Jobs[PG.JobIdx[M]];
+      fillSymbolicRecord(PO.Methods[M], Out);
+      Out.Millis = PO.MethodMillis[M];
+    }
+    fillPairStats(PO, *PG.Entry, ModeName, Pairs[G.PairIdx[I]]);
+  }
+  double Wall = Timer.millis();
+  if (G.PairIdx.size() == 1)
+    Pairs[G.PairIdx[0]].Millis = Wall;
+  if (Session) {
+    fillSessionStats(CO, ModeName, *Session);
+    Session->Millis = Wall;
+  }
 }
 
 } // namespace
@@ -385,6 +344,9 @@ void runCatalogGroup(const Catalog &C, const DriverOptions &Opts,
 Report driver::runFullCatalog(const Catalog &C, const DriverOptions &Opts) {
   std::string Error;
   std::vector<const Family *> Fams = resolveFamilies(Opts.Families, Error);
+  if (Error.empty() && Opts.SymbolicMode == SolveMode::SharedCatalog)
+    Error = "solve mode shared-catalog was removed; use shared-family (one "
+            "warm session per family)";
   if (!Error.empty()) {
     Report R;
     R.Threads = Opts.Threads == 0 ? 1 : Opts.Threads;
@@ -423,88 +385,54 @@ Report driver::runFullCatalog(const Catalog &C, const DriverOptions &Opts) {
     }
   }
 
-  // Group the symbolic commutativity jobs by (family, op-pair): the six
-  // testing methods of one pair run as one unit so they can share a warm
-  // session. Enumeration emits them contiguously in (kind x role) order.
-  std::vector<PairGroup> Groups;
-  std::map<const ConditionEntry *, size_t> GroupOf;
+  // Group the symbolic commutativity jobs by (family, op-pair) — the six
+  // testing methods of one pair, which enumeration emits contiguously in
+  // (kind x role) order — and the pairs into session groups: a whole
+  // family under shared-family, one pair otherwise. Group order is
+  // enumeration order, so every statistic is a function of the options.
+  bool PerFamily = Opts.SymbolicMode == SolveMode::SharedFamily;
+  std::vector<PairGroup> PairGroups;
+  std::vector<SessionGroup> Sessions;
+  std::map<const ConditionEntry *, size_t> PairOf;
+  std::map<const Family *, size_t> SessionOf;
   for (size_t I = 0; I != Jobs.size(); ++I) {
     const PreparedJob &P = Prepared[I];
     if (!P.Symbolic || P.Inverse)
       continue;
-    auto [It, Fresh] = GroupOf.try_emplace(P.Entry, Groups.size());
+    auto [It, Fresh] = PairOf.try_emplace(P.Entry, PairGroups.size());
     if (Fresh) {
-      Groups.push_back({});
-      Groups.back().Entry = P.Entry;
+      PairGroups.push_back({P.Entry, {}});
+      size_t S = Sessions.size();
+      if (PerFamily)
+        S = SessionOf.try_emplace(P.Fam, S).first->second;
+      if (S == Sessions.size())
+        Sessions.push_back({});
+      Sessions[S].PairIdx.push_back(It->second);
     }
-    Groups[It->second].JobIdx.push_back(I);
+    PairGroups[It->second].JobIdx.push_back(I);
   }
-  std::vector<PairStats> Pairs(Groups.size());
+  std::vector<PairStats> Pairs(PairGroups.size());
+  std::vector<CatalogStats> SessionRows(
+      isColdMode(Opts.SymbolicMode) ? 0 : Sessions.size());
 
-  // In SharedFamily and SharedCatalog modes the unit of work grows to at
-  // least a whole family: one worker runs every pair of a family through
-  // one catalog session (group order follows the first pair's position,
-  // i.e. enumeration order).
-  bool CatalogMode = Opts.SymbolicMode == SolveMode::SharedFamily ||
-                     Opts.SymbolicMode == SolveMode::SharedCatalog;
-  std::vector<FamilyGroup> FamGroups;
-  if (CatalogMode) {
-    std::map<const Family *, size_t> FamGroupOf;
-    for (size_t G = 0; G != Groups.size(); ++G) {
-      const Family *Fam = Groups[G].Entry->Fam;
-      auto [It, Fresh] = FamGroupOf.try_emplace(Fam, FamGroups.size());
-      if (Fresh) {
-        FamGroups.push_back({});
-        FamGroups.back().Fam = Fam;
-      }
-      FamGroups[It->second].Pairs.push_back(Groups[G]);
-      FamGroups[It->second].PairRows.push_back(G);
-    }
-  }
-  std::vector<FamilyStats> FamTiers(FamGroups.size());
-
-  // Catalog-session scheduling: SharedCatalog at one thread runs the
-  // whole catalog through a single CatalogSession; otherwise each family
-  // runs as its own catalog session (family shards), so the shard list —
-  // and with it every statistic — is a function of the options alone.
   unsigned Threads = Opts.Threads == 0 ? 1 : Opts.Threads;
-  std::vector<CatalogGroup> CatGroups;
-  if (CatalogMode && !FamGroups.empty()) {
-    if (Threads == 1 && Opts.SymbolicMode == SolveMode::SharedCatalog) {
-      CatGroups.push_back({});
-      for (size_t G = 0; G != FamGroups.size(); ++G)
-        CatGroups.back().FamGroupIdx.push_back(G);
-    } else {
-      for (size_t G = 0; G != FamGroups.size(); ++G)
-        CatGroups.push_back({{G}});
-    }
-  }
-  std::vector<CatalogStats> CatSessions(CatGroups.size());
-
   ExhaustiveEngine Engine(Opts.Bounds);
   Stopwatch Wall;
   {
     ThreadPool Pool(Threads);
     for (size_t I = 0; I != Jobs.size(); ++I) {
       if (Prepared[I].Symbolic && !Prepared[I].Inverse)
-        continue; // Runs inside its pair or catalog group.
+        continue; // Runs inside its session group.
       Pool.submit([&Engine, &C, &Opts, &Prepared, &Jobs, I] {
         runJob(Engine, C, Opts, Prepared[I], Jobs[I]);
       });
     }
-    if (CatalogMode) {
-      for (size_t G = 0; G != CatGroups.size(); ++G)
-        Pool.submit([&C, &Opts, &FamGroups, &CatGroups, &Jobs, &Pairs,
-                     &FamTiers, &CatSessions, G] {
-          runCatalogGroup(C, Opts, FamGroups, CatGroups[G], Jobs, Pairs,
-                          FamTiers, CatSessions[G]);
-        });
-    } else {
-      for (size_t G = 0; G != Groups.size(); ++G)
-        Pool.submit([&C, &Opts, &Groups, &Jobs, &Pairs, G] {
-          runPairGroup(C, Opts, Groups[G], Jobs, Pairs[G]);
-        });
-    }
+    for (size_t G = 0; G != Sessions.size(); ++G)
+      Pool.submit([&C, &Opts, &PairGroups, &Sessions, &Jobs, &Pairs,
+                   &SessionRows, G] {
+        runSessionGroup(C, Opts, PairGroups, Sessions[G], Jobs, Pairs,
+                        SessionRows.empty() ? nullptr : &SessionRows[G]);
+      });
     Pool.wait();
   }
 
@@ -515,8 +443,7 @@ Report driver::runFullCatalog(const Catalog &C, const DriverOptions &Opts) {
   R.Bounds = Opts.Bounds;
   R.Results = std::move(Jobs);
   R.Pairs = std::move(Pairs);
-  R.FamilyTiers = std::move(FamTiers);
-  R.CatalogSessions = std::move(CatSessions);
+  R.CatalogSessions = std::move(SessionRows);
 
   for (const Family *Fam : Fams) {
     FamilySummary S;
@@ -633,39 +560,6 @@ json::Value Report::toJson() const {
       PairArr.push(std::move(V));
     }
     Root.set("pair_stats", std::move(PairArr));
-  }
-
-  if (!FamilyTiers.empty()) {
-    json::Value FamSessArr = json::Value::array();
-    for (const FamilyStats &S : FamilyTiers) {
-      json::Value V = json::Value::object();
-      V.set("family", json::Value::string(S.Family));
-      V.set("mode", json::Value::string(S.Mode));
-      V.set("pairs", json::Value::integer(S.Pairs));
-      V.set("methods", json::Value::integer(S.Methods));
-      V.set("vcs", json::Value::integer(static_cast<int64_t>(S.Vcs)));
-      V.set("checks", json::Value::integer(static_cast<int64_t>(S.Checks)));
-      V.set("sat_conflicts", json::Value::integer(S.Conflicts));
-      V.set("prefix_asserts",
-            json::Value::integer(static_cast<int64_t>(S.PrefixAsserts)));
-      V.set("prefix_reuses",
-            json::Value::integer(static_cast<int64_t>(S.PrefixReuses)));
-      V.set("peak_retained_clauses",
-            json::Value::integer(
-                static_cast<int64_t>(S.PeakRetainedClauses)));
-      V.set("evictions",
-            json::Value::integer(static_cast<int64_t>(S.Evictions)));
-      V.set("evicted_clauses",
-            json::Value::integer(static_cast<int64_t>(S.EvictedClauses)));
-      V.set("db_reductions",
-            json::Value::integer(static_cast<int64_t>(S.DbReductions)));
-      V.set("reclaimed_clauses",
-            json::Value::integer(static_cast<int64_t>(S.ReclaimedClauses)));
-      V.set("selectors", json::Value::integer(S.Selectors));
-      V.set("ms", json::Value::number(S.Millis));
-      FamSessArr.push(std::move(V));
-    }
-    Root.set("family_stats", std::move(FamSessArr));
   }
 
   if (!CatalogSessions.empty()) {
@@ -839,35 +733,6 @@ std::optional<Report> Report::fromJson(const json::Value &V) {
     }
   }
 
-  if (const json::Value *FamSessArr = V.find("family_stats")) {
-    if (!FamSessArr->isArray())
-      return std::nullopt;
-    for (size_t I = 0; I != FamSessArr->size(); ++I) {
-      const json::Value &P = FamSessArr->at(I);
-      FamilyStats S;
-      S.Family = P["family"].asString();
-      S.Mode = P["mode"].asString();
-      S.Pairs = static_cast<unsigned>(P["pairs"].asInt());
-      S.Methods = static_cast<unsigned>(P["methods"].asInt());
-      S.Vcs = static_cast<uint64_t>(P["vcs"].asInt());
-      S.Checks = static_cast<uint64_t>(P["checks"].asInt());
-      S.Conflicts = P["sat_conflicts"].asInt();
-      S.PrefixAsserts = static_cast<uint64_t>(P["prefix_asserts"].asInt());
-      S.PrefixReuses = static_cast<uint64_t>(P["prefix_reuses"].asInt());
-      S.PeakRetainedClauses =
-          static_cast<uint64_t>(P["peak_retained_clauses"].asInt());
-      S.Evictions = static_cast<uint64_t>(P["evictions"].asInt());
-      S.EvictedClauses =
-          static_cast<uint64_t>(P["evicted_clauses"].asInt());
-      S.DbReductions = static_cast<uint64_t>(P["db_reductions"].asInt());
-      S.ReclaimedClauses =
-          static_cast<uint64_t>(P["reclaimed_clauses"].asInt());
-      S.Selectors = static_cast<unsigned>(P["selectors"].asInt());
-      S.Millis = P["ms"].asDouble();
-      R.FamilyTiers.push_back(std::move(S));
-    }
-  }
-
   if (const json::Value *CatArr = V.find("catalog_stats")) {
     if (!CatArr->isArray())
       return std::nullopt;
@@ -896,8 +761,7 @@ std::optional<Report> Report::fromJson(const json::Value &V) {
       S.VarRequests = static_cast<uint64_t>(P["var_requests"].asInt());
       S.PeakRetainedClauses =
           static_cast<uint64_t>(P["peak_retained_clauses"].asInt());
-      // Bridge-compaction counters arrived with --compact-bridges; older
-      // reports simply lack them.
+      // Older reports lack the bridge counters.
       if (const json::Value *BC = P.find("bridge_compactions"))
         S.BridgeCompactions = static_cast<uint64_t>(BC->asInt());
       if (const json::Value *RA = P.find("released_atom_vars"))
@@ -1021,25 +885,6 @@ std::string driver::renderSummary(const Report &R) {
                     static_cast<unsigned long long>(Checks),
                     static_cast<unsigned long long>(TotalReductions),
                     static_cast<unsigned long long>(TotalReclaimed));
-      Out += Buf;
-    }
-    if (!R.FamilyTiers.empty()) {
-      uint64_t Evictions = 0, Evicted = 0, Peak = 0, Reuses = 0;
-      for (const FamilyStats &S : R.FamilyTiers) {
-        Evictions += S.Evictions;
-        Evicted += S.EvictedClauses;
-        Peak = std::max(Peak, S.PeakRetainedClauses);
-        Reuses += S.PrefixReuses;
-      }
-      std::snprintf(Buf, sizeof(Buf),
-                    "family tiers: %zu families, %llu pair evictions "
-                    "dropping %llu clauses, peak %llu retained, %llu "
-                    "prefix-assert reuses\n",
-                    R.FamilyTiers.size(),
-                    static_cast<unsigned long long>(Evictions),
-                    static_cast<unsigned long long>(Evicted),
-                    static_cast<unsigned long long>(Peak),
-                    static_cast<unsigned long long>(Reuses));
       Out += Buf;
     }
     if (!R.CatalogSessions.empty()) {

@@ -13,13 +13,15 @@
 /// dispatches the independent verification jobs across a work-stealing
 /// ThreadPool, and aggregates per-family timings plus a JSON report.
 ///
-/// Symbolic commutativity jobs are planned *per pair*: the six testing
-/// methods of one (family, op-pair) run as one unit on one worker so they
-/// can share a warm solver session (SolveMode::SharedPair); the report
-/// gains per-pair reuse statistics. The job list and the result order are
-/// fully determined by the options — never by thread scheduling — so an
-/// N-thread run and a 1-thread run produce byte-identical verdict
-/// sequences (DriverTest pins this down).
+/// Symbolic commutativity jobs run in *session groups*: the six testing
+/// methods of one (family, op-pair) always run together, and one worker
+/// runs a group's pairs through one warm solver session — one pair per
+/// session under SolveMode::SharedPair, one family under SharedFamily (the
+/// cold baselines run one pair per group, without a session). The report
+/// gains one row per pair and one per warm session. The job list, the
+/// groups and the result order are fully determined by the options —
+/// never by thread scheduling — so an N-thread run and a 1-thread run
+/// produce byte-identical verdict sequences (DriverTest pins this down).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -63,12 +65,11 @@ struct DriverOptions {
   int SymbolicSeqLenBound = 3;
   /// Per-VC CDCL conflict budget for the symbolic engine.
   int64_t SymbolicConflictBudget = 200000;
-  /// Session strategy for the symbolic engine: shared-pair (default),
-  /// shared-family (one catalog session per family at every thread
-  /// count), shared-catalog (one catalog session for the whole catalog at
-  /// one thread, one per family at more threads; selector-tree scopes
-  /// with subtree retirement and variable recycling), or the per-method /
-  /// oneshot comparison baselines.
+  /// Session strategy for the symbolic engine: shared-pair (default, one
+  /// warm session per op-pair), shared-family (one warm session per
+  /// family, pair scopes retired as they finish), or the per-method /
+  /// oneshot comparison baselines. SharedCatalog is rejected: the run
+  /// returns an error report.
   SolveMode SymbolicMode = SolveMode::SharedPair;
   /// Clause-GC budget: live learned clauses at which a warm session's
   /// first database reduction fires (--gc-budget; 0 keeps the solver
@@ -80,13 +81,6 @@ struct DriverOptions {
   /// proof_queries / proof_clauses / proof_checked. Symbolic engine only
   /// (the CLI rejects --certify with --engine exhaustive).
   bool Certify = false;
-  /// Bridge compaction (--compact-bridges): shared-catalog sessions
-  /// reference-count theory atoms by live scopes and compact bridge
-  /// clauses (and their Tseitin variables) out of the clause database
-  /// once every owning scope retires. Symbolic shared-catalog runs only
-  /// (the CLI rejects it elsewhere); the long-lived path is
-  /// semcommute-serve, where compaction defaults on.
-  bool CompactBridges = false;
 };
 
 /// One verification job and (after running) its outcome. Category is
@@ -151,8 +145,10 @@ struct FamilySummary {
   uint64_t ReclaimedClauses = 0;
 };
 
-/// Reuse statistics of one shared pair session (symbolic commutativity
-/// jobs only; one row per (family, op-pair) in job-list order).
+/// Reuse statistics of one op-pair (symbolic commutativity jobs only; one
+/// row per (family, op-pair) in job-list order). Counters are the pair's
+/// share of its session; Millis is the pair's wall clock when it had its
+/// session group to itself, else the sum of its method times.
 struct PairStats {
   std::string Family;
   std::string Op1, Op2;
@@ -169,37 +165,9 @@ struct PairStats {
   double Millis = 0;
 };
 
-/// Reuse and eviction statistics of one family tier of a catalog session
-/// (symbolic commutativity jobs under SolveMode::SharedFamily or
-/// SharedCatalog; one row per family).
-struct FamilyStats {
-  std::string Family;
-  std::string Mode; ///< solveModeName of the run.
-  unsigned Pairs = 0;
-  unsigned Methods = 0;
-  uint64_t Vcs = 0;
-  uint64_t Checks = 0;
-  int64_t Conflicts = 0;
-  /// Common-prefix assertions issued vs. skipped because the formula was
-  /// already in the family base or the pair scope (the amortization the
-  /// family tier buys).
-  uint64_t PrefixAsserts = 0;
-  uint64_t PrefixReuses = 0;
-  /// High-water mark of retained clauses across the family's checks — the
-  /// number scoped eviction bounds.
-  uint64_t PeakRetainedClauses = 0;
-  uint64_t Evictions = 0; ///< Pair scopes retired.
-  uint64_t EvictedClauses = 0;
-  uint64_t DbReductions = 0;
-  uint64_t ReclaimedClauses = 0;
-  unsigned Selectors = 0; ///< Pair + method selectors registered.
-  double Millis = 0;
-};
-
-/// Reuse, retirement, and recycling statistics of one catalog-level
-/// session (symbolic commutativity jobs under SolveMode::SharedFamily or
-/// SharedCatalog; one row per catalog session — a single row for
-/// shared-catalog at one thread, one per family shard otherwise).
+/// Reuse, retirement, and recycling statistics of one warm session
+/// (symbolic commutativity jobs under a warm SolveMode; one row per
+/// session — per pair under shared-pair, per family under shared-family).
 struct CatalogStats {
   std::string Mode;        ///< solveModeName of the run.
   std::string FamilyNames; ///< Comma-joined families this session served.
@@ -224,9 +192,10 @@ struct CatalogStats {
   uint64_t PeakLiveClauses = 0;
   uint64_t VarRequests = 0;
   uint64_t PeakRetainedClauses = 0;
-  /// Bridge compaction: compaction passes run, theory-atom and selector
+  /// Bridge accounting: compaction passes run and theory-atom variables
+  /// released (always zero: driver sessions never compact), selector
   /// variables released to the recycler, and the live-bridge high-water
-  /// mark (all zero unless --compact-bridges).
+  /// mark.
   uint64_t BridgeCompactions = 0;
   uint64_t ReleasedAtomVars = 0;
   uint64_t ReleasedSelectors = 0;
@@ -246,11 +215,8 @@ struct Report {
   /// Per-pair shared-session reuse stats (empty for exhaustive-only runs
   /// and for reports predating the field).
   std::vector<PairStats> Pairs;
-  /// Per-family tier stats (SolveMode::SharedFamily and SharedCatalog
-  /// runs; each row is one family tier's slice of its catalog session).
-  std::vector<FamilyStats> FamilyTiers;
-  /// Per-catalog-session stats (SolveMode::SharedFamily and SharedCatalog
-  /// runs).
+  /// Per-warm-session stats (every warm SolveMode; empty for cold and
+  /// exhaustive-only runs).
   std::vector<CatalogStats> CatalogSessions;
   /// Non-empty when the run never started (e.g. unknown family name); a
   /// report with an Error has no results and counts as failed.

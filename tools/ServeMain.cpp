@@ -84,8 +84,8 @@ void printUsage(const char *Argv0) {
       "                    counts)\n"
       "\n"
       "checks and output:\n"
-      "  --check-verdicts  re-verify the served catalog in-process with\n"
-      "                    --solve-mode shared-catalog and fail on any\n"
+      "  --check-verdicts  re-verify the served catalog in-process on one\n"
+      "                    uncompacted warm session and fail on any\n"
       "                    verdict mismatch\n"
       "  --assert-plateau  with --passes >= 3: fail unless pass 3's peak\n"
       "                    live vars/clauses/bridges are <= 1.05x pass 2's\n"
@@ -340,7 +340,10 @@ int main(int argc, char **argv) {
       std::printf("reloaded %zu verdicts from %s\n", Svc.log().size(),
                   ReloadPath.c_str());
   }
+  // What a reload restored: the summary line reports this run's work as
+  // deltas over it, so every count in it has the same scope.
   size_t RestoredVerdicts = Svc.log().size();
+  ServiceStats Restored = aggregateStats(Svc.stats());
 
   std::vector<PassPeaks> PassStats;
   Stopwatch Total;
@@ -454,11 +457,10 @@ int main(int argc, char **argv) {
   }
 
   if (CheckVerdicts) {
-    // Independent reference: the batch driver's shared-catalog engine
-    // over the same families, no compaction. Verdicts must agree on
+    // Independent reference: one fresh warm session over the same
+    // families, no compaction. Verdicts must agree on
     // every (family, pair, kind) the service served.
-    SymbolicEngine Ref(C.factory(), Cfg.SeqLenBound, Cfg.ConflictBudget,
-                       SolveMode::SharedCatalog);
+    SymbolicEngine Ref(C.factory(), Cfg.SeqLenBound, Cfg.ConflictBudget);
     CatalogOutcome Out = Ref.verifyCatalog(C, Fams);
     std::map<std::string, std::pair<bool, bool>> RefVerdicts;
     for (const FamilyOutcome &FO : Out.Families)
@@ -615,10 +617,12 @@ int main(int argc, char **argv) {
               (unsigned long long)ServedNow, TotalMillis,
               TotalMillis > 0 ? 1e3 * (double)ServedNow / TotalMillis : 0.0,
               Exit == 0 ? "OK" : "FAILED",
-              (unsigned long long)S.PairGroups,
-              (unsigned long long)S.PlansBuilt,
-              (unsigned long long)S.BatchedReuses,
-              (unsigned long long)S.Session.BridgeCompactions,
-              (unsigned long long)S.Session.ReleasedSelectors);
+              (unsigned long long)(S.PairGroups - Restored.PairGroups),
+              (unsigned long long)(S.PlansBuilt - Restored.PlansBuilt),
+              (unsigned long long)(S.BatchedReuses - Restored.BatchedReuses),
+              (unsigned long long)(S.Session.BridgeCompactions -
+                                   Restored.Session.BridgeCompactions),
+              (unsigned long long)(S.Session.ReleasedSelectors -
+                                   Restored.Session.ReleasedSelectors));
   return Exit;
 }

@@ -46,10 +46,7 @@ void printUsage(const char *Argv0) {
       "  --solve-mode M    symbolic session strategy: shared-pair (default,\n"
       "                    one warm solver per op-pair), shared-family (one\n"
       "                    warm solver per family with per-pair scope\n"
-      "                    eviction), shared-catalog (one warm solver for\n"
-      "                    the whole catalog at --threads 1, one per family\n"
-      "                    shard otherwise; subtree retirement + variable\n"
-      "                    recycling), per-method, or oneshot; requires\n"
+      "                    eviction), per-method, or oneshot; requires\n"
       "                    --engine symbolic or both\n"
       "  --gc-budget N     live learned clauses at which a warm session's\n"
       "                    first clause-DB reduction fires (default: the\n"
@@ -60,13 +57,6 @@ void printUsage(const char *Argv0) {
       "                    checker replays it in-process; job rows gain\n"
       "                    proof_queries/proof_clauses/proof_checked;\n"
       "                    requires --engine symbolic or both\n"
-      "  --compact-bridges reference-count theory atoms by live scopes and\n"
-      "                    compact bridge clauses out of the clause DB once\n"
-      "                    every owning scope retires (catalog_stats rows\n"
-      "                    gain bridge_compactions/released_atom_vars/\n"
-      "                    released_selectors/peak_live_bridges); requires\n"
-      "                    --engine symbolic or both with --solve-mode\n"
-      "                    shared-catalog\n"
       "  --threads N       worker threads (default: hardware concurrency;\n"
       "                    must be positive)\n"
       "  --no-commute      skip the commutativity-condition catalog\n"
@@ -148,17 +138,18 @@ int main(int argc, char **argv) {
         Opts.SymbolicMode = SolveMode::SharedPair;
       } else if (M == "shared-family") {
         Opts.SymbolicMode = SolveMode::SharedFamily;
-      } else if (M == "shared-catalog") {
-        Opts.SymbolicMode = SolveMode::SharedCatalog;
       } else if (M == "per-method") {
         Opts.SymbolicMode = SolveMode::PerMethod;
       } else if (M == "oneshot") {
         Opts.SymbolicMode = SolveMode::OneShot;
+      } else if (M == "shared-catalog") {
+        std::fprintf(stderr, "solve mode shared-catalog was removed; use "
+                             "shared-family (one warm solver per family)\n");
+        return 2;
       } else {
         std::fprintf(stderr,
                      "unknown solve mode '%s' (expected shared-pair, "
-                     "shared-family, shared-catalog, per-method or "
-                     "oneshot)\n",
+                     "shared-family, per-method or oneshot)\n",
                      M.c_str());
         return 2;
       }
@@ -168,8 +159,6 @@ int main(int argc, char **argv) {
       GcBudgetSet = true;
     } else if (Arg == "--certify") {
       Opts.Certify = true;
-    } else if (Arg == "--compact-bridges") {
-      Opts.CompactBridges = true;
     } else if (Arg == "--threads") {
       // Threads=0 is rejected rather than promoted to 1: there is no way
       // to tell what the caller meant.
@@ -215,15 +204,6 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "--certify only applies to the symbolic engine "
                          "(exhaustive jobs have no proof traces); pass "
                          "--engine symbolic or both\n");
-    return 2;
-  }
-  if (Opts.CompactBridges &&
-      (Opts.Engine == EngineKind::Exhaustive ||
-       Opts.SymbolicMode != SolveMode::SharedCatalog)) {
-    std::fprintf(stderr, "--compact-bridges requires --engine symbolic (or "
-                         "both) with --solve-mode shared-catalog: only the "
-                         "whole-catalog session lives long enough for "
-                         "bridge clauses to accumulate\n");
     return 2;
   }
   if (!Opts.Commutativity && !Opts.Inverses) {
