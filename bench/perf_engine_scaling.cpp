@@ -8,19 +8,20 @@
 // §4.1's small-scope argument: the verdicts stabilize by scope 3 while the
 // cost grows combinatorially — the reason the default scope suffices.
 //
-// The symbolic section compares the four discharge strategies — one-shot
-// session-per-VC, the per-method warm session, the shared per-pair session
-// (selector literals, one warm solver for all six methods of an op-pair),
-// and the shared family session (one warm solver for the whole family,
-// per-pair scopes retired when done, Tseitin variables recycled) — and
-// emits machine-readable BENCH_JSON lines that bench/run_all.sh collects
-// into BENCH_semcommute.json, including the pair-over-method and
+// The symbolic section compares the three discharge strategies — one-shot
+// session-per-VC (the cold oracle), the shared per-pair session (selector
+// literals, one warm solver for all six methods of an op-pair), and the
+// shared family session (one warm solver for the whole family, per-pair
+// scopes retired when done, Tseitin variables recycled) — and emits
+// machine-readable BENCH_JSON lines that bench/run_all.sh collects into
+// BENCH_semcommute.json, including the pair-over-oneshot and
 // family-over-pair speedup ratios, the clause-GC/eviction counters, and a
 // peak-live-variables series (peak live vs. cumulative variable demand,
 // per bound) showing what index recycling buys.
 //
-// A second sweep varies the clause-GC budget (the --gc-budget knob /
-// SatSolver::setClauseGcLimit) over the shared-family ArrayList suite so
+// A second sweep varies the clause-GC budget
+// (SymbolicEngine::setClauseGcBudget, i.e. SatSolver::setClauseGcLimit)
+// over the shared-family ArrayList suite so
 // the default threshold is picked from measured peak-retention/time data
 // instead of MiniSat folklore.
 //
@@ -62,10 +63,11 @@ struct SymbolicRun {
   uint64_t ReclaimedClauses = 0;
 };
 
-/// Per-method discharge (one engine call per testing method).
-SymbolicRun runSymbolicSuite(ExprFactory &F, const Catalog &C, int Bound,
-                             SolveMode Mode) {
-  SymbolicEngine Engine(F, Bound, /*ConflictBudget=*/200000, Mode);
+/// One-shot discharge: one engine call per testing method, a fresh
+/// session per VC split.
+SymbolicRun runOneShotSuite(ExprFactory &F, const Catalog &C, int Bound) {
+  SymbolicEngine Engine(F, Bound, /*ConflictBudget=*/200000,
+                        SolveMode::OneShot);
   SymbolicRun Out;
   Stopwatch W;
   for (const TestingMethod &M :
@@ -178,17 +180,16 @@ int main(int argc, char **argv) {
   }
 
   std::printf("\nSymbolic engine, full ArrayList method suite by length "
-              "bound:\none-shot session-per-VC vs per-method warm session "
-              "vs shared per-pair vs shared family session:\n\n");
-  std::printf("%8s %10s %12s %12s %12s %12s %12s %9s %9s\n", "bound",
-              "methods", "VCs", "oneshot(s)", "method(s)", "pair(s)",
-              "family(s)", "pair-gain", "fam-gain");
+              "bound:\none-shot session-per-VC vs shared per-pair vs shared "
+              "family session:\n\n");
+  std::printf("%8s %10s %12s %12s %12s %12s %9s %9s\n", "bound", "methods",
+              "VCs", "oneshot(s)", "pair(s)", "family(s)", "pair-gain",
+              "fam-gain");
   for (int Bound = 2; Bound <= MaxSymbolicBound; ++Bound) {
     // Untimed warm-up: intern this bound's expressions into the shared
     // factory so no timed leg pays first-time allocation.
     runSharedPairSuite(F, C, Bound);
-    SymbolicRun OneShot = runSymbolicSuite(F, C, Bound, SolveMode::OneShot);
-    SymbolicRun Method = runSymbolicSuite(F, C, Bound, SolveMode::PerMethod);
+    SymbolicRun OneShot = runOneShotSuite(F, C, Bound);
     SymbolicRun Pair = runSharedPairSuite(F, C, Bound);
     FamilyTierStats FamStats;
     CatalogSessionStats SessStats;
@@ -196,17 +197,13 @@ int main(int argc, char **argv) {
                                            &FamStats, nullptr, &SessStats);
     // The acceptance metrics: each tier must at least hold the line
     // against the one below it.
-    double PairGain = Pair.Seconds > 0 ? Method.Seconds / Pair.Seconds : 0;
+    double PairGain = Pair.Seconds > 0 ? OneShot.Seconds / Pair.Seconds : 0;
     double FamGain = Fam.Seconds > 0 ? Pair.Seconds / Fam.Seconds : 0;
-    double IncrGain = Method.Seconds > 0 ? OneShot.Seconds / Method.Seconds
-                                         : 0;
-    unsigned Failures =
-        OneShot.Failures + Method.Failures + Pair.Failures + Fam.Failures;
-    std::printf("%8d %10u %12llu %12.3f %12.3f %12.3f %12.3f "
-                "%8.2fx %8.2fx%s\n",
+    unsigned Failures = OneShot.Failures + Pair.Failures + Fam.Failures;
+    std::printf("%8d %10u %12llu %12.3f %12.3f %12.3f %8.2fx %8.2fx%s\n",
                 Bound, Pair.Methods, (unsigned long long)Pair.Vcs,
-                OneShot.Seconds, Method.Seconds, Pair.Seconds, Fam.Seconds,
-                PairGain, FamGain, Failures ? "  FAILURES!" : "");
+                OneShot.Seconds, Pair.Seconds, Fam.Seconds, PairGain, FamGain,
+                Failures ? "  FAILURES!" : "");
     // The peak-live-variables series: what recycling buys at this bound.
     std::printf("%8s family vars: peak %llu live of %llu requested, "
                 "%llu recycled, peak %llu live clauses\n", "",
@@ -218,11 +215,10 @@ int main(int argc, char **argv) {
     std::printf("BENCH_JSON {\"bench\":\"perf_engine_scaling\","
                 "\"metric\":\"symbolic_arraylist_suite\",\"bound\":%d,"
                 "\"methods\":%u,\"vcs\":%llu,\"oneshot_s\":%.4f,"
-                "\"per_method_s\":%.4f,\"shared_pair_s\":%.4f,"
-                "\"shared_family_s\":%.4f,"
-                "\"speedup\":%.3f,\"pair_over_method_speedup\":%.3f,"
+                "\"shared_pair_s\":%.4f,\"shared_family_s\":%.4f,"
+                "\"pair_over_oneshot_speedup\":%.3f,"
                 "\"family_over_pair_speedup\":%.3f,"
-                "\"oneshot_conflicts\":%lld,\"per_method_conflicts\":%lld,"
+                "\"oneshot_conflicts\":%lld,"
                 "\"shared_pair_conflicts\":%lld,"
                 "\"shared_family_conflicts\":%lld,"
                 "\"shared_pair_retained_clauses\":%llu,"
@@ -238,9 +234,8 @@ int main(int argc, char **argv) {
                 "\"family_peak_live_clauses\":%llu,"
                 "\"failures\":%u}\n",
                 Bound, Pair.Methods, (unsigned long long)Pair.Vcs,
-                OneShot.Seconds, Method.Seconds, Pair.Seconds, Fam.Seconds,
-                IncrGain, PairGain, FamGain, (long long)OneShot.Conflicts,
-                (long long)Method.Conflicts, (long long)Pair.Conflicts,
+                OneShot.Seconds, Pair.Seconds, Fam.Seconds, PairGain, FamGain,
+                (long long)OneShot.Conflicts, (long long)Pair.Conflicts,
                 (long long)Fam.Conflicts,
                 (unsigned long long)Pair.RetainedClauses,
                 (unsigned long long)Pair.DbReductions,

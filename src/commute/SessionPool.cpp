@@ -21,15 +21,16 @@ namespace {
 /// prefix — the shared tail of PairTier::discharge and dischargeCold, so
 /// the split loop, core-label recording, countermodel assembly, and the
 /// Unsupported-trump rule cannot drift between the warm and cold paths.
-/// \p SessionForSplit returns the session each split runs on (OneShot mode
-/// re-opens one per split);
+/// \p SessionForSplit returns the session each split runs on (the cold
+/// path opens one per split);
 /// \p Sels/\p SelLabels are the selector assumptions prepended to every
-/// split; \p PeakRetained, when set, tracks the retained-clause high-water
-/// mark across checks.
+/// split; \p PeakRetained, set on the warm path only, tracks the
+/// retained-clause high-water mark across checks, and the method records
+/// the clauses its warm session retains.
 bool dischargeSplits(const MethodPlan &Plan, int64_t Budget,
                      const std::vector<ExprRef> &Sels,
                      const std::vector<std::string> &SelLabels,
-                     bool TrackRetained, uint64_t *PeakRetained,
+                     uint64_t *PeakRetained,
                      const std::function<SmtSession &()> &SessionForSplit,
                      SymbolicResult &R) {
   auto AddCoreLabel = [&R](const std::string &L) {
@@ -74,11 +75,10 @@ bool dischargeSplits(const MethodPlan &Plan, int64_t Budget,
     R.SatConflicts += Session.conflicts();
     R.MaxVcConflicts = std::max(R.MaxVcConflicts, Session.conflicts());
     ++R.NumVcs;
-    if (TrackRetained)
+    if (PeakRetained) {
       R.RetainedClauses = Session.retainedClauses();
-    if (PeakRetained)
-      *PeakRetained = std::max(
-          *PeakRetained, static_cast<uint64_t>(Session.retainedClauses()));
+      *PeakRetained = std::max(*PeakRetained, R.RetainedClauses);
+    }
 
     if (Out == SatResult::Unsat) {
       for (size_t I : Session.lastCoreAssumptionIndices())
@@ -139,9 +139,8 @@ void semcomm::backfillCertification(const proof::CertifySummary &S,
 
 PairOutcome semcomm::dischargeCold(ExprFactory &F,
                                    const std::vector<MethodPlan> &Plans,
-                                   SolveMode Mode, int64_t Budget,
-                                   int64_t GcBudget, bool Certify) {
-  assert(isColdMode(Mode) && "warm modes discharge on a CatalogSession");
+                                   int64_t Budget, int64_t GcBudget,
+                                   bool Certify) {
   PairOutcome Out;
   proof::CertifySummary Cert;
   std::unique_ptr<SmtSession> Session;
@@ -179,19 +178,14 @@ PairOutcome semcomm::dischargeCold(ExprFactory &F,
     return *Session;
   };
 
-  bool PerSplit = Mode == SolveMode::OneShot;
   for (const MethodPlan &Plan : Plans) {
     Stopwatch Timer;
     SymbolicResult R;
     uint64_t RedBefore = Out.DbReductions;
     uint64_t RecBefore = Out.ReclaimedClauses;
-    if (!PerSplit)
-      Open(Plan);
     R.Verified = dischargeSplits(
-        Plan, Budget, {}, {}, /*TrackRetained=*/!PerSplit,
-        /*PeakRetained=*/nullptr,
-        [&]() -> SmtSession & { return PerSplit ? Open(Plan) : *Session; },
-        R);
+        Plan, Budget, {}, {}, /*PeakRetained=*/nullptr,
+        [&]() -> SmtSession & { return Open(Plan); }, R);
     Close();
     R.DbReductions = Out.DbReductions - RedBefore;
     R.ReclaimedClauses = Out.ReclaimedClauses - RecBefore;
@@ -211,7 +205,7 @@ SymbolicResult semcomm::dischargePlan(ExprFactory &F, const MethodPlan &Plan,
                                       int64_t GcBudget, bool Certify) {
   if (isColdMode(Mode))
     return std::move(
-        dischargeCold(F, {Plan}, Mode, Budget, GcBudget, Certify).Methods[0]);
+        dischargeCold(F, {Plan}, Budget, GcBudget, Certify).Methods[0]);
   CatalogPlan CP;
   CP.Families.push_back({Plan.Name, Plan.Common, {PairPlan{Plan.Name, {}}}});
   CatalogSession Sess(F, CP, Budget, Certify);
@@ -334,8 +328,7 @@ bool PairTier::discharge(const std::string &PairKey, const MethodPlan &MPlan,
   uint64_t RedBefore = static_cast<uint64_t>(Session.dbReductions());
   uint64_t RecBefore = static_cast<uint64_t>(Session.reclaimedClauses());
   bool Ok = dischargeSplits(
-      MPlan, Budget, Sels, SelLabels,
-      /*TrackRetained=*/true, &Stats.PeakRetainedClauses,
+      MPlan, Budget, Sels, SelLabels, &Stats.PeakRetainedClauses,
       [this]() -> SmtSession & { return Session; }, R);
   R.DbReductions += static_cast<uint64_t>(Session.dbReductions()) - RedBefore;
   R.ReclaimedClauses +=
@@ -493,10 +486,10 @@ size_t CatalogSession::retireFamily(size_t FamIdx) {
   if (Tier.Sel) {
     Evicted = Session.retireScope(Tier.Scope);
     Tier.Stats.EvictedClauses += Evicted;
+    ++CatStats.FamiliesRetired;
   } else {
     Evicted = Tier.Pairs->retireAll(); // A root tier has no subtree.
   }
-  ++CatStats.FamiliesRetired;
   // Fold the tier's counters into the retired accumulator so stats()
   // keeps counting it after the bookkeeping is dropped.
   RetiredTierAccum.PairsOpened += Tier.Stats.PairsOpened;

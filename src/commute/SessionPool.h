@@ -34,9 +34,9 @@
 /// (selector + split) assumptions. Tseitin definitions, theory bridges,
 /// and learned clauses are shared by everything the session discharges.
 ///
-/// The two cold baselines run through dischargeCold() instead: PerMethod
-/// opens a fresh SmtSession per plan, OneShot one per split, each with the
-/// plan's whole prefix asserted as base.
+/// The cold baseline, OneShot, runs through dischargeCold() instead: a
+/// fresh SmtSession per split, with the plan's whole prefix asserted as
+/// base.
 ///
 /// After an Unsat check, the solver's assumption core is mapped back to the
 /// labels of the assumptions it names (selector / split / hint literals),
@@ -63,11 +63,13 @@ namespace semcomm {
 /// How the engine discharges the VCs of testing methods.
 enum class SolveMode : uint8_t {
   /// A fresh solver session per VC (the historical behavior; cold start
-  /// every split). Kept as the baseline the perf benches compare against.
+  /// every split): the independent oracle the warm modes are checked
+  /// against, and the baseline the perf benches compare against.
   OneShot,
-  /// One warm session per testing method: the method's prefix is asserted
-  /// once and every case split is discharged under assumption literals.
-  /// The pre-shared-session incremental mode, kept for comparison.
+  /// Formerly one cold session per testing method. Every warm mode beat
+  /// it, so the driver rejects it; the member stays only because the
+  /// frozen perfbench parser names it. The engine treats it as any warm
+  /// mode.
   PerMethod,
   /// One warm CatalogSession per (family, op-pair): the pair sits at the
   /// session root, so all six methods share one solver under per-method
@@ -186,8 +188,7 @@ struct PairOutcome {
   uint64_t ReclaimedClauses = 0;    ///< Clauses the GC reclaimed.
   unsigned Selectors = 0;           ///< Selector literals registered.
   /// Solver sessions opened: 1 for a warm session (0 for the later pairs
-  /// of a family or catalog session), one per method in PerMethod mode,
-  /// one per split in OneShot mode.
+  /// of a family or catalog session), one per split in OneShot mode.
   size_t SessionsOpened = 0;
 
   /// Certification aggregates (zero unless the engine certifies): the
@@ -222,26 +223,22 @@ void stampOutcomeCertification(const proof::CertifySummary &S, Outcome &O) {
   O.ProofClauses = S.PeakClauses;
 }
 
-/// True for the cold baselines, which open fresh sessions instead of
-/// discharging on a warm CatalogSession.
-inline bool isColdMode(SolveMode M) {
-  return M == SolveMode::OneShot || M == SolveMode::PerMethod;
-}
+/// True for the cold baseline (OneShot), which opens fresh sessions
+/// instead of discharging on a warm CatalogSession.
+inline bool isColdMode(SolveMode M) { return M == SolveMode::OneShot; }
 
-/// The cold baselines: discharges \p Plans in order, each with its Common
-/// and Scoped prefix asserted as plain session base, on a fresh SmtSession
-/// per split (OneShot) or per plan (PerMethod). The outcome's session
-/// totals sum over every session opened; when \p Certify is set each
-/// session certifies on its own and the summaries fold, so the whole run
-/// certifies as one. \p GcBudget is the clause-GC first limit (0 keeps
-/// the solver default).
+/// The cold baseline: discharges \p Plans in order, each split on a fresh
+/// SmtSession with the plan's Common and Scoped prefix asserted as plain
+/// session base. The outcome's session totals sum over every session
+/// opened; when \p Certify is set each session certifies on its own and
+/// the summaries fold, so the whole run certifies as one. \p GcBudget is
+/// the clause-GC first limit (0 keeps the solver default).
 PairOutcome dischargeCold(ExprFactory &F, const std::vector<MethodPlan> &Plans,
-                          SolveMode Mode, int64_t Budget, int64_t GcBudget,
-                          bool Certify);
+                          int64_t Budget, int64_t GcBudget, bool Certify);
 
 /// Discharges one standalone plan (a single testing method, an inverse
 /// VC) in \p Mode: a warm mode runs it on a one-pair CatalogSession whose
-/// family-common prefix is the plan's Common, a cold mode through
+/// family-common prefix is the plan's Common, OneShot through
 /// dischargeCold. The result carries its certification verdict.
 SymbolicResult dischargePlan(ExprFactory &F, const MethodPlan &Plan,
                              SolveMode Mode, int64_t Budget, int64_t GcBudget,
@@ -370,7 +367,9 @@ struct CatalogPlan {
 /// solver's recycling accounting.
 struct CatalogSessionStats {
   uint64_t FamiliesOpened = 0;
-  /// Family-subtree retirements (retireFamily calls on a live scope).
+  /// Family-subtree retirements (retireFamily calls on a live family with
+  /// a selector scope of its own; a root tier has no subtree to retire
+  /// and is not counted).
   uint64_t FamiliesRetired = 0;
   uint64_t PairsOpened = 0;
   uint64_t PairsRetired = 0;

@@ -1324,8 +1324,8 @@ SymbolicEngine::verifyGroups(const std::vector<FamilyEntries> &Groups) {
 
 PairOutcome SymbolicEngine::verifyPair(const ConditionEntry &E) {
   if (isColdMode(Mode))
-    return dischargeCold(F, planPair(E).Methods, Mode, ConflictBudget,
-                         GcBudget, Certify);
+    return dischargeCold(F, planPair(E).Methods, ConflictBudget, GcBudget,
+                         Certify);
   // A single pair is a one-pair catalog plan: the pair sits at the root.
   CatalogOutcome CO = verifyGroups({{E.Fam, {&E}}});
   return std::move(CO.Families.front().Pairs.front());

@@ -38,9 +38,9 @@
 /// and discharged on a CatalogSession (see SessionPool.h) through the one
 /// per-pair loop of verifyGroups, whatever the session serves: one pair,
 /// one family, or several families. Every warm SolveMode is alike here;
-/// only how a caller groups pairs into sessions differs. PerMethod (the
-/// pre-pair incremental mode) and OneShot (cold start per split) remain as
-/// the cold comparison baselines, discharged through dischargeCold.
+/// only how a caller groups pairs into sessions differs. OneShot (cold
+/// start per split) remains as the independent cold oracle, discharged
+/// through dischargeCold.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -142,7 +142,7 @@ public:
 
   /// Verifies all six testing methods of \p E: in every warm mode through
   /// a one-pair CatalogSession (one warm solver for the whole pair, the
-  /// pair at the session root), in the cold modes through dischargeCold.
+  /// pair at the session root), in OneShot mode through dischargeCold.
   /// Method order is deterministic, so results and statistics are a
   /// function of the options alone.
   PairOutcome verifyPair(const ConditionEntry &E);
@@ -194,8 +194,9 @@ public:
                           const std::vector<const Family *> &Fams) const;
 
   /// Clause-GC budget: the live-learned-clause count at which a session's
-  /// first database reduction fires (the driver's --gc-budget knob;
-  /// 0 keeps the solver default).
+  /// first database reduction fires (0 keeps the solver default). The
+  /// perf_engine_scaling sweep and the proof tests set it; the driver
+  /// keeps the default.
   void setClauseGcBudget(int64_t Budget) { GcBudget = Budget; }
 
   /// Turns on certified verdicts (the driver's --certify knob): every

@@ -21,6 +21,8 @@
 #define SEMCOMM_SUPPORT_JSON_H
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -383,12 +385,21 @@ private:
         if (!digits())
           return false;
       }
+      // A literal that does not fit is rejected, never saturated: an
+      // integer outside int64 or a number past the double range.
       std::string Num(Start, Cur);
-      if (IsDouble)
-        Out = Value::number(std::strtod(Num.c_str(), nullptr));
-      else
-        Out = Value::integer(
-            static_cast<int64_t>(std::strtoll(Num.c_str(), nullptr, 10)));
+      if (IsDouble) {
+        double D = std::strtod(Num.c_str(), nullptr);
+        if (std::isinf(D))
+          return false;
+        Out = Value::number(D);
+      } else {
+        errno = 0;
+        long long N = std::strtoll(Num.c_str(), nullptr, 10);
+        if (errno == ERANGE)
+          return false;
+        Out = Value::integer(static_cast<int64_t>(N));
+      }
       return true;
     }
 

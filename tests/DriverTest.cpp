@@ -23,6 +23,7 @@
 
 #include <atomic>
 #include <set>
+#include <type_traits>
 
 using namespace semcomm;
 using namespace semcomm::driver;
@@ -47,6 +48,27 @@ struct DriverFixture {
   ExprFactory F;
   Catalog C{F};
 };
+
+/// The JSON node the report writer emits for a field of type \p T.
+template <typename T> json::Value dom(const T &V) {
+  if constexpr (std::is_same_v<T, bool>)
+    return json::Value::boolean(V);
+  else if constexpr (std::is_floating_point_v<T>)
+    return json::Value::number(V);
+  else if constexpr (std::is_integral_v<T>)
+    return json::Value::integer(static_cast<int64_t>(V));
+  else
+    return json::Value::string(V);
+}
+
+/// The written report carries \p Want under \p Key of \p Row.
+template <typename T>
+void expectField(const json::Value &Row, const char *Key, const T &Want) {
+  const json::Value *Got = Row.find(Key);
+  ASSERT_NE(Got, nullptr) << "missing '" << Key << "'";
+  EXPECT_TRUE(*Got == dom(Want))
+      << Key << ": wrote " << Got->dump() << ", want " << dom(Want).dump();
+}
 
 //===----------------------------------------------------------------------===//
 // Job enumeration completeness
@@ -303,9 +325,8 @@ TEST(DriverEngines, SymbolicVerdictsAreThreadCountInvariant) {
 }
 
 TEST(DriverEngines, SolveModesAgreeOnDriverVerdicts) {
-  // The shared-family, per-method and one-shot comparison modes must reach
-  // the same verdicts as the shared-pair default (only the statistics may
-  // differ).
+  // The shared-family mode and the one-shot oracle must reach the same
+  // verdicts as the shared-pair default (only the statistics may differ).
   DriverFixture Fx;
   DriverOptions Opts;
   Opts.Engine = EngineKind::Symbolic;
@@ -314,19 +335,19 @@ TEST(DriverEngines, SolveModesAgreeOnDriverVerdicts) {
 
   Opts.SymbolicMode = SolveMode::SharedPair;
   Report Shared = runFullCatalog(Fx.C, Opts);
-  Opts.SymbolicMode = SolveMode::PerMethod;
-  Report PerMethod = runFullCatalog(Fx.C, Opts);
+  Opts.SymbolicMode = SolveMode::OneShot;
+  Report OneShot = runFullCatalog(Fx.C, Opts);
   Opts.SymbolicMode = SolveMode::SharedFamily;
   Report FamilyRun = runFullCatalog(Fx.C, Opts);
 
   EXPECT_EQ(Shared.failures(), 0u);
-  EXPECT_EQ(PerMethod.failures(), 0u);
+  EXPECT_EQ(OneShot.failures(), 0u);
   EXPECT_EQ(FamilyRun.failures(), 0u);
-  EXPECT_TRUE(Shared.sameVerdicts(PerMethod));
+  EXPECT_TRUE(Shared.sameVerdicts(OneShot));
   EXPECT_TRUE(Shared.sameVerdicts(FamilyRun));
-  for (const PairStats &P : PerMethod.Pairs) {
-    EXPECT_EQ(P.Mode, "per-method");
-    EXPECT_EQ(P.SessionsOpened, 6u);
+  for (const PairStats &P : OneShot.Pairs) {
+    EXPECT_EQ(P.Mode, "oneshot");
+    EXPECT_EQ(P.SessionsOpened, P.Vcs); // One fresh session per VC split.
     EXPECT_EQ(P.Selectors, 0u);
   }
 
@@ -341,11 +362,12 @@ TEST(DriverEngines, SolveModesAgreeOnDriverVerdicts) {
     EXPECT_EQ(CS.Checks, Shared.Pairs[I].Checks);
     EXPECT_GT(CS.PeakLiveVars, 0u);
   }
-  EXPECT_TRUE(PerMethod.CatalogSessions.empty()); // Cold: no warm session.
+  EXPECT_TRUE(OneShot.CatalogSessions.empty()); // Cold: no warm session.
 
   // The family run reports one warm session for the whole family, pair
   // rows under shared-family mode, and a session row whose eviction,
-  // retirement and recycling counters show every pair was retired.
+  // retirement and recycling counters show every pair was retired. The
+  // session's one family sits at its root, so no family subtree retires.
   ASSERT_EQ(FamilyRun.CatalogSessions.size(), 1u);
   const CatalogStats &CS = FamilyRun.CatalogSessions[0];
   EXPECT_EQ(CS.Mode, "shared-family");
@@ -353,7 +375,7 @@ TEST(DriverEngines, SolveModesAgreeOnDriverVerdicts) {
   EXPECT_EQ(CS.Families, 1u);
   EXPECT_EQ(CS.Pairs, FamilyRun.Pairs.size());
   EXPECT_EQ(CS.PairEvictions, FamilyRun.Pairs.size());
-  EXPECT_EQ(CS.SubtreeRetirements, 1u);
+  EXPECT_EQ(CS.SubtreeRetirements, 0u);
   EXPECT_GT(CS.EvictedClauses, 0u);
   EXPECT_GT(CS.PrefixReuses, 0u);
   EXPECT_GT(CS.PeakRetainedClauses, 0u);
@@ -373,8 +395,9 @@ TEST(DriverEngines, SharedFamilyVerdictsAreThreadCountInvariant) {
   // The acceptance bar of the family session: on the full catalog,
   // shared-family verdicts and solver statistics are identical at 1, 2
   // and 8 threads (each family runs its pairs in catalog order on one
-  // worker), and every session row shows bounded retention via eviction,
-  // one family-subtree retirement and recycled variables.
+  // worker), and every session row shows bounded retention via eviction
+  // and recycled variables. Each session's one family sits at its root,
+  // so no session retires a family subtree.
   DriverFixture Fx;
   DriverOptions Opts;
   Opts.Engine = EngineKind::Symbolic;
@@ -388,7 +411,7 @@ TEST(DriverEngines, SharedFamilyVerdictsAreThreadCountInvariant) {
   for (const CatalogStats &CS : Serial.CatalogSessions) {
     EXPECT_EQ(CS.Families, 1u) << CS.FamilyNames;
     EXPECT_EQ(CS.PairEvictions, CS.Pairs) << CS.FamilyNames;
-    EXPECT_EQ(CS.SubtreeRetirements, 1u) << CS.FamilyNames;
+    EXPECT_EQ(CS.SubtreeRetirements, 0u) << CS.FamilyNames;
     EXPECT_GT(CS.Checks, 0u) << CS.FamilyNames;
   }
   uint64_t Recycled = 0;
@@ -424,17 +447,23 @@ TEST(DriverEngines, SharedFamilyVerdictsAreThreadCountInvariant) {
 }
 
 TEST(DriverEngines, SharedCatalogModeYieldsErrorReport) {
-  // The whole-catalog schedule is gone: asking for it fails the run
-  // instead of quietly running another schedule.
+  // The whole-catalog schedule and the per-method cold mode are gone:
+  // asking for either fails the run, naming what to use instead, rather
+  // than quietly running another schedule.
   DriverFixture Fx;
   DriverOptions Opts;
   Opts.Engine = EngineKind::Symbolic;
-  Opts.SymbolicMode = SolveMode::SharedCatalog;
   Opts.Families = {"Accumulator"};
-  Report R = runFullCatalog(Fx.C, Opts);
-  EXPECT_NE(R.Error.find("shared-family"), std::string::npos) << R.Error;
-  EXPECT_TRUE(R.Results.empty());
-  EXPECT_EQ(R.failures(), 1u);
+  for (auto [Mode, Instead] :
+       {std::pair{SolveMode::SharedCatalog, "shared-family"},
+        std::pair{SolveMode::PerMethod, "shared-pair"}}) {
+    SCOPED_TRACE(solveModeName(Mode));
+    Opts.SymbolicMode = Mode;
+    Report R = runFullCatalog(Fx.C, Opts);
+    EXPECT_NE(R.Error.find(Instead), std::string::npos) << R.Error;
+    EXPECT_TRUE(R.Results.empty());
+    EXPECT_EQ(R.failures(), 1u);
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -459,24 +488,36 @@ TEST(DriverReport, JsonRoundTrips) {
     EXPECT_EQ(Parsed->dump(Indent), Doc.dump(Indent));
   }
 
-  // The DOM deserializes to a report with the same verdicts and metadata.
-  std::optional<Report> Back = Report::fromJson(Doc);
-  ASSERT_TRUE(Back.has_value());
-  EXPECT_TRUE(R.sameVerdicts(*Back));
-  EXPECT_EQ(Back->Threads, R.Threads);
-  EXPECT_EQ(Back->WallMillis, R.WallMillis);
-  EXPECT_EQ(Back->Bounds.SetUniverse, R.Bounds.SetUniverse);
-  EXPECT_EQ(Back->Bounds.CounterRange, R.Bounds.CounterRange);
-  ASSERT_EQ(Back->Families.size(), R.Families.size());
+  // The DOM carries the report's metadata, family rows and verdicts.
+  expectField(Doc, "tool", std::string("semcommute-verify"));
+  expectField(Doc, "threads", R.Threads);
+  expectField(Doc, "wall_ms", R.WallMillis);
+  expectField(Doc["scope"], "set_universe", R.Bounds.SetUniverse);
+  expectField(Doc["scope"], "counter_range", R.Bounds.CounterRange);
+  ASSERT_EQ(Doc["families"].size(), R.Families.size());
   for (size_t I = 0; I != R.Families.size(); ++I) {
-    EXPECT_EQ(Back->Families[I].Family, R.Families[I].Family);
-    EXPECT_EQ(Back->Families[I].Jobs, R.Families[I].Jobs);
-    EXPECT_EQ(Back->Families[I].PaperConditions,
-              R.Families[I].PaperConditions);
+    const json::Value &F = Doc["families"].at(I);
+    expectField(F, "family", R.Families[I].Family);
+    expectField(F, "jobs", R.Families[I].Jobs);
+    expectField(F, "failures", R.Families[I].Failures);
+    expectField(F, "paper_conditions", R.Families[I].PaperConditions);
+    expectField(F, "job_ms", R.Families[I].JobMillis);
+    expectField(F, "scenarios", R.Families[I].Scenarios);
   }
-
-  // And the round-tripped report re-serializes byte-identically.
-  EXPECT_EQ(Back->toJson().dump(2), Doc.dump(2));
+  ASSERT_EQ(Doc["results"].size(), R.Results.size());
+  for (size_t I = 0; I != R.Results.size(); ++I) {
+    const json::Value &Row = Doc["results"].at(I);
+    const JobRecord &J = R.Results[I];
+    expectField(Row, "family", J.Family);
+    expectField(Row, "category", J.Category);
+    expectField(Row, "op1", J.Op1);
+    expectField(Row, "op2", J.Op2);
+    expectField(Row, "kind", J.Kind);
+    expectField(Row, "role", J.Role);
+    expectField(Row, "verified", J.Verified);
+    expectField(Row, "scenarios", J.Scenarios);
+    expectField(Row, "ms", J.Millis);
+  }
 
   // Garbage is rejected, not mis-parsed.
   EXPECT_FALSE(json::Value::parse("{\"unterminated\": ").has_value());
@@ -486,10 +527,23 @@ TEST(DriverReport, JsonRoundTrips) {
   EXPECT_FALSE(json::Value::parse("1e5e5").has_value());
   EXPECT_FALSE(json::Value::parse("1.").has_value());
   EXPECT_FALSE(json::Value::parse("[1-2]").has_value());
-  EXPECT_FALSE(Report::fromJson(json::Value::integer(7)).has_value());
-  json::Value NotOurs = json::Value::object();
-  NotOurs.set("tool", json::Value::string("something-else"));
-  EXPECT_FALSE(Report::fromJson(NotOurs).has_value());
+  // Numbers that do not fit fail the parse instead of saturating (an
+  // integer outside int64) or reading as inf (a double overflow, which
+  // dump() could not write back as JSON).
+  EXPECT_FALSE(json::Value::parse("99999999999999999999").has_value());
+  EXPECT_FALSE(json::Value::parse("-9223372036854775809").has_value());
+  EXPECT_FALSE(json::Value::parse("{\"drains\": 99999999999999999999}")
+                   .has_value());
+  EXPECT_FALSE(json::Value::parse("1e400").has_value());
+  EXPECT_FALSE(json::Value::parse("-1e400").has_value());
+  // The int64 and double limits themselves still parse.
+  std::optional<json::Value> Max = json::Value::parse("9223372036854775807");
+  ASSERT_TRUE(Max.has_value());
+  EXPECT_EQ(Max->asInt(), INT64_MAX);
+  std::optional<json::Value> Min = json::Value::parse("-9223372036854775808");
+  ASSERT_TRUE(Min.has_value());
+  EXPECT_EQ(Min->asInt(), INT64_MIN);
+  EXPECT_TRUE(json::Value::parse("1.7e308").has_value());
 }
 
 TEST(DriverReport, EngineAndSolverStatsRoundTrip) {
@@ -501,54 +555,61 @@ TEST(DriverReport, EngineAndSolverStatsRoundTrip) {
   Opts.Threads = 2;
 
   Report R = runFullCatalog(Fx.C, Opts);
-  std::optional<Report> Back = Report::fromJson(R.toJson());
-  ASSERT_TRUE(Back.has_value());
-  EXPECT_TRUE(R.sameVerdicts(*Back));
-  ASSERT_EQ(Back->Results.size(), R.Results.size());
+  json::Value Doc = R.toJson();
+  ASSERT_EQ(Doc["results"].size(), R.Results.size());
   for (size_t I = 0; I != R.Results.size(); ++I) {
-    EXPECT_EQ(Back->Results[I].Engine, R.Results[I].Engine);
-    EXPECT_EQ(Back->Results[I].Vcs, R.Results[I].Vcs);
-    EXPECT_EQ(Back->Results[I].Conflicts, R.Results[I].Conflicts);
-    EXPECT_EQ(Back->Results[I].MaxVcConflicts, R.Results[I].MaxVcConflicts);
-    EXPECT_EQ(Back->Results[I].RetainedClauses,
-              R.Results[I].RetainedClauses);
-    EXPECT_EQ(Back->Results[I].DbReductions, R.Results[I].DbReductions);
-    EXPECT_EQ(Back->Results[I].ReclaimedClauses,
-              R.Results[I].ReclaimedClauses);
-    EXPECT_EQ(Back->Results[I].ProofCore, R.Results[I].ProofCore);
+    const json::Value &Row = Doc["results"].at(I);
+    const JobRecord &J = R.Results[I];
+    SCOPED_TRACE(J.key());
+    expectField(Row, "engine", J.Engine);
+    if (J.Vcs == 0) {
+      // Solver statistics only exist on the symbolic path.
+      EXPECT_EQ(J.Engine, "exhaustive");
+      EXPECT_EQ(Row.find("vcs"), nullptr);
+      continue;
+    }
+    expectField(Row, "vcs", J.Vcs);
+    expectField(Row, "sat_conflicts", J.Conflicts);
+    expectField(Row, "max_vc_conflicts", J.MaxVcConflicts);
+    expectField(Row, "retained_clauses", J.RetainedClauses);
+    expectField(Row, "db_reductions", J.DbReductions);
+    expectField(Row, "reclaimed_clauses", J.ReclaimedClauses);
+    if (J.ProofCore.empty())
+      EXPECT_EQ(Row.find("proof_core"), nullptr);
+    else
+      expectField(Row, "proof_core", J.ProofCore);
   }
-  ASSERT_EQ(Back->Families.size(), R.Families.size());
+  ASSERT_EQ(Doc["families"].size(), R.Families.size());
   for (size_t I = 0; I != R.Families.size(); ++I) {
-    EXPECT_EQ(Back->Families[I].Vcs, R.Families[I].Vcs);
-    EXPECT_EQ(Back->Families[I].Conflicts, R.Families[I].Conflicts);
-    EXPECT_EQ(Back->Families[I].RetainedClauses,
-              R.Families[I].RetainedClauses);
-    EXPECT_EQ(Back->Families[I].DbReductions, R.Families[I].DbReductions);
-    EXPECT_EQ(Back->Families[I].ReclaimedClauses,
-              R.Families[I].ReclaimedClauses);
+    const json::Value &F = Doc["families"].at(I);
+    const FamilySummary &S = R.Families[I];
+    expectField(F, "vcs", S.Vcs);
+    expectField(F, "sat_conflicts", S.Conflicts);
+    expectField(F, "retained_clauses", S.RetainedClauses);
+    expectField(F, "db_reductions", S.DbReductions);
+    expectField(F, "reclaimed_clauses", S.ReclaimedClauses);
   }
-  // The per-pair reuse stats round-trip field by field.
+  // The per-pair reuse stats are written field by field.
   EXPECT_FALSE(R.Pairs.empty());
-  ASSERT_EQ(Back->Pairs.size(), R.Pairs.size());
+  ASSERT_EQ(Doc["pair_stats"].size(), R.Pairs.size());
   for (size_t I = 0; I != R.Pairs.size(); ++I) {
-    EXPECT_EQ(Back->Pairs[I].Family, R.Pairs[I].Family);
-    EXPECT_EQ(Back->Pairs[I].Op1, R.Pairs[I].Op1);
-    EXPECT_EQ(Back->Pairs[I].Op2, R.Pairs[I].Op2);
-    EXPECT_EQ(Back->Pairs[I].Mode, R.Pairs[I].Mode);
-    EXPECT_EQ(Back->Pairs[I].Methods, R.Pairs[I].Methods);
-    EXPECT_EQ(Back->Pairs[I].Vcs, R.Pairs[I].Vcs);
-    EXPECT_EQ(Back->Pairs[I].Checks, R.Pairs[I].Checks);
-    EXPECT_EQ(Back->Pairs[I].Conflicts, R.Pairs[I].Conflicts);
-    EXPECT_EQ(Back->Pairs[I].RetainedClauses, R.Pairs[I].RetainedClauses);
-    EXPECT_EQ(Back->Pairs[I].DbReductions, R.Pairs[I].DbReductions);
-    EXPECT_EQ(Back->Pairs[I].ReclaimedClauses,
-              R.Pairs[I].ReclaimedClauses);
-    EXPECT_EQ(Back->Pairs[I].Selectors, R.Pairs[I].Selectors);
-    EXPECT_EQ(Back->Pairs[I].SessionsOpened, R.Pairs[I].SessionsOpened);
-    EXPECT_EQ(Back->Pairs[I].Millis, R.Pairs[I].Millis);
+    const json::Value &Row = Doc["pair_stats"].at(I);
+    const PairStats &P = R.Pairs[I];
+    expectField(Row, "family", P.Family);
+    expectField(Row, "op1", P.Op1);
+    expectField(Row, "op2", P.Op2);
+    expectField(Row, "mode", P.Mode);
+    expectField(Row, "methods", P.Methods);
+    expectField(Row, "vcs", P.Vcs);
+    expectField(Row, "checks", P.Checks);
+    expectField(Row, "sat_conflicts", P.Conflicts);
+    expectField(Row, "retained_clauses", P.RetainedClauses);
+    expectField(Row, "db_reductions", P.DbReductions);
+    expectField(Row, "reclaimed_clauses", P.ReclaimedClauses);
+    expectField(Row, "selectors", P.Selectors);
+    expectField(Row, "sessions", P.SessionsOpened);
+    expectField(Row, "ms", P.Millis);
   }
-  // The round-tripped report re-serializes byte-identically.
-  EXPECT_EQ(Back->toJson().dump(2), R.toJson().dump(2));
 }
 
 TEST(DriverReport, CatalogStatsRoundTrip) {
@@ -563,63 +624,37 @@ TEST(DriverReport, CatalogStatsRoundTrip) {
   ASSERT_EQ(R.CatalogSessions.size(), 2u);
   EXPECT_EQ(R.CatalogSessions[0].FamilyNames, "Accumulator");
   EXPECT_EQ(R.CatalogSessions[1].FamilyNames, "Set");
-  std::optional<Report> Back = Report::fromJson(R.toJson());
-  ASSERT_TRUE(Back.has_value());
-  ASSERT_EQ(Back->CatalogSessions.size(), R.CatalogSessions.size());
+  json::Value Doc = R.toJson();
+  ASSERT_EQ(Doc["catalog_stats"].size(), R.CatalogSessions.size());
   for (size_t I = 0; I != R.CatalogSessions.size(); ++I) {
     const CatalogStats &A = R.CatalogSessions[I];
-    const CatalogStats &B = Back->CatalogSessions[I];
-    EXPECT_EQ(B.Mode, A.Mode);
-    EXPECT_EQ(B.FamilyNames, A.FamilyNames);
-    EXPECT_EQ(B.Families, A.Families);
-    EXPECT_EQ(B.Pairs, A.Pairs);
-    EXPECT_EQ(B.Methods, A.Methods);
-    EXPECT_EQ(B.Vcs, A.Vcs);
-    EXPECT_EQ(B.Checks, A.Checks);
-    EXPECT_EQ(B.Conflicts, A.Conflicts);
-    EXPECT_EQ(B.PrefixAsserts, A.PrefixAsserts);
-    EXPECT_EQ(B.PrefixReuses, A.PrefixReuses);
-    EXPECT_EQ(B.SubtreeRetirements, A.SubtreeRetirements);
-    EXPECT_EQ(B.PairEvictions, A.PairEvictions);
-    EXPECT_EQ(B.EvictedClauses, A.EvictedClauses);
-    EXPECT_EQ(B.RecycledVars, A.RecycledVars);
-    EXPECT_EQ(B.PeakLiveVars, A.PeakLiveVars);
-    EXPECT_EQ(B.PeakLiveClauses, A.PeakLiveClauses);
-    EXPECT_EQ(B.VarRequests, A.VarRequests);
-    EXPECT_EQ(B.PeakRetainedClauses, A.PeakRetainedClauses);
-    EXPECT_EQ(B.BridgeCompactions, A.BridgeCompactions);
-    EXPECT_EQ(B.ReleasedAtomVars, A.ReleasedAtomVars);
-    EXPECT_EQ(B.ReleasedSelectors, A.ReleasedSelectors);
-    EXPECT_EQ(B.PeakLiveBridges, A.PeakLiveBridges);
-    EXPECT_EQ(B.Selectors, A.Selectors);
-    EXPECT_EQ(B.Millis, A.Millis);
+    const json::Value &Row = Doc["catalog_stats"].at(I);
+    SCOPED_TRACE(A.FamilyNames);
+    expectField(Row, "mode", A.Mode);
+    expectField(Row, "family_names", A.FamilyNames);
+    expectField(Row, "families", A.Families);
+    expectField(Row, "pairs", A.Pairs);
+    expectField(Row, "methods", A.Methods);
+    expectField(Row, "vcs", A.Vcs);
+    expectField(Row, "checks", A.Checks);
+    expectField(Row, "sat_conflicts", A.Conflicts);
+    expectField(Row, "prefix_asserts", A.PrefixAsserts);
+    expectField(Row, "prefix_reuses", A.PrefixReuses);
+    expectField(Row, "subtree_retirements", A.SubtreeRetirements);
+    expectField(Row, "pair_evictions", A.PairEvictions);
+    expectField(Row, "evicted_clauses", A.EvictedClauses);
+    expectField(Row, "recycled_vars", A.RecycledVars);
+    expectField(Row, "peak_live_vars", A.PeakLiveVars);
+    expectField(Row, "peak_live_clauses", A.PeakLiveClauses);
+    expectField(Row, "var_requests", A.VarRequests);
+    expectField(Row, "peak_retained_clauses", A.PeakRetainedClauses);
+    expectField(Row, "bridge_compactions", A.BridgeCompactions);
+    expectField(Row, "released_atom_vars", A.ReleasedAtomVars);
+    expectField(Row, "released_selectors", A.ReleasedSelectors);
+    expectField(Row, "peak_live_bridges", A.PeakLiveBridges);
+    expectField(Row, "selectors", A.Selectors);
+    expectField(Row, "ms", A.Millis);
   }
-  EXPECT_EQ(Back->toJson().dump(2), R.toJson().dump(2));
-}
-
-TEST(DriverReport, LegacyReportsWithoutEngineFieldReadAsExhaustive) {
-  // Reports written before the engine field existed must parse with the
-  // exhaustive engine filled in (keys and verdict comparison depend on it).
-  const char *Doc = R"({
-    "tool": "semcommute-verify",
-    "threads": 1,
-    "wall_ms": 1.5,
-    "scope": {"set_universe": 2, "map_keys": 2, "map_vals": 2,
-              "seq_vals": 2, "max_seq_len": 2, "counter_range": 1},
-    "families": [],
-    "results": [{"family": "Set", "category": "commutativity",
-                 "op1": "add_", "op2": "add_", "kind": "before",
-                 "role": "soundness", "verified": true, "scenarios": 4,
-                 "ms": 0.5}]
-  })";
-  std::optional<json::Value> V = json::Value::parse(Doc);
-  ASSERT_TRUE(V.has_value());
-  std::optional<Report> R = Report::fromJson(*V);
-  ASSERT_TRUE(R.has_value());
-  ASSERT_EQ(R->Results.size(), 1u);
-  EXPECT_EQ(R->Results[0].Engine, "exhaustive");
-  EXPECT_EQ(R->Results[0].key(),
-            "Set/commutativity/exhaustive/add_/add_/before/soundness");
 }
 
 TEST(DriverReport, BenchBaselineIndexStatsRoundTrips) {
@@ -797,11 +832,8 @@ TEST(DriverReport, UnknownFamilyYieldsErrorReportNotSuccess) {
   EXPECT_TRUE(R.Results.empty());
   EXPECT_GT(R.failures(), 0u);
 
-  // The error survives the JSON round-trip.
-  std::optional<Report> Back = Report::fromJson(R.toJson());
-  ASSERT_TRUE(Back.has_value());
-  EXPECT_EQ(Back->Error, R.Error);
-  EXPECT_GT(Back->failures(), 0u);
+  // The written report carries the error.
+  expectField(R.toJson(), "error", R.Error);
 }
 
 //===----------------------------------------------------------------------===//

@@ -56,8 +56,7 @@ TEST_P(SymbolicInverseSweep, AgreesWithExhaustiveVerifier) {
   EXPECT_GT(Sym.NumVcs, 0u);
 
   // Every solve mode reaches the same verdict.
-  for (SolveMode Mode :
-       {SolveMode::OneShot, SolveMode::PerMethod, SolveMode::SharedPair}) {
+  for (SolveMode Mode : {SolveMode::OneShot, SolveMode::SharedPair}) {
     SymbolicResult R = verifyInverseSymbolic(F, Spec, /*SeqLenBound=*/3,
                                              /*ConflictBudget=*/200000, Mode);
     EXPECT_TRUE(R.Verified)

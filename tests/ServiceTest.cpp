@@ -575,6 +575,20 @@ TEST(ServiceTest, RestoreRejectsMistypedFields) {
     EXPECT_EQ(Error.find('\n'), std::string::npos) << Error;
     expectFresh(Fresh);
   }
+  // Literals that do not fit fail the parse, so a reload rejects them
+  // before restore() could read a saturated counter (which one more pass
+  // would wrap negative in the next snapshot).
+  for (const auto &[Key, Literal] :
+       {std::pair{"drains", "99999999999999999999"},
+        std::pair{"serve_millis", "1e400"}}) {
+    SCOPED_TRACE(Key);
+    std::string Text = edited(Image, Key, json::Value::string("@")).dump(2);
+    size_t At = Text.find("\"@\"");
+    ASSERT_NE(At, std::string::npos);
+    Text.replace(At, 3, Literal);
+    EXPECT_FALSE(json::Value::parse(Text).has_value());
+  }
+
   json::Value Extra = Image;
   Extra.set("extra", json::Value::integer(1));
   EXPECT_FALSE(Fresh.restore(Extra, Error));

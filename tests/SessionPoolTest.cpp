@@ -10,7 +10,7 @@
 /// literals isolate each method's scoped prefix inside the shared clause
 /// database, and discharging any subset of a pair's methods in any order
 /// through one one-pair CatalogSession (the shared-pair session, its pair
-/// at the root) agrees with independent per-method sessions. The fuzz
+/// at the root) agrees with independent one-shot sessions. The fuzz
 /// sweep below drives exactly that comparison over random method subsets,
 /// including mutants whose proofs fail.
 ///
@@ -185,18 +185,18 @@ TEST(SharedSessionTest, SharedPairRegistersSixMethodSelectorsAndNoPairSelector) 
 }
 
 /// Fuzz: random subsets of a pair's six methods, in random order, through
-/// one shared session, against independent per-method sessions — verdicts
+/// one shared session, against independent one-shot sessions — verdicts
 /// and VC counts must be identical. Mutated entries mix failing proofs
 /// into the sequence.
 class SharedPairFuzzTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(SharedPairFuzzTest, RandomMethodSubsetsMatchPerMethodSessions) {
+TEST_P(SharedPairFuzzTest, RandomMethodSubsetsMatchOneShotSessions) {
   PoolFixture &Fx = fixture();
   std::mt19937 Rng(GetParam());
   SymbolicEngine Shared(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000,
                         SolveMode::SharedPair);
-  SymbolicEngine PerMethod(Fx.F, /*SeqLenBound=*/2,
-                           /*ConflictBudget=*/200000, SolveMode::PerMethod);
+  SymbolicEngine OneShot(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000,
+                         SolveMode::OneShot);
 
   // Pool of entries spanning all four families.
   std::vector<const ConditionEntry *> Entries;
@@ -236,7 +236,7 @@ TEST_P(SharedPairFuzzTest, RandomMethodSubsetsMatchPerMethodSessions) {
 
       SymbolicResult Got;
       Got.Verified = Sess.discharge(0, E.pairName(), Shared.plan(M), Got);
-      SymbolicResult Want = PerMethod.verify(M);
+      SymbolicResult Want = OneShot.verify(M);
 
       ASSERT_EQ(Got.Verified, Want.Verified)
           << "seed=" << GetParam() << " trial=" << Trial << " "
@@ -454,7 +454,7 @@ TEST_P(FamilyEvictionFuzzTest, RandomRetireOrdersMatchNoEvictionReference) {
       Got.Verified = Sess.discharge(0, Key, MP, Got);
 
       SymbolicResult Want =
-          dischargePlan(Fx.F, MP, SolveMode::PerMethod, /*Budget=*/200000,
+          dischargePlan(Fx.F, MP, SolveMode::OneShot, /*Budget=*/200000,
                         /*GcBudget=*/0, /*Certify=*/false);
 
       ASSERT_EQ(Got.Verified, Want.Verified)
@@ -664,21 +664,18 @@ TEST(SymbolicEngineTest, LazyPlanningBoundsMaterializedSplits) {
   EXPECT_EQ(FO.TotalSplits, Total);
 }
 
-TEST(SharedSessionTest, PerMethodAndOneShotModesRecreateSessions) {
+TEST(SharedSessionTest, OneShotModeRecreatesSessions) {
   PoolFixture &Fx = fixture();
   const ConditionEntry &E = Fx.C.entries(setFamily()).front();
-  SymbolicEngine PerMethod(Fx.F, /*SeqLenBound=*/2,
-                           /*ConflictBudget=*/200000, SolveMode::PerMethod);
   SymbolicEngine OneShot(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000,
                          SolveMode::OneShot);
-  PairOutcome PM = PerMethod.verifyPair(E);
   PairOutcome OS = OneShot.verifyPair(E);
-  EXPECT_EQ(PM.failures(), 0u);
   EXPECT_EQ(OS.failures(), 0u);
-  EXPECT_EQ(PM.SessionsOpened, 6u); // One session per method.
   uint64_t Vcs = 0;
-  for (const SymbolicResult &R : OS.Methods)
+  for (const SymbolicResult &R : OS.Methods) {
     Vcs += R.NumVcs;
+    EXPECT_EQ(R.RetainedClauses, 0u); // Nothing carries over.
+  }
   EXPECT_EQ(OS.SessionsOpened, Vcs); // One session per VC split.
-  EXPECT_EQ(PM.Selectors, 0u);       // Selectors are SharedPair-only.
+  EXPECT_EQ(OS.Selectors, 0u);       // Selectors are warm-only.
 }

@@ -125,19 +125,14 @@ TEST(SymbolicEngineTest, AllSolveModesAgree) {
   SymbolicFixture &Fx = fixture();
   SymbolicEngine OneShot(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000,
                          SolveMode::OneShot);
-  SymbolicEngine PerMethod(Fx.F, /*SeqLenBound=*/2,
-                           /*ConflictBudget=*/200000, SolveMode::PerMethod);
   SymbolicEngine SharedPair(Fx.F, /*SeqLenBound=*/2,
                             /*ConflictBudget=*/200000,
                             SolveMode::SharedPair);
   for (const TestingMethod &M :
        generateTestingMethods(Fx.C, arrayListFamily())) {
     SymbolicResult A = OneShot.verify(M);
-    SymbolicResult B = PerMethod.verify(M);
     SymbolicResult S = SharedPair.verify(M);
-    EXPECT_EQ(A.Verified, B.Verified) << M.name();
     EXPECT_EQ(A.Verified, S.Verified) << M.name();
-    EXPECT_EQ(A.NumVcs, B.NumVcs) << M.name();
     EXPECT_EQ(A.NumVcs, S.NumVcs) << M.name();
     EXPECT_EQ(A.RetainedClauses, 0u) << M.name();
   }
@@ -152,7 +147,6 @@ TEST(SymbolicEngineTest, AllSolveModesAgree) {
   M.Kind = ConditionKind::Before;
   M.Role = MethodRole::Soundness;
   EXPECT_FALSE(OneShot.verify(M).Verified);
-  EXPECT_FALSE(PerMethod.verify(M).Verified);
   EXPECT_FALSE(SharedPair.verify(M).Verified);
 }
 
@@ -176,10 +170,10 @@ TEST(SymbolicEngineTest, VerifyPairSharesOneSessionAcrossSixMethods) {
   }
   EXPECT_EQ(O.Checks, Vcs); // Every VC went through the shared session.
 
-  // In per-method mode the same pair opens one session per method.
-  SymbolicEngine PerMethod(Fx.F, /*SeqLenBound=*/2,
-                           /*ConflictBudget=*/200000, SolveMode::PerMethod);
-  EXPECT_EQ(PerMethod.verifyPair(E).SessionsOpened, 6u);
+  // In one-shot mode the same pair opens one session per VC split.
+  SymbolicEngine OneShot(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000,
+                         SolveMode::OneShot);
+  EXPECT_EQ(OneShot.verifyPair(E).SessionsOpened, Vcs);
 }
 
 TEST(SymbolicEngineTest, ProofCoresNameSelectorAndSplitLiterals) {

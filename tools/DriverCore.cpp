@@ -225,7 +225,7 @@ struct PairGroup {
 };
 
 /// The unit of symbolic commutativity work, run on one worker: the pairs
-/// one session serves — one pair under shared-pair and the cold modes, one
+/// one session serves — one pair under shared-pair and oneshot, one
 /// whole family under shared-family — in enumeration order.
 struct SessionGroup {
   std::vector<size_t> PairIdx; ///< Indices into the PairGroup list.
@@ -287,7 +287,7 @@ void fillSessionStats(const CatalogOutcome &CO, const char *ModeName,
 }
 
 /// Runs one session group: a warm mode through one CatalogSession
-/// (SymbolicEngine::verifyGroups), a cold mode through dischargeCold.
+/// (SymbolicEngine::verifyGroups), OneShot through dischargeCold.
 /// Writes the group's job records and pair rows and, when \p Session is
 /// set (warm modes), its session row. A one-pair group's pair row carries
 /// the group's wall clock.
@@ -298,7 +298,6 @@ void runSessionGroup(const Catalog &C, const DriverOptions &Opts,
   Stopwatch Timer;
   SymbolicEngine Sym(C.factory(), Opts.SymbolicSeqLenBound,
                      Opts.SymbolicConflictBudget, Opts.SymbolicMode);
-  Sym.setClauseGcBudget(Opts.GcBudget);
   Sym.setCertify(Opts.Certify);
   CatalogOutcome CO;
   if (isColdMode(Opts.SymbolicMode)) {
@@ -347,6 +346,9 @@ Report driver::runFullCatalog(const Catalog &C, const DriverOptions &Opts) {
   if (Error.empty() && Opts.SymbolicMode == SolveMode::SharedCatalog)
     Error = "solve mode shared-catalog was removed; use shared-family (one "
             "warm session per family)";
+  if (Error.empty() && Opts.SymbolicMode == SolveMode::PerMethod)
+    Error = "solve mode per-method was removed; use shared-pair (one warm "
+            "session per op-pair) or oneshot (the cold oracle)";
   if (!Error.empty()) {
     Report R;
     R.Threads = Opts.Threads == 0 ? 1 : Opts.Threads;
@@ -652,174 +654,6 @@ json::Value Report::toJson() const {
   }
   Root.set("results", std::move(ResArr));
   return Root;
-}
-
-std::optional<Report> Report::fromJson(const json::Value &V) {
-  if (!V.isObject())
-    return std::nullopt;
-  const json::Value &Tool = V["tool"];
-  if (!Tool.isString() || Tool.asString() != "semcommute-verify")
-    return std::nullopt;
-
-  Report R;
-  if (!V["threads"].isNumber() || !V["wall_ms"].isNumber())
-    return std::nullopt;
-  R.Threads = static_cast<unsigned>(V["threads"].asInt());
-  R.WallMillis = V["wall_ms"].asDouble();
-  if (const json::Value *C = V.find("certify"))
-    R.Certified = C->isBool() && C->asBool();
-  if (const json::Value *E = V.find("error"))
-    R.Error = E->asString();
-
-  const json::Value &S = V["scope"];
-  if (!S.isObject())
-    return std::nullopt;
-  R.Bounds.SetUniverse = static_cast<int>(S["set_universe"].asInt());
-  R.Bounds.MapKeys = static_cast<int>(S["map_keys"].asInt());
-  R.Bounds.MapVals = static_cast<int>(S["map_vals"].asInt());
-  R.Bounds.SeqVals = static_cast<int>(S["seq_vals"].asInt());
-  R.Bounds.MaxSeqLen = static_cast<int>(S["max_seq_len"].asInt());
-  R.Bounds.CounterRange = static_cast<int>(S["counter_range"].asInt());
-
-  const json::Value &FamArr = V["families"];
-  if (!FamArr.isArray())
-    return std::nullopt;
-  for (size_t I = 0; I != FamArr.size(); ++I) {
-    const json::Value &F = FamArr.at(I);
-    FamilySummary Sum;
-    Sum.Family = F["family"].asString();
-    Sum.Jobs = static_cast<unsigned>(F["jobs"].asInt());
-    Sum.Failures = static_cast<unsigned>(F["failures"].asInt());
-    Sum.PaperConditions =
-        static_cast<unsigned>(F["paper_conditions"].asInt());
-    Sum.JobMillis = F["job_ms"].asDouble();
-    Sum.Scenarios = static_cast<uint64_t>(F["scenarios"].asInt());
-    if (const json::Value *V2 = F.find("vcs"))
-      Sum.Vcs = static_cast<uint64_t>(V2->asInt());
-    if (const json::Value *V2 = F.find("sat_conflicts"))
-      Sum.Conflicts = V2->asInt();
-    if (const json::Value *V2 = F.find("retained_clauses"))
-      Sum.RetainedClauses = static_cast<uint64_t>(V2->asInt());
-    if (const json::Value *V2 = F.find("db_reductions"))
-      Sum.DbReductions = static_cast<uint64_t>(V2->asInt());
-    if (const json::Value *V2 = F.find("reclaimed_clauses"))
-      Sum.ReclaimedClauses = static_cast<uint64_t>(V2->asInt());
-    R.Families.push_back(std::move(Sum));
-  }
-
-  if (const json::Value *PairArr = V.find("pair_stats")) {
-    if (!PairArr->isArray())
-      return std::nullopt;
-    for (size_t I = 0; I != PairArr->size(); ++I) {
-      const json::Value &P = PairArr->at(I);
-      PairStats S;
-      S.Family = P["family"].asString();
-      S.Op1 = P["op1"].asString();
-      S.Op2 = P["op2"].asString();
-      S.Mode = P["mode"].asString();
-      S.Methods = static_cast<unsigned>(P["methods"].asInt());
-      S.Vcs = static_cast<uint64_t>(P["vcs"].asInt());
-      S.Checks = static_cast<uint64_t>(P["checks"].asInt());
-      S.Conflicts = P["sat_conflicts"].asInt();
-      S.RetainedClauses =
-          static_cast<uint64_t>(P["retained_clauses"].asInt());
-      S.DbReductions = static_cast<uint64_t>(P["db_reductions"].asInt());
-      S.ReclaimedClauses =
-          static_cast<uint64_t>(P["reclaimed_clauses"].asInt());
-      S.Selectors = static_cast<unsigned>(P["selectors"].asInt());
-      S.SessionsOpened = static_cast<uint64_t>(P["sessions"].asInt());
-      S.Millis = P["ms"].asDouble();
-      R.Pairs.push_back(std::move(S));
-    }
-  }
-
-  if (const json::Value *CatArr = V.find("catalog_stats")) {
-    if (!CatArr->isArray())
-      return std::nullopt;
-    for (size_t I = 0; I != CatArr->size(); ++I) {
-      const json::Value &P = CatArr->at(I);
-      CatalogStats S;
-      S.Mode = P["mode"].asString();
-      S.FamilyNames = P["family_names"].asString();
-      S.Families = static_cast<unsigned>(P["families"].asInt());
-      S.Pairs = static_cast<unsigned>(P["pairs"].asInt());
-      S.Methods = static_cast<unsigned>(P["methods"].asInt());
-      S.Vcs = static_cast<uint64_t>(P["vcs"].asInt());
-      S.Checks = static_cast<uint64_t>(P["checks"].asInt());
-      S.Conflicts = P["sat_conflicts"].asInt();
-      S.PrefixAsserts = static_cast<uint64_t>(P["prefix_asserts"].asInt());
-      S.PrefixReuses = static_cast<uint64_t>(P["prefix_reuses"].asInt());
-      S.SubtreeRetirements =
-          static_cast<uint64_t>(P["subtree_retirements"].asInt());
-      S.PairEvictions = static_cast<uint64_t>(P["pair_evictions"].asInt());
-      S.EvictedClauses =
-          static_cast<uint64_t>(P["evicted_clauses"].asInt());
-      S.RecycledVars = static_cast<uint64_t>(P["recycled_vars"].asInt());
-      S.PeakLiveVars = static_cast<uint64_t>(P["peak_live_vars"].asInt());
-      S.PeakLiveClauses =
-          static_cast<uint64_t>(P["peak_live_clauses"].asInt());
-      S.VarRequests = static_cast<uint64_t>(P["var_requests"].asInt());
-      S.PeakRetainedClauses =
-          static_cast<uint64_t>(P["peak_retained_clauses"].asInt());
-      // Older reports lack the bridge counters.
-      if (const json::Value *BC = P.find("bridge_compactions"))
-        S.BridgeCompactions = static_cast<uint64_t>(BC->asInt());
-      if (const json::Value *RA = P.find("released_atom_vars"))
-        S.ReleasedAtomVars = static_cast<uint64_t>(RA->asInt());
-      if (const json::Value *RS = P.find("released_selectors"))
-        S.ReleasedSelectors = static_cast<uint64_t>(RS->asInt());
-      if (const json::Value *PB = P.find("peak_live_bridges"))
-        S.PeakLiveBridges = static_cast<uint64_t>(PB->asInt());
-      S.Selectors = static_cast<unsigned>(P["selectors"].asInt());
-      S.Millis = P["ms"].asDouble();
-      R.CatalogSessions.push_back(std::move(S));
-    }
-  }
-
-  const json::Value &ResArr = V["results"];
-  if (!ResArr.isArray())
-    return std::nullopt;
-  for (size_t I = 0; I != ResArr.size(); ++I) {
-    const json::Value &Res = ResArr.at(I);
-    JobRecord J;
-    J.Family = Res["family"].asString();
-    J.Category = Res["category"].asString();
-    if (const json::Value *Eng = Res.find("engine"))
-      J.Engine = Eng->asString();
-    else
-      J.Engine = engineKindName(EngineKind::Exhaustive);
-    J.Op1 = Res["op1"].asString();
-    J.Op2 = Res["op2"].asString();
-    J.Kind = Res["kind"].asString();
-    J.Role = Res["role"].asString();
-    J.Verified = Res["verified"].isBool() && Res["verified"].asBool();
-    J.Scenarios = static_cast<uint64_t>(Res["scenarios"].asInt());
-    J.Millis = Res["ms"].asDouble();
-    if (const json::Value *V2 = Res.find("vcs"))
-      J.Vcs = static_cast<uint64_t>(V2->asInt());
-    if (const json::Value *V2 = Res.find("sat_conflicts"))
-      J.Conflicts = V2->asInt();
-    if (const json::Value *V2 = Res.find("max_vc_conflicts"))
-      J.MaxVcConflicts = V2->asInt();
-    if (const json::Value *V2 = Res.find("retained_clauses"))
-      J.RetainedClauses = static_cast<uint64_t>(V2->asInt());
-    if (const json::Value *V2 = Res.find("db_reductions"))
-      J.DbReductions = static_cast<uint64_t>(V2->asInt());
-    if (const json::Value *V2 = Res.find("reclaimed_clauses"))
-      J.ReclaimedClauses = static_cast<uint64_t>(V2->asInt());
-    if (const json::Value *Core = Res.find("proof_core"))
-      J.ProofCore = Core->asString();
-    if (const json::Value *V2 = Res.find("proof_queries"))
-      J.ProofQueries = static_cast<uint64_t>(V2->asInt());
-    if (const json::Value *V2 = Res.find("proof_clauses"))
-      J.ProofClauses = static_cast<uint64_t>(V2->asInt());
-    if (const json::Value *V2 = Res.find("proof_checked"))
-      J.ProofChecked = V2->isBool() && V2->asBool();
-    if (const json::Value *Note = Res.find("note"))
-      J.Note = Note->asString();
-    R.Results.push_back(std::move(J));
-  }
-  return R;
 }
 
 //===----------------------------------------------------------------------===//

@@ -17,9 +17,9 @@
 /// methods of one (family, op-pair) always run together, and one worker
 /// runs a group's pairs through one warm solver session — one pair per
 /// session under SolveMode::SharedPair, one family under SharedFamily (the
-/// cold baselines run one pair per group, without a session). The report
-/// gains one row per pair and one per warm session. The job list, the
-/// groups and the result order are fully determined by the options —
+/// cold OneShot oracle runs one pair per group, without a session). The
+/// report gains one row per pair and one per warm session. The job list,
+/// the groups and the result order are fully determined by the options —
 /// never by thread scheduling — so an N-thread run and a 1-thread run
 /// produce byte-identical verdict sequences (DriverTest pins this down).
 ///
@@ -67,14 +67,10 @@ struct DriverOptions {
   int64_t SymbolicConflictBudget = 200000;
   /// Session strategy for the symbolic engine: shared-pair (default, one
   /// warm session per op-pair), shared-family (one warm session per
-  /// family, pair scopes retired as they finish), or the per-method /
-  /// oneshot comparison baselines. SharedCatalog is rejected: the run
-  /// returns an error report.
+  /// family, pair scopes retired as they finish), or the oneshot cold
+  /// oracle. PerMethod and SharedCatalog are rejected: the run returns an
+  /// error report.
   SolveMode SymbolicMode = SolveMode::SharedPair;
-  /// Clause-GC budget: live learned clauses at which a warm session's
-  /// first database reduction fires (--gc-budget; 0 keeps the solver
-  /// default, which bench/perf_engine_scaling's sweep picked from data).
-  int64_t GcBudget = 0;
   /// Certified verdicts (--certify): symbolic sessions log DRAT-style
   /// proof traces, the independent RUP checker replays each trace
   /// in-process when its session closes, and every job row records
@@ -180,7 +176,8 @@ struct CatalogStats {
   /// Prefix amortization across the catalog + family + pair levels.
   uint64_t PrefixAsserts = 0;
   uint64_t PrefixReuses = 0;
-  /// Whole-family scope subtrees retired in one pass.
+  /// Whole-family scope subtrees retired in one pass (0 for a one-family
+  /// session, whose family sits at the root with no subtree of its own).
   uint64_t SubtreeRetirements = 0;
   uint64_t PairEvictions = 0; ///< Pair scopes retired.
   uint64_t EvictedClauses = 0;
@@ -204,7 +201,7 @@ struct CatalogStats {
   double Millis = 0;
 };
 
-/// Everything a run produces; serializes to/from the JSON report.
+/// Everything a run produces; serializes to the JSON report.
 struct Report {
   unsigned Threads = 1;
   double WallMillis = 0;
@@ -212,8 +209,7 @@ struct Report {
   Scope Bounds;
   std::vector<FamilySummary> Families;
   std::vector<JobRecord> Results;
-  /// Per-pair shared-session reuse stats (empty for exhaustive-only runs
-  /// and for reports predating the field).
+  /// Per-pair shared-session reuse stats (empty for exhaustive-only runs).
   std::vector<PairStats> Pairs;
   /// Per-warm-session stats (every warm SolveMode; empty for cold and
   /// exhaustive-only runs).
@@ -225,7 +221,6 @@ struct Report {
   unsigned failures() const;
 
   json::Value toJson() const;
-  static std::optional<Report> fromJson(const json::Value &V);
 
   /// True when \p O ran the same job list and reached the same verdicts
   /// and scenario counts (both are functions of the options alone; only

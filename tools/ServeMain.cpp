@@ -340,8 +340,9 @@ int main(int argc, char **argv) {
       std::printf("reloaded %zu verdicts from %s\n", Svc.log().size(),
                   ReloadPath.c_str());
   }
-  // What a reload restored: the summary line reports this run's work as
-  // deltas over it, so every count in it has the same scope.
+  // What a reload restored: the summary line and the JSON session block
+  // report this run's work as deltas over it, so every count in them has
+  // the same scope.
   size_t RestoredVerdicts = Svc.log().size();
   ServiceStats Restored = aggregateStats(Svc.stats());
 
@@ -401,6 +402,15 @@ int main(int argc, char **argv) {
   int Exit = 0;
   ShardedServiceStats SS = Svc.stats();
   ServiceStats S = aggregateStats(SS);
+  // restore() carries the snapshot's lifetime request and pair-group
+  // counters (batched reuses derive from them); the session counters
+  // start with this process's session. Subtracting the post-restore stats
+  // leaves this run's share of each.
+  S.PairGroups -= Restored.PairGroups;
+  S.PlansBuilt -= Restored.PlansBuilt;
+  S.BatchedReuses -= Restored.BatchedReuses;
+  S.Session.BridgeCompactions -= Restored.Session.BridgeCompactions;
+  S.Session.ReleasedSelectors -= Restored.Session.ReleasedSelectors;
 
   // Every served request must have verified both of its testing methods
   // (the catalog is the paper's: everything verifies).
@@ -617,12 +627,10 @@ int main(int argc, char **argv) {
               (unsigned long long)ServedNow, TotalMillis,
               TotalMillis > 0 ? 1e3 * (double)ServedNow / TotalMillis : 0.0,
               Exit == 0 ? "OK" : "FAILED",
-              (unsigned long long)(S.PairGroups - Restored.PairGroups),
-              (unsigned long long)(S.PlansBuilt - Restored.PlansBuilt),
-              (unsigned long long)(S.BatchedReuses - Restored.BatchedReuses),
-              (unsigned long long)(S.Session.BridgeCompactions -
-                                   Restored.Session.BridgeCompactions),
-              (unsigned long long)(S.Session.ReleasedSelectors -
-                                   Restored.Session.ReleasedSelectors));
+              (unsigned long long)S.PairGroups,
+              (unsigned long long)S.PlansBuilt,
+              (unsigned long long)S.BatchedReuses,
+              (unsigned long long)S.Session.BridgeCompactions,
+              (unsigned long long)S.Session.ReleasedSelectors);
   return Exit;
 }

@@ -46,12 +46,9 @@ void printUsage(const char *Argv0) {
       "  --solve-mode M    symbolic session strategy: shared-pair (default,\n"
       "                    one warm solver per op-pair), shared-family (one\n"
       "                    warm solver per family with per-pair scope\n"
-      "                    eviction), per-method, or oneshot; requires\n"
-      "                    --engine symbolic or both\n"
-      "  --gc-budget N     live learned clauses at which a warm session's\n"
-      "                    first clause-DB reduction fires (default: the\n"
-      "                    data-picked solver default); requires --engine\n"
-      "                    symbolic or both\n"
+      "                    eviction), or oneshot (a fresh solver per VC,\n"
+      "                    the cold oracle); requires --engine symbolic\n"
+      "                    or both\n"
       "  --certify         certified verdicts: every symbolic session logs\n"
       "                    a DRAT-style proof trace and the independent RUP\n"
       "                    checker replays it in-process; job rows gain\n"
@@ -94,7 +91,7 @@ int main(int argc, char **argv) {
   DriverOptions Opts;
   Opts.Threads = ThreadPool::hardwareThreads();
   bool ListOnly = false, Quiet = false, FailuresOnly = false;
-  bool SeqBoundSet = false, SolveModeSet = false, GcBudgetSet = false;
+  bool SeqBoundSet = false, SolveModeSet = false;
   std::string JsonPath;
 
   for (int I = 1; I < argc; ++I) {
@@ -138,25 +135,25 @@ int main(int argc, char **argv) {
         Opts.SymbolicMode = SolveMode::SharedPair;
       } else if (M == "shared-family") {
         Opts.SymbolicMode = SolveMode::SharedFamily;
-      } else if (M == "per-method") {
-        Opts.SymbolicMode = SolveMode::PerMethod;
       } else if (M == "oneshot") {
         Opts.SymbolicMode = SolveMode::OneShot;
       } else if (M == "shared-catalog") {
         std::fprintf(stderr, "solve mode shared-catalog was removed; use "
                              "shared-family (one warm solver per family)\n");
         return 2;
+      } else if (M == "per-method") {
+        std::fprintf(stderr, "solve mode per-method was removed; use "
+                             "shared-pair (one warm solver per op-pair) or "
+                             "oneshot (the cold oracle)\n");
+        return 2;
       } else {
         std::fprintf(stderr,
                      "unknown solve mode '%s' (expected shared-pair, "
-                     "shared-family, per-method or oneshot)\n",
+                     "shared-family or oneshot)\n",
                      M.c_str());
         return 2;
       }
       SolveModeSet = true;
-    } else if (Arg == "--gc-budget") {
-      Opts.GcBudget = intFlagOrExit("--gc-budget", needValue("--gc-budget"), 1);
-      GcBudgetSet = true;
     } else if (Arg == "--certify") {
       Opts.Certify = true;
     } else if (Arg == "--threads") {
@@ -192,11 +189,6 @@ int main(int argc, char **argv) {
   }
   if (SolveModeSet && Opts.Engine == EngineKind::Exhaustive) {
     std::fprintf(stderr, "--solve-mode only applies to the symbolic "
-                         "engine; pass --engine symbolic or both\n");
-    return 2;
-  }
-  if (GcBudgetSet && Opts.Engine == EngineKind::Exhaustive) {
-    std::fprintf(stderr, "--gc-budget only applies to the symbolic "
                          "engine; pass --engine symbolic or both\n");
     return 2;
   }
