@@ -193,36 +193,28 @@ else
   record "driver_certify_stats" 0 missing
 fi
 
-# Service-loop snapshots: three 3-pass full-catalog semcommute-serve runs
-# (prefix-batched, FIFO, and batched-without-compaction) whose request
-# rates and per-pass live peaks join the baseline as service_stats, so
-# serving regressions (a lost batching speedup, a compaction that stops
-# bounding the warm session) are caught like wall-time ones.
+# Service-loop snapshot: one 3-pass full-catalog semcommute-serve run
+# whose request rate and per-pass live peaks join the baseline as
+# service_stats, so serving regressions (a slower drain, a warm session
+# that stops plateauing) are caught like wall-time ones.
 SERVE_BIN="$BUILD_DIR/semcommute-serve"
 if [ -x "$SERVE_BIN" ]; then
-  for cfg in "serve_batched:" "serve_fifo:--no-batch" \
-             "serve_nocompact:--no-compact"; do
-    name=${cfg%%:*}
-    extra=${cfg#*:}
-    echo "== semcommute-serve ($name)"
-    start=$(now)
-    # shellcheck disable=SC2086 # $extra is zero or one flag
-    if "$SERVE_BIN" --families all --passes 3 $extra \
-         --json "$RESULTS_DIR/$name.json" --quiet \
-         > "$RESULTS_DIR/$name.txt" 2>&1
-    then status=ok; else
-      status=failed
-      echo "FAILED  semcommute-serve $name (see $RESULTS_DIR/$name.txt)"
-      failures=$((failures + 1))
-    fi
-    end=$(now)
-    record "$name" "$(awk "BEGIN{printf \"%.3f\", $end - $start}")" "$status"
-  done
+  name=serve_batched
+  echo "== semcommute-serve ($name)"
+  start=$(now)
+  if "$SERVE_BIN" --families all --passes 3 \
+       --json "$RESULTS_DIR/$name.json" --quiet \
+       > "$RESULTS_DIR/$name.txt" 2>&1
+  then status=ok; else
+    status=failed
+    echo "FAILED  semcommute-serve $name (see $RESULTS_DIR/$name.txt)"
+    failures=$((failures + 1))
+  fi
+  end=$(now)
+  record "$name" "$(awk "BEGIN{printf \"%.3f\", $end - $start}")" "$status"
 else
   echo "MISSING semcommute-serve (not built?)"
-  for name in serve_batched serve_fifo serve_nocompact; do
-    record "$name" 0 missing
-  done
+  record serve_batched 0 missing
   failures=$((failures + 1))
 fi
 
@@ -423,11 +415,10 @@ if speculation_stats is not None and spec_rows:
         {k: v for k, v in row.items() if k not in ("bench", "metric")}
         for row in spec_rows]
 
-# Verification-service statistics from the three semcommute-serve
-# snapshot runs: request rates with and without prefix batching (and the
-# measured speedup), live peaks with and without bridge compaction, the
-# compaction/release counters, and how many passes the batched run needed
-# before its live peaks plateaued (successive passes within 1.05x).
+# Verification-service statistics from the semcommute-serve snapshot
+# run: the request rate, the batching and selector-release counters, the
+# live peaks, and how many passes the run needed before its live peaks
+# plateaued (successive passes within 1.05x).
 def load_serve(name):
     path = os.path.join(results_dir, name + ".json")
     if not os.path.exists(path):
@@ -440,13 +431,7 @@ def load_serve(name):
 
 service_stats = None
 serve_batched = load_serve("serve_batched")
-serve_fifo = load_serve("serve_fifo")
-serve_nocompact = load_serve("serve_nocompact")
 if serve_batched:
-    def live_peaks(doc):
-        sess = doc.get("session", {})
-        return {k: sess.get("peak_live_" + k)
-                for k in ("vars", "clauses", "bridges")}
     passes = serve_batched.get("pass_stats", [])
     passes_to_plateau = None
     for i in range(1, len(passes)):
@@ -458,25 +443,18 @@ if serve_batched:
             break
     sess = serve_batched.get("session", {})
     rps = serve_batched.get("requests_per_sec")
-    fifo_rps = serve_fifo.get("requests_per_sec") if serve_fifo else None
     service_stats = {
-        # The request rates (and their ratio) are host timings.
+        # The request rate is a host timing.
         "cpus": serve_batched.get("sharded_service", {}).get("cpus"),
         "passes": len(passes),
         "requests": sum(p.get("requests", 0) for p in passes),
         "req_per_sec_batched": rps,
-        "req_per_sec_fifo": fifo_rps,
-        "batching_speedup_x": (round(rps / fifo_rps, 3)
-                               if rps and fifo_rps else None),
         "pair_groups": sess.get("pair_groups"),
         "plans_built": sess.get("plans_built"),
         "batched_reuses": sess.get("batched_reuses"),
-        "bridge_compactions": sess.get("bridge_compactions"),
-        "released_atom_vars": sess.get("released_atom_vars"),
         "released_selectors": sess.get("released_selectors"),
-        "peaks_compacting": live_peaks(serve_batched),
-        "peaks_no_compaction": (live_peaks(serve_nocompact)
-                                if serve_nocompact else None),
+        "live_peaks": {k: sess.get("peak_live_" + k)
+                       for k in ("vars", "clauses", "bridges")},
         "passes_to_plateau": passes_to_plateau,
     }
 

@@ -365,7 +365,6 @@ size_t PairTier::retireAll() {
 
 CatalogSession::CatalogSession(ExprFactory &F, const CatalogPlan &Plan,
                                int64_t Budget, bool Certify,
-                               bool CompactBridges, size_t CompactMinDead,
                                const PrefixImage *Prefix)
     : F(F), Plan(Plan), Budget(Budget), Session(F),
       Tiers(Plan.Families.size()), FamilyEpochs(Plan.Families.size(), 0) {
@@ -373,11 +372,6 @@ CatalogSession::CatalogSession(ExprFactory &F, const CatalogPlan &Plan,
   // solver — the proof's Input steps have to cover the whole database.
   if (Certify)
     Session.enableCertification();
-  // Bridge compaction likewise: owner attribution has to see every
-  // assertion from the first one, and the dedicated bridge Tseitin layer
-  // must exist before any bridge clause is encoded.
-  if (CompactBridges)
-    Session.enableBridgeCompaction(CompactMinDead);
   // A sole family's common prefix is session base too: its tier then
   // lives at the root (see ensureFamily).
   std::vector<ExprRef> Base = Plan.CatalogCommon;
@@ -388,8 +382,6 @@ CatalogSession::CatalogSession(ExprFactory &F, const CatalogPlan &Plan,
     // Cross-shard prefix sharing: load the pre-encoded image (exported by
     // a sibling session over the *same* plan and factory) instead of
     // re-encoding the catalog-common prefix and its bridge lattice.
-    assert(Prefix->HasBridgeLayer == CompactBridges &&
-           "prefix image and session disagree on bridge compaction");
     Session.importPrefix(*Prefix);
     CatalogBase.insert(Base.begin(), Base.end());
     CatStats.PrefixImageLoaded = true;
@@ -533,8 +525,6 @@ CatalogSessionStats CatalogSession::stats() const {
   S.PeakLiveVars = static_cast<uint64_t>(Session.peakLiveVars());
   S.PeakLiveClauses = static_cast<uint64_t>(Session.peakClauses());
   S.VarRequests = static_cast<uint64_t>(Session.varRequests());
-  S.BridgeCompactions = static_cast<uint64_t>(Session.bridgeCompactions());
-  S.ReleasedAtomVars = static_cast<uint64_t>(Session.releasedAtomVars());
   S.ReleasedSelectors = static_cast<uint64_t>(Session.releasedSelectors());
   S.LiveBridges = static_cast<uint64_t>(Session.liveBridges());
   S.PeakLiveBridges = static_cast<uint64_t>(Session.peakLiveBridges());

@@ -384,14 +384,13 @@ struct CatalogSessionStats {
   uint64_t PeakLiveVars = 0;
   uint64_t PeakLiveClauses = 0;
   uint64_t VarRequests = 0;
-  /// Bridge-compaction accounting (all zero unless the session was built
-  /// with CompactBridges): compaction passes run, theory-atom variables
-  /// released back to the recycler, retired-scope selector variables
-  /// released (epoch-interned selectors fold instead of pinning the trail
-  /// forever), and the live/peak bridge-clause counts the compactor
-  /// bounds.
+  /// Always 0: sessions no longer compact their bridge lattice (the
+  /// catalog bounds the atom universe). Kept only because the
+  /// benchmark's smt.compactions row reads it.
   uint64_t BridgeCompactions = 0;
-  uint64_t ReleasedAtomVars = 0;
+  /// Retired-scope selector variables released (epoch-interned selectors
+  /// fold instead of pinning the trail forever), and the live/peak
+  /// bridge-formula counts.
   uint64_t ReleasedSelectors = 0;
   uint64_t LiveBridges = 0;
   uint64_t PeakLiveBridges = 0;
@@ -420,21 +419,13 @@ public:
   /// Asserts \p Plan's catalog-common prefix as session base. The plan
   /// must outlive the session (family Pairs may be empty: lazy callers
   /// materialize pair plans just before discharge). \p Certify turns on
-  /// proof logging before any assertion reaches the solver.
-  /// \p CompactBridges turns on the session's bridge compactor (theory
-  /// atoms are reference-counted by live scope; once every owner retires,
-  /// the bridge clauses over them are compacted out and their variables
-  /// recycled) — the long-horizon mode the verification service runs in.
-  /// \p CompactMinDead is the dead-entry threshold below which a
-  /// retirement never triggers a compaction pass. A non-null \p Prefix is
-  /// a pre-encoded image of the catalog-common prefix (exported by a
-  /// sibling session over the same plan and factory, with the same
-  /// CompactBridges flag): the session *loads* it instead of re-encoding,
-  /// making shard warm-up a replay instead of a plan-and-encode pass.
+  /// proof logging before any assertion reaches the solver. A non-null
+  /// \p Prefix is a pre-encoded image of the catalog-common prefix
+  /// (exported by a sibling session over the same plan and factory): the
+  /// session *loads* it instead of re-encoding, making shard warm-up a
+  /// replay instead of a plan-and-encode pass.
   CatalogSession(ExprFactory &F, const CatalogPlan &Plan, int64_t Budget,
-                 bool Certify = false, bool CompactBridges = false,
-                 size_t CompactMinDead = 64,
-                 const PrefixImage *Prefix = nullptr);
+                 bool Certify = false, const PrefixImage *Prefix = nullptr);
   CatalogSession(const CatalogSession &) = delete;
   CatalogSession &operator=(const CatalogSession &) = delete;
 

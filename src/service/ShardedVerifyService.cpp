@@ -37,14 +37,9 @@ const char *routeName(RouteBy R) {
 json::Value configImage(const ShardedServiceConfig &Cfg) {
   const ServiceConfig &B = Cfg.Base;
   json::Value V = json::Value::object();
-  V.set("batch", json::Value::boolean(B.Batch));
-  V.set("compact_bridges", json::Value::boolean(B.CompactBridges));
-  V.set("release_selectors", json::Value::boolean(B.ReleaseSelectors));
   V.set("certify", json::Value::boolean(B.Certify));
   V.set("seq_len_bound", json::Value::integer(B.SeqLenBound));
   V.set("conflict_budget", json::Value::integer(B.ConflictBudget));
-  V.set("compact_min_dead",
-        json::Value::integer(static_cast<int64_t>(B.CompactMinDead)));
   V.set("shards", json::Value::integer(Cfg.Shards));
   V.set("route", json::Value::string(routeName(Cfg.Route)));
   return V;
@@ -65,9 +60,15 @@ json::Value counter(uint64_t N) {
   return json::Value::integer(static_cast<int64_t>(N));
 }
 
+/// The largest number a snapshot may hold: 2^53, the last integer a
+/// double represents exactly. Counters are uint64_t written as int64, so a
+/// restored counter near INT64_MAX would wrap negative at the next
+/// snapshot; no run serves anywhere near 2^53 requests.
+constexpr double MaxSnapshotNumber = 9007199254740992.0;
+
 /// Checks that \p Got is an object with exactly \p Want's members, in
-/// order and of the same kinds, every number finite and non-negative —
-/// the layout snapshot() writes, so whatever restore() accepts
+/// order and of the same kinds, every number finite, non-negative and at
+/// most 2^53 — the layout snapshot() writes, so whatever restore() accepts
 /// re-snapshots to the same image. \p Where names \p Got ("" at the
 /// root).
 bool sameLayout(const json::Value &Got, const json::Value &Want,
@@ -95,6 +96,10 @@ bool sameLayout(const json::Value &Got, const json::Value &Want,
     }
     if (V.isNumber() && !(V.asDouble() >= 0 && std::isfinite(V.asDouble()))) {
       Error = Field(Key) + "is negative or not finite";
+      return false;
+    }
+    if (V.isNumber() && V.asDouble() > MaxSnapshotNumber) {
+      Error = Field(Key) + "is above 2^53";
       return false;
     }
   }
@@ -275,7 +280,7 @@ json::Value ShardedVerifyService::snapshot() const {
     Log.push(verdictRow(SV));
 
   json::Value V = json::Value::object();
-  V.set("schema", json::Value::integer(3));
+  V.set("schema", json::Value::integer(4));
   V.set("config", configImage(Cfg));
   V.set("families", std::move(Families));
   V.set("drains", counter(Drains));
@@ -297,7 +302,8 @@ bool ShardedVerifyService::restore(const json::Value &V,
   // fresh.
   const json::Value Fresh = snapshot();
   if (V["schema"] != Fresh["schema"]) {
-    Error = "snapshot field 'schema' is not 3 (unsupported snapshot schema)";
+    Error = "snapshot field 'schema' is not " + Fresh["schema"].dump() +
+            " (unsupported snapshot schema)";
     return false;
   }
   if (!sameLayout(V, Fresh, "", Error) ||

@@ -14,7 +14,7 @@
 /// (or family+pair — the default, which balances the four-family
 /// catalog), keeps the one verdict log, and owns the snapshot. Each shard
 /// is a VerifyService (warm CatalogSession, plan table, prefix-batched
-/// drains, compaction) that serves only what it is handed; a drain runs
+/// drains) that serves only what it is handed; a drain runs
 /// every shard's drain, on a work-stealing ThreadPool when Threads > 1.
 ///
 /// What makes N shards cheaper than N processes:
@@ -34,7 +34,7 @@
 /// pins 1 vs 8 threads), and verdict *values* are the same at every shard
 /// count.
 ///
-/// Snapshot / reload: snapshot() serializes the service image (schema 3:
+/// Snapshot / reload: snapshot() serializes the service image (schema 4:
 /// the config, the served families, the front-end counters, one counter
 /// row per shard, and the verdict log) to JSON; restore() loads it into a
 /// freshly constructed service. A shard's request count is not stored:
@@ -68,7 +68,7 @@ namespace service {
 enum class RouteBy : uint8_t { Family, Pair };
 
 /// Front-end construction knobs. Base carries the per-shard session
-/// configuration (batching, compaction, certify, budgets).
+/// configuration (certify, the sequence bound, the conflict budget).
 struct ShardedServiceConfig {
   ServiceConfig Base;
   unsigned Shards = 4;
@@ -143,13 +143,14 @@ public:
   /// checked independently — per-shard --certify).
   proof::CertifySummary finishCertification();
 
-  /// Serializes the service image (schema 3; see the file comment).
+  /// Serializes the service image (schema 4; see the file comment).
   json::Value snapshot() const;
   /// Restores a snapshot() into a freshly constructed service. Every
   /// config field and the family set must match this service's, every
-  /// field must have its type and range, and every log row must name a
-  /// served (family, pair). Anything else is rejected with a one-line
-  /// \p Error naming the field, and the service stays fresh.
+  /// field must have its type and range (numbers in [0, 2^53]), and every
+  /// log row must name a served (family, pair). Anything else is rejected
+  /// with a one-line \p Error naming the field, and the service stays
+  /// fresh.
   bool restore(const json::Value &V, std::string &Error);
 
 private:

@@ -19,12 +19,9 @@ using namespace semcomm::service;
 VerifyService::VerifyService(const Catalog &C, const CatalogPlan &Plan,
                              const ServiceConfig &Cfg,
                              const PrefixImage *Prefix)
-    : Cfg(Cfg),
-      Eng(C.factory(), Cfg.SeqLenBound, Cfg.ConflictBudget),
-      Sess(C.factory(), Plan, Cfg.ConflictBudget, Cfg.Certify,
-           Cfg.CompactBridges, Cfg.CompactMinDead, Prefix) {
+    : Eng(C.factory(), Cfg.SeqLenBound, Cfg.ConflictBudget),
+      Sess(C.factory(), Plan, Cfg.ConflictBudget, Cfg.Certify, Prefix) {
   Sess.configureClauseGc(true);
-  Sess.session().setSelectorRelease(Cfg.ReleaseSelectors);
 }
 
 const PairPlan &VerifyService::planFor(const ConditionEntry &E) {
@@ -55,51 +52,40 @@ std::vector<ServiceVerdict> VerifyService::drain() {
     return Out;
   ++Drains;
 
-  if (Cfg.Batch) {
-    // Group pending requests by family, then by pair, both in
-    // first-appearance order: every request of a (family, pair) group is
-    // served against one warm pair scope, and the scope retires when its
-    // group completes.
-    struct Group {
-      const ConditionEntry *Entry;
-      std::vector<const ResolvedRequest *> Reqs;
-    };
-    std::vector<size_t> FamOrder;
-    std::map<size_t, std::vector<Group>> Groups;
-    for (const ResolvedRequest &RR : Pending) {
-      std::vector<Group> &FamGroups = Groups[RR.FamIdx];
-      if (FamGroups.empty())
-        FamOrder.push_back(RR.FamIdx);
-      Group *G = nullptr;
-      for (Group &Cand : FamGroups)
-        if (Cand.Entry == RR.Entry) {
-          G = &Cand;
-          break;
-        }
-      if (!G) {
-        FamGroups.push_back({RR.Entry, {}});
-        G = &FamGroups.back();
+  // Group pending requests by family, then by pair, both in
+  // first-appearance order: every request of a (family, pair) group is
+  // served against one warm pair scope, and the scope retires when its
+  // group completes.
+  struct Group {
+    const ConditionEntry *Entry;
+    std::vector<const ResolvedRequest *> Reqs;
+  };
+  std::vector<size_t> FamOrder;
+  std::map<size_t, std::vector<Group>> Groups;
+  for (const ResolvedRequest &RR : Pending) {
+    std::vector<Group> &FamGroups = Groups[RR.FamIdx];
+    if (FamGroups.empty())
+      FamOrder.push_back(RR.FamIdx);
+    Group *G = nullptr;
+    for (Group &Cand : FamGroups)
+      if (Cand.Entry == RR.Entry) {
+        G = &Cand;
+        break;
       }
-      G->Reqs.push_back(&RR);
+    if (!G) {
+      FamGroups.push_back({RR.Entry, {}});
+      G = &FamGroups.back();
     }
-    for (size_t FamIdx : FamOrder)
-      for (const Group &G : Groups[FamIdx]) {
-        const PairPlan &PP = planFor(*G.Entry);
-        ++PairGroups;
-        for (const ResolvedRequest *RR : G.Reqs)
-          serveOne(*RR, PP, Out);
-        Sess.retirePair(FamIdx, PP.Key);
-      }
-  } else {
-    // FIFO baseline: arrival order, one pair scope per request, retired
-    // immediately — every request pays the full prefix-assertion cost.
-    for (const ResolvedRequest &RR : Pending) {
-      const PairPlan &PP = planFor(*RR.Entry);
-      ++PairGroups;
-      serveOne(RR, PP, Out);
-      Sess.retirePair(RR.FamIdx, PP.Key);
-    }
+    G->Reqs.push_back(&RR);
   }
+  for (size_t FamIdx : FamOrder)
+    for (const Group &G : Groups[FamIdx]) {
+      const PairPlan &PP = planFor(*G.Entry);
+      ++PairGroups;
+      for (const ResolvedRequest *RR : G.Reqs)
+        serveOne(*RR, PP, Out);
+      Sess.retirePair(FamIdx, PP.Key);
+    }
 
   Requests += Pending.size();
   Pending.clear();

@@ -22,27 +22,21 @@
 ///    catalog entry, the sequence bound and the hints, and their ExprRefs
 ///    live in the catalog's factory. Each shard therefore builds a pair's
 ///    plan once per lifetime, the first time the pair is served, and
-///    every later drain (batched or FIFO) reads it from the table. The
-///    table is bounded by the catalog's pairs.
+///    every later drain reads it from the table. The table is bounded by
+///    the catalog's pairs.
 ///
-///  * Prefix batching (the default): pending requests are grouped by
-///    family, then by op-pair, in first-appearance order. A pair's scope
-///    is opened once per group, every request of the group discharged
-///    against the warm pair scope, and the scope retired when the group
-///    completes — so N same-pair requests pay one scope open/retire
-///    instead of N. The FIFO baseline (Batch = false) serves arrival
-///    order, re-opening and retiring the pair scope per request; the
-///    requests/sec delta between the two is the number the bench harness
-///    reports.
+///  * Prefix batching: pending requests are grouped by family, then by
+///    op-pair, in first-appearance order. A pair's scope is opened once
+///    per group, every request of the group discharged against the warm
+///    pair scope, and the scope retired when the group completes — so N
+///    same-pair requests pay one scope open/retire instead of N.
 ///
-///  * Long-horizon compaction: with CompactBridges (the default) the
-///    session reference-counts theory atoms by the scopes that mention
-///    them and compacts dead bridges out of the clause database; with
-///    ReleaseSelectors retired scopes' epoch-interned selector variables
-///    are folded off the trail and recycled. Together they make the
-///    service loop unbounded: live clauses, live variables, and live
-///    bridges plateau after the first full catalog pass instead of
-///    growing with the request count.
+///  * Bounded sessions: the shard's CatalogSession is the one every
+///    driver session runs. Retiring a pair scope evicts its clauses and
+///    recycles its definition variables and its epoch-named selector, and
+///    the theory atoms and bridges the catalog can mention are finite, so
+///    live clauses, live variables and live bridges plateau after the
+///    first full catalog pass instead of growing with the request count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -85,13 +79,9 @@ struct ResolvedRequest {
 
 /// Service construction knobs (every shard gets the same).
 struct ServiceConfig {
-  bool Batch = true;            ///< Prefix-batched drains (vs. FIFO).
-  bool CompactBridges = true;   ///< Bridge compaction on the warm session.
-  bool ReleaseSelectors = true; ///< Fold retired selectors off the trail.
-  bool Certify = false;         ///< DRAT proof logging + RUP checking.
-  int SeqLenBound = 3;          ///< ArrayList case-split bound.
+  bool Certify = false;            ///< DRAT proof logging + RUP checking.
+  int SeqLenBound = 3;             ///< ArrayList case-split bound.
   int64_t ConflictBudget = 200000; ///< Per-VC CDCL conflict budget.
-  size_t CompactMinDead = 64; ///< Dead-entry floor for a compaction pass.
 };
 
 /// One shard's cumulative statistics plus a snapshot of its warm session's
@@ -99,12 +89,11 @@ struct ServiceConfig {
 struct ServiceStats {
   uint64_t Requests = 0; ///< Requests served over the shard lifetime.
   uint64_t Drains = 0;
-  /// Pair scopes opened to serve requests. Under batching this counts
-  /// groups; under FIFO it equals Requests — the gap is the work prefix
-  /// batching saved.
+  /// Pair scopes opened to serve requests: one per (family, pair) group
+  /// of a drain.
   uint64_t PairGroups = 0;
   /// Requests served against a pair scope another request of the same
-  /// drain already opened: Requests - PairGroups (zero under FIFO).
+  /// drain already opened: Requests - PairGroups.
   uint64_t BatchedReuses = 0;
   uint64_t MethodsDischarged = 0; ///< Two per request.
   /// Pair plans built: the plan table's size, at most one per catalog
@@ -136,7 +125,7 @@ public:
   void submit(const ResolvedRequest &RR) { Pending.push_back(RR); }
 
   /// Serves every pending request and returns their verdicts in the order
-  /// served (grouped under batching, arrival order under FIFO).
+  /// served: grouped by family, then by pair, in first-appearance order.
   std::vector<ServiceVerdict> drain();
 
   size_t pending() const { return Pending.size(); }
@@ -147,7 +136,7 @@ public:
                        uint64_t Groups);
 
   /// The warm session's solver, exposed so callers can assert invariants
-  /// (reasonInvariantHolds) after compacting drains.
+  /// (reasonInvariantHolds) after drains.
   SmtSession &session() { return Sess.session(); }
 
   /// Restarts the per-pass peak counters (live vars / clauses / bridges)
@@ -156,7 +145,7 @@ public:
   void resetPeakStats() { Sess.resetPeakStats(); }
 
   /// Checks the warm session's proof trace (idempotent; meaningful only
-  /// when Cfg.Certify).
+  /// when the config's Certify is set).
   const proof::CertifySummary &finishCertification() {
     return Sess.finishCertification();
   }
@@ -170,7 +159,6 @@ private:
   void serveOne(const ResolvedRequest &RR, const PairPlan &PP,
                 std::vector<ServiceVerdict> &Out);
 
-  ServiceConfig Cfg;
   SymbolicEngine Eng;
   CatalogSession Sess;
   /// Pair plans by catalog entry, filled lazily by planFor().

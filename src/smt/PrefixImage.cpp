@@ -62,7 +62,7 @@ void appendExprs(std::string &Out, const char *Tag, char Row,
 
 std::string PrefixImage::serialize() const {
   std::string Out;
-  Out += "semcommute-prefix-image 1\n";
+  Out += "semcommute-prefix-image 2\n";
   Out += "vars " + std::to_string(NumVars) + "\n";
   Out += "clauses " + std::to_string(Clauses.size()) + "\n";
   for (const std::vector<int> &C : Clauses)
@@ -71,9 +71,6 @@ std::string PrefixImage::serialize() const {
   appendExprInts(Out, "atoms", 'a', Atoms);
   appendExprInts(Out, "rootdefs", 'd', RootDefs);
   appendInts(Out, "rootowned", RootOwned);
-  Out += "bridgelayer " + std::to_string(HasBridgeLayer ? 1 : 0) + "\n";
-  appendExprInts(Out, "bridgedefs", 'd', BridgeDefs);
-  appendInts(Out, "bridgeowned", BridgeOwned);
   appendExprs(Out, "objterms", 't', ObjTerms);
   appendExprs(Out, "mematoms", 'm', MemAtoms);
   Out += "intatoms " + std::to_string(IntAtoms.size()) + "\n";

@@ -180,17 +180,6 @@ ExprRef SmtSession::normalize(ExprRef E) {
 
 // --- Incremental bridge generation -------------------------------------------
 
-void SmtSession::recordOwner(ExprRef E) {
-  if (!BridgeCompactionEnabled)
-    return;
-  auto &Owners = EntryOwners[E];
-  // RootScope ownership is permanent, so the reverse index (walked only
-  // at retirement) never carries it.
-  if (Owners.insert(AttrScope).second && AttrScope != RootScope)
-    ScopeEntries[AttrScope].push_back(E);
-  DeadEntries.erase(E);
-}
-
 void SmtSession::collectTheoryAtoms(ExprRef E) {
   if (E->kind() == ExprKind::Eq && E->operand(0)->sort() == Sort::Obj) {
     for (ExprRef T : {E->operand(0), E->operand(1)}) {
@@ -199,20 +188,12 @@ void SmtSession::collectTheoryAtoms(ExprRef E) {
         if (T->kind() == ExprKind::MapGet)
           MapLookups.push_back(T);
       }
-      recordOwner(T);
     }
     return;
   }
   if (E->kind() == ExprKind::SetContains) {
     if (MemAtomSet.insert(E).second)
       MemAtoms.push_back(E);
-    recordOwner(E);
-    return;
-  }
-  // Canonical integer atoms are minted during normalization (before this
-  // walk), so here they are leaves of the registry's own making.
-  if (BridgeCompactionEnabled && IntAtomSeen.count(E)) {
-    recordOwner(E);
     return;
   }
   for (ExprRef Op : E->operands())
@@ -298,13 +279,9 @@ void SmtSession::emitNewBridges() {
 void SmtSession::ingest(ExprRef Normalized) {
   collectTheoryAtoms(Normalized);
   // Bridges constrain global atoms and outlive every scope, so their
-  // encodings must never land in a retirable scope layer. Under bridge
-  // compaction they go to the dedicated bridge layer instead of the root:
-  // a root child no lookup chain but its own can reach, so a compaction
-  // may drop the whole layer and rebuild it without dangling references.
+  // encodings must never land in a retirable scope layer.
   Tseitin::LayerId Saved = Encoder.activeLayer();
-  Encoder.setActiveLayer(BridgeCompactionEnabled ? BridgeLayer
-                                                 : Tseitin::RootLayer);
+  Encoder.setActiveLayer(Tseitin::RootLayer);
   emitNewBridges();
   Encoder.setActiveLayer(Saved);
 }
@@ -361,15 +338,6 @@ const proof::CertifySummary &SmtSession::finishCertification() {
   return Cert;
 }
 
-void SmtSession::enableBridgeCompaction(size_t MinDead) {
-  assert(Checks == 0 && Sat.numVars() == 0 &&
-         "bridge compaction must be enabled before the first assertion");
-  assert(!BridgeCompactionEnabled && "bridge compaction enabled twice");
-  BridgeCompactionEnabled = true;
-  BridgeMinDead = MinDead;
-  BridgeLayer = Encoder.pushLayer(Tseitin::RootLayer);
-}
-
 // --- Cross-shard prefix sharing ----------------------------------------------
 
 namespace {
@@ -414,11 +382,6 @@ PrefixImage SmtSession::exportPrefix() {
   Img.Atoms = sortedByPrint(Encoder.atoms());
   Img.RootDefs = sortedByPrint(Encoder.layerCache(Tseitin::RootLayer));
   Img.RootOwned = Encoder.ownedVars(Tseitin::RootLayer);
-  Img.HasBridgeLayer = BridgeCompactionEnabled;
-  if (BridgeCompactionEnabled) {
-    Img.BridgeDefs = sortedByPrint(Encoder.layerCache(BridgeLayer));
-    Img.BridgeOwned = Encoder.ownedVars(BridgeLayer);
-  }
 
   Img.ObjTerms = ObjTerms;
   Img.MemAtoms = MemAtoms;
@@ -434,8 +397,6 @@ void SmtSession::importPrefix(const PrefixImage &Img) {
   assert(Checks == 0 && Sat.numVars() == 0 &&
          "prefix import must be the session's first operation");
   assert(Scopes.size() == 1 && "prefix import after scopes were opened");
-  assert(BridgeCompactionEnabled == Img.HasBridgeLayer &&
-         "bridge-compaction flag must match the exporting session");
 
   // Replay the propositional database through the public entry points, so
   // a certifying importer's trace covers every stored clause. All clauses
@@ -469,15 +430,6 @@ void SmtSession::importPrefix(const PrefixImage &Img) {
   }
   for (int V : Img.RootOwned)
     Encoder.importOwnedVar(Tseitin::RootLayer, V);
-  if (Img.HasBridgeLayer) {
-    for (const auto &[E, Def] : Img.BridgeDefs) {
-      Lit L;
-      L.Encoded = Def;
-      Encoder.importDefinition(BridgeLayer, E, L);
-    }
-    for (int V : Img.BridgeOwned)
-      Encoder.importOwnedVar(BridgeLayer, V);
-  }
 
   ObjTerms = Img.ObjTerms;
   for (ExprRef T : ObjTerms) {
@@ -500,22 +452,10 @@ void SmtSession::importPrefix(const PrefixImage &Img) {
   LiveBridges = Img.LiveBridges;
   if (LiveBridges > PeakLiveBridges)
     PeakLiveBridges = LiveBridges;
-
-  // Every prefix entry is root-owned: permanent under compaction, so the
-  // imported variables are never recycled.
-  if (BridgeCompactionEnabled) {
-    for (ExprRef T : ObjTerms)
-      EntryOwners[T].insert(RootScope);
-    for (ExprRef M : MemAtoms)
-      EntryOwners[M].insert(RootScope);
-    for (const auto &[Atom, Info] : IntAtoms)
-      EntryOwners[Atom].insert(RootScope);
-  }
 }
 
 void SmtSession::assertBase(ExprRef E) {
   ExprRef N = normalize(E);
-  AttrScope = RootScope;
   ingest(N);
   std::set<ExprRef> Visited;
   collectBoolAtoms(N, BaseAtoms, Visited);
@@ -560,7 +500,6 @@ void SmtSession::assertInScope(ScopeId Scope, ExprRef Body) {
   for (ScopeId S = Scope; S != RootScope; S = Scopes[S].Parent)
     Formula = F.implies(Scopes[S].Selector, Formula);
   ExprRef N = normalize(Formula);
-  AttrScope = Scope;
   ingest(N);
   std::set<ExprRef> Visited;
   collectBoolAtoms(normalize(Body), ScopedAtoms[Scopes[Scope].Selector],
@@ -611,7 +550,7 @@ size_t SmtSession::retireScope(ScopeId Scope) {
     Encoder.setActiveLayer(Node.Layer);
     ExprRef SelExpr = normalize(Node.Selector);
     Lit SelLit = Encoder.encode(SelExpr);
-    if (SelectorRelease && SubtreeLayers.count(Node.Layer)) {
+    if (SubtreeLayers.count(Node.Layer)) {
       Releasable.push_back(SelLit);
       ReleasedSelAtoms.push_back({SelExpr, SelLit.var()});
     } else {
@@ -636,33 +575,6 @@ size_t SmtSession::retireScope(ScopeId Scope) {
     if (Sat.varIsFree(V))
       Encoder.releaseAtom(SelExpr);
 
-  // Ownership accounting: the subtree's scopes stop owning their registry
-  // entries. Entries of a node whose cache layer survives the subtree
-  // transfer to the layer's owning scope instead of dying — their cache
-  // entries live in that layer, so releasing the atoms any earlier would
-  // leave the layer's cache naming a recycled variable.
-  if (BridgeCompactionEnabled)
-    for (ScopeId S : Subtree) {
-      auto SE = ScopeEntries.find(S);
-      if (SE == ScopeEntries.end())
-        continue;
-      bool Survives = !SubtreeLayers.count(Scopes[S].Layer);
-      ScopeId Owner = Survives ? layerOwnerScope(S) : RootScope;
-      for (ExprRef E : SE->second) {
-        auto Own = EntryOwners.find(E);
-        if (Own == EntryOwners.end())
-          continue;
-        Own->second.erase(S);
-        if (Survives) {
-          if (Own->second.insert(Owner).second && Owner != RootScope)
-            ScopeEntries[Owner].push_back(E);
-        } else if (Own->second.empty()) {
-          DeadEntries.insert(E);
-        }
-      }
-      ScopeEntries.erase(S);
-    }
-
   // Drop the subtree's bookkeeping: layers (leaves before parents, so a
   // parent layer never dies while a child still names it), selector maps,
   // and the tree nodes themselves.
@@ -679,109 +591,6 @@ size_t SmtSession::retireScope(ScopeId Scope) {
   std::vector<ScopeId> &Siblings = Scopes[Scopes[Scope].Parent].Children;
   Siblings.erase(std::remove(Siblings.begin(), Siblings.end(), Scope),
                  Siblings.end());
-
-  // Compact once enough of the theory universe died. The ratio term
-  // (dead at least comparable to what survives) amortizes the O(live³)
-  // bridge re-emission against the reclaimed universe; the absolute
-  // BridgeMinDead term is a backstop for large universes where the ratio
-  // alone would let bridge clauses over dead atoms pile up for a long
-  // time before half the universe retires.
-  if (BridgeCompactionEnabled && !DeadEntries.empty()) {
-    size_t Total = ObjTerms.size() + MemAtoms.size() + IntAtoms.size();
-    size_t Live = Total - DeadEntries.size();
-    if (DeadEntries.size() >= BridgeMinDead ||
-        DeadEntries.size() * 2 >= Live)
-      Evicted += compactBridges();
-  }
-  return Evicted;
-}
-
-SmtSession::ScopeId SmtSession::layerOwnerScope(ScopeId S) const {
-  if (Scopes[S].Layer == Tseitin::RootLayer)
-    return RootScope;
-  for (ScopeId Cur = S; Cur != RootScope; Cur = Scopes[Cur].Parent)
-    if (Scopes[Cur].OwnsLayer && Scopes[Cur].Layer == Scopes[S].Layer)
-      return Cur;
-  return RootScope;
-}
-
-size_t SmtSession::compactBridges() {
-  if (!BridgeCompactionEnabled || DeadEntries.empty())
-    return 0;
-
-  // Candidate variables: every bridge-encoding definition var, plus the
-  // atom vars of dead boolean entries — membership atoms, canonical
-  // integer atoms, and equality atoms one of whose operand terms died (a
-  // live scope mentioning eq(a,b) registers *both* operands, so a
-  // one-sided death proves only bridge clauses still name the atom; any
-  // straggler is caught by retireScopes' occurrence check below).
-  std::vector<int> Vars = Encoder.ownedVars(BridgeLayer);
-  std::vector<std::pair<ExprRef, int>> DeadAtoms;
-  for (const auto &[Atom, V] : Encoder.atoms()) {
-    bool Dead = DeadEntries.count(Atom) != 0;
-    if (!Dead && Atom->kind() == ExprKind::Eq &&
-        Atom->operand(0)->sort() == Sort::Obj)
-      Dead = DeadEntries.count(Atom->operand(0)) != 0 ||
-             DeadEntries.count(Atom->operand(1)) != 0;
-    if (Dead) {
-      DeadAtoms.push_back({Atom, V});
-      Vars.push_back(V);
-    }
-  }
-
-  // One retirement pass evicts every clause mentioning a candidate and
-  // recycles the dead indices — pinned derived units are compacted off
-  // the trail with Delete/Recycle proof steps, so --certify still checks.
-  size_t Evicted = Sat.retireScopes({}, Vars, {});
-  for (const auto &[Atom, V] : DeadAtoms)
-    if (Sat.varIsFree(V)) {
-      Encoder.releaseAtom(Atom);
-      ++ReleasedAtomVars;
-    }
-
-  // Replace the bridge layer wholesale: the old cache names released
-  // variables.
-  Encoder.setActiveLayer(Tseitin::RootLayer);
-  Encoder.dropLayer(BridgeLayer);
-  BridgeLayer = Encoder.pushLayer(Tseitin::RootLayer);
-
-  // Filter the registries to the survivors (discovery order preserved)
-  // and restart the bridge watermarks: the re-emission below asserts
-  // exactly the bridge lattice a fresh session would build over the live
-  // universe — sound and complete by fresh-session equivalence.
-  auto Dead = [this](ExprRef E) { return DeadEntries.count(E) != 0; };
-  ObjTerms.erase(std::remove_if(ObjTerms.begin(), ObjTerms.end(), Dead),
-                 ObjTerms.end());
-  MapLookups.erase(std::remove_if(MapLookups.begin(), MapLookups.end(), Dead),
-                   MapLookups.end());
-  MemAtoms.erase(std::remove_if(MemAtoms.begin(), MemAtoms.end(), Dead),
-                 MemAtoms.end());
-  IntAtoms.erase(std::remove_if(
-                     IntAtoms.begin(), IntAtoms.end(),
-                     [&](const std::pair<ExprRef, detail::IntAtomInfo> &P) {
-                       return Dead(P.first);
-                     }),
-                 IntAtoms.end());
-  ObjTermSet = std::set<ExprRef>(ObjTerms.begin(), ObjTerms.end());
-  MemAtomSet = std::set<ExprRef>(MemAtoms.begin(), MemAtoms.end());
-  IntAtomSeen.clear();
-  for (const auto &P : IntAtoms)
-    IntAtomSeen.insert(P.first);
-  for (ExprRef E : DeadEntries)
-    EntryOwners.erase(E);
-  DeadEntries.clear();
-  BridgedObjTerms = 0;
-  BridgedMapLookups = 0;
-  BridgedMemAtoms = 0;
-  BridgedIntAtoms = 0;
-
-  LiveBridges = 0;
-  Encoder.setActiveLayer(BridgeLayer);
-  emitNewBridges();
-  Encoder.setActiveLayer(Tseitin::RootLayer);
-
-  ++BridgeCompactions;
-  assert(Sat.reasonInvariantHolds() && "compaction broke a reason reference");
   return Evicted;
 }
 
@@ -819,7 +628,6 @@ void SmtSession::encodeForAudit(const std::vector<ExprRef> &Assumed,
   Tseitin::LayerId SavedLayer = Encoder.activeLayer();
   ScopeId Host = innermostScope(ActiveScopes);
   Encoder.setActiveLayer(Scopes[Host].Layer);
-  AttrScope = Host;
   for (ExprRef E : Assumed) {
     ExprRef N = normalize(E);
     ingest(N);
@@ -844,7 +652,6 @@ SatResult SmtSession::check(const std::vector<ExprRef> &Assumed,
   Tseitin::LayerId SavedLayer = Encoder.activeLayer();
   ScopeId Host = innermostScope(ActiveScopes);
   Encoder.setActiveLayer(Scopes[Host].Layer);
-  AttrScope = Host;
   for (ExprRef E : Assumed) {
     ExprRef N = normalize(E);
     ingest(N);

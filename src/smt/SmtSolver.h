@@ -148,42 +148,18 @@ public:
   void encodeForAudit(const std::vector<ExprRef> &Assumed,
                       const std::vector<ExprRef> &ActiveScopes);
 
-  /// --- Bridge compaction (the warm-service unbounded-loop fix) ---------
+  /// --- Bounded long-lived sessions -------------------------------------
   ///
-  /// Routes subsequent bridge encodings into a dedicated root-child
-  /// Tseitin layer and reference-counts every theory-registry entry by
-  /// the scopes whose assertions or checks mention it (root-attributed
-  /// entries are permanent). retireScope() then drops the dead subtree's
-  /// ownership; entries attributed to a scope whose cache layer survives
-  /// the subtree transfer to the layer's owning scope instead, so an atom
-  /// is only ever released once no live cache layer can name its
-  /// variable. Once at least max(MinDead, live/2) entries are dead,
-  /// compactBridges() runs automatically. Must be called before the first
-  /// assertion (the bridge layer has to see every bridge encoding).
-  void enableBridgeCompaction(size_t MinDead = 64);
-  bool bridgeCompactionEnabled() const { return BridgeCompactionEnabled; }
-  /// Compacts the bridge lattice now (no-op unless enabled and entries
-  /// have died): one retireScopes() pass evicts every bridge clause and
-  /// every dead atom's clauses, recycles the dead variables (Delete/
-  /// Recycle proof steps included, so --certify still checks), filters
-  /// the registries to the survivors, and re-emits exactly the bridge
-  /// set a fresh session would build over the live universe — sound and
-  /// complete by fresh-session equivalence. Returns clauses evicted.
-  size_t compactBridges();
-  /// Disables the release of retired subtree selectors (reference runs
-  /// for the compaction fuzz; eviction itself is unaffected). Selector
-  /// release folds each retired scope's pinned-false selector off the
-  /// trail and recycles its variable whenever the scope's cache layer
-  /// dies with the retired subtree — the guarantee that no surviving
-  /// clause or cache entry names it. Epoch-tagged selector naming keeps
-  /// a released selector expression from ever being encoded again.
-  void setSelectorRelease(bool Enabled) { SelectorRelease = Enabled; }
-  bool selectorReleaseEnabled() const { return SelectorRelease; }
-  /// Compaction statistics: compactions run, atom variables released to
-  /// the recycler, retired selector variables released off the trail,
+  /// Retired subtree selectors are always *released*: retireScope() folds
+  /// each retired scope's pinned-false selector off the trail and
+  /// recycles its variable whenever the scope's cache layer dies with the
+  /// retired subtree — the guarantee that no surviving clause or cache
+  /// entry names it. Epoch-tagged selector naming keeps a released
+  /// selector expression from ever being encoded again. Theory atoms and
+  /// bridges are never released: a session's atom universe is bounded by
+  /// the formulas it is asked about (for the catalog, by the catalog).
+  /// Statistics: retired selector variables released off the trail,
   /// bridge formulas currently asserted, and their high-water mark.
-  int64_t bridgeCompactions() const { return BridgeCompactions; }
-  int64_t releasedAtomVars() const { return ReleasedAtomVars; }
   int64_t releasedSelectors() const { return Sat.numReleasedSelectors(); }
   int64_t liveBridges() const { return LiveBridges; }
   int64_t peakLiveBridges() const { return PeakLiveBridges; }
@@ -211,10 +187,7 @@ public:
   /// importer's trace still covers every stored clause), installs the
   /// Tseitin caches and theory registries, and sets the bridge watermarks
   /// so no duplicate bridge is ever emitted. Must be the fresh session's
-  /// first operation, after enableCertification()/enableBridgeCompaction()
-  /// — and the compaction flag must match the exporting session's. Under
-  /// compaction every imported registry entry is root-owned: prefix atoms
-  /// are permanent, so their variables are never recycled.
+  /// first operation (after enableCertification(), if certifying).
   void importPrefix(const PrefixImage &Img);
 
   /// --- Certification (proof logging + independent checking) -----------
@@ -327,13 +300,6 @@ private:
   void ingest(ExprRef Normalized);
   void collectTheoryAtoms(ExprRef E);
   void emitNewBridges();
-  /// Attributes registry entry \p E to the current AttrScope (bridge
-  /// compaction only; every mention re-attributes, so a dead entry a new
-  /// scope mentions is revived before compaction can touch it).
-  void recordOwner(ExprRef E);
-  /// The scope owning \p S's cache layer: \p S itself or the nearest
-  /// ancestor that pushed the layer (RootScope for the root layer).
-  ScopeId layerOwnerScope(ScopeId S) const;
   /// Collects the boolean atoms (non-propositional leaves) of a normalized
   /// formula — the vocabulary a countermodel should be reported over.
   /// \p Visited memoizes over the hash-consed DAG (connective nodes are
@@ -373,22 +339,6 @@ private:
   size_t BridgedMemAtoms = 0;
   size_t BridgedIntAtoms = 0;
 
-  // Bridge-compaction state (inert unless enableBridgeCompaction ran).
-  bool BridgeCompactionEnabled = false;
-  bool SelectorRelease = true;
-  size_t BridgeMinDead = 64;
-  /// Dedicated root-child layer hosting every bridge encoding while
-  /// compaction is enabled; replaced wholesale at each compaction.
-  Tseitin::LayerId BridgeLayer = Tseitin::RootLayer;
-  /// Scope the current assert/check attributes theory atoms to.
-  ScopeId AttrScope = RootScope;
-  std::map<ExprRef, std::set<ScopeId>> EntryOwners;
-  std::map<ScopeId, std::vector<ExprRef>> ScopeEntries;
-  /// Registry entries whose every owner died (cleared at compaction; an
-  /// entry re-mentioned by a live scope is revived out of this set).
-  std::set<ExprRef> DeadEntries;
-  int64_t BridgeCompactions = 0;
-  int64_t ReleasedAtomVars = 0;
   int64_t LiveBridges = 0;
   int64_t PeakLiveBridges = 0;
 

@@ -54,7 +54,8 @@ Lit Tseitin::atomLit(ExprRef Atom) {
     return Lit(It->second, true);
   // Atom vars are global (bridges reference them across scopes), so they
   // are never layer-owned; they leave the table only through an explicit
-  // releaseAtom() once the SMT layer proves every referencing scope died.
+  // releaseAtom() once the SMT layer proves every referencing scope died
+  // (retired selectors only).
   int V = Solver.addVar();
   Atoms.emplace(Atom, V);
   return Lit(V, true);

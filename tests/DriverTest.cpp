@@ -649,7 +649,6 @@ TEST(DriverReport, CatalogStatsRoundTrip) {
     expectField(Row, "var_requests", A.VarRequests);
     expectField(Row, "peak_retained_clauses", A.PeakRetainedClauses);
     expectField(Row, "bridge_compactions", A.BridgeCompactions);
-    expectField(Row, "released_atom_vars", A.ReleasedAtomVars);
     expectField(Row, "released_selectors", A.ReleasedSelectors);
     expectField(Row, "peak_live_bridges", A.PeakLiveBridges);
     expectField(Row, "selectors", A.Selectors);

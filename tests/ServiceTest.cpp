@@ -7,11 +7,12 @@
 //===----------------------------------------------------------------------===//
 //
 // The verification service over one warm shard (what semcommute-serve
-// runs by default): request resolution, prefix-batched drains, bridge
-// compaction + selector release keeping the session bounded across
+// runs by default): request resolution, prefix-batched drains, scope
+// retirement and selector release keeping the session bounded across
 // passes, snapshot/reload and its validation, and — the load-bearing
-// property — verdict equality between a compacting service and a
-// no-compaction reference under randomized request/retire orders.
+// property — verdict equality between the warm service and a fresh,
+// independent session per request under randomized request/retire
+// orders.
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <optional>
@@ -176,8 +178,7 @@ TEST(ServiceTest, BatchingGroupsSamePairRequests) {
 
 // A pair's plan is built once per service lifetime: two full passes over
 // the whole catalog build one plan per catalog entry, while every pass
-// still opens (and retires) its own pair scopes — under batching one per
-// pair, under FIFO one per request.
+// still opens (and retires) one pair scope per pair.
 TEST(ServiceTest, PlansBuiltOncePerPair) {
   ExprFactory F;
   Catalog C(F);
@@ -187,28 +188,21 @@ TEST(ServiceTest, PlansBuiltOncePerPair) {
     Entries += C.entries(*Fam).size();
   std::vector<ServiceRequest> Pass = allRequests(C, Fams);
 
-  for (bool Batch : {true, false}) {
-    SCOPED_TRACE(Batch ? "batched" : "fifo");
-    ServiceConfig Cfg;
-    Cfg.Batch = Batch;
-    ShardedVerifyService Svc(C, Fams, oneShard(Cfg));
-    std::string Error;
-    for (int P = 0; P != 2; ++P) {
-      for (const ServiceRequest &R : Pass)
-        ASSERT_TRUE(Svc.submit(R, Error)) << Error;
-      for (const ServiceVerdict &V : Svc.drain())
-        EXPECT_TRUE(V.verified()) << keyOf(V.Req);
-      EXPECT_EQ(shardStats(Svc).PlansBuilt, Entries) << "after pass " << P;
-    }
-    ServiceStats S = shardStats(Svc);
-    EXPECT_EQ(S.PairGroups, Batch ? 2 * Entries : 2 * Pass.size());
+  ShardedVerifyService Svc(C, Fams, oneShard());
+  std::string Error;
+  for (int P = 0; P != 2; ++P) {
+    for (const ServiceRequest &R : Pass)
+      ASSERT_TRUE(Svc.submit(R, Error)) << Error;
+    for (const ServiceVerdict &V : Svc.drain())
+      EXPECT_TRUE(V.verified()) << keyOf(V.Req);
+    EXPECT_EQ(shardStats(Svc).PlansBuilt, Entries) << "after pass " << P;
   }
+  EXPECT_EQ(shardStats(Svc).PairGroups, 2 * Entries);
 }
 
 // Cached plans are as good as fresh ones: pairs served again after their
-// scopes were retired and their bridges compacted (CompactMinDead = 8)
-// reuse the table's plan, and every verdict equals a fresh verifyPair on
-// a new engine — a new plan in a new session.
+// scopes were retired reuse the table's plan, and every verdict equals a
+// fresh verifyPair on a new engine — a new plan in a new session.
 TEST(ServiceTest, CachedPlansMatchFreshPlans) {
   ExprFactory F;
   Catalog C(F);
@@ -216,7 +210,6 @@ TEST(ServiceTest, CachedPlansMatchFreshPlans) {
       families({"Accumulator", "Set", "ArrayList"});
 
   ServiceConfig Cfg;
-  Cfg.CompactMinDead = 8;
   ShardedVerifyService Svc(C, Fams, oneShard(Cfg));
 
   auto PairOf = [](const ServiceRequest &R) {
@@ -244,22 +237,19 @@ TEST(ServiceTest, CachedPlansMatchFreshPlans) {
   std::uniform_int_distribution<size_t> Pick(0, Universe.size() - 1);
   std::uniform_int_distribution<int> DrainNow(0, 5);
   std::set<std::string> ServedBefore;
-  // ArrayList requests whose pair an earlier drain served and retired,
-  // with at least one compaction in between.
-  unsigned SeqRepeatsAfterCompaction = 0;
+  // ArrayList requests whose pair an earlier drain served and retired.
+  unsigned SeqRepeats = 0;
   std::string Error;
   for (int R = 0; R != 80; ++R) {
     ASSERT_TRUE(Svc.submit(Universe[Pick(Rng)], Error)) << Error;
     if (DrainNow(Rng) != 0 && R != 79)
       continue;
-    bool Compacted = shardStats(Svc).Session.BridgeCompactions > 0;
     std::vector<ServiceVerdict> Served = Svc.drain();
     for (const ServiceVerdict &V : Served) {
       EXPECT_EQ(std::make_pair(V.Sound, V.Complete), FreshVerdict(V.Req))
           << keyOf(V.Req) << " at request " << R;
-      SeqRepeatsAfterCompaction += Compacted &&
-                                   V.Req.Family == "ArrayList" &&
-                                   ServedBefore.count(PairOf(V.Req));
+      SeqRepeats += V.Req.Family == "ArrayList" &&
+                    ServedBefore.count(PairOf(V.Req));
     }
     for (const ServiceVerdict &V : Served)
       ServedBefore.insert(PairOf(V.Req));
@@ -269,81 +259,70 @@ TEST(ServiceTest, CachedPlansMatchFreshPlans) {
   ServiceStats S = shardStats(Svc);
   EXPECT_EQ(S.PlansBuilt, Fresh.size());
   EXPECT_LT(S.PlansBuilt, S.PairGroups) << "no pair was served twice";
-  EXPECT_GT(S.Session.BridgeCompactions, 0u);
-  EXPECT_GT(SeqRepeatsAfterCompaction, 0u);
+  EXPECT_GT(SeqRepeats, 0u);
 }
 
-// The tentpole property: a compacting, selector-releasing, batched
-// service and a no-compaction FIFO reference reach identical verdicts on
-// a randomized request stream with randomized drain points — and the
-// compacting session's solver invariants hold after every drain.
-TEST(ServiceTest, FuzzCompactionMatchesReference) {
+// The load-bearing property: the warm, selector-releasing, batched
+// service and an independent reference — a fresh SymbolicEngine and
+// verifyPair session for every served request — reach identical verdicts
+// on a randomized request stream with randomized drain points, and the
+// warm session's solver invariants hold after every drain.
+TEST(ServiceTest, FuzzServedVerdictsMatchFreshPairs) {
   ExprFactory F;
   Catalog C(F);
   std::vector<const Family *> Fams = families({"Accumulator", "Set"});
 
-  ServiceConfig Compacting;
-  Compacting.CompactMinDead = 8; // Force frequent compaction passes.
-  ShardedVerifyService Svc(C, Fams, oneShard(Compacting));
-
-  ServiceConfig Reference;
-  Reference.Batch = false;
-  Reference.CompactBridges = false;
-  Reference.ReleaseSelectors = false;
-  ShardedVerifyService Ref(C, Fams, oneShard(Reference));
+  ServiceConfig Cfg;
+  ShardedVerifyService Svc(C, Fams, oneShard(Cfg));
+  std::map<std::string, const ConditionEntry *> EntryOf;
+  for (const Family *Fam : Fams)
+    for (const ConditionEntry &E : C.entries(*Fam))
+      EntryOf[Fam->Name + "|" + E.op1().Name + "," + E.op2().Name] = &E;
 
   std::vector<ServiceRequest> Universe = allRequests(C, Fams);
   std::mt19937 Rng(20110604);
   std::uniform_int_distribution<size_t> Pick(0, Universe.size() - 1);
   std::uniform_int_distribution<int> DrainNow(0, 6);
 
-  std::map<std::string, std::pair<bool, bool>> Served;
+  size_t Submitted = 0, Checked = 0;
   std::string Error;
   for (int R = 0; R != 60; ++R) {
-    const ServiceRequest &Req = Universe[Pick(Rng)];
-    ASSERT_TRUE(Svc.submit(Req, Error)) << Error;
-    ASSERT_TRUE(Ref.submit(Req, Error)) << Error;
-    if (DrainNow(Rng) == 0 || R == 59) {
-      std::vector<ServiceVerdict> A = Svc.drain();
-      std::vector<ServiceVerdict> B = Ref.drain();
-      ASSERT_TRUE(Svc.shard(0).session().solver().reasonInvariantHolds())
-          << "after drain at request " << R;
-      ASSERT_EQ(A.size(), B.size());
-      // Batched order differs from FIFO order; compare as verdict maps.
-      std::map<std::string, std::pair<bool, bool>> MA, MB;
-      for (const ServiceVerdict &V : A)
-        MA[keyOf(V.Req)] = {V.Sound, V.Complete};
-      for (const ServiceVerdict &V : B)
-        MB[keyOf(V.Req)] = {V.Sound, V.Complete};
-      ASSERT_EQ(MA, MB) << "verdict divergence at request " << R;
-      for (const auto &KV : MA)
-        Served.insert(KV);
+    ASSERT_TRUE(Svc.submit(Universe[Pick(Rng)], Error)) << Error;
+    ++Submitted;
+    if (DrainNow(Rng) != 0 && R != 59)
+      continue;
+    std::vector<ServiceVerdict> Served = Svc.drain();
+    ASSERT_TRUE(Svc.shard(0).session().solver().reasonInvariantHolds())
+        << "after drain at request " << R;
+    for (const ServiceVerdict &V : Served) {
+      const ServiceRequest &Q = V.Req;
+      SymbolicEngine Eng(F, Cfg.SeqLenBound, Cfg.ConflictBudget);
+      PairOutcome Ref =
+          Eng.verifyPair(*EntryOf.at(Q.Family + "|" + Q.Op1 + "," + Q.Op2));
+      size_t KindIdx = static_cast<size_t>(Q.Kind);
+      EXPECT_EQ(V.Sound, Ref.Methods[2 * KindIdx].Verified)
+          << keyOf(Q) << " at request " << R;
+      EXPECT_EQ(V.Complete, Ref.Methods[2 * KindIdx + 1].Verified)
+          << keyOf(Q) << " at request " << R;
+      EXPECT_TRUE(V.verified()) << keyOf(Q) << " failed verification";
+      ++Checked;
     }
   }
-
-  // Repeated requests must be stable across re-open epochs too.
-  for (const auto &KV : Served) {
-    EXPECT_TRUE(KV.second.first && KV.second.second)
-        << KV.first << " failed verification";
-  }
-  // The stream retires enough scopes to exercise both growth killers.
-  ServiceStats S = shardStats(Svc);
-  EXPECT_GT(S.Session.BridgeCompactions, 0u);
-  EXPECT_GT(S.Session.ReleasedSelectors, 0u);
+  EXPECT_EQ(Checked, Submitted);
+  // The stream retires enough scopes to release selectors.
+  EXPECT_GT(shardStats(Svc).Session.ReleasedSelectors, 0u);
 }
 
-// Three full catalog passes through one warm compacting session: the
-// per-pass live-vars / live-clauses / live-bridges peaks must plateau
-// (pass 3 within 5% of pass 2), while a no-compaction session's trail
-// and atom universe would keep growing.
+// Three full catalog passes through one warm session: the per-pass
+// live-vars / live-clauses / live-bridges peaks plateau (pass 3 within
+// 5% of pass 2). The bridge lattice is bounded by the catalog, so pass 3
+// peaks at exactly pass 1's bridges.
 TEST(ServiceTest, LivePeaksPlateauAcrossPasses) {
   ExprFactory F;
   Catalog C(F);
   std::vector<const Family *> Fams = families({"Accumulator", "Set"});
 
-  ServiceConfig Cfg;
-  Cfg.CompactMinDead = 8;
-  ShardedVerifyService Svc(C, Fams, oneShard(Cfg));
+  ShardedVerifyService Svc(C, Fams, oneShard());
   std::vector<ServiceRequest> Pass = allRequests(C, Fams);
 
   struct Peaks {
@@ -369,41 +348,8 @@ TEST(ServiceTest, LivePeaksPlateauAcrossPasses) {
             1.05 * static_cast<double>(PassPeaks[1].Clauses));
   EXPECT_LE(static_cast<double>(PassPeaks[2].Bridges),
             1.05 * static_cast<double>(PassPeaks[1].Bridges));
-
-  ServiceStats S = shardStats(Svc);
-  EXPECT_GT(S.Session.BridgeCompactions, 0u);
-  EXPECT_GT(S.Session.ReleasedSelectors, 0u);
-  EXPECT_GT(S.Session.ReleasedAtomVars, 0u);
-}
-
-// A compacting session still certifies: compaction deletes clauses out of
-// the proof trace (Delete/Recycle steps), and the independent checker
-// must accept the full trace including the re-emitted bridge Inputs.
-TEST(ServiceTest, CompactingSessionCertifies) {
-  ExprFactory F;
-  Catalog C(F);
-  std::vector<const Family *> Fams = families({"Accumulator"});
-
-  ServiceConfig Cfg;
-  Cfg.Certify = true;
-  Cfg.CompactMinDead = 4;
-  ShardedVerifyService Svc(C, Fams, oneShard(Cfg));
-
-  std::vector<ServiceRequest> Pass = allRequests(C, Fams);
-  std::string Error;
-  for (int P = 0; P != 2; ++P) {
-    for (const ServiceRequest &R : Pass)
-      ASSERT_TRUE(Svc.submit(R, Error)) << Error;
-    for (const ServiceVerdict &V : Svc.drain())
-      EXPECT_TRUE(V.verified()) << keyOf(V.Req);
-  }
-
-  ASSERT_TRUE(Svc.certifying());
-  proof::CertifySummary Cert = Svc.finishCertification();
-  EXPECT_TRUE(Cert.Checked);
-  EXPECT_TRUE(Cert.Ok) << Cert.Error;
-  EXPECT_GT(Cert.Queries, 0u);
-  EXPECT_EQ(Cert.Queries, Cert.QueriesPassed);
+  EXPECT_EQ(PassPeaks[2].Bridges, PassPeaks[0].Bridges);
+  EXPECT_GT(shardStats(Svc).Session.ReleasedSelectors, 0u);
 }
 
 TEST(ServiceTest, SnapshotRoundTripsAndResumesServing) {
@@ -457,35 +403,9 @@ TEST(ServiceTest, SnapshotRoundTripsAndResumesServing) {
   EXPECT_NE(Error.find("family set"), std::string::npos) << Error;
 }
 
-// A snapshot taken under one serving discipline must not restore into a
-// service configured with the other: batched and FIFO logs are ordered
-// differently, so silently accepting the image would corrupt resume
-// semantics. The rejection names the mismatched field.
-TEST(ServiceTest, RestoreRejectsBatchMismatch) {
-  ExprFactory F;
-  Catalog C(F);
-  std::vector<const Family *> Fams = families({"Accumulator"});
-
-  ServiceConfig Batched;
-  ShardedVerifyService Svc(C, Fams, oneShard(Batched));
-  std::vector<ServiceRequest> Pass = allRequests(C, Fams);
-  std::string Error;
-  for (const ServiceRequest &R : Pass)
-    ASSERT_TRUE(Svc.submit(R, Error)) << Error;
-  Svc.drain();
-  json::Value Image = Svc.snapshot();
-
-  ServiceConfig Fifo = Batched;
-  Fifo.Batch = false;
-  ShardedVerifyService Other(C, Fams, oneShard(Fifo));
-  EXPECT_FALSE(Other.restore(Image, Error));
-  EXPECT_NE(Error.find("batch"), std::string::npos) << Error;
-}
-
-// restore() checks every config field snapshot() writes, not only the
-// batching discipline: a snapshot whose config differs in any one field
-// is rejected with an error naming that field, and the service stays
-// fresh.
+// restore() checks every config field snapshot() writes: a snapshot
+// whose config differs in any one field is rejected with an error naming
+// that field, and the service stays fresh.
 TEST(ServiceTest, RestoreChecksEveryConfigField) {
   ExprFactory F;
   Catalog C(F);
@@ -499,13 +419,9 @@ TEST(ServiceTest, RestoreChecksEveryConfigField) {
 
   // One differing value per field, of the field's own type.
   const std::vector<std::pair<std::string, json::Value>> Mismatches = {
-      {"batch", json::Value::boolean(false)},
-      {"compact_bridges", json::Value::boolean(false)},
-      {"release_selectors", json::Value::boolean(false)},
       {"certify", json::Value::boolean(true)},
       {"seq_len_bound", json::Value::integer(2)},
       {"conflict_budget", json::Value::integer(1000)},
-      {"compact_min_dead", json::Value::integer(8)},
       {"shards", json::Value::integer(2)},
       {"route", json::Value::string("family")},
   };
@@ -542,12 +458,29 @@ TEST(ServiceTest, RestoreRejectsMistypedFields) {
   Counters.push(edited(Image["shard_counters"].at(0), "pair_groups",
                        json::Value::integer(
                            static_cast<int64_t>(Pass.size()) + 1)));
+  // A schema-3 image: the config still carries the deleted batch,
+  // compaction and release fields. It is rejected as a whole, naming the
+  // schema rather than its first stale field.
+  json::Value OldConfig = json::Value::object();
+  OldConfig.set("batch", json::Value::boolean(true));
+  OldConfig.set("compact_bridges", json::Value::boolean(true));
+  OldConfig.set("release_selectors", json::Value::boolean(true));
+  for (const auto &[Key, V] : Image["config"].members()) {
+    if (Key == "shards")
+      OldConfig.set("compact_min_dead", json::Value::integer(64));
+    OldConfig.set(Key, V);
+  }
+  json::Value Schema3 = edited(edited(Image, "config", OldConfig), "schema",
+                               json::Value::integer(3));
 
   const std::vector<std::pair<json::Value, std::string>> Cases = {
       {withFirstRow(Image, edited(Row, "family", json::Value::integer(5))),
        "'log[0].family' has the wrong type"},
       {edited(Image, "drains", json::Value::integer(-1)),
        "'drains' is negative"},
+      // One more drain would wrap it negative in the next snapshot.
+      {edited(Image, "drains", json::Value::integer(INT64_MAX)),
+       "'drains' is above 2^53"},
       {withFirstRow(Image, edited(Row, "sound", std::nullopt)),
        "'log[0].sound' is missing"},
       {withFirstRow(Image, edited(Row, "family", json::Value::string("Set"))),
@@ -566,6 +499,7 @@ TEST(ServiceTest, RestoreRejectsMistypedFields) {
       {edited(Image, "shard_counters", Counters),
        "'shard_counters[0].pair_groups'"},
       {edited(Image, "schema", json::Value::integer(2)), "'schema'"},
+      {Schema3, "'schema' is not 4"},
   };
   ShardedVerifyService Fresh(C, Fams, oneShard());
   for (const auto &[Bad, Want] : Cases) {

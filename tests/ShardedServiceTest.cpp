@@ -85,7 +85,6 @@ TEST(ShardedServiceTest, PrefixImportMatchesScratchEncoding) {
   Catalog C(F);
   std::vector<const Family *> Fams = families({"Accumulator", "Set"});
   ServiceConfig Cfg;
-  Cfg.CompactMinDead = 8;
   CatalogPlan Plan = SymbolicEngine(F, Cfg.SeqLenBound, Cfg.ConflictBudget)
                          .planCatalog(C, Fams);
 
@@ -143,7 +142,6 @@ TEST(ShardedServiceTest, VerdictsInvariantAcrossThreadCounts) {
   for (unsigned NumShards : {4u, 1u}) {
     SCOPED_TRACE("shards=" + std::to_string(NumShards));
     ShardedServiceConfig One;
-    One.Base.CompactMinDead = 8;
     One.Shards = NumShards;
     One.Threads = 1;
     ShardedServiceConfig Eight = One;
@@ -202,7 +200,7 @@ TEST(ShardedServiceTest, VerdictsInvariantAcrossThreadCounts) {
     for (size_t S = 0; S != NumShards; ++S) {
       EXPECT_EQ(SA.Shards[S].Stats.Requests, SB.Shards[S].Stats.Requests);
       EXPECT_EQ(SA.Shards[S].ClausesAdopted, 0u);
-      // Every shard's solver survives its compacting drains.
+      // Every shard's solver survives its drains.
       EXPECT_TRUE(B.shard(S).session().solver().reasonInvariantHolds());
     }
 
@@ -338,7 +336,6 @@ TEST(ShardedServiceTest, PerShardCertificationStillPasses) {
 
   ShardedServiceConfig Cfg;
   Cfg.Base.Certify = true;
-  Cfg.Base.CompactMinDead = 4;
   Cfg.Shards = 2;
   ShardedVerifyService Svc(C, Fams, Cfg);
   ASSERT_TRUE(Svc.certifying());

@@ -280,7 +280,6 @@ void fillSessionStats(const CatalogOutcome &CO, const char *ModeName,
   Stats.VarRequests = CO.Stats.VarRequests;
   Stats.PeakRetainedClauses = CO.Stats.PeakRetainedClauses;
   Stats.BridgeCompactions = CO.Stats.BridgeCompactions;
-  Stats.ReleasedAtomVars = CO.Stats.ReleasedAtomVars;
   Stats.ReleasedSelectors = CO.Stats.ReleasedSelectors;
   Stats.PeakLiveBridges = CO.Stats.PeakLiveBridges;
   Stats.Selectors = CO.Selectors;
@@ -600,8 +599,6 @@ json::Value Report::toJson() const {
                 static_cast<int64_t>(S.PeakRetainedClauses)));
       V.set("bridge_compactions",
             json::Value::integer(static_cast<int64_t>(S.BridgeCompactions)));
-      V.set("released_atom_vars",
-            json::Value::integer(static_cast<int64_t>(S.ReleasedAtomVars)));
       V.set("released_selectors",
             json::Value::integer(static_cast<int64_t>(S.ReleasedSelectors)));
       V.set("peak_live_bridges",

@@ -189,12 +189,11 @@ struct CatalogStats {
   uint64_t PeakLiveClauses = 0;
   uint64_t VarRequests = 0;
   uint64_t PeakRetainedClauses = 0;
-  /// Bridge accounting: compaction passes run and theory-atom variables
-  /// released (always zero: driver sessions never compact), selector
-  /// variables released to the recycler, and the live-bridge high-water
-  /// mark.
+  /// Always 0: no session compacts its bridge lattice. Kept only because
+  /// the benchmark's smt.compactions row reads it.
   uint64_t BridgeCompactions = 0;
-  uint64_t ReleasedAtomVars = 0;
+  /// Selector variables released to the recycler, and the live-bridge
+  /// high-water mark.
   uint64_t ReleasedSelectors = 0;
   uint64_t PeakLiveBridges = 0;
   unsigned Selectors = 0; ///< Family + pair + method selectors.

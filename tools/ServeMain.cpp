@@ -6,9 +6,9 @@
 //
 // The warm catalog verification service loop: submits (family, pair,
 // condition-kind) requests to a ShardedVerifyService whose shards are
-// long-lived CatalogSessions, with prefix-batched drains, bridge
-// compaction, and selector release keeping each session bounded across
-// arbitrarily many catalog passes:
+// long-lived CatalogSessions, with prefix-batched drains and scope
+// retirement (clause eviction, variable recycling, selector release)
+// keeping each session bounded across arbitrarily many catalog passes:
 //
 //   semcommute-serve --families all --passes 3 --assert-plateau
 //   semcommute-serve --requests 10000 --seed 7 --check-verdicts
@@ -46,7 +46,8 @@ void printUsage(const char *Argv0) {
       "usage: %s [options]\n"
       "\n"
       "Serves commutativity verification requests from warm catalog\n"
-      "sessions (bridge compaction + selector release keep them bounded).\n"
+      "sessions (pair-scope retirement and selector release keep them\n"
+      "bounded).\n"
       "\n"
       "request stream (pick one):\n"
       "  --passes N        N full catalog passes: every entry x kind of\n"
@@ -63,12 +64,6 @@ void printUsage(const char *Argv0) {
       "                    (default: 64)\n"
       "  --seq-bound N     ArrayList case-split bound (default: 3)\n"
       "  --budget N        per-VC CDCL conflict budget (default: 200000)\n"
-      "  --no-batch        FIFO serving (no prefix batching)\n"
-      "  --no-compact      disable bridge compaction\n"
-      "  --compact-min-dead N  dead theory entries at which compaction is\n"
-      "                    forced regardless of the dead/live ratio\n"
-      "                    (default: 64)\n"
-      "  --no-release      disable retired-selector release\n"
       "  --certify         DRAT proof logging + independent RUP checking\n"
       "                    of every Unsat verdict the service produces\n"
       "\n"
@@ -85,8 +80,8 @@ void printUsage(const char *Argv0) {
       "\n"
       "checks and output:\n"
       "  --check-verdicts  re-verify the served catalog in-process on one\n"
-      "                    uncompacted warm session and fail on any\n"
-      "                    verdict mismatch\n"
+      "                    fresh warm session and fail on any verdict\n"
+      "                    mismatch\n"
       "  --assert-plateau  with --passes >= 3: fail unless pass 3's peak\n"
       "                    live vars/clauses/bridges are <= 1.05x pass 2's\n"
       "  --snapshot FILE   write the service image (config, families,\n"
@@ -176,8 +171,6 @@ ServiceStats aggregateStats(const ShardedServiceStats &SS) {
     Out.PeakLiveVars += In.PeakLiveVars;
     Out.PeakLiveClauses += In.PeakLiveClauses;
     Out.VarRequests += In.VarRequests;
-    Out.BridgeCompactions += In.BridgeCompactions;
-    Out.ReleasedAtomVars += In.ReleasedAtomVars;
     Out.ReleasedSelectors += In.ReleasedSelectors;
     Out.LiveBridges += In.LiveBridges;
     Out.PeakLiveBridges += In.PeakLiveBridges;
@@ -233,15 +226,6 @@ int main(int argc, char **argv) {
       Cfg.SeqLenBound = static_cast<int>(intFlag("--seq-bound", 1));
     } else if (Arg == "--budget") {
       Cfg.ConflictBudget = intFlag("--budget", 1);
-    } else if (Arg == "--no-batch") {
-      Cfg.Batch = false;
-    } else if (Arg == "--no-compact") {
-      Cfg.CompactBridges = false;
-    } else if (Arg == "--compact-min-dead") {
-      Cfg.CompactMinDead =
-          static_cast<size_t>(intFlag("--compact-min-dead", 0));
-    } else if (Arg == "--no-release") {
-      Cfg.ReleaseSelectors = false;
     } else if (Arg == "--certify") {
       Cfg.Certify = true;
     } else if (Arg == "--threads") {
@@ -409,7 +393,6 @@ int main(int argc, char **argv) {
   S.PairGroups -= Restored.PairGroups;
   S.PlansBuilt -= Restored.PlansBuilt;
   S.BatchedReuses -= Restored.BatchedReuses;
-  S.Session.BridgeCompactions -= Restored.Session.BridgeCompactions;
   S.Session.ReleasedSelectors -= Restored.Session.ReleasedSelectors;
 
   // Every served request must have verified both of its testing methods
@@ -468,8 +451,8 @@ int main(int argc, char **argv) {
 
   if (CheckVerdicts) {
     // Independent reference: one fresh warm session over the same
-    // families, no compaction. Verdicts must agree on
-    // every (family, pair, kind) the service served.
+    // families. Verdicts must agree on every (family, pair, kind) the
+    // service served.
     SymbolicEngine Ref(C.factory(), Cfg.SeqLenBound, Cfg.ConflictBudget);
     CatalogOutcome Out = Ref.verifyCatalog(C, Fams);
     std::map<std::string, std::pair<bool, bool>> RefVerdicts;
@@ -536,8 +519,6 @@ int main(int argc, char **argv) {
     SetU("peak_live_vars", S.Session.PeakLiveVars);
     SetU("peak_live_clauses", S.Session.PeakLiveClauses);
     SetU("var_requests", S.Session.VarRequests);
-    SetU("bridge_compactions", S.Session.BridgeCompactions);
-    SetU("released_atom_vars", S.Session.ReleasedAtomVars);
     SetU("released_selectors", S.Session.ReleasedSelectors);
     SetU("live_bridges", S.Session.LiveBridges);
     SetU("peak_live_bridges", S.Session.PeakLiveBridges);
@@ -623,14 +604,13 @@ int main(int argc, char **argv) {
   uint64_t ServedNow = Svc.log().size() - RestoredVerdicts;
   std::printf("served %llu requests in %.1f ms (%.1f req/s): %s; "
               "%llu pair groups, %llu plans built, %llu batched reuses, "
-              "%llu compactions, %llu selectors released\n",
+              "%llu selectors released\n",
               (unsigned long long)ServedNow, TotalMillis,
               TotalMillis > 0 ? 1e3 * (double)ServedNow / TotalMillis : 0.0,
               Exit == 0 ? "OK" : "FAILED",
               (unsigned long long)S.PairGroups,
               (unsigned long long)S.PlansBuilt,
               (unsigned long long)S.BatchedReuses,
-              (unsigned long long)S.Session.BridgeCompactions,
               (unsigned long long)S.Session.ReleasedSelectors);
   return Exit;
 }
