@@ -17,20 +17,17 @@ using namespace semcomm;
 
 namespace {
 
-/// Discharges every split of \p Plan under a fixed selector-assumption
-/// prefix — the shared tail of PairTier::discharge and dischargeCold, so
-/// the split loop, core-label recording, countermodel assembly, and the
+/// Discharges every split of \p Plan in session scope \p Scope — the
+/// shared tail of PairTier::discharge and dischargeCold, so the split
+/// loop, core-label recording, countermodel assembly, and the
 /// Unsupported-trump rule cannot drift between the warm and cold paths.
 /// \p SessionForSplit returns the session each split runs on (the cold
-/// path opens one per split);
-/// \p Sels/\p SelLabels are the selector assumptions prepended to every
-/// split; \p PeakRetained, set on the warm path only, tracks the
-/// retained-clause high-water mark across checks, and the method records
-/// the clauses its warm session retains.
+/// path opens one per split, and runs at its root); \p PeakRetained, set
+/// on the warm path only, tracks the retained-clause high-water mark
+/// across checks, and the method records the clauses its warm session
+/// retains.
 bool dischargeSplits(const MethodPlan &Plan, int64_t Budget,
-                     const std::vector<ExprRef> &Sels,
-                     const std::vector<std::string> &SelLabels,
-                     uint64_t *PeakRetained,
+                     SmtSession::ScopeId Scope, uint64_t *PeakRetained,
                      const std::function<SmtSession &()> &SessionForSplit,
                      SymbolicResult &R) {
   auto AddCoreLabel = [&R](const std::string &L) {
@@ -39,39 +36,34 @@ bool dischargeSplits(const MethodPlan &Plan, int64_t Budget,
       R.CoreLabels.push_back(L);
   };
 
-  // Proof tag stem: the selector path identifies the method within the
-  // session; the split index disambiguates its checks. Spaces fold to '_'
-  // exactly as SmtSession::setProofTag does, so the tags recorded here
-  // match the Query-step tags in the trace byte for byte.
-  std::string TagStem;
-  for (const std::string &L : SelLabels)
-    TagStem += (TagStem.empty() ? "" : "|") + L;
-  if (TagStem.empty())
-    TagStem = Plan.Name;
-  for (char &C : TagStem)
-    if (C == ' ')
-      C = '_';
-
   bool Ok = true;
   size_t FailedAt = Plan.Splits.size();
   for (size_t SI = 0; SI != Plan.Splits.size(); ++SI) {
     const VcSplit &Split = Plan.Splits[SI];
     SmtSession &Session = SessionForSplit();
 
-    std::vector<ExprRef> Assumed = Sels;
-    std::vector<std::string> Labels = SelLabels;
-    for (const TaggedAssumption &A : Split.Assumed) {
+    std::vector<ExprRef> Assumed;
+    for (const TaggedAssumption &A : Split.Assumed)
       Assumed.push_back(A.E);
-      Labels.push_back(A.Label);
-    }
 
     std::string Tag;
     if (Session.certifying()) {
-      Tag = TagStem + "#" + std::to_string(SI);
+      // Proof tag: the scope path identifies the method within the
+      // session; the split index disambiguates its checks. Spaces fold to
+      // '_' exactly as SmtSession::setProofTag does, so the tags recorded
+      // here match the Query-step tags in the trace byte for byte.
+      for (const std::string &L : Session.scopePathLabels(Scope))
+        Tag += (Tag.empty() ? "" : "|") + L;
+      if (Tag.empty())
+        Tag = Plan.Name;
+      for (char &C : Tag)
+        if (C == ' ')
+          C = '_';
+      Tag += "#" + std::to_string(SI);
       Session.setProofTag(Tag);
     }
 
-    SatResult Out = Session.check(Assumed, Budget, Sels);
+    SatResult Out = Session.check(Assumed, Budget, Scope);
     R.SatConflicts += Session.conflicts();
     R.MaxVcConflicts = std::max(R.MaxVcConflicts, Session.conflicts());
     ++R.NumVcs;
@@ -81,8 +73,10 @@ bool dischargeSplits(const MethodPlan &Plan, int64_t Budget,
     }
 
     if (Out == SatResult::Unsat) {
+      for (const std::string &L : Session.lastCoreScopeLabels())
+        AddCoreLabel(L);
       for (size_t I : Session.lastCoreAssumptionIndices())
-        AddCoreLabel(Labels[I]);
+        AddCoreLabel(Split.Assumed[I].Label);
       if (!Tag.empty()) {
         // An Unsat verdict is a claim — record the certificate tag the
         // checker must later confirm for this method.
@@ -95,8 +89,7 @@ bool dischargeSplits(const MethodPlan &Plan, int64_t Budget,
     R.LastOutcome = Out;
     std::string Atoms;
     for (const std::string &A : Session.modelAtoms())
-      if (A.rfind("__sel_", 0) != 0 && A.rfind("__pair_", 0) != 0)
-        Atoms += A + "; "; // Selectors are plumbing, not state.
+      Atoms += A + "; ";
     R.Countermodel = Split.Label.empty() ? Atoms : Split.Label + ": " + Atoms;
     Ok = false;
     FailedAt = SI;
@@ -184,7 +177,7 @@ PairOutcome semcomm::dischargeCold(ExprFactory &F,
     uint64_t RedBefore = Out.DbReductions;
     uint64_t RecBefore = Out.ReclaimedClauses;
     R.Verified = dischargeSplits(
-        Plan, Budget, {}, {}, /*PeakRetained=*/nullptr,
+        Plan, Budget, SmtSession::RootScope, /*PeakRetained=*/nullptr,
         [&]() -> SmtSession & { return Open(Plan); }, R);
     Close();
     R.DbReductions = Out.DbReductions - RedBefore;
@@ -221,41 +214,31 @@ SymbolicResult semcomm::dischargePlan(ExprFactory &F, const MethodPlan &Plan,
 // PairTier
 //===----------------------------------------------------------------------===//
 
-PairTier::PairTier(ExprFactory &F, SmtSession &Session, std::string Tag,
-                   SmtSession::ScopeId Parent, std::vector<ExprRef> PathSels,
-                   std::vector<std::string> PathLabels,
+PairTier::PairTier(SmtSession &Session, SmtSession::ScopeId Parent,
                    std::vector<const std::set<ExprRef> *> OuterBases,
                    std::optional<std::string> RootPair, int64_t Budget,
                    FamilyTierStats &Stats, unsigned &SelectorCount)
-    : F(F), Session(Session), Tag(std::move(Tag)), Parent(Parent),
-      PathSels(std::move(PathSels)), PathLabels(std::move(PathLabels)),
-      OuterBases(std::move(OuterBases)), RootPair(std::move(RootPair)),
-      Budget(Budget), Stats(Stats), SelectorCount(SelectorCount) {}
+    : Session(Session), Parent(Parent), OuterBases(std::move(OuterBases)),
+      RootPair(std::move(RootPair)), Budget(Budget), Stats(Stats),
+      SelectorCount(SelectorCount) {}
 
 PairTier::PairScope &PairTier::ensurePair(const std::string &Key) {
   auto It = LivePairs.find(Key);
   if (It != LivePairs.end())
     return It->second;
-  // A retired key re-opens under a fresh selector name: its old selector
-  // is permanently false, so reusing it would vacuously "verify"
-  // everything discharged under it.
-  unsigned Epoch = PairEpochs[Key]++;
   PairScope &PS = LivePairs[Key];
   ++Stats.PairsOpened;
   if (RootPair && Key == *RootPair) {
     // The root pair needs no selector of its own: its prefix is the
     // parent's, so its method scopes sit directly under the parent and
-    // each guarded formula encodes with one selector implication, not two.
+    // each guarded formula carries one selector, not two.
     PS.Scope = Parent;
     return PS;
   }
-  std::string SelName = "__pair_" + Tag + ":" + Key;
-  if (Epoch > 0)
-    SelName += "#" + std::to_string(Epoch);
-  PS.Sel = F.var(SelName, Sort::Bool);
   // The pair scope owns a Tseitin layer: its formulas' definition vars
-  // retire — and their indices recycle — with the scope.
-  PS.Scope = Session.openScope(PS.Sel, Parent, /*OwnLayer=*/true);
+  // retire — and their indices recycle — with the scope. A retired key
+  // re-opens as a fresh scope with a fresh selector.
+  PS.Scope = Session.openScope(Parent, /*OwnLayer=*/true, "pair:" + Key);
   ++SelectorCount;
   return PS;
 }
@@ -294,41 +277,25 @@ bool PairTier::discharge(const std::string &PairKey, const MethodPlan &MPlan,
   for (const TaggedAssumption &S : MPlan.Scoped)
     Fingerprint.push_back(S.E);
   std::vector<PlanSelectorEntry> &Entries = PS.Methods[MPlan.Name];
-  ExprRef MSel = nullptr;
+  SmtSession::ScopeId MScope = SmtSession::RootScope;
   for (const PlanSelectorEntry &E : Entries)
     if (E.Fingerprint == Fingerprint) {
-      MSel = E.Sel;
+      MScope = E.Scope;
       break;
     }
-  if (!MSel) {
-    std::string SelName = "__sel_" + MPlan.Name + "@" + Tag + ":" + PairKey;
-    unsigned Epoch = PairEpochs[PairKey] - 1;
-    if (Epoch > 0)
-      SelName += "#e" + std::to_string(Epoch);
-    if (!Entries.empty())
-      SelName += "#" + std::to_string(Entries.size());
-    MSel = F.var(SelName, Sort::Bool);
-    Entries.push_back({Fingerprint, MSel});
+  if (MScope == SmtSession::RootScope) {
+    MScope = Session.openScope(PS.Scope, /*OwnLayer=*/false,
+                               "sel:" + MPlan.Name);
+    Entries.push_back({Fingerprint, MScope});
     ++SelectorCount;
-    SmtSession::ScopeId MScope =
-        Session.openScope(MSel, PS.Scope, /*OwnLayer=*/false);
     for (const TaggedAssumption &S : MPlan.Scoped)
       Session.assertInScope(MScope, S.E);
   }
 
-  std::vector<ExprRef> Sels = PathSels;
-  std::vector<std::string> SelLabels = PathLabels;
-  if (PS.Sel) {
-    Sels.push_back(PS.Sel);
-    SelLabels.push_back("pair:" + PairKey);
-  }
-  Sels.push_back(MSel);
-  SelLabels.push_back("sel:" + MPlan.Name);
-
   uint64_t RedBefore = static_cast<uint64_t>(Session.dbReductions());
   uint64_t RecBefore = static_cast<uint64_t>(Session.reclaimedClauses());
   bool Ok = dischargeSplits(
-      MPlan, Budget, Sels, SelLabels, &Stats.PeakRetainedClauses,
+      MPlan, Budget, MScope, &Stats.PeakRetainedClauses,
       [this]() -> SmtSession & { return Session; }, R);
   R.DbReductions += static_cast<uint64_t>(Session.dbReductions()) - RedBefore;
   R.ReclaimedClauses +=
@@ -342,8 +309,9 @@ size_t PairTier::retirePair(const std::string &PairKey) {
     return 0;
   // The root pair has no scope of its own: its method scopes stay under
   // the parent, unreachable once their bookkeeping is dropped (a re-opened
-  // root pair allocates epoch-named method selectors).
-  size_t Evicted = It->second.Sel ? Session.retireScope(It->second.Scope) : 0;
+  // root pair opens fresh method scopes).
+  size_t Evicted =
+      It->second.Scope != Parent ? Session.retireScope(It->second.Scope) : 0;
   LivePairs.erase(It);
   ++Stats.PairsRetired;
   Stats.EvictedClauses += Evicted;
@@ -366,8 +334,7 @@ size_t PairTier::retireAll() {
 CatalogSession::CatalogSession(ExprFactory &F, const CatalogPlan &Plan,
                                int64_t Budget, bool Certify,
                                const PrefixImage *Prefix)
-    : F(F), Plan(Plan), Budget(Budget), Session(F),
-      Tiers(Plan.Families.size()), FamilyEpochs(Plan.Families.size(), 0) {
+    : Plan(Plan), Budget(Budget), Session(F), Tiers(Plan.Families.size()) {
   // Certification must switch on before the first assertion reaches the
   // solver — the proof's Input steps have to cover the whole database.
   if (Certify)
@@ -408,32 +375,20 @@ CatalogSession::FamilyTier &CatalogSession::ensureFamily(size_t FamIdx) {
   if (Tier.Alive)
     return Tier;
   const FamilyPlan &FP = Plan.Families[FamIdx];
-  // A retired family re-opens under a fresh epoch: its old selector (and
-  // its old pairs' selectors, which embed the epoch tag) are permanently
-  // false.
-  unsigned Epoch = FamilyEpochs[FamIdx]++;
-  std::string Tag = FP.FamilyName;
-  if (Epoch > 0)
-    Tag += "@e" + std::to_string(Epoch);
-  std::vector<ExprRef> PathSels;
-  std::vector<std::string> PathLabels;
   std::optional<std::string> RootPair;
   if (Plan.Families.size() == 1) {
     // The sole family needs no selector of its own: its common prefix is
     // session base, so its pair scopes sit directly under the root and
-    // each guarded formula encodes with one selector implication, not two.
-    // The same rule one level down: a sole pair sits at the root too.
-    Tier.Sel = nullptr;
+    // each guarded formula carries one selector, not two. The same rule
+    // one level down: a sole pair sits at the root too.
     Tier.Scope = SmtSession::RootScope;
     if (FP.Pairs.size() == 1)
       RootPair = FP.Pairs[0].Key;
   } else {
-    Tier.Sel = F.var("__fam_" + Tag, Sort::Bool);
-    Tier.Scope =
-        Session.openScope(Tier.Sel, SmtSession::RootScope, /*OwnLayer=*/true);
+    // A retired family re-opens as a fresh scope with a fresh selector.
+    Tier.Scope = Session.openScope(SmtSession::RootScope, /*OwnLayer=*/true,
+                                   "fam:" + FP.FamilyName);
     ++SelectorCount;
-    PathSels.push_back(Tier.Sel);
-    PathLabels.push_back("fam:" + FP.FamilyName);
   }
   ++CatStats.FamiliesOpened;
   Tier.Stats = FamilyTierStats{};
@@ -451,7 +406,7 @@ CatalogSession::FamilyTier &CatalogSession::ensureFamily(size_t FamIdx) {
     }
   }
   Tier.Pairs = std::make_unique<PairTier>(
-      F, Session, Tag, Tier.Scope, std::move(PathSels), std::move(PathLabels),
+      Session, Tier.Scope,
       std::vector<const std::set<ExprRef> *>{&CatalogBase, &Tier.FamilyBase},
       std::move(RootPair), Budget, Tier.Stats, SelectorCount);
   Tier.Alive = true;
@@ -475,7 +430,7 @@ size_t CatalogSession::retireFamily(size_t FamIdx) {
   if (!Tier.Alive)
     return 0;
   size_t Evicted;
-  if (Tier.Sel) {
+  if (Tier.Scope != SmtSession::RootScope) {
     Evicted = Session.retireScope(Tier.Scope);
     Tier.Stats.EvictedClauses += Evicted;
     ++CatStats.FamiliesRetired;

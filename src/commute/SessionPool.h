@@ -277,29 +277,24 @@ struct FamilyTierStats {
 };
 
 /// The pair tier of a scope-tree session: the map of live pair scopes
-/// under one parent scope, with epoch-named re-opening of retired keys,
-/// common-prefix dedup against the outer (session/family) bases, method
-/// selectors nested inside their pair's scope, and the split discharge.
-/// Pair scopes own a Tseitin cache layer (their formulas' definition
-/// variables retire and recycle with them); method scopes share their
-/// pair's layer, since they only ever retire together with it. The *root
-/// pair* — the sole pair of a one-pair plan — gets no selector and no
-/// layer: its prefix is the parent's, and its method scopes open directly
-/// under the parent. One PairTier lives under each live family scope of a
+/// under one parent scope, common-prefix dedup against the outer
+/// (session/family) bases, method scopes nested inside their pair's
+/// scope, and the split discharge. Pair scopes own a Tseitin cache layer
+/// (their formulas' definition variables retire and recycle with them);
+/// method scopes share their pair's layer, since they only ever retire
+/// together with it. A retired pair re-opens as a fresh scope. The *root
+/// pair* — the sole pair of a one-pair plan — gets no scope of its own:
+/// its prefix is the parent's, and its method scopes open directly under
+/// the parent. One PairTier lives under each live family scope of a
 /// CatalogSession.
 class PairTier {
 public:
-  /// \p Tag names the tier's selectors ("<family>" or "<family>@e<N>" for
-  /// a re-opened family scope — selector names must be unique for the
-  /// session's lifetime, retired selectors included). \p PathSels /
-  /// \p PathLabels are the parent-scope selectors every check assumes
-  /// (the family selector; none for a root-level tier). \p OuterBases are
-  /// formula sets already asserted above the pair scopes; prefix formulas
-  /// found there are counted as reuses. \p RootPair, when set, is the key
-  /// of the root pair.
-  PairTier(ExprFactory &F, SmtSession &Session, std::string Tag,
-           SmtSession::ScopeId Parent, std::vector<ExprRef> PathSels,
-           std::vector<std::string> PathLabels,
+  /// \p Parent is the scope the pair scopes open under (the family scope,
+  /// or the session root for a root-level tier). \p OuterBases are formula
+  /// sets already asserted above the pair scopes; prefix formulas found
+  /// there are counted as reuses. \p RootPair, when set, is the key of the
+  /// root pair.
+  PairTier(SmtSession &Session, SmtSession::ScopeId Parent,
            std::vector<const std::set<ExprRef> *> OuterBases,
            std::optional<std::string> RootPair, int64_t Budget,
            FamilyTierStats &Stats, unsigned &SelectorCount);
@@ -313,42 +308,35 @@ public:
   size_t retireAll();
 
 private:
-  /// One registered method selector with the plan fingerprint it was
-  /// allocated for (the plan's Common + Scoped formulas; hash-consing makes
-  /// pointer equality structural equality). The fingerprint guards against
-  /// two *different* plans sharing a name: a mismatch allocates a fresh
-  /// selector instead of silently proving the new plan against the old
-  /// plan's prefix.
+  /// One registered method scope with the plan fingerprint it was opened
+  /// for (the plan's Common + Scoped formulas; hash-consing makes pointer
+  /// equality structural equality). The fingerprint guards against two
+  /// *different* plans sharing a name: a mismatch opens a fresh scope
+  /// instead of silently proving the new plan against the old plan's
+  /// prefix.
   struct PlanSelectorEntry {
     std::vector<ExprRef> Fingerprint;
-    ExprRef Sel = nullptr;
+    SmtSession::ScopeId Scope = SmtSession::RootScope;
   };
 
-  /// The live scope of one pair.
+  /// The live scope of one pair (Parent for the root pair).
   struct PairScope {
     SmtSession::ScopeId Scope = SmtSession::RootScope;
-    ExprRef Sel = nullptr; ///< Null for the root pair.
     std::set<ExprRef> AssertedCommon; ///< Dedup under this pair's selector.
-    /// Registered method selectors, keyed by plan name.
+    /// Registered method scopes, keyed by plan name.
     std::map<std::string, std::vector<PlanSelectorEntry>> Methods;
   };
 
   PairScope &ensurePair(const std::string &PairKey);
 
-  ExprFactory &F;
   SmtSession &Session;
-  std::string Tag;
   SmtSession::ScopeId Parent;
-  std::vector<ExprRef> PathSels;
-  std::vector<std::string> PathLabels;
   std::vector<const std::set<ExprRef> *> OuterBases;
   std::optional<std::string> RootPair;
   int64_t Budget;
   FamilyTierStats &Stats;
   unsigned &SelectorCount;
   std::map<std::string, PairScope> LivePairs;
-  /// Fresh-name counters for re-opened (previously retired) pair scopes.
-  std::map<std::string, unsigned> PairEpochs;
 };
 
 /// The whole-catalog discharge plan a CatalogSession runs. Families carry
@@ -388,9 +376,9 @@ struct CatalogSessionStats {
   /// catalog bounds the atom universe). Kept only because the
   /// benchmark's smt.compactions row reads it.
   uint64_t BridgeCompactions = 0;
-  /// Retired-scope selector variables released (epoch-interned selectors
-  /// fold instead of pinning the trail forever), and the live/peak
-  /// bridge-formula counts.
+  /// Retired-scope selector variables released to the recycler (instead
+  /// of pinning the trail forever), and the live/peak bridge-formula
+  /// counts.
   uint64_t ReleasedSelectors = 0;
   uint64_t LiveBridges = 0;
   uint64_t PeakLiveBridges = 0;
@@ -441,8 +429,8 @@ public:
   /// Discharges every split of \p Plan under family \p FamIdx (an index
   /// into the catalog plan's Families) and pair \p PairKey. Opens the
   /// family scope — asserting its remaining common prefix — on first use;
-  /// a retired family or pair transparently re-opens under a fresh
-  /// epoch-named selector. Returns true when the method verifies.
+  /// a retired family or pair transparently re-opens as a fresh scope.
+  /// Returns true when the method verifies.
   bool discharge(size_t FamIdx, const std::string &PairKey,
                  const MethodPlan &Plan, SymbolicResult &R);
 
@@ -493,8 +481,8 @@ private:
   /// The live scope of one family.
   struct FamilyTier {
     bool Alive = false;
+    /// RootScope for a one-family plan's root tier.
     SmtSession::ScopeId Scope = SmtSession::RootScope;
-    ExprRef Sel = nullptr; ///< Null for a one-family plan's root tier.
     std::set<ExprRef> FamilyBase; ///< Formulas under the family selector.
     std::unique_ptr<PairTier> Pairs;
     FamilyTierStats Stats;
@@ -502,13 +490,11 @@ private:
 
   FamilyTier &ensureFamily(size_t FamIdx);
 
-  ExprFactory &F;
   const CatalogPlan &Plan;
   int64_t Budget;
   SmtSession Session;
   std::set<ExprRef> CatalogBase; ///< CatalogCommon membership (dedup only).
   std::vector<FamilyTier> Tiers; ///< Parallel to Plan.Families.
-  std::vector<unsigned> FamilyEpochs;
   unsigned SelectorCount = 0;
   CatalogSessionStats CatStats;        ///< Catalog-level counters.
   FamilyTierStats RetiredTierAccum; ///< Folded stats of retired tiers.

@@ -30,10 +30,10 @@ const std::vector<CheckInfo> &lint::checks() {
                   "an entry that does not assert it"},
       {"SCOPE01", "Tseitin definition referenced across sibling scope "
                   "layers (not on the ancestor chain)"},
-      {"SCOPE02", "scope selector name reused after it was already opened "
-                  "(retired selectors never come back)"},
-      {"SCOPE03", "assertion or check names a scope selector that was "
-                  "already retired"},
+      {"SCOPE02", "scope audit name reused after it was already opened "
+                  "(each opening needs a session-unique name)"},
+      {"SCOPE03", "assertion or check names a scope that was already "
+                  "retired"},
       {"LABEL01", "assumption label empty, contains a reserved delimiter, "
                   "or duplicates another label in its check"},
   };
@@ -329,9 +329,10 @@ void AuditAnalyzer::feed(const audit::Event &E) {
     if (!Opened.insert(E.Scope).second)
       Findings.push_back(
           {"SCOPE02", E.Scope,
-           "scope selector name reused; retired selectors are permanently "
-           "false, so a re-opened scope must use a fresh epoch-suffixed "
-           "name"});
+           "scope audit name reused; every scope opening must carry a name "
+           "unique for the session's lifetime (the session suffixes each "
+           "label with its opening serial), or events of a retired scope "
+           "and its re-opened successor become indistinguishable"});
     break;
   case audit::EventKind::Assert:
     if (Retired.count(E.Scope))
@@ -343,7 +344,7 @@ void AuditAnalyzer::feed(const audit::Event &E) {
       if (Retired.count(S))
         Findings.push_back(
             {"SCOPE03", S, "check activated a scope that was already "
-                           "retired; its selector is pinned false"});
+                           "retired; its selector was released"});
     break;
   case audit::EventKind::Retire:
     Retired.insert(E.Scope);
@@ -352,7 +353,9 @@ void AuditAnalyzer::feed(const audit::Event &E) {
     LayerParent[E.Layer] = E.ActiveLayer;
     break;
   case audit::EventKind::DropLayer:
-    DroppedLayers.insert(E.Layer);
+    // A dropped layer id may be pushed again for a new scope; until
+    // then it is on no ancestor chain.
+    LayerParent.erase(E.Layer);
     break;
   case audit::EventKind::Define:
     break; // Creation sites carry no cross-layer obligation.
@@ -480,9 +483,8 @@ LintResult lint::lintCatalog(ExprFactory &F, int SeqLenBound,
   }
   for (size_t FI = 0; FI != Fams.size(); ++FI) {
     const FamilyPlan &FP = CP.Families[FI];
-    ExprRef FamSel = F.var("__lint_f:" + FP.FamilyName, Sort::Bool);
-    SmtSession::ScopeId FamScope =
-        Session.openScope(FamSel, SmtSession::RootScope, /*OwnLayer=*/true);
+    SmtSession::ScopeId FamScope = Session.openScope(
+        SmtSession::RootScope, /*OwnLayer=*/true, "fam:" + FP.FamilyName);
     std::set<ExprRef> FamilyBase = CatalogBase;
     for (ExprRef E : FP.FamilyCommon)
       if (FamilyBase.insert(E).second)
@@ -491,31 +493,27 @@ LintResult lint::lintCatalog(ExprFactory &F, int SeqLenBound,
     for (const ConditionEntry &E : C.entries(*Fams[FI])) {
       PairPlan PP = Eng.planPair(E);
       std::string PairWhere = FP.FamilyName + " " + PP.Key;
-      ExprRef PairSel = F.var("__lint_p:" + PairWhere, Sort::Bool);
       SmtSession::ScopeId PairScope =
-          Session.openScope(PairSel, FamScope, /*OwnLayer=*/true);
+          Session.openScope(FamScope, /*OwnLayer=*/true, "pair:" + PP.Key);
       std::set<ExprRef> PairBase;
       for (const MethodPlan &MP : PP.Methods) {
         Append(checkPlanLabels(PairWhere + " " + MP.Name, MP));
         ++R.MethodsChecked;
 
-        ExprRef MSel =
-            F.var("__lint_m:" + PairWhere + ":" + MP.Name, Sort::Bool);
         SmtSession::ScopeId MScope =
-            Session.openScope(MSel, PairScope, /*OwnLayer=*/false);
+            Session.openScope(PairScope, /*OwnLayer=*/false, "sel:" + MP.Name);
         for (ExprRef Com : MP.Common)
           if (!FamilyBase.count(Com) && PairBase.insert(Com).second)
             Session.assertInScope(PairScope, Com);
         for (const TaggedAssumption &A : MP.Scoped)
           Session.assertInScope(MScope, A.E);
 
-        std::vector<ExprRef> Sels{FamSel, PairSel, MSel};
         std::vector<ExprRef> Assumed;
         for (const VcSplit &S : MP.Splits) {
           Assumed.clear();
           for (const TaggedAssumption &A : S.Assumed)
             Assumed.push_back(A.E);
-          Session.encodeForAudit(Assumed, Sels);
+          Session.encodeForAudit(Assumed, MScope);
         }
       }
       Session.retireScope(PairScope);
@@ -605,16 +603,16 @@ std::vector<Finding> lint::seededViolationFindings(ExprFactory &F,
   }
   case SeededViolation::ReusedSelector: {
     audit::Log L;
-    L.openScope("__sel_m@fix:p");
-    L.retire("__sel_m@fix:p");
-    L.openScope("__sel_m@fix:p"); // Same name, no epoch suffix.
+    L.openScope("sel:m#1");
+    L.retire("sel:m#1");
+    L.openScope("sel:m#1"); // Same name, no fresh opening serial.
     return checkAuditLog(L);
   }
   case SeededViolation::UseAfterRetire: {
     audit::Log L;
-    L.openScope("__sel_m@fix:p");
-    L.retire("__sel_m@fix:p");
-    L.check({"__sel_m@fix:p"});
+    L.openScope("sel:m#1");
+    L.retire("sel:m#1");
+    L.check({"sel:m#1"});
     return checkAuditLog(L);
   }
   case SeededViolation::DuplicateLabel: {

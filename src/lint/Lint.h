@@ -12,7 +12,7 @@
 /// search. The soundness of the catalog-level session rests on a handful of
 /// discipline invariants that live in different layers (the planner's hoist
 /// rule, the encoder's ancestor-chain lookup, the session's retire-forever
-/// selector contract); this library restates each invariant independently
+/// scope contract); this library restates each invariant independently
 /// and checks the shipped catalog — and arbitrary audit streams — against
 /// the restatement, so a drift between the layers surfaces as a lint
 /// finding instead of a silently wrong verdict.
@@ -30,11 +30,12 @@
 ///           on the referencing layer's ancestor chain (a sibling's
 ///           definitions may be evicted with that sibling; the reference
 ///           would dangle).
-///   SCOPE02 A scope selector name was reused after its scope was opened
-///           once already (retired selectors are permanently false;
-///           re-opened scopes must use fresh epoch-suffixed names).
-///   SCOPE03 An assertion or check named a scope selector that was
-///           already retired.
+///   SCOPE02 A scope's audit name was reused after a scope of that name
+///           was opened once already (the session names each opening by
+///           its label and a session-unique serial, so the events of a
+///           retired scope and of its re-opened successor stay apart).
+///   SCOPE03 An assertion or check named a scope that was already
+///           retired.
 ///   LABEL01 An assumption label is empty, contains a reserved delimiter
 ///           (';' joins countermodels, '|' joins proof tags), or
 ///           duplicates another label in the same check's namespace.
@@ -146,8 +147,8 @@ checkCatalogHoisting(const SymbolicEngine &Eng, const Catalog &C,
 
 /// Incremental analyzer over audit::Event streams, so whole-catalog
 /// replays can drain their log pair by pair instead of buffering millions
-/// of encoder events. Selector names are tracked for the analyzer's whole
-/// lifetime (SCOPE02 is a *forever* property: a retired selector's name
+/// of encoder events. Scope names are tracked for the analyzer's whole
+/// lifetime (SCOPE02 is a *forever* property: an audit name, once opened,
 /// may never come back).
 class AuditAnalyzer {
 public:
@@ -163,10 +164,10 @@ private:
   /// True when \p Found is on \p Active's ancestor chain.
   bool onAncestorChain(unsigned Found, unsigned Active) const;
 
-  std::set<std::string> Opened;  ///< Every selector ever opened.
-  std::set<std::string> Retired; ///< Selectors permanently retired.
-  std::map<unsigned, unsigned> LayerParent; ///< Tseitin layer tree.
-  std::set<unsigned> DroppedLayers;
+  std::set<std::string> Opened;  ///< Every scope name ever opened.
+  std::set<std::string> Retired; ///< Scopes permanently retired.
+  /// The live Tseitin layer tree (a dropped layer's id may be reused).
+  std::map<unsigned, unsigned> LayerParent;
   std::vector<Finding> Findings;
   uint64_t Events = 0;
 };

@@ -33,10 +33,12 @@
 ///
 ///  * Bounded sessions: the shard's CatalogSession is the one every
 ///    driver session runs. Retiring a pair scope evicts its clauses and
-///    recycles its definition variables and its epoch-named selector, and
-///    the theory atoms and bridges the catalog can mention are finite, so
-///    live clauses, live variables and live bridges plateau after the
-///    first full catalog pass instead of growing with the request count.
+///    recycles its definition variables and its selector (a solver
+///    variable, not an interned expression, so re-opening a pair interns
+///    nothing), and the theory atoms and bridges the catalog can mention
+///    are finite, so live clauses, live variables, live bridges and the
+///    expression factory plateau after the first full catalog pass
+///    instead of growing with the request count.
 ///
 //===----------------------------------------------------------------------===//
 

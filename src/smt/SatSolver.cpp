@@ -541,13 +541,10 @@ void SatSolver::compactClauses(const std::vector<bool> &Remove) {
 }
 
 size_t SatSolver::retireScopes(const std::vector<Lit> &Selectors,
-                               const std::vector<int> &ScopeVars,
-                               const std::vector<Lit> &ReleasableSelectors) {
+                               const std::vector<int> &ScopeVars) {
   backtrack(0);
   ++ScopeRetirements;
   for (Lit Selector : Selectors)
-    addClause({Selector.negated()});
-  for (Lit Selector : ReleasableSelectors)
     addClause({Selector.negated()});
   if (Unsatisfiable)
     return 0; // Trivially Unsat database: nothing left worth sweeping.
@@ -575,12 +572,10 @@ size_t SatSolver::retireScopes(const std::vector<Lit> &Selectors,
   // false at root.
   std::vector<bool> InScope(Assign.size(), false);
   std::vector<bool> Owned(Assign.size(), false);
-  std::vector<bool> Releasable(Assign.size(), false);
-  for (Lit Selector : Selectors)
+  std::vector<bool> IsSelector(Assign.size(), false);
+  for (Lit Selector : Selectors) {
     InScope[static_cast<size_t>(Selector.var())] = true;
-  for (Lit Selector : ReleasableSelectors) {
-    InScope[static_cast<size_t>(Selector.var())] = true;
-    Releasable[static_cast<size_t>(Selector.var())] = true;
+    IsSelector[static_cast<size_t>(Selector.var())] = true;
   }
   for (int V : ScopeVars) {
     InScope[static_cast<size_t>(V)] = true;
@@ -618,18 +613,14 @@ size_t SatSolver::retireScopes(const std::vector<Lit> &Selectors,
   // Reset the search state of dead variables (a var with no occurrence
   // left cannot influence any answer, and keeping its bumped activity
   // would keep the branching heuristic exploring a dead scope), and
-  // recycle the dead *owned* ones: their index joins the free list that
-  // addVar() drains. Only owned vars recycle — the caller's atom maps may
-  // still name other dead vars, and handing such an index out again would
-  // silently alias two meanings. An owned var pinned at root (typically a
-  // Tseitin wrapper definition the retirement's own unit propagation
-  // forced true) is a fact about a variable nothing mentions: it is
-  // compacted off the trail and recycled too. Plain retired selectors stay
-  // permanently false (legacy callers may still hold their atoms), but
-  // *releasable* selectors — those the caller certifies will never be
-  // assumed or re-encoded — follow the owned-var path: their pinned-false
-  // unit is deleted from the proof, dropped from the trail, and the index
-  // recycled, so a long-lived session's trail stops growing with its
+  // recycle the dead owned vars and selectors: their index joins the free
+  // list that addVar() drains. Only those recycle — the caller's atom maps
+  // may still name other dead vars, and handing such an index out again
+  // would silently alias two meanings. A recyclable var pinned at root (a
+  // retired selector's false unit, or a Tseitin definition the
+  // retirement's own unit propagation forced) is a fact about a variable
+  // nothing mentions: its unit is deleted from the proof and dropped from
+  // the trail, so a long-lived session's trail stops growing with its
   // retirement history.
   std::vector<bool> Occurs(Assign.size(), false);
   for (const Clause &C : Clauses)
@@ -642,12 +633,12 @@ size_t SatSolver::retireScopes(const std::vector<Lit> &Selectors,
     size_t S = static_cast<size_t>(V);
     if (Occurs[S] || IsFree[S])
       continue;
-    bool Recyclable = RecyclingEnabled && (Owned[S] || Releasable[S]);
-    if (Recyclable && Releasable[S])
+    bool Recyclable = RecyclingEnabled && (Owned[S] || IsSelector[S]);
+    if (Recyclable && IsSelector[S])
       ++ReleasedSelectors;
     if (Assign[S] != Undef) {
       if (!Recyclable)
-        continue; // A pinned fact that must keep holding (e.g. ~selector).
+        continue; // A pinned fact that must keep holding.
       // The pinned fact leaves the formula with its variable: log the unit
       // deletion, or the checker would (rightly) refuse to recycle an
       // index that still carries an axiom.

@@ -154,32 +154,19 @@ public:
   ///    encoding mentions it (SmtSession derives the set from its
   ///    scope-layered Tseitin bookkeeping).
   ///
-  /// Scope vars that end up with no occurrence and no assignment are
-  /// *recycled*: their activity/phase state is reset and their indices
-  /// join a free list that addVar() drains, so the variable count is
-  /// bounded by the live scope. Dead non-scope vars only get their
+  /// Passing a selector is the caller's guarantee that it will never be
+  /// assumed or mentioned again (SmtSession mints selectors as bare
+  /// variables that no cache entry names). Once no clause mentions it,
+  /// its pinned-false unit is compacted off the trail and its index is
+  /// *released* to the free list, so the trail does not grow with the
+  /// retirement history. Scope vars that end up with no occurrence are
+  /// *recycled* the same way (their activity/phase state is reset and
+  /// addVar() hands the index out again), so the variable count is
+  /// bounded by the live scope. Dead vars that are neither only get their
   /// activity/phase reset (their indices may still be referenced by the
   /// caller's atom maps). Returns the number of clauses evicted.
   size_t retireScopes(const std::vector<Lit> &Selectors,
-                      const std::vector<int> &ScopeVars) {
-    return retireScopes(Selectors, ScopeVars, {});
-  }
-  /// Extended retirement for the long-lived service loop: selectors in
-  /// \p ReleasableSelectors are falsified and swept exactly like
-  /// \p Selectors, but when such a selector ends up dead (no clause
-  /// occurrence), its pinned-false unit is compacted off the trail and its
-  /// index joins the free list — the caller's guarantee is that the
-  /// selector will never be assumed or re-encoded again (epoch-tagged
-  /// selector names make every reopened scope a fresh atom). Without it a
-  /// warm session's trail grows by one pinned literal per retired scope
-  /// forever.
-  size_t retireScopes(const std::vector<Lit> &Selectors,
-                      const std::vector<int> &ScopeVars,
-                      const std::vector<Lit> &ReleasableSelectors);
-  /// Single-selector convenience wrapper around retireScopes().
-  size_t retireScope(Lit Selector, const std::vector<int> &ScopeVars) {
-    return retireScopes({Selector}, ScopeVars);
-  }
+                      const std::vector<int> &ScopeVars);
   /// Disables index recycling (reference runs for the recycle fuzz and the
   /// peak-live-vars acceptance comparison; eviction is unaffected).
   void setVarRecycling(bool Enabled) { RecyclingEnabled = Enabled; }
@@ -189,13 +176,6 @@ public:
   /// Retired selectors whose pinned-false units were compacted off the
   /// trail and whose indices were recycled (subset of numRecycledVars).
   int64_t numReleasedSelectors() const { return ReleasedSelectors; }
-  /// True when \p Var currently sits on the recycler's free list. The SMT
-  /// layer uses this after a retirement to decide which atom-map entries
-  /// may be erased: only a free-listed index is guaranteed to carry no
-  /// clause, no assignment, and no meaning.
-  bool varIsFree(int Var) const {
-    return Var >= 1 && Var <= numVars() && IsFree[static_cast<size_t>(Var)];
-  }
   /// Variable accounting for the catalog-session statistics: slots
   /// currently backing a live (non-free-listed) variable, the high-water
   /// mark of that number, cumulative addVar() calls (what the allocation

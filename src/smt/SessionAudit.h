@@ -14,7 +14,7 @@
 /// it when a log is attached (never otherwise — recording is off the hot
 /// path by default); the `semcommute-lint` analyzer replays the stream and
 /// flags violations (a definition referenced from a sibling layer, a
-/// selector reused after retirement, ...). Pure data — this header has no
+/// scope name reused after retirement, ...). Pure data — this header has no
 /// dependencies so the lint library can consume it without linking the
 /// solver.
 ///
@@ -32,7 +32,7 @@ namespace semcomm {
 namespace audit {
 
 enum class EventKind : uint8_t {
-  OpenScope,  ///< A selector began guarding a live scope.
+  OpenScope,  ///< A scope was opened.
   Assert,     ///< A formula was asserted into a scope.
   Check,      ///< A query ran with a set of active scopes.
   Retire,     ///< A scope (with its subtree) was permanently retired.
@@ -46,9 +46,10 @@ enum class EventKind : uint8_t {
 
 struct Event {
   EventKind Kind;
-  /// OpenScope/Assert/Retire: the scope's selector (printed form).
+  /// OpenScope/Assert/Retire: the scope's audit name (its label and its
+  /// session-unique opening serial).
   std::string Scope;
-  /// Check: the active scopes' selectors (printed form).
+  /// Check: the audit names of the checked scope's path, outermost first.
   std::vector<std::string> Scopes;
   /// PushLayer/DropLayer/Define/Reference: the subject layer.
   unsigned Layer = 0;
@@ -61,17 +62,17 @@ struct Event {
 struct Log {
   std::vector<Event> Events;
 
-  void openScope(std::string Sel) {
-    Events.push_back({EventKind::OpenScope, std::move(Sel), {}, 0, 0});
+  void openScope(std::string Name) {
+    Events.push_back({EventKind::OpenScope, std::move(Name), {}, 0, 0});
   }
-  void assertInScope(std::string Sel) {
-    Events.push_back({EventKind::Assert, std::move(Sel), {}, 0, 0});
+  void assertInScope(std::string Name) {
+    Events.push_back({EventKind::Assert, std::move(Name), {}, 0, 0});
   }
-  void check(std::vector<std::string> Sels) {
-    Events.push_back({EventKind::Check, {}, std::move(Sels), 0, 0});
+  void check(std::vector<std::string> Names) {
+    Events.push_back({EventKind::Check, {}, std::move(Names), 0, 0});
   }
-  void retire(std::string Sel) {
-    Events.push_back({EventKind::Retire, std::move(Sel), {}, 0, 0});
+  void retire(std::string Name) {
+    Events.push_back({EventKind::Retire, std::move(Name), {}, 0, 0});
   }
   void pushLayer(unsigned Layer, unsigned Parent) {
     Events.push_back({EventKind::PushLayer, {}, {}, Layer, Parent});

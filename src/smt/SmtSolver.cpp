@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <map>
 #include <type_traits>
 
 using namespace semcomm;
@@ -465,25 +466,59 @@ void SmtSession::assertBase(ExprRef E) {
   Encoder.setActiveLayer(Saved);
 }
 
-SmtSession::ScopeId SmtSession::openScope(ExprRef Selector, ScopeId Parent,
-                                          bool OwnLayer) {
+SmtSession::ScopeId SmtSession::openScope(ScopeId Parent, bool OwnLayer,
+                                          std::string Label) {
   assert(Parent < Scopes.size() && Scopes[Parent].Alive &&
          "opening a scope under a dead parent");
-  assert(ScopeOf.find(Selector) == ScopeOf.end() &&
-         "selector already guards a live scope");
   ScopeNode Node;
-  Node.Selector = Selector;
+  Node.Selector = Lit(Sat.addVar(), true);
   Node.Parent = Parent;
   Node.OwnsLayer = OwnLayer;
   Node.Layer = OwnLayer ? Encoder.pushLayer(Scopes[Parent].Layer)
                         : Scopes[Parent].Layer;
-  ScopeId Id = Scopes.size();
-  Scopes.push_back(std::move(Node));
+  Node.Label = std::move(Label);
+  Node.Serial = ++ScopesOpened;
+  ScopeId Id;
+  if (!FreeScopes.empty()) {
+    Id = FreeScopes.back();
+    FreeScopes.pop_back();
+    Scopes[Id] = std::move(Node);
+  } else {
+    Id = Scopes.size();
+    Scopes.push_back(std::move(Node));
+  }
   Scopes[Parent].Children.push_back(Id);
-  ScopeOf[Selector] = Id;
   if (Audit)
-    Audit->openScope(printAbstract(Selector));
+    Audit->openScope(auditName(Id));
   return Id;
+}
+
+std::vector<SmtSession::ScopeId> SmtSession::pathOf(ScopeId Scope) const {
+  assert(Scope < Scopes.size() && Scopes[Scope].Alive &&
+         "path of a dead scope");
+  std::vector<ScopeId> Path;
+  for (ScopeId S = Scope; S != RootScope; S = Scopes[S].Parent)
+    Path.push_back(S);
+  std::reverse(Path.begin(), Path.end());
+  return Path;
+}
+
+std::string SmtSession::auditName(ScopeId Scope) const {
+  return Scopes[Scope].Label + "#" + std::to_string(Scopes[Scope].Serial);
+}
+
+void SmtSession::auditCheck(const std::vector<ScopeId> &Path) {
+  std::vector<std::string> Names;
+  for (ScopeId S : Path)
+    Names.push_back(auditName(S));
+  Audit->check(std::move(Names));
+}
+
+std::vector<std::string> SmtSession::scopePathLabels(ScopeId Scope) const {
+  std::vector<std::string> Labels;
+  for (ScopeId S : pathOf(Scope))
+    Labels.push_back(Scopes[S].Label);
+  return Labels;
 }
 
 void SmtSession::assertInScope(ScopeId Scope, ExprRef Body) {
@@ -494,20 +529,18 @@ void SmtSession::assertInScope(ScopeId Scope, ExprRef Body) {
     return;
   }
   if (Audit)
-    Audit->assertInScope(printAbstract(Scopes[Scope].Selector));
-  // Wrap Body in the selector path, innermost first.
-  ExprRef Formula = Body;
-  for (ScopeId S = Scope; S != RootScope; S = Scopes[S].Parent)
-    Formula = F.implies(Scopes[S].Selector, Formula);
-  ExprRef N = normalize(Formula);
+    Audit->assertInScope(auditName(Scope));
+  ExprRef N = normalize(Body);
   ingest(N);
   std::set<ExprRef> Visited;
-  collectBoolAtoms(normalize(Body), ScopedAtoms[Scopes[Scope].Selector],
-                   Visited);
+  collectBoolAtoms(N, Scopes[Scope].Atoms, Visited);
   Tseitin::LayerId Saved = Encoder.activeLayer();
   Encoder.setActiveLayer(Scopes[Scope].Layer);
-  Encoder.assertTrue(N);
+  std::vector<Lit> Guard{Encoder.encode(N)};
   Encoder.setActiveLayer(Saved);
+  for (ScopeId S = Scope; S != RootScope; S = Scopes[S].Parent)
+    Guard.push_back(Scopes[S].Selector.negated());
+  Sat.addClause(Guard);
 }
 
 size_t SmtSession::retireScope(ScopeId Scope) {
@@ -524,110 +557,44 @@ size_t SmtSession::retireScope(ScopeId Scope) {
     for (ScopeId C : Scopes[S].Children)
       Stack.push_back(C);
   }
-  // Layers owned within the subtree. A subtree node whose cache layer is
-  // among them can have its selector *released* rather than pinned false
-  // forever: every clause and every cache entry naming the selector dies
-  // with the subtree (assertions into a scope encode into its layer, and
-  // check()-time encodings land in the innermost active scope's layer),
-  // and epoch-tagged selector naming guarantees the expression is never
-  // encoded again. Nodes sharing a surviving layer (legacy root-shared
-  // scopes) keep today's permanently-false pin.
-  std::set<Tseitin::LayerId> SubtreeLayers;
-  for (ScopeId S : Subtree)
-    if (Scopes[S].OwnsLayer)
-      SubtreeLayers.insert(Scopes[S].Layer);
-
-  std::vector<Lit> Selectors, Releasable;
-  std::vector<std::pair<ExprRef, int>> ReleasedSelAtoms;
+  // Every subtree selector is released: only the subtree's guard clauses,
+  // learned clauses and past check() assumptions ever named it.
+  std::vector<Lit> Selectors;
   std::vector<int> ScopeVars;
-  Tseitin::LayerId SavedLayer = Encoder.activeLayer();
   for (ScopeId S : Subtree) {
-    ScopeNode &Node = Scopes[S];
-    // Encode under the node's own layer: the selector atom is already
-    // cached on that layer's ancestor chain, so the lookup cannot plant
-    // a fresh cache entry in an unrelated live layer — which would
-    // dangle once a released selector's variable is recycled.
-    Encoder.setActiveLayer(Node.Layer);
-    ExprRef SelExpr = normalize(Node.Selector);
-    Lit SelLit = Encoder.encode(SelExpr);
-    if (SubtreeLayers.count(Node.Layer)) {
-      Releasable.push_back(SelLit);
-      ReleasedSelAtoms.push_back({SelExpr, SelLit.var()});
-    } else {
-      Selectors.push_back(SelLit);
-    }
+    const ScopeNode &Node = Scopes[S];
+    Selectors.push_back(Node.Selector);
     if (Node.OwnsLayer) {
       const std::vector<int> &Owned = Encoder.ownedVars(Node.Layer);
       ScopeVars.insert(ScopeVars.end(), Owned.begin(), Owned.end());
     }
     if (Audit)
-      Audit->retire(printAbstract(Node.Selector));
+      Audit->retire(auditName(S));
   }
-  Encoder.setActiveLayer(SavedLayer);
+  size_t Evicted = Sat.retireScopes(Selectors, ScopeVars);
 
-  size_t Evicted = Sat.retireScopes(Selectors, ScopeVars, Releasable);
-
-  // Released selectors whose index actually came free leave the atom map
-  // too: a future encode of the same expression (which the epoch naming
-  // rules out, but legacy callers could attempt) must mint a fresh
-  // variable, never alias the recycled index.
-  for (const auto &[SelExpr, V] : ReleasedSelAtoms)
-    if (Sat.varIsFree(V))
-      Encoder.releaseAtom(SelExpr);
-
-  // Drop the subtree's bookkeeping: layers (leaves before parents, so a
-  // parent layer never dies while a child still names it), selector maps,
-  // and the tree nodes themselves.
-  Encoder.setActiveLayer(Tseitin::RootLayer);
-  for (auto It = Subtree.rbegin(); It != Subtree.rend(); ++It) {
-    ScopeNode &Node = Scopes[*It];
-    if (Node.OwnsLayer)
-      Encoder.dropLayer(Node.Layer);
-    ScopeOf.erase(Node.Selector);
-    ScopedAtoms.erase(Node.Selector);
-    Node.Alive = false;
-    Node.Children.clear();
-  }
   std::vector<ScopeId> &Siblings = Scopes[Scopes[Scope].Parent].Children;
   Siblings.erase(std::remove(Siblings.begin(), Siblings.end(), Scope),
                  Siblings.end());
+  // Free the subtree's layers (leaves before parents, so a parent layer
+  // never dies while a child still names it) and node slots.
+  Encoder.setActiveLayer(Tseitin::RootLayer);
+  for (auto It = Subtree.rbegin(); It != Subtree.rend(); ++It) {
+    if (Scopes[*It].OwnsLayer)
+      Encoder.dropLayer(Scopes[*It].Layer);
+    Scopes[*It] = ScopeNode{};
+    Scopes[*It].Alive = false;
+    FreeScopes.push_back(*It);
+  }
   return Evicted;
 }
 
-SmtSession::ScopeId SmtSession::innermostScope(
-    const std::vector<ExprRef> &ActiveScopes) const {
-  // The deepest registered scope hosts the query encodings: its layer is
-  // the first to die, and the query formulas of one scope are never
-  // referenced by another (sibling lookups don't cross layers).
-  ScopeId Best = RootScope;
-  size_t BestDepth = 0;
-  for (ExprRef Sel : ActiveScopes) {
-    auto It = ScopeOf.find(Sel);
-    if (It == ScopeOf.end())
-      continue;
-    size_t Depth = 0;
-    for (ScopeId S = It->second; S != RootScope; S = Scopes[S].Parent)
-      ++Depth;
-    if (Depth > BestDepth) {
-      BestDepth = Depth;
-      Best = It->second;
-    }
-  }
-  return Best;
-}
-
 void SmtSession::encodeForAudit(const std::vector<ExprRef> &Assumed,
-                                const std::vector<ExprRef> &ActiveScopes) {
-  if (Audit) {
-    std::vector<std::string> Names;
-    Names.reserve(ActiveScopes.size());
-    for (ExprRef Sel : ActiveScopes)
-      Names.push_back(printAbstract(Sel));
-    Audit->check(std::move(Names));
-  }
+                                ScopeId Scope) {
+  if (Audit)
+    auditCheck(pathOf(Scope));
   Tseitin::LayerId SavedLayer = Encoder.activeLayer();
-  ScopeId Host = innermostScope(ActiveScopes);
-  Encoder.setActiveLayer(Scopes[Host].Layer);
+  Encoder.setActiveLayer(Scopes[Scope].Layer);
   for (ExprRef E : Assumed) {
     ExprRef N = normalize(E);
     ingest(N);
@@ -637,21 +604,18 @@ void SmtSession::encodeForAudit(const std::vector<ExprRef> &Assumed,
 }
 
 SatResult SmtSession::check(const std::vector<ExprRef> &Assumed,
-                            int64_t MaxConflicts,
-                            const std::vector<ExprRef> &ActiveScopes) {
-  if (Audit) {
-    std::vector<std::string> Names;
-    Names.reserve(ActiveScopes.size());
-    for (ExprRef Sel : ActiveScopes)
-      Names.push_back(printAbstract(Sel));
-    Audit->check(std::move(Names));
-  }
+                            int64_t MaxConflicts, ScopeId Scope) {
+  std::vector<ScopeId> Path = pathOf(Scope);
+  if (Audit)
+    auditCheck(Path);
+  // The path selectors come first, outermost first, then the query.
   std::vector<Lit> Assumptions;
-  Assumptions.reserve(Assumed.size());
+  Assumptions.reserve(Path.size() + Assumed.size());
+  for (ScopeId S : Path)
+    Assumptions.push_back(Scopes[S].Selector);
   std::set<ExprRef> QueryAtoms, Visited;
   Tseitin::LayerId SavedLayer = Encoder.activeLayer();
-  ScopeId Host = innermostScope(ActiveScopes);
-  Encoder.setActiveLayer(Scopes[Host].Layer);
+  Encoder.setActiveLayer(Scopes[Scope].Layer);
   for (ExprRef E : Assumed) {
     ExprRef N = normalize(E);
     ingest(N);
@@ -666,6 +630,7 @@ SatResult SmtSession::check(const std::vector<ExprRef> &Assumed,
   ++Checks;
 
   LastCoreIdx.clear();
+  LastCoreScopes.clear();
   if (R == SatResult::Unsat) {
     std::vector<Lit> Core = Sat.unsatCore();
     // Core-minimizing restarts: re-solving under just the core either
@@ -692,17 +657,23 @@ SatResult SmtSession::check(const std::vector<ExprRef> &Assumed,
       }
       Core = Sat.unsatCore();
     }
-    // Map the minimized core back onto the caller's Assumed vector (first
-    // match wins for duplicated formulas).
+    // Map the minimized core back onto the path scopes and the caller's
+    // Assumed vector (first match wins for duplicated formulas).
+    std::vector<size_t> CoreIdx;
     for (Lit C : Core)
       for (size_t I = 0; I != Assumptions.size(); ++I)
         if (Assumptions[I] == C) {
-          if (std::find(LastCoreIdx.begin(), LastCoreIdx.end(), I) ==
-              LastCoreIdx.end())
-            LastCoreIdx.push_back(I);
+          if (std::find(CoreIdx.begin(), CoreIdx.end(), I) == CoreIdx.end())
+            CoreIdx.push_back(I);
           break;
         }
-    std::sort(LastCoreIdx.begin(), LastCoreIdx.end());
+    std::sort(CoreIdx.begin(), CoreIdx.end());
+    for (size_t I : CoreIdx) {
+      if (I < Path.size())
+        LastCoreScopes.push_back(Scopes[Path[I]].Label);
+      else
+        LastCoreIdx.push_back(I - Path.size());
+    }
     // One certified verdict: the minimized core under the caller's current
     // proof tag. Sat/Unknown checks have no certificate — a countermodel
     // is its own witness, and the engine treats Unknown as a failed proof.
@@ -713,19 +684,13 @@ SatResult SmtSession::check(const std::vector<ExprRef> &Assumed,
 
   LastModel.clear();
   if (R == SatResult::Sat) {
-    // Report only over this check's vocabulary (base + active scopes +
+    // Report only over this check's vocabulary (base + path scopes +
     // current query): a warm session's atom map also holds every earlier
     // query's and every other scope's atoms, which would drown the
     // countermodel in unrelated diagnostics.
-    std::vector<const std::set<ExprRef> *> ActiveAtomSets;
-    for (ExprRef ActiveScope : ActiveScopes) {
-      auto It = ScopedAtoms.find(ActiveScope);
-      if (It != ScopedAtoms.end())
-        ActiveAtomSets.push_back(&It->second);
-    }
-    auto InScope = [&ActiveAtomSets](ExprRef Atom) {
-      for (const std::set<ExprRef> *S : ActiveAtomSets)
-        if (S->count(Atom))
+    auto InScope = [&](ExprRef Atom) {
+      for (ScopeId S : Path)
+        if (Scopes[S].Atoms.count(Atom))
           return true;
       return false;
     };

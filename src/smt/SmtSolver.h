@@ -32,18 +32,21 @@
 ///
 /// Scoped assertions live on a selector *tree* (catalog → family → pair →
 /// method paths) with one API: openScope() adds a node guarded by a
-/// boolean selector, assertInScope() asserts a formula under the node's
-/// whole selector path, and check() takes the active selectors. A scope
-/// may own a Tseitin cache layer so its formulas' definition variables
-/// are private to its subtree; a scope without one shares its parent's
-/// (method scopes, and the method scopes of a one-pair session, which
-/// open directly under the root). retireScope() retires a whole subtree
-/// in one solver pass — selectors falsified, guarded and definition
-/// clauses evicted, definition variable indices recycled — so both the
-/// clause database *and the variable array* stay bounded by the live
-/// scope over a catalog-length session. Atom variables and theory bridges
-/// stay global: they are the shared lattice the long-lived tiers
-/// amortize.
+/// selector variable the session mints, assertInScope() adds one guard
+/// clause (the negated selectors of the node's path plus the formula's
+/// literal), and check() assumes the selectors of the scope it runs in.
+/// A selector is a bare solver variable, not an expression: nothing is
+/// interned per scope, and no Tseitin cache entry can name a selector. A
+/// scope may own a Tseitin cache layer so its formulas' definition
+/// variables are private to its subtree; a scope without one shares its
+/// parent's (method scopes, and the method scopes of a one-pair session,
+/// which open directly under the root). retireScope() retires a whole
+/// subtree in one solver pass — selectors falsified and released, guarded
+/// and definition clauses evicted, definition variable indices recycled,
+/// tree node and layer slots freed — so the clause database, the variable
+/// array and the session's bookkeeping all stay bounded by the live scope
+/// over a catalog-length session. Atom variables and theory bridges stay
+/// global: they are the shared lattice the long-lived tiers amortize.
 ///
 /// SmtSolver is the original one-shot facade, now a thin wrapper that runs
 /// each check() in a fresh session.
@@ -66,7 +69,6 @@
 #include "smt/Tseitin.h"
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -90,7 +92,8 @@ class SmtSession {
 public:
   /// A node in the session's selector tree. RootScope is the unguarded
   /// session base; every other scope is guarded by its selector and by
-  /// all the selectors on its path to the root.
+  /// all the selectors on its path to the root. A retired scope's id is
+  /// handed out again by a later openScope().
   using ScopeId = size_t;
   static constexpr ScopeId RootScope = 0;
 
@@ -102,62 +105,64 @@ public:
   /// subsequent check().
   void assertBase(ExprRef E);
 
-  /// Opens a scope guarded by \p Selector under \p Parent and returns its
-  /// id. When \p OwnLayer is set the scope owns a Tseitin cache layer:
-  /// definition variables created while asserting or checking in the
-  /// scope are private to its subtree and are evicted and *recycled* when
-  /// the scope retires (the family/catalog tiers give each pair and
-  /// family scope its own layer; method scopes share their pair's, since
-  /// they only ever retire together with it).
-  ScopeId openScope(ExprRef Selector, ScopeId Parent = RootScope,
-                    bool OwnLayer = false);
+  /// Opens a scope under \p Parent, guarded by a fresh selector variable,
+  /// and returns its id. \p Label names the scope in unsat cores
+  /// (lastCoreScopeLabels) and, suffixed with the scope's opening serial,
+  /// in audit events — so the audit name is unique for the session's
+  /// lifetime even when a retired scope's label is opened again. When
+  /// \p OwnLayer is set the scope owns a Tseitin cache layer: definition
+  /// variables created while asserting or checking in the scope are
+  /// private to its subtree and are evicted and *recycled* when the scope
+  /// retires (the family/catalog tiers give each pair and family scope
+  /// its own layer; method scopes share their pair's, since they only
+  /// ever retire together with it).
+  ScopeId openScope(ScopeId Parent = RootScope, bool OwnLayer = false,
+                    std::string Label = "");
 
-  /// Asserts `sel_1 -> (sel_2 -> ... -> Body)` over \p Scope's selector
-  /// path permanently, attributing \p Body's atoms to the scope and its
-  /// encoding to the scope's layer. A check() run with the scope's
-  /// selector among its ActiveScopes reports countermodels over base +
-  /// scope + query atoms — other scopes' atoms stay out of the
+  /// Asserts \p Body permanently under \p Scope's selector path as one
+  /// guard clause `~sel_1 | ... | ~sel_k | Body`, attributing \p Body's
+  /// atoms to the scope and its encoding to the scope's layer. A check()
+  /// run in the scope (or below it) reports countermodels over base +
+  /// path scopes + query atoms — other scopes' atoms stay out of the
   /// diagnostics.
   void assertInScope(ScopeId Scope, ExprRef Body);
 
   /// Permanently retires \p Scope and its entire subtree in one solver
-  /// pass: every subtree selector is forced false at root level, the
-  /// subtree's guarded clauses, scope-touching learned clauses, and the
-  /// definition clauses of its owned Tseitin layers are evicted, and the
-  /// owned definition variables are recycled. Once retired, a selector
-  /// can never be re-activated; callers that re-verify a retired scope
-  /// must open a fresh one. Returns the number of clauses evicted.
+  /// pass: every subtree selector is forced false at root level and
+  /// released, the subtree's guarded clauses, scope-touching learned
+  /// clauses, and the definition clauses of its owned Tseitin layers are
+  /// evicted, the owned definition variables are recycled, and the
+  /// subtree's node and layer slots are freed. Callers that re-verify a
+  /// retired scope open a fresh one. Returns the number of clauses
+  /// evicted.
   size_t retireScope(ScopeId Scope);
 
-  /// Decides base ∧ ⋀Assumed under a per-call conflict budget (negative =
-  /// unlimited). The \p Assumed formulas hold for this call only; their
-  /// Tseitin encodings, bridge clauses, and any learned clauses are
-  /// retained for future calls. \p ActiveScopes (the selectors of opened
-  /// scopes — a catalog session passes the family, pair and method
-  /// selectors of the method it discharges) widen the countermodel
-  /// vocabulary to those scopes' atoms, and the deepest one's Tseitin
-  /// layer hosts the query encodings.
+  /// Decides base ∧ ⋀Assumed within \p Scope under a per-call conflict
+  /// budget (negative = unlimited): the selectors on \p Scope's path are
+  /// assumed before \p Assumed. The \p Assumed formulas hold for this
+  /// call only; their Tseitin encodings (hosted by \p Scope's layer),
+  /// bridge clauses, and any learned clauses are retained for future
+  /// calls. The countermodel vocabulary widens to the path scopes' atoms.
   SatResult check(const std::vector<ExprRef> &Assumed,
-                  int64_t MaxConflicts = -1,
-                  const std::vector<ExprRef> &ActiveScopes = {});
+                  int64_t MaxConflicts = -1, ScopeId Scope = RootScope);
 
   /// Runs check()'s encoding pipeline — normalization, bridge emission,
   /// scope-layer routing, Tseitin encoding — without the SAT search. The
   /// `semcommute-lint` replay drives sessions through this to audit the
   /// encoding discipline at static-analysis cost.
-  void encodeForAudit(const std::vector<ExprRef> &Assumed,
-                      const std::vector<ExprRef> &ActiveScopes);
+  void encodeForAudit(const std::vector<ExprRef> &Assumed, ScopeId Scope);
+
+  /// The labels of \p Scope's path, outermost first (empty for the root).
+  std::vector<std::string> scopePathLabels(ScopeId Scope) const;
 
   /// --- Bounded long-lived sessions -------------------------------------
   ///
   /// Retired subtree selectors are always *released*: retireScope() folds
   /// each retired scope's pinned-false selector off the trail and
-  /// recycles its variable whenever the scope's cache layer dies with the
-  /// retired subtree — the guarantee that no surviving clause or cache
-  /// entry names it. Epoch-tagged selector naming keeps a released
-  /// selector expression from ever being encoded again. Theory atoms and
-  /// bridges are never released: a session's atom universe is bounded by
-  /// the formulas it is asked about (for the catalog, by the catalog).
+  /// recycles its variable (only guard clauses, learned clauses and
+  /// check() assumptions ever name a selector). Theory atoms and bridges
+  /// are never released: a session's atom universe is bounded by the
+  /// formulas it is asked about (for the catalog, by the catalog).
   /// Statistics: retired selector variables released off the trail,
   /// bridge formulas currently asserted, and their high-water mark.
   int64_t releasedSelectors() const { return Sat.numReleasedSelectors(); }
@@ -272,16 +277,24 @@ public:
   const std::vector<size_t> &lastCoreAssumptionIndices() const {
     return LastCoreIdx;
   }
+  /// After an Unsat check(): the labels of the path scopes whose selectors
+  /// the refutation used, outermost first.
+  const std::vector<std::string> &lastCoreScopeLabels() const {
+    return LastCoreScopes;
+  }
 
 private:
   /// One node of the selector tree.
   struct ScopeNode {
-    ExprRef Selector = nullptr; ///< Null for the root.
+    Lit Selector; ///< Invalid for the root.
     ScopeId Parent = RootScope;
     std::vector<ScopeId> Children;
     Tseitin::LayerId Layer = Tseitin::RootLayer;
     bool OwnsLayer = false;
     bool Alive = true;
+    std::string Label;
+    uint64_t Serial = 0;   ///< Opening order, unique for the session.
+    std::set<ExprRef> Atoms; ///< Boolean atoms of the scope's assertions.
   };
 
   ExprRef normalize(ExprRef E);
@@ -289,9 +302,13 @@ private:
   ExprRef canonicalIntAtom(ExprKind K, ExprRef A, ExprRef B);
   ExprRef eqObj(ExprRef A, ExprRef B);
 
-  /// Deepest registered scope among \p ActiveScopes (its layer hosts the
-  /// query encodings), or RootScope.
-  ScopeId innermostScope(const std::vector<ExprRef> &ActiveScopes) const;
+  /// \p Scope's path from the outermost scope down to \p Scope itself
+  /// (empty for the root).
+  std::vector<ScopeId> pathOf(ScopeId Scope) const;
+  /// The audit name of \p Scope: its label and opening serial.
+  std::string auditName(ScopeId Scope) const;
+  /// Records a Check event over \p Path's audit names.
+  void auditCheck(const std::vector<ScopeId> &Path);
 
   /// Registers the theory atoms of a normalized formula and asserts the
   /// bridge instances that mention at least one newly seen atom. Bridges
@@ -326,12 +343,12 @@ private:
   /// over every atom the warm session has accumulated from earlier,
   /// unrelated queries or other selector scopes.
   std::set<ExprRef> BaseAtoms;
-  std::map<ExprRef, std::set<ExprRef>> ScopedAtoms; ///< Keyed by selector.
 
-  /// The selector tree (node 0 is the root). Nodes are never erased, only
-  /// marked dead, so ScopeIds stay stable for the session's lifetime.
+  /// The selector tree (node 0 is the root). A retired node's slot joins
+  /// FreeScopes and is reused by the next openScope().
   std::vector<ScopeNode> Scopes;
-  std::map<ExprRef, ScopeId> ScopeOf; ///< Live selectors only.
+  std::vector<ScopeId> FreeScopes;
+  uint64_t ScopesOpened = 0;
 
   // High-water marks of the atoms already covered by emitted bridges.
   size_t BridgedObjTerms = 0;
@@ -354,6 +371,7 @@ private:
   int64_t CoreMinSolves = 0;
   std::vector<std::string> LastModel;
   std::vector<size_t> LastCoreIdx;
+  std::vector<std::string> LastCoreScopes;
 };
 
 /// One-shot eager SMT checker: the historical facade, each check() running

@@ -17,8 +17,15 @@ using namespace semcomm;
 Tseitin::LayerId Tseitin::pushLayer(LayerId Parent) {
   assert(Parent < Layers.size() && Layers[Parent].Alive &&
          "pushLayer under a dead parent");
-  Layers.push_back({{}, {}, Parent, true});
-  LayerId Id = static_cast<LayerId>(Layers.size()) - 1;
+  LayerId Id;
+  if (!FreeLayers.empty()) {
+    Id = FreeLayers.back();
+    FreeLayers.pop_back();
+    Layers[Id] = {{}, {}, Parent, true};
+  } else {
+    Layers.push_back({{}, {}, Parent, true});
+    Id = static_cast<LayerId>(Layers.size()) - 1;
+  }
   if (Audit)
     Audit->pushLayer(Id, Parent);
   return Id;
@@ -34,10 +41,8 @@ void Tseitin::dropLayer(LayerId L) {
   assert(L != Active && "dropping the active layer");
   if (Audit)
     Audit->dropLayer(L);
-  Layers[L].Cache.clear();
-  Layers[L].Owned.clear();
-  Layers[L].Owned.shrink_to_fit();
-  Layers[L].Alive = false;
+  Layers[L] = {{}, {}, RootLayer, false};
+  FreeLayers.push_back(L);
 }
 
 Lit Tseitin::freshDefinition() {
@@ -53,9 +58,7 @@ Lit Tseitin::atomLit(ExprRef Atom) {
   if (It != Atoms.end())
     return Lit(It->second, true);
   // Atom vars are global (bridges reference them across scopes), so they
-  // are never layer-owned; they leave the table only through an explicit
-  // releaseAtom() once the SMT layer proves every referencing scope died
-  // (retired selectors only).
+  // are never layer-owned and never leave the table.
   int V = Solver.addVar();
   Atoms.emplace(Atom, V);
   return Lit(V, true);

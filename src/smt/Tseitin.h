@@ -21,10 +21,12 @@
 /// under L or its descendants, retiring a scope subtree may evict every
 /// clause mentioning the subtree layers' owned vars and recycle those
 /// variable indices — the session-level invariant behind
-/// SatSolver::retireScopes(). Atom variables stay global (one table for
-/// the whole solver): they are shared with the theory bridges and keep
-/// their index for the solver's lifetime, except retired selectors, which
-/// the SMT layer releases explicitly once no live clause names them.
+/// SatSolver::retireScopes(). A dropped layer's slot is reused by the next
+/// pushLayer(), so the layer table is bounded by the live scopes. Atom
+/// variables stay global (one table for the whole solver): they are
+/// shared with the theory bridges and keep their index for the solver's
+/// lifetime. Scope selectors are not atoms: the session mints them as
+/// bare solver variables, so no cache entry ever names one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,8 +53,9 @@ public:
     Layers.push_back({{}, {}, RootLayer, true});
   }
 
-  /// Opens a new cache layer under \p Parent and returns its id. The layer
-  /// does not become active until setActiveLayer().
+  /// Opens a new cache layer under \p Parent and returns its id (a dropped
+  /// layer's id when one is free). The layer does not become active until
+  /// setActiveLayer().
   LayerId pushLayer(LayerId Parent);
   /// Routes subsequent encode() inserts (and owned-var recording) to \p L.
   void setActiveLayer(LayerId L);
@@ -63,8 +66,8 @@ public:
     return Layers[L].Owned;
   }
   /// Forgets a layer's cache and owned list (the caller retires the vars
-  /// through the solver first). The layer must not be active and must have
-  /// no live children.
+  /// through the solver first) and frees its id for reuse. The layer must
+  /// not be active and must have no live children.
   void dropLayer(LayerId L);
 
   /// Returns a literal equisatisfiably representing \p E. Cache lookups
@@ -77,18 +80,6 @@ public:
 
   /// The atom map: every non-propositional boolean leaf and its variable.
   const std::map<ExprRef, int> &atoms() const { return Atoms; }
-
-  /// Erases \p Atom's global atom-map entry and returns true when one was
-  /// present. Only legal after the variable has been retired through the
-  /// solver (its index recycled or about to be): atom vars are global
-  /// precisely because bridges and scoped encodings may reference them, so
-  /// the caller must guarantee no live clause and no live cache layer
-  /// still names the variable. The SMT layer's selector release provides
-  /// that guarantee (the selector's cache layer died with its subtree, and
-  /// epoch-tagged selector names); with the entry gone, a future encode of
-  /// the same expression allocates a fresh variable instead of aliasing
-  /// the recycled index.
-  bool releaseAtom(ExprRef Atom) { return Atoms.erase(Atom) != 0; }
 
   /// Attaches a discipline event log (lint replays record layer pushes,
   /// definition creations, and cache references through it). Not owned.
@@ -125,6 +116,7 @@ private:
 
   SatSolver &Solver;
   std::vector<Layer> Layers;
+  std::vector<LayerId> FreeLayers; ///< Dropped layer ids, reused LIFO.
   LayerId Active = RootLayer;
   std::map<ExprRef, int> Atoms;
   audit::Log *Audit = nullptr; ///< Optional discipline event log.

@@ -10,7 +10,7 @@
 /// Pins down the static-audit satellite: the shipped catalog must lint
 /// clean with full coverage counters, each seeded violation must yield
 /// exactly one finding with its documented code, and the audit-stream
-/// analyzer's individual rules (ancestor-chain references, selector
+/// analyzer's individual rules (ancestor-chain references, scope-name
 /// reuse-after-retire, use-after-retire) must fire on hand-built streams.
 ///
 //===----------------------------------------------------------------------===//
@@ -18,6 +18,7 @@
 #include "lint/Lint.h"
 #include "logic/ExprFactory.h"
 #include "smt/SessionAudit.h"
+#include "smt/SmtSolver.h"
 
 #include <gtest/gtest.h>
 
@@ -139,20 +140,20 @@ TEST(LintTest, SiblingReferenceIsScope01) {
 
 TEST(LintTest, SelectorReuseIsScope02) {
   audit::Log L;
-  L.openScope("sel:pair");
-  L.retire("sel:pair");
-  L.openScope("sel:pair"); // Retired selectors never come back.
+  L.openScope("pair:p#1");
+  L.retire("pair:p#1");
+  L.openScope("pair:p#1"); // Retired scope names never come back.
   std::vector<Finding> F = checkAuditLog(L);
   ASSERT_EQ(codesOf(F), std::vector<std::string>{"SCOPE02"});
 }
 
 TEST(LintTest, UseAfterRetireIsScope03) {
   audit::Log L;
-  L.openScope("sel:a");
-  L.openScope("sel:b");
-  L.retire("sel:a");
-  L.assertInScope("sel:a");  // Assert into a retired scope.
-  L.check({"sel:a", "sel:b"}); // Check activating a retired scope.
+  L.openScope("sel:a#1");
+  L.openScope("sel:b#2");
+  L.retire("sel:a#1");
+  L.assertInScope("sel:a#1");      // Assert into a retired scope.
+  L.check({"sel:a#1", "sel:b#2"}); // Check activating a retired scope.
   std::vector<Finding> F = checkAuditLog(L);
   ASSERT_EQ(F.size(), 2u);
   EXPECT_EQ(F[0].Code, "SCOPE03");
@@ -161,14 +162,38 @@ TEST(LintTest, UseAfterRetireIsScope03) {
 
 TEST(LintTest, CleanScriptHasNoFindings) {
   audit::Log L;
-  L.openScope("sel:fam");
-  L.openScope("sel:pair");
-  L.assertInScope("sel:pair");
-  L.check({"sel:fam", "sel:pair"});
-  L.retire("sel:pair");
-  L.openScope("sel:pair@2"); // Epoch-suffixed re-open: a fresh name.
-  L.check({"sel:fam", "sel:pair@2"});
+  L.openScope("fam:f#1");
+  L.openScope("pair:p#2");
+  L.assertInScope("pair:p#2");
+  L.check({"fam:f#1", "pair:p#2"});
+  L.retire("pair:p#2");
+  L.openScope("pair:p#3"); // A re-open has a fresh serial: a fresh name.
+  L.check({"fam:f#1", "pair:p#3"});
   EXPECT_TRUE(checkAuditLog(L).empty());
+}
+
+TEST(LintTest, SessionReopenOfALabelIsClean) {
+  // A real session re-opening a retired scope's label: the audit names
+  // differ by their opening serial, and the re-opened scope's Tseitin
+  // layer reuses the dropped layer's id, so the replay stays clean.
+  ExprFactory F;
+  SmtSession S(F);
+  audit::Log L;
+  S.setAuditLog(&L);
+  ExprRef X = F.var("lint_x", Sort::Bool), Y = F.var("lint_y", Sort::Bool);
+  for (int I = 0; I != 2; ++I) {
+    SmtSession::ScopeId Pair =
+        S.openScope(SmtSession::RootScope, /*OwnLayer=*/true, "pair:p");
+    S.assertInScope(Pair, F.disj({X, Y}));
+    S.encodeForAudit({F.disj({X, Y})}, Pair);
+    S.retireScope(Pair);
+  }
+  EXPECT_TRUE(checkAuditLog(L).empty());
+  std::vector<std::string> Opened;
+  for (const audit::Event &E : L.Events)
+    if (E.Kind == audit::EventKind::OpenScope)
+      Opened.push_back(E.Scope);
+  EXPECT_EQ(Opened, (std::vector<std::string>{"pair:p#1", "pair:p#2"}));
 }
 
 //===----------------------------------------------------------------------===//

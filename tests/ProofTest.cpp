@@ -262,14 +262,14 @@ TEST(CertifiedSessionTest, ScopeRetirementKeepsTraceCheckable) {
   ExprRef Y = F.var("y", Sort::Bool);
   S.assertBase(F.implies(X, Y));
 
-  ExprRef Sel = F.var("__sel_scope1", Sort::Bool);
   SmtSession::ScopeId Scope =
-      S.openScope(Sel, SmtSession::RootScope, /*OwnLayer=*/true);
+      S.openScope(SmtSession::RootScope, /*OwnLayer=*/true, "scope");
   S.assertInScope(Scope, F.lnot(Y));
   S.setProofTag("scoped");
-  EXPECT_EQ(S.check({Sel, X}, /*MaxConflicts=*/-1, {Sel}), SatResult::Unsat);
+  EXPECT_EQ(S.check({X}, /*MaxConflicts=*/-1, Scope), SatResult::Unsat);
 
   S.retireScope(Scope);
+  EXPECT_EQ(S.releasedSelectors(), 1); // The selector's unit is deleted.
 
   S.setProofTag("after-retire");
   EXPECT_EQ(S.check({X, F.lnot(Y)}), SatResult::Unsat);
@@ -290,12 +290,11 @@ TEST(CertifiedSessionTest, MutatedTraceSkippingOneDeletionFails) {
   ExprRef X = F.var("x", Sort::Bool);
   ExprRef Y = F.var("y", Sort::Bool);
   S.assertBase(F.implies(X, Y));
-  ExprRef Sel = F.var("__sel_mut", Sort::Bool);
   SmtSession::ScopeId Scope =
-      S.openScope(Sel, SmtSession::RootScope, /*OwnLayer=*/true);
+      S.openScope(SmtSession::RootScope, /*OwnLayer=*/true, "scope");
   S.assertInScope(Scope, F.lnot(Y));
   S.setProofTag("pre");
-  EXPECT_EQ(S.check({Sel, X}, -1, {Sel}), SatResult::Unsat);
+  EXPECT_EQ(S.check({X}, -1, Scope), SatResult::Unsat);
   S.retireScope(Scope); // Emits Delete (and possibly Recycle) steps.
   S.setProofTag("post");
   EXPECT_EQ(S.check({X, F.lnot(Y)}), SatResult::Unsat);
@@ -331,12 +330,11 @@ TEST(CertifiedSessionTest, PermutedTraceFails) {
   ExprRef A = F.var("a", Sort::Bool);
   ExprRef B = F.var("b", Sort::Bool);
   S.assertBase(F.implies(A, B));
-  ExprRef Sel = F.var("__sel_perm", Sort::Bool);
   SmtSession::ScopeId Scope =
-      S.openScope(Sel, SmtSession::RootScope, /*OwnLayer=*/true);
+      S.openScope(SmtSession::RootScope, /*OwnLayer=*/true, "scope");
   S.assertInScope(Scope, F.lnot(B));
   S.setProofTag("q");
-  EXPECT_EQ(S.check({Sel, A}, -1, {Sel}), SatResult::Unsat);
+  EXPECT_EQ(S.check({A}, -1, Scope), SatResult::Unsat);
   S.retireScope(Scope);
 
   ASSERT_NE(S.proofTrace(), nullptr);

@@ -352,6 +352,42 @@ TEST(ServiceTest, LivePeaksPlateauAcrossPasses) {
   EXPECT_GT(shardStats(Svc).Session.ReleasedSelectors, 0u);
 }
 
+// Repeated traffic interns nothing: once a warm full catalog pass has
+// planned every pair, a second full pass with one request per drain (so
+// every request opens and retires its own pair scope) and 2000 more
+// requests for one pair leave the shared factory's node count unchanged.
+// Selectors are solver variables the session mints, not expressions.
+TEST(ServiceTest, RepeatedTrafficInternsNothing) {
+  ExprFactory F;
+  Catalog C(F);
+  std::vector<const Family *> Fams = families({"all"});
+  ShardedVerifyService Svc(C, Fams, oneShard());
+  std::vector<ServiceRequest> Pass = allRequests(C, Fams);
+  std::string Error;
+
+  for (const ServiceRequest &R : Pass)
+    ASSERT_TRUE(Svc.submit(R, Error)) << Error;
+  for (const ServiceVerdict &V : Svc.drain())
+    EXPECT_TRUE(V.verified()) << keyOf(V.Req);
+  size_t Warm = F.numNodes();
+  uint64_t Groups = shardStats(Svc).PairGroups;
+
+  for (const ServiceRequest &R : Pass) {
+    ASSERT_TRUE(Svc.submit(R, Error)) << Error;
+    for (const ServiceVerdict &V : Svc.drain())
+      EXPECT_TRUE(V.verified()) << keyOf(V.Req);
+  }
+  EXPECT_EQ(F.numNodes(), Warm) << "second pass interned nodes";
+
+  for (int I = 0; I != 2000; ++I) {
+    ASSERT_TRUE(Svc.submit(Pass[I % 3], Error)) << Error;
+    Svc.drain();
+  }
+  EXPECT_EQ(F.numNodes(), Warm) << "one-pair traffic interned nodes";
+  // Every request of both steps opened its own pair scope.
+  EXPECT_EQ(shardStats(Svc).PairGroups, Groups + Pass.size() + 2000);
+}
+
 TEST(ServiceTest, SnapshotRoundTripsAndResumesServing) {
   ExprFactory F;
   Catalog C(F);

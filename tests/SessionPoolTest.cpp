@@ -525,11 +525,33 @@ TEST(CatalogSessionTest, FamilyScopesIsolateAndSubtreeRetire) {
   EXPECT_TRUE(Sess.session().solver().reasonInvariantHolds());
 
   // demoB still verifies after demoA's subtree retirement; demoA
-  // re-opens under a fresh epoch and verifies again.
+  // re-opens as a fresh scope and verifies again.
   SymbolicResult R3, R4;
   EXPECT_TRUE(Sess.discharge(1, "p", Neg, R3));
   EXPECT_TRUE(Sess.discharge(0, "p", Pos, R4));
   EXPECT_EQ(Sess.stats().FamiliesOpened, 3u);
+}
+
+TEST(CatalogSessionTest, CountermodelsNameNoSelector) {
+  // A failed proof's countermodel lists state atoms only. Selectors are
+  // solver variables the session mints, not atoms, so no family, pair or
+  // method selector can appear in it (a family selector once leaked in
+  // as "__fam_famA").
+  PoolFixture &Fx = fixture();
+  ExprRef X = Fx.F.var("x", Sort::Obj), Y = Fx.F.var("y", Sort::Obj);
+  CatalogPlan CP;
+  CP.Families.resize(2);
+  CP.Families[0].FamilyName = "famA";
+  CP.Families[1].FamilyName = "famB";
+  CatalogSession Sess(Fx.F, CP, /*Budget=*/-1);
+
+  MethodPlan Plan;
+  Plan.Name = "m";
+  Plan.Splits.push_back(VcSplit{{{Fx.F.eq(X, Y), "x-eq-y"}}, ""});
+  SymbolicResult R;
+  EXPECT_FALSE(Sess.discharge(0, "p", Plan, R));
+  EXPECT_EQ(R.LastOutcome, SatResult::Sat);
+  EXPECT_EQ(R.Countermodel, "x = y; ");
 }
 
 TEST(SymbolicEngineTest, VerifyCatalogMatchesSharedPairOnWholeCatalog) {

@@ -78,7 +78,7 @@ TEST(ShardedServiceTest, PrefixImageByteIdenticalAcrossIndependentBuilds) {
 // A shard that *loads* the prefix image serves the same verdicts, in the
 // same order, as the shard that encoded the prefix from scratch — over
 // the full request universe, twice (the second pass crosses scope
-// retirement and re-open epochs). The two shards are driven directly,
+// retirement and re-opening). The two shards are driven directly,
 // over one catalog plan.
 TEST(ShardedServiceTest, PrefixImportMatchesScratchEncoding) {
   ExprFactory F;

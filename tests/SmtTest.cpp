@@ -462,16 +462,18 @@ TEST(SatSolverScopeRetire, EvictsScopeClausesAndPreservesAnswers) {
   // Retiring A's scope drops its gated problem clauses (root-satisfied via
   // ~selA) and every learned clause touching the scope.
   size_t Before = S.numClauses();
-  size_t Evicted = S.retireScope(SelA, {});
+  size_t Evicted = S.retireScopes({SelA}, {});
   EXPECT_GT(Evicted, 0u);
   EXPECT_EQ(S.numClauses(), Before - Evicted);
   EXPECT_EQ(S.numScopeRetirements(), 1);
   EXPECT_EQ(S.numEvictedClauses(), static_cast<int64_t>(Evicted));
   EXPECT_TRUE(S.reasonInvariantHolds());
 
-  // The retired selector is permanently false; B's scope is untouched.
-  EXPECT_EQ(S.solve({SelA}), SatResult::Unsat);
-  EXPECT_EQ(S.unsatCore().size(), 1u);
+  // Nothing mentions the retired selector any more, so it is released:
+  // its pinned-false unit leaves the trail and its index is free. B's
+  // scope is untouched.
+  EXPECT_EQ(S.numReleasedSelectors(), 1);
+  EXPECT_TRUE(S.varStateIsClean(SelA.var()));
   EXPECT_EQ(S.solve({SelB}), SatResult::Unsat);
   EXPECT_EQ(S.solve(), SatResult::Sat);
   EXPECT_TRUE(S.reasonInvariantHolds());
@@ -490,7 +492,7 @@ TEST(SatSolverScopeRetire, DropsLearnedClausesOfScopeVars) {
   for (const auto &Row : Var)
     for (int V : Row)
       ScopeVars.push_back(V);
-  S.retireScope(Sel, ScopeVars);
+  S.retireScopes({Sel}, ScopeVars);
   EXPECT_TRUE(S.reasonInvariantHolds());
   EXPECT_EQ(S.numClauses(), 0u); // Everything was gated or learned.
   EXPECT_EQ(S.solve(), SatResult::Sat);
@@ -518,12 +520,11 @@ TEST(SatSolverScopeRetire, SubtreeRetiresInOnePass) {
   EXPECT_EQ(S.numScopeRetirements(), RetireCallsBefore + 1);
   EXPECT_TRUE(S.reasonInvariantHolds());
 
-  // All three subtree selectors are permanently false; the unrelated
-  // scope still refutes.
-  for (Lit Sel : {Outer, Inner1, Inner2}) {
-    EXPECT_EQ(S.solve({Sel}), SatResult::Unsat);
-    EXPECT_EQ(S.unsatCore().size(), 1u);
-  }
+  // All three subtree selectors are released; the unrelated scope still
+  // refutes.
+  EXPECT_EQ(S.numReleasedSelectors(), 3);
+  for (Lit Sel : {Outer, Inner1, Inner2})
+    EXPECT_TRUE(S.varStateIsClean(Sel.var()));
   EXPECT_EQ(S.solve({Other}), SatResult::Unsat);
   EXPECT_EQ(S.solve(), SatResult::Sat);
 }
@@ -542,12 +543,15 @@ TEST(SatSolverVarRecycling, RecycledIndicesResetActivityPhaseAndWatches) {
       ScopeVars.push_back(V);
   int AllocatedBefore = S.numVars();
   S.retireScopes({Sel}, ScopeVars);
-  EXPECT_EQ(S.numRecycledVars(), static_cast<int64_t>(ScopeVars.size()));
+  // The scope vars recycle, and the released selector with them.
+  size_t Freed = ScopeVars.size() + 1;
+  EXPECT_EQ(S.numRecycledVars(), static_cast<int64_t>(Freed));
+  EXPECT_EQ(S.numReleasedSelectors(), 1);
   EXPECT_EQ(S.numLiveVars(), AllocatedBefore - S.numRecycledVars());
 
   // addVar() drains the free list: indices are reused (the array does not
   // grow) and every reused index presents clean search state.
-  for (size_t I = 0; I != ScopeVars.size(); ++I) {
+  for (size_t I = 0; I != Freed; ++I) {
     int V = S.addVar();
     EXPECT_LE(V, AllocatedBefore) << I;
     EXPECT_TRUE(S.varStateIsClean(V)) << V;
@@ -693,55 +697,57 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SatVarRecycleFuzzTest,
 TEST(SmtSessionTest, ScopeTreeSubtreeRetireRecyclesDefinitionVars) {
   // A three-level scope tree (family -> pair -> method): retiring the
   // interior (pair) node retires the method scope with it, evicts the
-  // pair layer's Tseitin definitions, and recycles their variables so a
-  // re-opened scope reuses the indices instead of growing the solver.
+  // pair layer's Tseitin definitions, releases both selectors, and
+  // recycles their variables so a re-opened scope reuses the indices
+  // instead of growing the solver.
   ExprFactory F;
   SmtSession S(F);
-  ExprRef FamSel = F.var("tree_fam", Sort::Bool);
-  ExprRef PairSel = F.var("tree_pair", Sort::Bool);
-  ExprRef MSel = F.var("tree_m", Sort::Bool);
   ExprRef X = F.var("tree_x", Sort::Bool), Y = F.var("tree_y", Sort::Bool),
           Z = F.var("tree_z", Sort::Bool);
 
   SmtSession::ScopeId Fam =
-      S.openScope(FamSel, SmtSession::RootScope, /*OwnLayer=*/true);
-  SmtSession::ScopeId Pair = S.openScope(PairSel, Fam, /*OwnLayer=*/true);
-  SmtSession::ScopeId M = S.openScope(MSel, Pair, /*OwnLayer=*/false);
+      S.openScope(SmtSession::RootScope, /*OwnLayer=*/true, "fam:t");
+  SmtSession::ScopeId Pair = S.openScope(Fam, /*OwnLayer=*/true, "pair:t");
+  SmtSession::ScopeId M = S.openScope(Pair, /*OwnLayer=*/false, "sel:t");
   S.assertInScope(Fam, F.disj({X, Y}));
   S.assertInScope(Pair, F.implies(X, Z));
   S.assertInScope(M, F.conj({X, F.lnot(Y)}));
-  // Under the whole path, x ∧ ¬y ∧ (x->z) refutes ¬z.
-  ASSERT_EQ(S.check({FamSel, PairSel, MSel, F.lnot(Z)}, -1,
-                    {FamSel, PairSel, MSel}),
-            SatResult::Unsat);
+  // Under the whole path, x ∧ ¬y ∧ (x->z) refutes ¬z. The core names
+  // every path scope: each guard clause carries its ancestors' selectors.
+  ASSERT_EQ(S.check({F.lnot(Z)}, -1, M), SatResult::Unsat);
+  EXPECT_EQ(S.lastCoreScopeLabels(),
+            (std::vector<std::string>{"fam:t", "pair:t", "sel:t"}));
+  EXPECT_EQ(S.lastCoreAssumptionIndices(), std::vector<size_t>{0});
+  EXPECT_EQ(S.scopePathLabels(M),
+            (std::vector<std::string>{"fam:t", "pair:t", "sel:t"}));
 
   int LiveBefore = S.liveVars();
   size_t Evicted = S.retireScope(Pair);
   EXPECT_GT(Evicted, 0u);
   EXPECT_GT(S.recycledVars(), 0);
+  EXPECT_EQ(S.releasedSelectors(), 2);
   EXPECT_LT(S.liveVars(), LiveBefore);
   EXPECT_TRUE(S.solver().reasonInvariantHolds());
   EXPECT_EQ(S.scopeRetirements(), 1);
 
   // The family scope survives; the retired subtree is gone, so the same
   // query without its prefix is satisfiable again.
-  EXPECT_EQ(S.check({FamSel, F.lnot(Z)}, -1, {FamSel}), SatResult::Sat);
+  EXPECT_EQ(S.check({F.lnot(Z)}, -1, Fam), SatResult::Sat);
 
   // Re-opening a fresh pair scope re-asserts the content, reusing the
-  // recycled indices: the variable array does not grow past its peak.
+  // recycled indices (its selector included) and the freed node slot:
+  // the variable array does not grow.
   int AllocAfterRetire = S.solver().numVars();
-  ExprRef PairSel2 = F.var("tree_pair2", Sort::Bool);
-  SmtSession::ScopeId Pair2 = S.openScope(PairSel2, Fam, /*OwnLayer=*/true);
+  SmtSession::ScopeId Pair2 = S.openScope(Fam, /*OwnLayer=*/true, "pair:t");
+  EXPECT_TRUE(Pair2 == Pair || Pair2 == M);
   S.assertInScope(Pair2, F.implies(X, Z));
   S.assertInScope(Pair2, F.conj({X, F.lnot(Y)}));
-  EXPECT_EQ(S.check({FamSel, PairSel2, F.lnot(Z)}, -1, {FamSel, PairSel2}),
-            SatResult::Unsat);
-  // Allowance: the fresh selector atom may claim one new slot; the
-  // definition vars all come from the free list.
-  EXPECT_LE(S.solver().numVars(), AllocAfterRetire + 1);
+  EXPECT_EQ(S.check({F.lnot(Z)}, -1, Pair2), SatResult::Unsat);
+  EXPECT_LE(S.solver().numVars(), AllocAfterRetire);
 
   // Retiring the family retires the re-opened pair subtree with it.
   S.retireScope(Fam);
+  EXPECT_EQ(S.releasedSelectors(), 4);
   EXPECT_TRUE(S.solver().reasonInvariantHolds());
   EXPECT_EQ(S.check({F.lnot(Z)}), SatResult::Sat);
 }
@@ -749,18 +755,15 @@ TEST(SmtSessionTest, ScopeTreeSubtreeRetireRecyclesDefinitionVars) {
 TEST(SmtSessionTest, RetireScopeEvictsAndReVerifies) {
   ExprFactory F;
   SmtSession S(F);
-  ExprRef PairSel = F.var("pair_sel", Sort::Bool);
-  ExprRef MSel = F.var("m_sel", Sort::Bool);
   ExprRef X = F.var("retire_x", Sort::Bool);
   ExprRef Y = F.var("retire_y", Sort::Bool);
 
-  SmtSession::ScopeId Pair = S.openScope(PairSel);
-  SmtSession::ScopeId M = S.openScope(MSel, Pair);
+  SmtSession::ScopeId Pair = S.openScope();
+  SmtSession::ScopeId M = S.openScope(Pair);
   S.assertInScope(Pair, X);
   S.assertInScope(M, F.implies(X, Y));
   // Under both selectors, x holds and x->y holds, so ~y is refuted.
-  ASSERT_EQ(S.check({PairSel, MSel, F.lnot(Y)}, -1, {PairSel, MSel}),
-            SatResult::Unsat);
+  ASSERT_EQ(S.check({F.lnot(Y)}, -1, M), SatResult::Unsat);
 
   size_t Retained = S.retainedClauses();
   size_t Evicted = S.retireScope(Pair); // The method scope goes with it.
@@ -771,12 +774,39 @@ TEST(SmtSessionTest, RetireScopeEvictsAndReVerifies) {
 
   // The scope is gone: without its prefix, ~y is satisfiable again.
   EXPECT_EQ(S.check({F.lnot(Y)}), SatResult::Sat);
-  // A fresh selector re-asserts the same content and verifies again.
-  ExprRef PairSel2 = F.var("pair_sel2", Sort::Bool);
-  SmtSession::ScopeId Pair2 = S.openScope(PairSel2);
+  // A fresh scope re-asserts the same content and verifies again.
+  SmtSession::ScopeId Pair2 = S.openScope();
   S.assertInScope(Pair2, X);
   S.assertInScope(Pair2, F.implies(X, Y));
-  EXPECT_EQ(S.check({PairSel2, F.lnot(Y)}, -1, {PairSel2}), SatResult::Unsat);
+  EXPECT_EQ(S.check({F.lnot(Y)}, -1, Pair2), SatResult::Unsat);
+}
+
+TEST(SmtSessionTest, ReopenedScopesInternNothing) {
+  // Opening, asserting into, checking and retiring a scope interns no
+  // expression once its formulas have been seen: selectors are solver
+  // variables, and guard clauses replace implication wrappers. Node and
+  // layer slots are reused, so neither table grows with the re-opens.
+  ExprFactory F;
+  SmtSession S(F);
+  ExprRef X = F.var("reopen_x", Sort::Bool);
+  ExprRef Y = F.var("reopen_y", Sort::Bool);
+  auto Cycle = [&] {
+    SmtSession::ScopeId Pair = S.openScope(SmtSession::RootScope,
+                                           /*OwnLayer=*/true, "pair:r");
+    SmtSession::ScopeId M = S.openScope(Pair, /*OwnLayer=*/false, "sel:r");
+    S.assertInScope(Pair, F.disj({X, Y}));
+    S.assertInScope(M, F.lnot(Y));
+    EXPECT_EQ(S.check({F.lnot(X)}, -1, M), SatResult::Unsat);
+    S.retireScope(Pair);
+  };
+  Cycle();
+  size_t Nodes = F.numNodes();
+  int Vars = S.solver().numVars();
+  for (int I = 0; I != 50; ++I)
+    Cycle();
+  EXPECT_EQ(F.numNodes(), Nodes);
+  EXPECT_EQ(S.solver().numVars(), Vars);
+  EXPECT_EQ(S.releasedSelectors(), 2 * 51);
 }
 
 // --- Core-minimizing restarts -------------------------------------------------

@@ -84,6 +84,7 @@ void printUsage(const char *Argv0) {
       "                    mismatch\n"
       "  --assert-plateau  with --passes >= 3: fail unless pass 3's peak\n"
       "                    live vars/clauses/bridges are <= 1.05x pass 2's\n"
+      "                    and pass 3 interned no expression node\n"
       "  --snapshot FILE   write the service image (config, families,\n"
       "                    counters, verdict log) to FILE on exit\n"
       "  --reload FILE     restore a service image before serving; its\n"
@@ -132,15 +133,19 @@ struct PassPeaks {
   uint64_t PeakLiveVars = 0;
   uint64_t PeakLiveClauses = 0;
   uint64_t PeakLiveBridges = 0;
+  /// Expression nodes interned in the shared factory at the pass's end.
+  uint64_t ExprNodes = 0;
 };
 
-PassPeaks peaksOf(const ServiceStats &S, uint64_t Requests, double Millis) {
+PassPeaks peaksOf(const ServiceStats &S, const ExprFactory &F,
+                  uint64_t Requests, double Millis) {
   PassPeaks P;
   P.Requests = Requests;
   P.Millis = Millis;
   P.PeakLiveVars = S.Session.PeakLiveVars;
   P.PeakLiveClauses = S.Session.PeakLiveClauses;
   P.PeakLiveBridges = S.Session.PeakLiveBridges;
+  P.ExprNodes = F.numNodes();
   return P;
 }
 
@@ -355,8 +360,8 @@ int main(int argc, char **argv) {
         Svc.drain();
     }
     Svc.drain();
-    PassStats.push_back(
-        peaksOf(aggregateStats(Svc.stats()), Submitted, Window.millis()));
+    PassStats.push_back(peaksOf(aggregateStats(Svc.stats()), F, Submitted,
+                                Window.millis()));
   } else {
     // Full catalog passes: one drain per pass; per-pass peaks restart so
     // the plateau criterion compares passes, not the cumulative maximum.
@@ -370,18 +375,22 @@ int main(int argc, char **argv) {
           return 2;
         }
       Svc.drain();
-      PassStats.push_back(peaksOf(aggregateStats(Svc.stats()),
+      PassStats.push_back(peaksOf(aggregateStats(Svc.stats()), F,
                                   PassReqs.size(), PassTimer.millis()));
       if (!Quiet)
         std::printf("pass %ld: %zu requests, %.1f ms, peak live "
-                    "vars=%llu clauses=%llu bridges=%llu\n",
+                    "vars=%llu clauses=%llu bridges=%llu, %llu expr "
+                    "nodes\n",
                     P + 1, PassReqs.size(), PassStats.back().Millis,
                     (unsigned long long)PassStats.back().PeakLiveVars,
                     (unsigned long long)PassStats.back().PeakLiveClauses,
-                    (unsigned long long)PassStats.back().PeakLiveBridges);
+                    (unsigned long long)PassStats.back().PeakLiveBridges,
+                    (unsigned long long)PassStats.back().ExprNodes);
     }
   }
   double TotalMillis = Total.millis();
+  // Read before --check-verdicts plans its reference run in the factory.
+  uint64_t ExprNodes = F.numNodes();
 
   int Exit = 0;
   ShardedServiceStats SS = Svc.stats();
@@ -427,8 +436,16 @@ int main(int argc, char **argv) {
                    (unsigned long long)P2.PeakLiveClauses,
                    (unsigned long long)P2.PeakLiveBridges);
       Exit = 1;
+    } else if (P3.ExprNodes > P2.ExprNodes) {
+      std::fprintf(stderr,
+                   "plateau violated: pass %zu interned %llu expression "
+                   "nodes\n",
+                   PassStats.size(),
+                   (unsigned long long)(P3.ExprNodes - P2.ExprNodes));
+      Exit = 1;
     } else if (!Quiet) {
-      std::printf("plateau holds: pass %zu within 1.05x of pass %zu\n",
+      std::printf("plateau holds: pass %zu within 1.05x of pass %zu, no "
+                  "expression node interned\n",
                   PassStats.size(), PassStats.size() - 1);
     }
   }
@@ -522,6 +539,7 @@ int main(int argc, char **argv) {
     SetU("released_selectors", S.Session.ReleasedSelectors);
     SetU("live_bridges", S.Session.LiveBridges);
     SetU("peak_live_bridges", S.Session.PeakLiveBridges);
+    SetU("expr_nodes", ExprNodes);
     J.set("session", std::move(Sess));
     json::Value PassArr = json::Value::array();
     for (const PassPeaks &P : PassStats) {
@@ -535,6 +553,8 @@ int main(int argc, char **argv) {
                                        static_cast<int64_t>(P.PeakLiveClauses)));
       Row.set("peak_live_bridges", json::Value::integer(
                                        static_cast<int64_t>(P.PeakLiveBridges)));
+      Row.set("expr_nodes",
+              json::Value::integer(static_cast<int64_t>(P.ExprNodes)));
       PassArr.push(std::move(Row));
     }
     J.set("pass_stats", std::move(PassArr));
