@@ -9,9 +9,17 @@
 #include "proof/ProofChecker.h"
 
 #include <cstdlib>
+#include <functional>
 
 using namespace semcomm;
 using namespace semcomm::proof;
+
+size_t ProofChecker::KeyHash::operator()(const std::vector<int> &Key) const {
+  size_t H = Key.size();
+  for (int L : Key)
+    H ^= std::hash<int>()(L) + 0x9e3779b97f4a7c15ULL + (H << 6) + (H >> 2);
+  return H;
+}
 
 int8_t ProofChecker::valueOf(int L) const {
   int V = std::abs(L);
@@ -41,11 +49,10 @@ int ProofChecker::tryAssign(int L) {
 
 bool ProofChecker::propagateFrom(size_t From) {
   for (size_t Head = From; Head < RootTrail.size(); ++Head) {
-    int L = RootTrail[Head];
-    auto It = Occ.find(-L);
-    if (It == Occ.end())
+    size_t Code = litCode(-RootTrail[Head]);
+    if (Code >= Occ.size())
       continue;
-    for (size_t CI : It->second) {
+    for (size_t CI : Occ[Code]) {
       if (!DB[CI].Alive)
         continue;
       int Unassigned = 0, UnitLit = 0;
@@ -133,8 +140,12 @@ void ProofChecker::addClause(const std::vector<int> &Lits) {
   size_t CI = DB.size();
   DB.push_back({Lits, true});
   ++AliveClauses;
-  for (int L : Lits)
-    Occ[L].push_back(CI);
+  for (int L : Lits) {
+    size_t Code = litCode(L);
+    if (Code >= Occ.size())
+      Occ.resize((Code | 1) + 1);
+    Occ[Code].push_back(CI);
+  }
   std::vector<int> Key = Lits;
   std::sort(Key.begin(), Key.end());
   ByKey[std::move(Key)].push_back(CI);
@@ -197,10 +208,10 @@ std::string ProofChecker::removeClause(const std::vector<int> &Lits) {
 
 bool ProofChecker::varOccursAlive(int Var) {
   for (int L : {Var, -Var}) {
-    auto It = Occ.find(L);
-    if (It == Occ.end())
+    size_t Code = litCode(L);
+    if (Code >= Occ.size())
       continue;
-    auto &List = It->second;
+    std::vector<size_t> &List = Occ[Code];
     size_t Keep = 0;
     bool Found = false;
     for (size_t CI : List) {

@@ -51,6 +51,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace semcomm {
@@ -88,10 +89,15 @@ private:
 
   // -- database ----------------------------------------------------------
   std::vector<CClause> DB;
-  /// Literal -> indices of clauses containing it (lazily cleaned).
-  std::map<int, std::vector<size_t>> Occ;
+  /// Hash of a sorted-literal key.
+  struct KeyHash {
+    size_t operator()(const std::vector<int> &Key) const;
+  };
+  /// Literal code (litCode) -> indices of clauses containing the literal
+  /// (lazily cleaned).
+  std::vector<std::vector<size_t>> Occ;
   /// Sorted-literal key -> alive clause indices (Delete matching).
-  std::map<std::vector<int>, std::vector<size_t>> ByKey;
+  std::unordered_map<std::vector<int>, std::vector<size_t>, KeyHash> ByKey;
   /// Explicit unit records per literal (input units, derived units, the
   /// pre-retirement trail dump). Deleting a unit decrements; at zero the
   /// literal loses its axiomatic support.
@@ -107,6 +113,11 @@ private:
   bool RootDirty = false;      ///< A deletion may have shrunk the fixpoint.
   bool HasEmptyInput = false;  ///< An empty Input clause was logged.
 
+  /// Dense index of a literal: 2v for v, 2v+1 for ~v.
+  static size_t litCode(int L) {
+    return L > 0 ? 2 * static_cast<size_t>(L)
+                 : 2 * static_cast<size_t>(-L) + 1;
+  }
   int8_t valueOf(int Lit) const;
   void ensureVar(int Var);
   /// Assigns \p L onto RootTrail: 0 = newly assigned, 1 = already true,

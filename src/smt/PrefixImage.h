@@ -26,7 +26,9 @@
 ///    definition cache and owned-variable list;
 ///  * the theory registries (object terms, membership atoms, canonical
 ///    integer atoms with their linear-form metadata) and the bridge
-///    watermarks, so an importing session emits no duplicate bridges;
+///    watermarks, so an importing session emits no duplicate bridges (its
+///    table of pairwise equality literals is not captured: the importer
+///    refills it from the object terms when its first new term arrives);
 ///  * the base-atom vocabulary for countermodel reporting.
 ///
 //===----------------------------------------------------------------------===//

@@ -201,23 +201,53 @@ void SmtSession::collectTheoryAtoms(ExprRef E) {
     collectTheoryAtoms(Op);
 }
 
-void SmtSession::emitNewBridges() {
-  std::vector<ExprRef> Bridges;
+void SmtSession::addBridgeClause(
+    std::initializer_list<std::pair<ExprRef, bool>> Atoms) {
+  std::vector<Lit> C;
+  for (auto [Atom, Positive] : Atoms) {
+    if (Atom->kind() == ExprKind::ConstBool) {
+      if (Atom->boolValue() == Positive)
+        return; // A true literal satisfies the clause.
+      continue;  // A false one drops out.
+    }
+    // eqObj returns a formula only for an object ITE under a map key or a
+    // set element, which the engines' fragment never produces.
+    assert((Atom->kind() == ExprKind::Eq || Atom->kind() == ExprKind::Var ||
+            Atom->kind() == ExprKind::SetContains) &&
+           "bridge operand is not an atom");
+    Lit L = Encoder.encode(Atom);
+    C.push_back(Positive ? L : L.negated());
+  }
+  Sat.addClause(C);
+}
 
+void SmtSession::emitNewBridges() {
   // Equality transitivity over every term triple that mentions a new term.
   // New terms have the highest indices, so iterating the triple's maximum
   // index over the new range enumerates each new triple exactly once. The
-  // pairwise atoms are created through eqObj so they coincide with the
-  // assertions' atoms.
+  // pairwise atoms are created through eqObj, once per pair, so they
+  // coincide with the assertions' atoms. Rows an imported prefix left
+  // unfilled are filled here too, when the first new term arrives.
+  if (BridgedObjTerms < ObjTerms.size())
+    for (size_t K = EqLits.size(); K < ObjTerms.size(); ++K) {
+      std::vector<Lit> Row;
+      Row.reserve(K);
+      for (size_t J = 0; J != K; ++J) {
+        ExprRef Eq = eqObj(ObjTerms[J], ObjTerms[K]);
+        assert(Eq->kind() == ExprKind::Eq &&
+               "distinct ITE-free terms compare by an atom");
+        Row.push_back(Encoder.encode(Eq));
+      }
+      EqLits.push_back(std::move(Row));
+    }
   for (size_t K = BridgedObjTerms; K < ObjTerms.size(); ++K)
     for (size_t J = 0; J != K; ++J)
       for (size_t I = 0; I != J; ++I) {
-        ExprRef AB = eqObj(ObjTerms[I], ObjTerms[J]);
-        ExprRef BC = eqObj(ObjTerms[J], ObjTerms[K]);
-        ExprRef AC = eqObj(ObjTerms[I], ObjTerms[K]);
-        Bridges.push_back(F.implies(F.conj({AB, BC}), AC));
-        Bridges.push_back(F.implies(F.conj({AB, AC}), BC));
-        Bridges.push_back(F.implies(F.conj({BC, AC}), AB));
+        Lit AB = EqLits[J][I], BC = EqLits[K][J], AC = EqLits[K][I];
+        Sat.addClause({AB.negated(), BC.negated(), AC});
+        Sat.addClause({AB.negated(), AC.negated(), BC});
+        Sat.addClause({BC.negated(), AC.negated(), AB});
+        LiveBridges += 3;
       }
 
   // Congruence for map lookups: equal keys read equal values.
@@ -227,19 +257,24 @@ void SmtSession::emitNewBridges() {
         continue;
       ExprRef KeysEq =
           eqObj(MapLookups[I]->operand(1), MapLookups[J]->operand(1));
-      Bridges.push_back(
-          F.implies(KeysEq, eqObj(MapLookups[I], MapLookups[J])));
+      ExprRef ValsEq = eqObj(MapLookups[I], MapLookups[J]);
+      addBridgeClause({{KeysEq, false}, {ValsEq, true}});
+      ++LiveBridges;
     }
 
   // Congruence for set membership: equal elements agree on membership.
+  // The biconditional is the one bridge that takes two clauses.
   for (size_t J = BridgedMemAtoms; J < MemAtoms.size(); ++J)
     for (size_t I = 0; I != J; ++I) {
       if (MemAtoms[I]->operand(0) != MemAtoms[J]->operand(0))
         continue;
       ExprRef ElemsEq = eqObj(MemAtoms[I]->operand(1),
                               MemAtoms[J]->operand(1));
-      Bridges.push_back(
-          F.implies(ElemsEq, F.iff(MemAtoms[I], MemAtoms[J])));
+      addBridgeClause({{ElemsEq, false}, {MemAtoms[I], false},
+                       {MemAtoms[J], true}});
+      addBridgeClause({{ElemsEq, false}, {MemAtoms[I], true},
+                       {MemAtoms[J], false}});
+      ++LiveBridges;
     }
 
   // Linear integer atom lattice: within one symbol signature, equalities
@@ -251,17 +286,19 @@ void SmtSession::emitNewBridges() {
       const auto &[AtomB, B] = IntAtoms[J];
       if (A.Signature != B.Signature)
         continue;
-      if (A.IsEq && B.IsEq && A.C != B.C)
-        Bridges.push_back(F.disj({F.lnot(AtomA), F.lnot(AtomB)}));
-      if (A.IsEq && !B.IsEq)
-        Bridges.push_back(A.C <= B.C ? F.implies(AtomA, AtomB)
-                                     : F.implies(AtomA, F.lnot(AtomB)));
-      if (B.IsEq && !A.IsEq)
-        Bridges.push_back(B.C <= A.C ? F.implies(AtomB, AtomA)
-                                     : F.implies(AtomB, F.lnot(AtomA)));
-      if (!A.IsEq && !B.IsEq)
-        Bridges.push_back(A.C <= B.C ? F.implies(AtomA, AtomB)
-                                     : F.implies(AtomB, AtomA));
+      if (A.IsEq && B.IsEq && A.C == B.C)
+        continue;
+      if (A.IsEq && B.IsEq)
+        addBridgeClause({{AtomA, false}, {AtomB, false}});
+      else if (A.IsEq)
+        addBridgeClause({{AtomA, false}, {AtomB, A.C <= B.C}});
+      else if (B.IsEq)
+        addBridgeClause({{AtomB, false}, {AtomA, B.C <= A.C}});
+      else if (A.C <= B.C)
+        addBridgeClause({{AtomA, false}, {AtomB, true}});
+      else
+        addBridgeClause({{AtomB, false}, {AtomA, true}});
+      ++LiveBridges;
     }
 
   BridgedObjTerms = ObjTerms.size();
@@ -269,18 +306,14 @@ void SmtSession::emitNewBridges() {
   BridgedMemAtoms = MemAtoms.size();
   BridgedIntAtoms = IntAtoms.size();
 
-  LiveBridges += static_cast<int64_t>(Bridges.size());
   if (LiveBridges > PeakLiveBridges)
     PeakLiveBridges = LiveBridges;
-
-  for (ExprRef B : Bridges)
-    Encoder.assertTrue(normalize(B));
 }
 
 void SmtSession::ingest(ExprRef Normalized) {
   collectTheoryAtoms(Normalized);
   // Bridges constrain global atoms and outlive every scope, so their
-  // encodings must never land in a retirable scope layer.
+  // atoms must be cached in the root layer, never in a retirable one.
   Tseitin::LayerId Saved = Encoder.activeLayer();
   Encoder.setActiveLayer(Tseitin::RootLayer);
   emitNewBridges();

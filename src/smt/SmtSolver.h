@@ -69,6 +69,7 @@
 #include "smt/Tseitin.h"
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <set>
 #include <string>
@@ -240,8 +241,10 @@ public:
   /// Cumulative statistics across the whole session.
   int64_t totalConflicts() const { return Sat.numConflicts(); }
   size_t numChecks() const { return Checks; }
-  /// Clauses retained in the warm solver (Tseitin definitions, bridges,
-  /// learned clauses) that later checks reuse instead of re-deriving.
+  /// Clauses retained in the warm solver (Tseitin definitions, bridge
+  /// clauses, learned clauses) that later checks reuse instead of
+  /// re-deriving. Each bridge instance is one clause (the membership
+  /// biconditional two), so a new term triple adds exactly three.
   size_t retainedClauses() const { return Sat.numClauses(); }
   int64_t learnedClauses() const { return Sat.numLearnedClauses(); }
   /// Learned-clause-database reductions the warm solver ran, and the total
@@ -312,11 +315,19 @@ private:
 
   /// Registers the theory atoms of a normalized formula and asserts the
   /// bridge instances that mention at least one newly seen atom. Bridges
-  /// always encode into the root layer: they constrain global atoms and
-  /// outlive every scope.
+  /// are root clauses over atom literals, and their atoms are encoded in
+  /// the root layer: they constrain global atoms and outlive every scope.
   void ingest(ExprRef Normalized);
   void collectTheoryAtoms(ExprRef E);
+  /// Adds each new bridge instance straight to the solver as one clause
+  /// over atom literals (the membership biconditional as two): no
+  /// connective is interned or normalized, no Tseitin definition created,
+  /// no unit pinned. Transitivity reads its three atoms from EqLits.
   void emitNewBridges();
+  /// Adds the clause over \p Atoms, each negated unless its flag is set.
+  /// A constant atom folds: true satisfies the clause, which is skipped;
+  /// false drops out.
+  void addBridgeClause(std::initializer_list<std::pair<ExprRef, bool>> Atoms);
   /// Collects the boolean atoms (non-propositional leaves) of a normalized
   /// formula — the vocabulary a countermodel should be reported over.
   /// \p Visited memoizes over the hash-consed DAG (connective nodes are
@@ -349,6 +360,12 @@ private:
   std::vector<ScopeNode> Scopes;
   std::vector<ScopeId> FreeScopes;
   uint64_t ScopesOpened = 0;
+
+  /// The session's pairwise equality atoms: row K holds the literal of
+  /// eqObj(ObjTerms[J], ObjTerms[K]) for every J < K. emitNewBridges fills
+  /// it lazily, so a session built by importPrefix fills its imported rows
+  /// only when its first new term arrives.
+  std::vector<std::vector<Lit>> EqLits;
 
   // High-water marks of the atoms already covered by emitted bridges.
   size_t BridgedObjTerms = 0;

@@ -1123,6 +1123,71 @@ TEST(SmtSessionTest, RetainsEncodingAcrossChecks) {
   EXPECT_EQ(S.numChecks(), 2u);
 }
 
+TEST(SmtSessionTest, BridgesAreClausesOverAtoms) {
+  // Each transitivity instance is one clause over the pairwise equality
+  // atoms: bridges add no variable beyond the atoms, pin no unit, and add
+  // exactly three clauses per new term triple.
+  ExprFactory F;
+  SmtSession S(F);
+  S.enableCertification();
+  std::vector<ExprRef> T, Chain;
+  for (int I = 0; I != 6; ++I)
+    T.push_back(F.var("bridge_t" + std::to_string(I), Sort::Obj));
+  for (size_t K = 1; K != T.size(); ++K) {
+    // T[K] is the new term; the new triples are those with maximum K.
+    size_t Before = S.retainedClauses();
+    Chain.push_back(F.eq(T[K - 1], T[K]));
+    S.encodeForAudit({Chain.back()}, SmtSession::RootScope);
+    EXPECT_EQ(S.retainedClauses() - Before, 3 * (K * (K - 1) / 2));
+    EXPECT_EQ(S.numAtoms(), static_cast<int>((K + 1) * K / 2));
+    EXPECT_EQ(S.liveVars(), S.numAtoms());
+  }
+  EXPECT_EQ(S.liveBridges(), 3 * 20); // C(6, 3) triples.
+
+  std::vector<ExprRef> Refute = Chain;
+  Refute.push_back(F.ne(T.front(), T.back()));
+  ASSERT_EQ(S.check(Refute), SatResult::Unsat);
+  EXPECT_EQ(S.liveVars(), S.numAtoms());
+  const proof::CertifySummary &Cert = S.finishCertification();
+  EXPECT_TRUE(Cert.Checked);
+  EXPECT_TRUE(Cert.Ok) << Cert.Error;
+  EXPECT_EQ(Cert.QueriesPassed, 1u);
+}
+
+TEST(SmtSessionTest, ImportedPrefixFillsEqualityRowsLazily) {
+  // A session built from a prefix image holds no equality table for the
+  // imported terms until a new term arrives; then it emits the triples
+  // through the imported terms, and a refutation that needs one of them
+  // is Unsat and certifies.
+  ExprFactory F;
+  ExprRef A = F.var("lazy_a", Sort::Obj), B = F.var("lazy_b", Sort::Obj),
+          C = F.var("lazy_c", Sort::Obj), D = F.var("lazy_d", Sort::Obj);
+  SmtSession Exporter(F);
+  Exporter.assertBase(F.disj({F.eq(A, B), F.eq(B, C)}));
+  PrefixImage Img = Exporter.exportPrefix();
+
+  SmtSession S(F);
+  S.enableCertification();
+  S.importPrefix(Img);
+  EXPECT_EQ(S.retainedClauses(), Exporter.retainedClauses());
+  EXPECT_EQ(S.numAtoms(), Exporter.numAtoms());
+  EXPECT_EQ(S.liveBridges(), Exporter.liveBridges());
+
+  // D is new: three triples (D with each imported pair), three atoms.
+  size_t Before = S.retainedClauses();
+  S.encodeForAudit({F.eq(B, D)}, SmtSession::RootScope);
+  EXPECT_EQ(S.retainedClauses() - Before, 9u);
+  EXPECT_EQ(S.numAtoms(), Exporter.numAtoms() + 3);
+  EXPECT_EQ(S.liveBridges(), Exporter.liveBridges() + 9);
+
+  // a = b, b = d, a != d needs the bridge over (a, b, d).
+  ASSERT_EQ(S.check({F.eq(A, B), F.eq(B, D), F.ne(A, D)}), SatResult::Unsat);
+  EXPECT_EQ(S.check({F.eq(A, C), F.eq(C, D)}), SatResult::Sat);
+  const proof::CertifySummary &Cert = S.finishCertification();
+  EXPECT_TRUE(Cert.Ok) << Cert.Error;
+  EXPECT_EQ(Cert.QueriesPassed, 1u);
+}
+
 // The incremental session must agree with the one-shot facade (and hence
 // with ground-truth enumeration) on every query of a long random sequence
 // sharing one warm session — bridges and learned clauses accumulate, the
