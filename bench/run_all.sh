@@ -219,11 +219,10 @@ else
 fi
 
 # Sharded-service snapshots: the same 3-pass full-catalog workload through
-# four shards (shards 1..3 load shard 0's prefix image) at 1/2/4/8 drain
-# threads. Their aggregate request rates and warm-up decomposition
-# (prefix import vs encode-from-scratch) join the baseline as
-# sharded_service_stats; serve_batched above is the one-shard baseline
-# the scaling ratios are taken against.
+# four shards at 1/2/4/8 drain threads. Their aggregate request rates and
+# the shared plan's cost join the baseline as sharded_service_stats;
+# serve_batched above is the one-shard baseline the scaling ratios are
+# taken against.
 if [ -x "$SERVE_BIN" ]; then
   for threads in 1 2 4 8; do
     name="serve_sharded_t$threads"
@@ -488,9 +487,6 @@ if sharded_runs:
         "route": first.get("route"),
         "cpus": first.get("cpus"),
         "plan_millis": first.get("plan_millis"),
-        "warmup_scratch_millis": first.get("warmup_scratch_millis"),
-        "warmup_import_millis_avg": first.get("warmup_import_millis_avg"),
-        "warmup_speedup_x": first.get("warmup_speedup_x"),
         "req_per_sec_single_session": base_rps,
         "per_thread": per_thread,
     }

@@ -332,8 +332,7 @@ size_t PairTier::retireAll() {
 //===----------------------------------------------------------------------===//
 
 CatalogSession::CatalogSession(ExprFactory &F, const CatalogPlan &Plan,
-                               int64_t Budget, bool Certify,
-                               const PrefixImage *Prefix)
+                               int64_t Budget, bool Certify)
     : Plan(Plan), Budget(Budget), Session(F), Tiers(Plan.Families.size()) {
   // Certification must switch on before the first assertion reaches the
   // solver — the proof's Input steps have to cover the whole database.
@@ -345,23 +344,12 @@ CatalogSession::CatalogSession(ExprFactory &F, const CatalogPlan &Plan,
   if (Plan.Families.size() == 1)
     Base.insert(Base.end(), Plan.Families[0].FamilyCommon.begin(),
                 Plan.Families[0].FamilyCommon.end());
-  if (Prefix && !Prefix->empty()) {
-    // Cross-shard prefix sharing: load the pre-encoded image (exported by
-    // a sibling session over the *same* plan and factory) instead of
-    // re-encoding the catalog-common prefix and its bridge lattice.
-    Session.importPrefix(*Prefix);
-    CatalogBase.insert(Base.begin(), Base.end());
-    CatStats.PrefixImageLoaded = true;
-    return;
-  }
   for (ExprRef C : Base)
     if (CatalogBase.insert(C).second) {
       Session.assertBase(C);
       ++CatStats.PrefixAsserts;
     }
 }
-
-PrefixImage CatalogSession::exportPrefix() { return Session.exportPrefix(); }
 
 void CatalogSession::configureClauseGc(bool Enabled, int64_t FirstLimit) {
   Session.solver().setClauseGc(Enabled);

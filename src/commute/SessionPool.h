@@ -382,10 +382,6 @@ struct CatalogSessionStats {
   uint64_t ReleasedSelectors = 0;
   uint64_t LiveBridges = 0;
   uint64_t PeakLiveBridges = 0;
-  /// True when the session loaded a pre-encoded PrefixImage instead of
-  /// asserting the catalog-common prefix itself (PrefixAsserts then counts
-  /// only the family/pair-level prefixes asserted later).
-  bool PrefixImageLoaded = false;
 };
 
 /// The warm solver session of every warm mode: one per pair
@@ -407,20 +403,13 @@ public:
   /// Asserts \p Plan's catalog-common prefix as session base. The plan
   /// must outlive the session (family Pairs may be empty: lazy callers
   /// materialize pair plans just before discharge). \p Certify turns on
-  /// proof logging before any assertion reaches the solver. A non-null
-  /// \p Prefix is a pre-encoded image of the catalog-common prefix
-  /// (exported by a sibling session over the same plan and factory): the
-  /// session *loads* it instead of re-encoding, making shard warm-up a
-  /// replay instead of a plan-and-encode pass.
+  /// proof logging before any assertion reaches the solver. Every
+  /// session encodes its own prefix: sessions over the same plan and
+  /// factory reach the same database (same clauses, atoms and bridges).
   CatalogSession(ExprFactory &F, const CatalogPlan &Plan, int64_t Budget,
-                 bool Certify = false, const PrefixImage *Prefix = nullptr);
+                 bool Certify = false);
   CatalogSession(const CatalogSession &) = delete;
   CatalogSession &operator=(const CatalogSession &) = delete;
-
-  /// Captures the just-asserted catalog-common prefix as a read-only
-  /// image for sibling shards (legal only before the first discharge;
-  /// see SmtSession::exportPrefix).
-  PrefixImage exportPrefix();
 
   /// Clause-GC configuration applied to the session's solver (benches pin
   /// the no-GC baseline; tests force aggressive reduction).

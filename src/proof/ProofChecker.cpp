@@ -52,9 +52,17 @@ bool ProofChecker::propagateFrom(size_t From) {
     size_t Code = litCode(-RootTrail[Head]);
     if (Code >= Occ.size())
       continue;
-    for (size_t CI : Occ[Code]) {
+    // Compact the occurrence list while scanning it: entries of deleted
+    // clauses are dropped, so a list stays as long as the literal's live
+    // clauses, not its history. tryAssign never touches Occ.
+    std::vector<size_t> &List = Occ[Code];
+    size_t Keep = 0, Next = 0;
+    bool Conflict = false;
+    while (Next != List.size() && !Conflict) {
+      size_t CI = List[Next++];
       if (!DB[CI].Alive)
         continue;
+      List[Keep++] = CI;
       int Unassigned = 0, UnitLit = 0;
       bool Satisfied = false;
       for (int CL : DB[CI].Lits) {
@@ -71,11 +79,14 @@ bool ProofChecker::propagateFrom(size_t From) {
       }
       if (Satisfied || Unassigned > 1)
         continue;
-      if (Unassigned == 0)
-        return true;
-      if (tryAssign(UnitLit) < 0)
-        return true;
+      Conflict = Unassigned == 0 || tryAssign(UnitLit) < 0;
     }
+    // On a conflict the unscanned tail is kept as it is.
+    while (Next != List.size())
+      List[Keep++] = List[Next++];
+    List.resize(Keep);
+    if (Conflict)
+      return true;
   }
   return false;
 }
@@ -188,6 +199,7 @@ std::string ProofChecker::removeClause(const std::vector<int> &Lits) {
   if (It->second.empty())
     ByKey.erase(It);
   DB[CI].Alive = false;
+  std::vector<int>().swap(DB[CI].Lits);
   --AliveClauses;
   // The persistent fixpoint only shrinks if this clause could have forced
   // an assignment: under the current (clean) root state that requires all

@@ -83,7 +83,7 @@ public:
 
 private:
   struct CClause {
-    std::vector<int> Lits;
+    std::vector<int> Lits; ///< Released when the clause is deleted.
     bool Alive = true;
   };
 
@@ -94,7 +94,7 @@ private:
     size_t operator()(const std::vector<int> &Key) const;
   };
   /// Literal code (litCode) -> indices of clauses containing the literal
-  /// (lazily cleaned).
+  /// (dead entries are dropped as propagateFrom scans a list).
   std::vector<std::vector<size_t>> Occ;
   /// Sorted-literal key -> alive clause indices (Delete matching).
   std::unordered_map<std::vector<int>, std::vector<size_t>, KeyHash> ByKey;

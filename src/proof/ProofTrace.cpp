@@ -8,7 +8,10 @@
 
 #include "proof/ProofTrace.h"
 
+#include <cerrno>
+#include <climits>
 #include <cstdlib>
+#include <string>
 
 using namespace semcomm;
 using namespace semcomm::proof;
@@ -62,27 +65,26 @@ std::string ProofTrace::serialize() const {
 namespace {
 
 /// Splits \p Line on single spaces (the only separator serialize() emits).
+/// Every field is kept, so a doubled, leading or trailing space shows up
+/// as an empty token, which no field accepts.
 std::vector<std::string> tokens(const std::string &Line) {
   std::vector<std::string> Out;
   size_t Start = 0;
-  while (Start <= Line.size()) {
-    size_t Sp = Line.find(' ', Start);
-    if (Sp == std::string::npos) {
-      if (Start < Line.size())
-        Out.push_back(Line.substr(Start));
-      break;
-    }
-    if (Sp > Start)
-      Out.push_back(Line.substr(Start, Sp - Start));
-    Start = Sp + 1;
-  }
+  for (size_t Sp; (Sp = Line.find(' ', Start)) != std::string::npos;
+       Start = Sp + 1)
+    Out.push_back(Line.substr(Start, Sp - Start));
+  Out.push_back(Line.substr(Start));
   return Out;
 }
 
+/// Reads a decimal integer in the one form serialize() prints it (no sign
+/// other than '-', no leading zeros, no whitespace, within range), so a
+/// parsed trace serializes back to exactly the text it was read from.
 bool parseInt(const std::string &Tok, long &Out) {
+  errno = 0;
   char *End = nullptr;
   Out = std::strtol(Tok.c_str(), &End, 10);
-  return End != Tok.c_str() && *End == '\0';
+  return errno == 0 && std::to_string(Out) == Tok;
 }
 
 /// Parses `<lits> 0` starting at token \p From; returns false unless the
@@ -94,7 +96,7 @@ bool parseLits(const std::vector<std::string> &Toks, size_t From, size_t To,
     return false;
   for (size_t I = From; I + 1 < To; ++I) {
     long V;
-    if (!parseInt(Toks[I], V) || V == 0)
+    if (!parseInt(Toks[I], V) || V == 0 || V < -INT_MAX || V > INT_MAX)
       return false;
     Lits.push_back(static_cast<int>(V));
   }
@@ -137,7 +139,7 @@ std::optional<ProofTrace> ProofTrace::parse(const std::string &Text) {
     } else if (Toks[0] == "r") {
       long V;
       if (Toks.size() != 3 || !parseInt(Toks[1], V) || V < 1 ||
-          Toks[2] != "0")
+          V > INT_MAX || Toks[2] != "0")
         return std::nullopt;
       T.Steps.push_back({StepKind::Recycle, {}, static_cast<int>(V), 0, {}});
     } else if (Toks[0] == "q") {
@@ -155,6 +157,8 @@ std::optional<ProofTrace> ProofTrace::parse(const std::string &Text) {
       if (!parseLits(Toks, 2, Zero + 1, Lits))
         return std::nullopt;
       std::string Tag = Zero + 1 < Toks.size() ? Toks[Zero + 1] : "";
+      if (Zero + 1 < Toks.size() && Tag.empty())
+        return std::nullopt;
       T.Steps.push_back({StepKind::Query, std::move(Lits), 0,
                          static_cast<uint64_t>(Live), std::move(Tag)});
       ++T.Queries;

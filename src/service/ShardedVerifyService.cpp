@@ -131,16 +131,9 @@ ShardedVerifyService::ShardedVerifyService(
   Shards.reserve(Cfg.Shards);
   WarmupMillis.resize(Cfg.Shards, 0);
   for (unsigned S = 0; S != Cfg.Shards; ++S) {
-    const PrefixImage *Img = (S > 0 && !Prefix.empty()) ? &Prefix : nullptr;
     Stopwatch WarmTimer;
-    Shards.push_back(
-        std::make_unique<VerifyService>(C, Plan, Cfg.Base, Img));
+    Shards.push_back(std::make_unique<VerifyService>(C, Plan, Cfg.Base));
     WarmupMillis[S] = WarmTimer.millis();
-    // Shard 0 encoded the prefix from scratch; capture it once for every
-    // later shard (the export itself is outside the shard warm-up time —
-    // it is the front-end's one-time cost, like the plan).
-    if (S == 0 && Cfg.Shards > 1)
-      Prefix = Shards[0]->exportPrefix();
   }
 
   if (Cfg.Threads > 1)
@@ -221,20 +214,12 @@ ShardedServiceStats ShardedVerifyService::stats() const {
   S.Drains = Drains;
   S.ServeMillis = ServeMillis;
   S.PlanMillis = PlanMillis;
-  S.WarmupScratchMillis = PlanMillis + WarmupMillis[0];
-  double ImportSum = 0;
   for (size_t I = 0; I != Shards.size(); ++I) {
     ShardStats SS;
     SS.Stats = Shards[I]->stats();
     SS.WarmupMillis = WarmupMillis[I];
-    SS.PrefixImported = SS.Stats.Session.PrefixImageLoaded;
-    if (SS.PrefixImported)
-      ImportSum += WarmupMillis[I];
     S.Shards.push_back(std::move(SS));
   }
-  if (Shards.size() > 1)
-    S.WarmupImportMillisAvg =
-        ImportSum / static_cast<double>(Shards.size() - 1);
   return S;
 }
 

@@ -17,14 +17,12 @@
 /// drains) that serves only what it is handed; a drain runs
 /// every shard's drain, on a work-stealing ThreadPool when Threads > 1.
 ///
-/// What makes N shards cheaper than N processes:
-///
-///  * One catalog plan. planCatalog runs once, here; every shard serves
-///    from the shared read-only plan.
-///  * One prefix encoding. Shard 0 asserts the catalog-common prefix +
-///    bridge lattice from scratch and exports it as a PrefixImage; every
-///    other shard *loads* the image (a propositional replay) instead of
-///    re-encoding — the warm-up ratio the bench reports.
+/// One catalog plan: planCatalog runs once, here, and every shard serves
+/// from the shared read-only plan. Every shard then encodes the
+/// catalog-common prefix and its bridge lattice itself; that costs a
+/// fraction of the plan, and shards over one plan and factory start from
+/// the same database (ShardedServiceTest pins clauses, atoms and bridges
+/// against a one-shard service).
 ///
 /// Determinism: routing and per-shard serve order are functions of the
 /// request stream alone — never of thread scheduling — and shards share
@@ -82,8 +80,7 @@ struct ShardedServiceConfig {
 /// Per-shard accounting beyond the shard's own ServiceStats.
 struct ShardStats {
   ServiceStats Stats;
-  double WarmupMillis = 0;      ///< Shard construction wall time.
-  bool PrefixImported = false;  ///< Loaded the image (vs encoded).
+  double WarmupMillis = 0; ///< Shard construction wall time.
   /// Always 0: shards trade no learned clauses. Kept only because the
   /// benchmark's service.clauses_adopted row reads it.
   uint64_t ClausesAdopted = 0;
@@ -94,13 +91,9 @@ struct ShardedServiceStats {
   uint64_t Requests = 0;
   uint64_t Drains = 0;
   double ServeMillis = 0;
-  /// Warm-up decomposition: the shared planCatalog pass, shard 0's
-  /// encode-from-scratch construction, and the average import-path
-  /// construction of shards 1..N-1 (0 with one shard). The old
-  /// one-process-per-shard world paid Plan + Scratch per shard; the
-  /// sharded front-end pays Import.
-  double PlanMillis = 0;
-  double WarmupScratchMillis = 0; ///< Plan + shard 0 construction.
+  double PlanMillis = 0; ///< The shared planCatalog pass.
+  /// Always 0: every shard encodes its own prefix, none imports one. Kept
+  /// only because the benchmark's service.warmup_import_ms row reads it.
   double WarmupImportMillisAvg = 0;
 };
 
@@ -131,9 +124,6 @@ public:
   /// The shard a request routes to (exposed for tests).
   size_t shardOf(const ServiceRequest &R) const;
   VerifyService &shard(size_t S) { return *Shards[S]; }
-  /// The prefix image shards 1..N-1 loaded (empty with a single shard;
-  /// shard(0).exportPrefix() gives the same bytes before the first drain).
-  const PrefixImage &prefixImage() const { return Prefix; }
 
   /// Pass-boundary hook: restarts every shard's peak counters.
   void resetPeakStats();
@@ -164,7 +154,6 @@ private:
   std::map<std::string, size_t> FamIdxByName;
   ShardedServiceConfig Cfg;
   CatalogPlan Plan; ///< Shared, read-only; outlives every shard.
-  PrefixImage Prefix;
   std::vector<std::unique_ptr<VerifyService>> Shards;
   std::unique_ptr<ThreadPool> Pool; ///< Null when Threads <= 1.
   std::vector<double> WarmupMillis;

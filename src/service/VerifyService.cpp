@@ -17,10 +17,9 @@ using namespace semcomm;
 using namespace semcomm::service;
 
 VerifyService::VerifyService(const Catalog &C, const CatalogPlan &Plan,
-                             const ServiceConfig &Cfg,
-                             const PrefixImage *Prefix)
+                             const ServiceConfig &Cfg)
     : Eng(C.factory(), Cfg.SeqLenBound, Cfg.ConflictBudget),
-      Sess(C.factory(), Plan, Cfg.ConflictBudget, Cfg.Certify, Prefix) {
+      Sess(C.factory(), Plan, Cfg.ConflictBudget, Cfg.Certify) {
   Sess.configureClauseGc(true);
 }
 

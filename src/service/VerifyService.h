@@ -111,17 +111,12 @@ struct ServiceStats {
 class VerifyService {
 public:
   /// \p Plan is the front-end's catalog plan (it must outlive the shard,
-  /// as must the catalog and its factory); a non-null \p Prefix makes the
-  /// warm session *load* the pre-encoded catalog prefix instead of
-  /// re-encoding it.
+  /// as must the catalog and its factory). The warm session encodes the
+  /// catalog-common prefix itself.
   VerifyService(const Catalog &C, const CatalogPlan &Plan,
-                const ServiceConfig &Cfg, const PrefixImage *Prefix);
+                const ServiceConfig &Cfg);
   VerifyService(const VerifyService &) = delete;
   VerifyService &operator=(const VerifyService &) = delete;
-
-  /// Captures the warm session's catalog-common prefix for sibling shards
-  /// (legal only before the first drain; see SmtSession::exportPrefix).
-  PrefixImage exportPrefix() { return Sess.exportPrefix(); }
 
   /// Queues one resolved request.
   void submit(const ResolvedRequest &RR) { Pending.push_back(RR); }

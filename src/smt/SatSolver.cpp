@@ -704,22 +704,3 @@ bool SatSolver::reasonInvariantHolds() const {
   }
   return true;
 }
-
-// --- Prefix image & cross-shard clause exchange ------------------------------
-
-void SatSolver::exportRootState(std::vector<std::vector<int>> &ClausesOut,
-                                std::vector<int> &UnitsOut) const {
-  assert(currentLevel() == 0 && "prefix export away from root level");
-  assert(!Unsatisfiable && "prefix export of an unsatisfiable database");
-  for (const Clause &C : Clauses) {
-    assert(!C.Learned && "prefix export after search started");
-    std::vector<int> Enc;
-    Enc.reserve(C.Lits.size());
-    for (Lit L : C.Lits)
-      Enc.push_back(L.Encoded);
-    ClausesOut.push_back(std::move(Enc));
-  }
-  for (Lit L : Trail)
-    if (Reason[L.var()] == -1)
-      UnitsOut.push_back(L.Encoded);
-}

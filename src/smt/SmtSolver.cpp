@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <cassert>
 #include <map>
-#include <type_traits>
 
 using namespace semcomm;
 using detail::IntAtomInfo;
@@ -224,23 +223,19 @@ void SmtSession::addBridgeClause(
 void SmtSession::emitNewBridges() {
   // Equality transitivity over every term triple that mentions a new term.
   // New terms have the highest indices, so iterating the triple's maximum
-  // index over the new range enumerates each new triple exactly once. The
-  // pairwise atoms are created through eqObj, once per pair, so they
-  // coincide with the assertions' atoms. Rows an imported prefix left
-  // unfilled are filled here too, when the first new term arrives.
-  if (BridgedObjTerms < ObjTerms.size())
-    for (size_t K = EqLits.size(); K < ObjTerms.size(); ++K) {
-      std::vector<Lit> Row;
-      Row.reserve(K);
-      for (size_t J = 0; J != K; ++J) {
-        ExprRef Eq = eqObj(ObjTerms[J], ObjTerms[K]);
-        assert(Eq->kind() == ExprKind::Eq &&
-               "distinct ITE-free terms compare by an atom");
-        Row.push_back(Encoder.encode(Eq));
-      }
-      EqLits.push_back(std::move(Row));
+  // index over the new range enumerates each new triple exactly once. Row
+  // K of the pairwise atoms is filled as term K is bridged, through eqObj,
+  // once per pair, so the atoms coincide with the assertions' atoms.
+  for (size_t K = BridgedObjTerms; K < ObjTerms.size(); ++K) {
+    std::vector<Lit> Row;
+    Row.reserve(K);
+    for (size_t J = 0; J != K; ++J) {
+      ExprRef Eq = eqObj(ObjTerms[J], ObjTerms[K]);
+      assert(Eq->kind() == ExprKind::Eq &&
+             "distinct ITE-free terms compare by an atom");
+      Row.push_back(Encoder.encode(Eq));
     }
-  for (size_t K = BridgedObjTerms; K < ObjTerms.size(); ++K)
+    EqLits.push_back(std::move(Row));
     for (size_t J = 0; J != K; ++J)
       for (size_t I = 0; I != J; ++I) {
         Lit AB = EqLits[J][I], BC = EqLits[K][J], AC = EqLits[K][I];
@@ -249,6 +244,7 @@ void SmtSession::emitNewBridges() {
         Sat.addClause({BC.negated(), AC.negated(), AB});
         LiveBridges += 3;
       }
+  }
 
   // Congruence for map lookups: equal keys read equal values.
   for (size_t J = BridgedMapLookups; J < MapLookups.size(); ++J)
@@ -370,122 +366,6 @@ const proof::CertifySummary &SmtSession::finishCertification() {
     CertFinished = true;
   }
   return Cert;
-}
-
-// --- Cross-shard prefix sharing ----------------------------------------------
-
-namespace {
-
-/// Stable total order for re-sorting pointer-keyed maps into the image.
-bool printedBefore(ExprRef A, ExprRef B) {
-  return printAbstract(A) < printAbstract(B);
-}
-
-template <typename MapT>
-std::vector<std::pair<ExprRef, int>> sortedByPrint(const MapT &M) {
-  std::vector<std::pair<ExprRef, int>> Out;
-  Out.reserve(M.size());
-  for (const auto &[E, V] : M) {
-    if constexpr (std::is_same_v<std::decay_t<decltype(V)>, Lit>)
-      Out.push_back({E, V.Encoded});
-    else
-      Out.push_back({E, V});
-  }
-  std::sort(Out.begin(), Out.end(), [](const auto &A, const auto &B) {
-    return printedBefore(A.first, B.first);
-  });
-  return Out;
-}
-
-} // namespace
-
-PrefixImage SmtSession::exportPrefix() {
-  assert(Checks == 0 && "prefix export after checks began");
-  assert(Scopes.size() == 1 && "prefix export after scopes were opened");
-  assert(Sat.numLearnedClauses() == 0 && "prefix export after search");
-  assert(BridgedObjTerms == ObjTerms.size() &&
-         BridgedMapLookups == MapLookups.size() &&
-         BridgedMemAtoms == MemAtoms.size() &&
-         BridgedIntAtoms == IntAtoms.size() &&
-         "prefix export with unemitted bridges");
-
-  PrefixImage Img;
-  Img.NumVars = Sat.numVars();
-  Sat.exportRootState(Img.Clauses, Img.Units);
-
-  Img.Atoms = sortedByPrint(Encoder.atoms());
-  Img.RootDefs = sortedByPrint(Encoder.layerCache(Tseitin::RootLayer));
-  Img.RootOwned = Encoder.ownedVars(Tseitin::RootLayer);
-
-  Img.ObjTerms = ObjTerms;
-  Img.MemAtoms = MemAtoms;
-  for (const auto &[Atom, Info] : IntAtoms)
-    Img.IntAtoms.push_back({Atom, Info.Signature, Info.IsEq, Info.C});
-  Img.BaseAtoms.assign(BaseAtoms.begin(), BaseAtoms.end());
-  std::sort(Img.BaseAtoms.begin(), Img.BaseAtoms.end(), printedBefore);
-  Img.LiveBridges = LiveBridges;
-  return Img;
-}
-
-void SmtSession::importPrefix(const PrefixImage &Img) {
-  assert(Checks == 0 && Sat.numVars() == 0 &&
-         "prefix import must be the session's first operation");
-  assert(Scopes.size() == 1 && "prefix import after scopes were opened");
-
-  // Replay the propositional database through the public entry points, so
-  // a certifying importer's trace covers every stored clause. All clauses
-  // land before the first unit: with the root assignment still empty,
-  // nothing is dropped or shortened, and the units then propagate to the
-  // exporting session's root fixpoint.
-  for (int I = 0; I != Img.NumVars; ++I)
-    Sat.addVar();
-  std::vector<Lit> C;
-  for (const std::vector<int> &Enc : Img.Clauses) {
-    C.clear();
-    for (int E : Enc) {
-      Lit L;
-      L.Encoded = E;
-      C.push_back(L);
-    }
-    Sat.addClause(C);
-  }
-  for (int E : Img.Units) {
-    Lit L;
-    L.Encoded = E;
-    Sat.addClause({L});
-  }
-
-  for (const auto &[Atom, Var] : Img.Atoms)
-    Encoder.importAtom(Atom, Var);
-  for (const auto &[E, Def] : Img.RootDefs) {
-    Lit L;
-    L.Encoded = Def;
-    Encoder.importDefinition(Tseitin::RootLayer, E, L);
-  }
-  for (int V : Img.RootOwned)
-    Encoder.importOwnedVar(Tseitin::RootLayer, V);
-
-  ObjTerms = Img.ObjTerms;
-  for (ExprRef T : ObjTerms) {
-    ObjTermSet.insert(T);
-    if (T->kind() == ExprKind::MapGet)
-      MapLookups.push_back(T);
-  }
-  MemAtoms = Img.MemAtoms;
-  MemAtomSet.insert(MemAtoms.begin(), MemAtoms.end());
-  for (const PrefixImage::IntAtomEntry &A : Img.IntAtoms) {
-    IntAtoms.push_back({A.Atom, {A.Signature, A.IsEq, A.C}});
-    IntAtomSeen.insert(A.Atom);
-  }
-  BaseAtoms.insert(Img.BaseAtoms.begin(), Img.BaseAtoms.end());
-
-  BridgedObjTerms = ObjTerms.size();
-  BridgedMapLookups = MapLookups.size();
-  BridgedMemAtoms = MemAtoms.size();
-  BridgedIntAtoms = IntAtoms.size();
-  LiveBridges = Img.LiveBridges;
-  if (LiveBridges > PeakLiveBridges)
-    PeakLiveBridges = LiveBridges;
 }
 
 void SmtSession::assertBase(ExprRef E) {

@@ -63,7 +63,6 @@
 
 #include "logic/ExprFactory.h"
 #include "proof/ProofChecker.h"
-#include "smt/PrefixImage.h"
 #include "smt/SatSolver.h"
 #include "smt/SessionAudit.h"
 #include "smt/Tseitin.h"
@@ -176,25 +175,6 @@ public:
     Sat.resetPeakStats();
     PeakLiveBridges = LiveBridges;
   }
-
-  /// --- Cross-shard prefix sharing --------------------------------------
-  ///
-  /// Captures the session's entire root-level state — propositional
-  /// database, Tseitin caches, theory registries, bridge watermarks — as a
-  /// read-only PrefixImage. Preconditions: no checks run and no scopes
-  /// opened yet (the catalog-common prefix has just been asserted, bridges
-  /// included), and nothing learned. The image holds ExprRefs, so it may
-  /// only be imported into sessions sharing this session's ExprFactory;
-  /// its serialize() text is byte-identical across runs for the same
-  /// asserted-formula sequence.
-  PrefixImage exportPrefix();
-  /// Loads \p Img instead of re-encoding the prefix: replays the
-  /// propositional database through addVar()/addClause() (so a certifying
-  /// importer's trace still covers every stored clause), installs the
-  /// Tseitin caches and theory registries, and sets the bridge watermarks
-  /// so no duplicate bridge is ever emitted. Must be the fresh session's
-  /// first operation (after enableCertification(), if certifying).
-  void importPrefix(const PrefixImage &Img);
 
   /// --- Certification (proof logging + independent checking) -----------
   ///
@@ -363,8 +343,7 @@ private:
 
   /// The session's pairwise equality atoms: row K holds the literal of
   /// eqObj(ObjTerms[J], ObjTerms[K]) for every J < K. emitNewBridges fills
-  /// it lazily, so a session built by importPrefix fills its imported rows
-  /// only when its first new term arrives.
+  /// row K when it bridges term K.
   std::vector<std::vector<Lit>> EqLits;
 
   // High-water marks of the atoms already covered by emitted bridges.

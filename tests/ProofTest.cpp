@@ -31,12 +31,18 @@
 #include "smt/SmtSolver.h"
 #include "spec/Family.h"
 
+#include "TextMutator.h"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <optional>
+#include <string>
 
 using namespace semcomm;
 using namespace semcomm::proof;
+using semcomm::testing_support::TextMutator;
 
 //===----------------------------------------------------------------------===//
 // ProofTrace serialization
@@ -86,6 +92,52 @@ TEST(ProofTraceTest, TruncatedTextFailsToParse) {
   // Garbage prefix and empty text fail too.
   EXPECT_FALSE(ProofTrace::parse("").has_value());
   EXPECT_FALSE(ProofTrace::parse("c not a proof\n" + Text).has_value());
+}
+
+// Deterministic mutation fuzzing of a certified session's trace text:
+// every mutant either fails to parse or parses to a trace whose
+// serialize() is exactly the mutant, so the reader accepts only the
+// canonical text the solver writes.
+TEST(ProofTraceTest, MutantsRejectOrRoundTrip) {
+  ExprFactory F;
+  SmtSession S(F);
+  S.enableCertification();
+  ExprRef X = F.var("x", Sort::Bool);
+  ExprRef Y = F.var("y", Sort::Bool);
+  ExprRef Z = F.var("z", Sort::Bool);
+  S.assertBase(F.implies(X, Y));
+  S.assertBase(F.disj({Y, Z}));
+  SmtSession::ScopeId Scope =
+      S.openScope(SmtSession::RootScope, /*OwnLayer=*/true, "scope");
+  S.assertInScope(Scope, F.conj({F.lnot(Y), F.disj({X, Z})}));
+  S.setProofTag("pre retire");
+  EXPECT_EQ(S.check({X}, -1, Scope), SatResult::Unsat);
+  ASSERT_NE(S.proofTrace(), nullptr);
+  const std::string Early = S.proofTrace()->serialize();
+  S.retireScope(Scope);
+  S.setProofTag("post");
+  EXPECT_EQ(S.check({X, F.lnot(Y)}), SatResult::Unsat);
+  const std::string Full = S.proofTrace()->serialize();
+  for (char Kind : {'i', 'd', 'q'})
+    ASSERT_NE(Full.find(std::string("\n") + Kind + ' '), std::string::npos)
+        << "seed trace has no '" << Kind << "' step";
+
+  TextMutator Mutator({Early, Full}, "0123456789- \nildrqp_", 0x7ace5ull);
+  unsigned Rejected = 0, RoundTripped = 0;
+  for (unsigned N = 0; N != 4000; ++N) {
+    std::string Text = Mutator.mutate(Mutator.seeds()[N % 2]);
+    std::optional<ProofTrace> P = ProofTrace::parse(Text);
+    if (!P) {
+      ++Rejected;
+      continue;
+    }
+    ++RoundTripped;
+    ASSERT_EQ(P->serialize(), Text) << "mutant " << N << " did not round-trip";
+  }
+  EXPECT_GT(Rejected, 0u);
+  EXPECT_GT(RoundTripped, 0u);
+  std::printf("trace mutants: %u rejected, %u round-tripped\n", Rejected,
+              RoundTripped);
 }
 
 //===----------------------------------------------------------------------===//

@@ -19,6 +19,7 @@
 #include "service/ShardedVerifyService.h"
 
 #include "DriverCore.h"
+#include "TextMutator.h"
 
 #include <gtest/gtest.h>
 
@@ -32,6 +33,7 @@
 
 using namespace semcomm;
 using namespace semcomm::service;
+using semcomm::testing_support::TextMutator;
 
 namespace {
 
@@ -112,18 +114,6 @@ void expectFresh(const ShardedVerifyService &Svc) {
     EXPECT_EQ(Sh.Stats.PairGroups, 0u);
   }
 }
-
-/// splitmix64: the mutation fuzzer's deterministic generator.
-struct SplitMix64 {
-  uint64_t State;
-  uint64_t next() {
-    uint64_t Z = (State += 0x9e3779b97f4a7c15ull);
-    Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebull;
-    return Z ^ (Z >> 31);
-  }
-  size_t below(size_t N) { return N ? static_cast<size_t>(next() % N) : 0; }
-};
 
 TEST(ServiceTest, SubmitValidatesFamilyAndPair) {
   ExprFactory F;
@@ -596,68 +586,14 @@ TEST(ServiceTest, SnapshotMutantsRejectOrRoundTrip) {
   for (size_t I = 0; I != 3; ++I)
     ASSERT_TRUE(Svc.submit(Pass[I], Error)) << Error;
   Svc.drain();
-  const std::string Seeds[2] = {First, untimed(Svc.snapshot()).dump(2)};
 
-  const std::string Bytes = "0123456789-.eE\"{}[],: tfnlu\\";
-  SplitMix64 Rng{0x5eed5ull};
-  // The bounds of the line of \p S around offset \p At, newline included
-  // (the seeds are indented dumps: one member or element per line).
-  auto LineOf = [](const std::string &S, size_t At) {
-    size_t Begin = At == 0 ? std::string::npos : S.rfind('\n', At - 1);
-    size_t End = S.find('\n', At);
-    return std::make_pair(Begin == std::string::npos ? 0 : Begin + 1,
-                          End == std::string::npos ? S.size() : End + 1);
-  };
-  auto Mutate = [&](std::string T) {
-    for (size_t Ops = 1 + Rng.below(3); Ops != 0; --Ops) {
-      size_t At = Rng.below(T.size() + 1);
-      const std::string &Other = Seeds[Rng.below(2)];
-      switch (Rng.below(8)) {
-      case 0: // Bit flip.
-        if (At < T.size())
-          T[At] = static_cast<char>(T[At] ^ (1u << Rng.below(8)));
-        break;
-      case 1: // Byte replacement from the JSON alphabet.
-        if (At < T.size())
-          T[At] = Bytes[Rng.below(Bytes.size())];
-        break;
-      case 2: // Truncation.
-        T.resize(At);
-        break;
-      case 3: // Deletion of a short range.
-        T.erase(At, Rng.below(16));
-        break;
-      case 4: { // Splice: this prefix, the other seed's suffix from a
-                // nearby offset.
-        size_t From = std::min(Other.size(), At + Rng.below(9));
-        From = From >= 4 ? From - 4 : 0;
-        T = T.substr(0, At) + Other.substr(From);
-        break;
-      }
-      case 5: { // Line move: reorders members and elements.
-        auto [Begin, End] = LineOf(T, At);
-        std::string Line = T.substr(Begin, End - Begin);
-        T.erase(Begin, End - Begin);
-        T.insert(LineOf(T, Rng.below(T.size() + 1)).first, Line);
-        break;
-      }
-      case 6: { // Line splice: a whole line of the other seed.
-        auto [Begin, End] = LineOf(Other, Rng.below(Other.size()));
-        T.insert(LineOf(T, At).first, Other.substr(Begin, End - Begin));
-        break;
-      }
-      default: // Insertion of a chunk of the other seed.
-        T.insert(At, Other.substr(Rng.below(Other.size()), Rng.below(48)));
-        break;
-      }
-    }
-    return T;
-  };
-
+  // The seeds are indented dumps: one member or element per line.
+  TextMutator Mutator({First, untimed(Svc.snapshot()).dump(2)},
+                      "0123456789-.eE\"{}[],: tfnlu\\", 0x5eed5ull);
   unsigned Unparsable = 0, Rejected = 0, RoundTripped = 0;
   auto Target = std::make_unique<ShardedVerifyService>(C, Fams, Cfg);
   for (unsigned N = 0; N != 4000; ++N) {
-    std::string Text = Mutate(Seeds[N % 2]);
+    std::string Text = Mutator.mutate(Mutator.seeds()[N % 2]);
     std::optional<json::Value> Parsed = json::Value::parse(Text);
     if (!Parsed) {
       ++Unparsable;

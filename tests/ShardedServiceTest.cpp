@@ -6,12 +6,10 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The sharded serving front-end and its prefix sharing: the pre-encoded
-// catalog prefix image is byte-identical across independent builds and
-// verdict-identical to encode-from-scratch. The load-bearing property:
-// the verdict log is invariant across thread counts, verdict values are
-// the same at every shard count, and the snapshot round-trips with
-// per-shard counts rebuilt from the log.
+// The sharded serving front-end. The load-bearing property: every shard
+// encodes the same catalog-common prefix, the verdict log is invariant
+// across thread counts, verdict values are the same at every shard count,
+// and the snapshot round-trips with per-shard counts rebuilt from the log.
 //
 //===----------------------------------------------------------------------===//
 
@@ -53,73 +51,6 @@ std::string keyOf(const ServiceRequest &R) {
          std::string(conditionKindName(R.Kind));
 }
 
-// Two independently built factories, catalogs, and warm sessions must
-// export byte-identical prefix images: the image is a deterministic
-// function of the catalog alone, which is what lets CI pin two separate
-// processes' --dump-prefix outputs with cmp.
-TEST(ShardedServiceTest, PrefixImageByteIdenticalAcrossIndependentBuilds) {
-  std::string First, Second;
-  for (std::string *Out : {&First, &Second}) {
-    ExprFactory F;
-    Catalog C(F);
-    ShardedServiceConfig Cfg;
-    Cfg.Shards = 1;
-    ShardedVerifyService Svc(C, families({"Accumulator", "Set"}), Cfg);
-    PrefixImage Img = Svc.shard(0).exportPrefix();
-    ASSERT_FALSE(Img.empty());
-    EXPECT_GT(Img.NumVars, 0);
-    EXPECT_FALSE(Img.Atoms.empty());
-    *Out = Img.serialize();
-  }
-  ASSERT_FALSE(First.empty());
-  EXPECT_EQ(First, Second);
-}
-
-// A shard that *loads* the prefix image serves the same verdicts, in the
-// same order, as the shard that encoded the prefix from scratch — over
-// the full request universe, twice (the second pass crosses scope
-// retirement and re-opening). The two shards are driven directly,
-// over one catalog plan.
-TEST(ShardedServiceTest, PrefixImportMatchesScratchEncoding) {
-  ExprFactory F;
-  Catalog C(F);
-  std::vector<const Family *> Fams = families({"Accumulator", "Set"});
-  ServiceConfig Cfg;
-  CatalogPlan Plan = SymbolicEngine(F, Cfg.SeqLenBound, Cfg.ConflictBudget)
-                         .planCatalog(C, Fams);
-
-  VerifyService Scratch(C, Plan, Cfg, nullptr);
-  PrefixImage Img = Scratch.exportPrefix();
-  ASSERT_FALSE(Img.empty());
-  VerifyService Loaded(C, Plan, Cfg, &Img);
-  EXPECT_TRUE(Loaded.stats().Session.PrefixImageLoaded);
-  EXPECT_FALSE(Scratch.stats().Session.PrefixImageLoaded);
-
-  std::vector<ResolvedRequest> Pass;
-  for (size_t FamIdx = 0; FamIdx != Fams.size(); ++FamIdx)
-    for (const ConditionEntry &E : C.entries(*Fams[FamIdx]))
-      for (ConditionKind K : {ConditionKind::Before, ConditionKind::Between,
-                              ConditionKind::After})
-        Pass.push_back(
-            {{Fams[FamIdx]->Name, E.op1().Name, E.op2().Name, K}, FamIdx, &E});
-  for (int P = 0; P != 2; ++P) {
-    for (const ResolvedRequest &RR : Pass) {
-      Scratch.submit(RR);
-      Loaded.submit(RR);
-    }
-    std::vector<ServiceVerdict> A = Scratch.drain();
-    std::vector<ServiceVerdict> B = Loaded.drain();
-    ASSERT_EQ(A.size(), Pass.size());
-    ASSERT_EQ(A.size(), B.size());
-    for (size_t I = 0; I != A.size(); ++I) {
-      EXPECT_EQ(keyOf(A[I].Req), keyOf(B[I].Req)) << "at " << I;
-      EXPECT_EQ(A[I].Sound, B[I].Sound) << keyOf(A[I].Req);
-      EXPECT_EQ(A[I].Complete, B[I].Complete) << keyOf(A[I].Req);
-    }
-    ASSERT_TRUE(Loaded.session().solver().reasonInvariantHolds());
-  }
-}
-
 /// The serve_millis-free text of a snapshot (the one timing field).
 std::string untimed(json::Value Snap) {
   Snap.set("serve_millis", json::Value::number(0));
@@ -129,10 +60,11 @@ std::string untimed(json::Value Snap) {
 // The sharded front-end at 1 worker thread and at 8 worker threads must
 // produce elementwise-identical verdict logs (the determinism contract)
 // and verdict values equal to a one-shard reference — over a randomized
-// stream with randomized drain points. At 4 shards, shards 1..3 load
-// shard 0's prefix image. At either shard count the snapshot round-trips,
-// and the restored per-shard request counts (rebuilt by routing the
-// restored log) equal the served ones.
+// stream with randomized drain points. Every shard encodes its own
+// prefix, and encoding is run-invariant: each freshly built shard holds
+// the one-shard reference's clauses, atoms and bridges. At either shard
+// count the snapshot round-trips, and the restored per-shard request
+// counts (rebuilt by routing the restored log) equal the served ones.
 TEST(ShardedServiceTest, VerdictsInvariantAcrossThreadCounts) {
   ExprFactory F;
   Catalog C(F);
@@ -153,11 +85,16 @@ TEST(ShardedServiceTest, VerdictsInvariantAcrossThreadCounts) {
     RefCfg.Shards = 1;
     ShardedVerifyService Ref(C, Fams, RefCfg);
 
-    EXPECT_FALSE(A.stats().Shards[0].PrefixImported);
-    for (unsigned S = 1; S != NumShards; ++S) {
-      EXPECT_TRUE(A.stats().Shards[S].PrefixImported);
-      EXPECT_TRUE(B.stats().Shards[S].PrefixImported);
-    }
+    const SmtSession &RefSess = Ref.shard(0).session();
+    ASSERT_GT(RefSess.retainedClauses(), 0u);
+    for (ShardedVerifyService *Svc : {&A, &B})
+      for (unsigned S = 0; S != NumShards; ++S) {
+        const SmtSession &Sess = Svc->shard(S).session();
+        EXPECT_EQ(Sess.retainedClauses(), RefSess.retainedClauses())
+            << "shard " << S;
+        EXPECT_EQ(Sess.numAtoms(), RefSess.numAtoms()) << "shard " << S;
+        EXPECT_EQ(Sess.liveBridges(), RefSess.liveBridges()) << "shard " << S;
+      }
 
     std::mt19937 Rng(20110604);
     std::uniform_int_distribution<size_t> Pick(0, Universe.size() - 1);
@@ -327,8 +264,7 @@ TEST(ShardedServiceTest, SnapshotRoundTripAndConfigMismatch) {
 }
 
 // Certify mode works shard-locally: every shard logs its own DRAT trace
-// (shards 1..N-1 replay the prefix image into theirs), and the folded
-// summary accepts.
+// from its first assertion, and the folded summary accepts.
 TEST(ShardedServiceTest, PerShardCertificationStillPasses) {
   ExprFactory F;
   Catalog C(F);

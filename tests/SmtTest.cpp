@@ -1154,40 +1154,6 @@ TEST(SmtSessionTest, BridgesAreClausesOverAtoms) {
   EXPECT_EQ(Cert.QueriesPassed, 1u);
 }
 
-TEST(SmtSessionTest, ImportedPrefixFillsEqualityRowsLazily) {
-  // A session built from a prefix image holds no equality table for the
-  // imported terms until a new term arrives; then it emits the triples
-  // through the imported terms, and a refutation that needs one of them
-  // is Unsat and certifies.
-  ExprFactory F;
-  ExprRef A = F.var("lazy_a", Sort::Obj), B = F.var("lazy_b", Sort::Obj),
-          C = F.var("lazy_c", Sort::Obj), D = F.var("lazy_d", Sort::Obj);
-  SmtSession Exporter(F);
-  Exporter.assertBase(F.disj({F.eq(A, B), F.eq(B, C)}));
-  PrefixImage Img = Exporter.exportPrefix();
-
-  SmtSession S(F);
-  S.enableCertification();
-  S.importPrefix(Img);
-  EXPECT_EQ(S.retainedClauses(), Exporter.retainedClauses());
-  EXPECT_EQ(S.numAtoms(), Exporter.numAtoms());
-  EXPECT_EQ(S.liveBridges(), Exporter.liveBridges());
-
-  // D is new: three triples (D with each imported pair), three atoms.
-  size_t Before = S.retainedClauses();
-  S.encodeForAudit({F.eq(B, D)}, SmtSession::RootScope);
-  EXPECT_EQ(S.retainedClauses() - Before, 9u);
-  EXPECT_EQ(S.numAtoms(), Exporter.numAtoms() + 3);
-  EXPECT_EQ(S.liveBridges(), Exporter.liveBridges() + 9);
-
-  // a = b, b = d, a != d needs the bridge over (a, b, d).
-  ASSERT_EQ(S.check({F.eq(A, B), F.eq(B, D), F.ne(A, D)}), SatResult::Unsat);
-  EXPECT_EQ(S.check({F.eq(A, C), F.eq(C, D)}), SatResult::Sat);
-  const proof::CertifySummary &Cert = S.finishCertification();
-  EXPECT_TRUE(Cert.Ok) << Cert.Error;
-  EXPECT_EQ(Cert.QueriesPassed, 1u);
-}
-
 // The incremental session must agree with the one-shot facade (and hence
 // with ground-truth enumeration) on every query of a long random sequence
 // sharing one warm session — bridges and learned clauses accumulate, the

@@ -70,13 +70,9 @@ void printUsage(const char *Argv0) {
       "sharding (ShardedVerifyService):\n"
       "  --threads N       drain worker threads (default: 1)\n"
       "  --shards N        warm sessions behind the front-end (default:\n"
-      "                    --threads); shards 1..N-1 load shard 0's\n"
-      "                    prefix image\n"
+      "                    --threads)\n"
       "  --route MODE      request routing: pair (default) hashes\n"
       "                    family+pair, family keeps a family on one shard\n"
-      "  --dump-prefix FILE  write the serialized prefix image to FILE and\n"
-      "                    continue (byte-identical across runs and shard\n"
-      "                    counts)\n"
       "\n"
       "checks and output:\n"
       "  --check-verdicts  re-verify the served catalog in-process on one\n"
@@ -193,7 +189,7 @@ int main(int argc, char **argv) {
   unsigned Seed = 1;
   long DrainEvery = 64;
   bool CheckVerdicts = false, AssertPlateau = false, Quiet = false;
-  std::string SnapshotPath, ReloadPath, JsonPath, DumpPrefixPath;
+  std::string SnapshotPath, ReloadPath, JsonPath;
   long Threads = 1;
   long ShardCount = 0;
   bool ShardsGiven = false; // Default: one shard per worker thread.
@@ -248,8 +244,6 @@ int main(int argc, char **argv) {
         std::fprintf(stderr, "--route must be pair or family\n");
         return 2;
       }
-    } else if (Arg == "--dump-prefix") {
-      DumpPrefixPath = needValue("--dump-prefix");
     } else if (Arg == "--check-verdicts") {
       CheckVerdicts = true;
     } else if (Arg == "--assert-plateau") {
@@ -292,24 +286,6 @@ int main(int argc, char **argv) {
     std::printf("sharded: %u shards, %ld threads, route=%s\n",
                 Svc.numShards(), Threads,
                 Route == RouteBy::Pair ? "pair" : "family");
-
-  if (!DumpPrefixPath.empty()) {
-    // Must run before any request is served: the image is the warm
-    // session's pristine catalog-common prefix. Byte-identical across
-    // runs and shard counts — CI pins independent processes' dumps with
-    // cmp. A single shard captured no image, so export its own.
-    PrefixImage Img = Svc.numShards() > 1 ? Svc.prefixImage()
-                                          : Svc.shard(0).exportPrefix();
-    std::ofstream OutFile(DumpPrefixPath, std::ios::binary);
-    if (!OutFile) {
-      std::fprintf(stderr, "cannot write %s\n", DumpPrefixPath.c_str());
-      return 2;
-    }
-    OutFile << Img.serialize();
-    if (!Quiet)
-      std::printf("dumped prefix image (%d vars, %zu clauses) to %s\n",
-                  Img.NumVars, Img.Clauses.size(), DumpPrefixPath.c_str());
-  }
 
   if (!ReloadPath.empty()) {
     std::ifstream In(ReloadPath);
@@ -558,9 +534,8 @@ int main(int argc, char **argv) {
       PassArr.push(std::move(Row));
     }
     J.set("pass_stats", std::move(PassArr));
-    // The headline sharded numbers: warm-up decomposition (what one
-    // shard costs to re-encode vs to import the prefix image) and the
-    // per-shard serving accounting.
+    // The headline sharded numbers: the shared plan's cost and the
+    // per-shard warm-up and serving accounting.
     json::Value Sh = json::Value::object();
     Sh.set("shards", json::Value::integer(
                          static_cast<int64_t>(SS.Shards.size())));
@@ -575,22 +550,12 @@ int main(int argc, char **argv) {
     Sh.set("cpus", json::Value::integer(static_cast<int64_t>(
                        std::thread::hardware_concurrency())));
     Sh.set("plan_millis", json::Value::number(SS.PlanMillis));
-    Sh.set("warmup_scratch_millis",
-           json::Value::number(SS.WarmupScratchMillis));
-    Sh.set("warmup_import_millis_avg",
-           json::Value::number(SS.WarmupImportMillisAvg));
-    Sh.set("warmup_speedup_x",
-           json::Value::number(SS.WarmupImportMillisAvg > 0
-                                   ? SS.WarmupScratchMillis /
-                                         SS.WarmupImportMillisAvg
-                                   : 0));
     json::Value ShardArr = json::Value::array();
     for (const ShardStats &St : SS.Shards) {
       json::Value Row = json::Value::object();
       Row.set("requests", json::Value::integer(
                               static_cast<int64_t>(St.Stats.Requests)));
       Row.set("warmup_millis", json::Value::number(St.WarmupMillis));
-      Row.set("prefix_imported", json::Value::boolean(St.PrefixImported));
       Row.set("peak_live_vars",
               json::Value::integer(static_cast<int64_t>(
                   St.Stats.Session.PeakLiveVars)));
