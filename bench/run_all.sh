@@ -349,8 +349,10 @@ if os.path.exists(family_path):
         }
 
 # Certification statistics from the --certify snapshot: certificate and
-# checker-database counts, whether every proof checked, and the wall-time
-# ratio against the uncertified shared-family run (certify_overhead_x).
+# checker-database counts, whether every proof checked, the wall-time
+# ratio against the uncertified shared-family run (certify_overhead_x),
+# and the pass's symbolic planning time (plan_ms, one thread, so
+# plan_share is its share of the wall) with the host's CPU count.
 certify_stats = None
 certify_path = os.path.join(results_dir, "driver_certify_stats.json")
 if os.path.exists(certify_path):
@@ -382,6 +384,11 @@ if os.path.exists(certify_path):
             "wall_ms": wall,
             "certify_overhead_x": (round(wall / plain_wall, 3)
                                    if wall and plain_wall else None),
+            "plan_ms": report.get("plan_ms"),
+            "plan_share": (round(report["plan_ms"] / wall, 3)
+                           if wall and report.get("plan_ms") is not None
+                           else None),
+            "cpus": os.cpu_count(),
         }
 
 # Compiled commutativity-index statistics from perf_dynamic_check's

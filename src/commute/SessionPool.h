@@ -190,6 +190,8 @@ struct PairOutcome {
   /// Solver sessions opened: 1 for a warm session (0 for the later pairs
   /// of a family or catalog session), one per split in OneShot mode.
   size_t SessionsOpened = 0;
+  /// Wall time of the pair's planPair call (SymbolicEngine fills it).
+  double PlanMillis = 0;
 
   /// Certification aggregates (zero unless the engine certifies): the
   /// checker's verdict over the pair's session trace, its step/query

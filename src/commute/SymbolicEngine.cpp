@@ -113,12 +113,47 @@ std::vector<TaggedAssumption> roleAssumptions(ExprFactory &F,
   return {{F.lnot(Phi), "not-phi"}, {Agree, "agree"}};
 }
 
+/// One testing method a pair plan builder materializes.
+struct MethodSpec {
+  ConditionKind Kind = ConditionKind::Before;
+  MethodRole Role = MethodRole::Soundness;
+  std::string Name;
+  const HintScript *Hint = nullptr; ///< Matched script (ArrayList only).
+};
+
+size_t kindIndex(ConditionKind K) { return static_cast<size_t>(K); }
+
+/// The method plans of a single-VC family. The caller runs the pair's
+/// symbolic execution and builds its agreement goal once; Phi is lowered
+/// through \p OnAtom once per condition kind that \p Methods use.
+std::vector<MethodPlan>
+singleVcPlans(ExprFactory &F, const ConditionEntry &E,
+              const std::vector<MethodSpec> &Methods,
+              const std::vector<ExprRef> &Common, ExprRef Agree,
+              const std::function<ExprRef(ExprRef)> &OnAtom) {
+  ExprRef Phi[3] = {nullptr, nullptr, nullptr};
+  std::vector<MethodPlan> Plans;
+  for (const MethodSpec &MS : Methods) {
+    ExprRef &P = Phi[kindIndex(MS.Kind)];
+    if (!P)
+      P = rewriteBool(F, E.get(MS.Kind), OnAtom);
+    MethodPlan MP;
+    MP.Name = MS.Name;
+    MP.Common = Common;
+    addRoleVc(MP, F, MS.Role, P, Agree);
+    Plans.push_back(std::move(MP));
+  }
+  return Plans;
+}
+
 // ===========================================================================
 // Accumulator
 // ===========================================================================
 
-MethodPlan buildCounterPlan(ExprFactory &F, const TestingMethod &M) {
-  const ConditionEntry &E = *M.Entry;
+std::vector<MethodPlan>
+buildCounterPlans(ExprFactory &F, const ConditionEntry &E,
+                  const std::vector<MethodSpec> &Methods,
+                  const std::vector<ExprRef> &Common) {
   ExprRef C0 = F.var("c0", Sort::Int);
 
   auto Arg = [&F](const Operation &Op, int Pos) -> ExprRef {
@@ -148,12 +183,12 @@ MethodPlan buildCounterPlan(ExprFactory &F, const TestingMethod &M) {
   ExprRef R1b = Apply(E.op1(), A1, SB);
 
   // Unfold the condition: counter queries map to the matching state term.
+  std::map<std::string, ExprRef> Subst;
+  if (E.op1().RecordsReturn && R1a)
+    Subst["r1"] = R1a;
+  if (E.op2().RecordsReturn && R2a)
+    Subst["r2"] = R2a;
   auto OnAtom = [&](ExprRef Atom) -> ExprRef {
-    std::map<std::string, ExprRef> Subst;
-    if (E.op1().RecordsReturn && R1a)
-      Subst["r1"] = R1a;
-    if (E.op2().RecordsReturn && R2a)
-      Subst["r2"] = R2a;
     ExprRef A = F.substitute(Atom, Subst);
     // Replace counter-value queries textually by their terms.
     std::function<ExprRef(ExprRef)> Go = [&](ExprRef X) -> ExprRef {
@@ -185,7 +220,6 @@ MethodPlan buildCounterPlan(ExprFactory &F, const TestingMethod &M) {
     };
     return Go(A);
   };
-  ExprRef Phi = rewriteBool(F, E.get(M.Kind), OnAtom);
 
   std::vector<ExprRef> Agree;
   if (E.op1().RecordsReturn && R1a)
@@ -193,12 +227,8 @@ MethodPlan buildCounterPlan(ExprFactory &F, const TestingMethod &M) {
   if (E.op2().RecordsReturn && R2a)
     Agree.push_back(F.eq(R2a, R2b));
   Agree.push_back(F.eq(SA, SB));
-  ExprRef AgreeAll = F.conj(std::move(Agree));
-
-  MethodPlan P;
-  P.Name = M.name();
-  addRoleVc(P, F, M.Role, Phi, AgreeAll);
-  return P;
+  return singleVcPlans(F, E, Methods, Common, F.conj(std::move(Agree)),
+                       OnAtom);
 }
 
 // ===========================================================================
@@ -218,8 +248,9 @@ ExprRef setMem(ExprFactory &F, ExprRef S0, const SymSet &S, ExprRef X) {
   return M;
 }
 
-MethodPlan buildSetPlan(ExprFactory &F, const TestingMethod &M) {
-  const ConditionEntry &E = *M.Entry;
+std::vector<MethodPlan> buildSetPlans(ExprFactory &F, const ConditionEntry &E,
+                                      const std::vector<MethodSpec> &Methods,
+                                      const std::vector<ExprRef> &Common) {
   ExprRef S0 = F.var("S0", Sort::State);
   ExprRef V1 = F.var("v1", Sort::Obj), V2 = F.var("v2", Sort::Obj);
 
@@ -276,7 +307,6 @@ MethodPlan buildSetPlan(ExprFactory &F, const TestingMethod &M) {
     }
     return Atom;
   };
-  ExprRef Phi = rewriteBool(F, E.get(M.Kind), OnAtom);
 
   auto RetEq = [&](const SymValue &A, const SymValue &B) -> ExprRef {
     if (A.K == SymValue::Kind::BoolFormula)
@@ -294,13 +324,8 @@ MethodPlan buildSetPlan(ExprFactory &F, const TestingMethod &M) {
   // membership is affected by either order.
   for (ExprRef X : {V1, V2})
     Agree.push_back(F.iff(setMem(F, S0, SA, X), setMem(F, S0, SB, X)));
-  ExprRef AgreeAll = F.conj(std::move(Agree));
-
-  MethodPlan P;
-  P.Name = M.name();
-  P.Common = {F.ne(V1, F.nullConst()), F.ne(V2, F.nullConst())};
-  addRoleVc(P, F, M.Role, Phi, AgreeAll);
-  return P;
+  return singleVcPlans(F, E, Methods, Common, F.conj(std::move(Agree)),
+                       OnAtom);
 }
 
 // ===========================================================================
@@ -348,8 +373,9 @@ ExprRef leavesEqual(ExprFactory &F, const LeafVec &A, const LeafVec &B) {
   return F.disj(std::move(Cases));
 }
 
-MethodPlan buildMapPlan(ExprFactory &F, const TestingMethod &M) {
-  const ConditionEntry &E = *M.Entry;
+std::vector<MethodPlan> buildMapPlans(ExprFactory &F, const ConditionEntry &E,
+                                      const std::vector<MethodSpec> &Methods,
+                                      const std::vector<ExprRef> &Common) {
   ExprRef M0 = F.var("M0", Sort::State);
 
   auto Args = [&](const Operation &Op, int Pos) -> std::vector<ExprRef> {
@@ -429,7 +455,6 @@ MethodPlan buildMapPlan(ExprFactory &F, const TestingMethod &M) {
     }
     return Atom;
   };
-  ExprRef Phi = rewriteBool(F, E.get(M.Kind), OnAtom);
 
   auto RetEq = [&](const SymValue &A, const SymValue &B) -> ExprRef {
     switch (A.K) {
@@ -458,15 +483,8 @@ MethodPlan buildMapPlan(ExprFactory &F, const TestingMethod &M) {
   for (ExprRef K : Keys)
     Agree.push_back(leavesEqual(F, mapGetLeaves(F, M0, SA, K),
                                 mapGetLeaves(F, M0, SB, K)));
-  ExprRef AgreeAll = F.conj(std::move(Agree));
-
-  MethodPlan P;
-  P.Name = M.name();
-  for (const std::vector<ExprRef> *V : {&A1, &A2})
-    for (ExprRef T : *V)
-      P.Common.push_back(F.ne(T, F.nullConst()));
-  addRoleVc(P, F, M.Role, Phi, AgreeAll);
-  return P;
+  return singleVcPlans(F, E, Methods, Common, F.conj(std::move(Agree)),
+                       OnAtom);
 }
 
 // ===========================================================================
@@ -715,29 +733,28 @@ ExprRef SeqScenario::onAtom(ExprRef Atom) {
   }
 }
 
-MethodPlan buildSeqPlan(ExprFactory &F, const TestingMethod &M,
-                        int SeqLenBound, const HintScript *Hint,
-                        bool CommonOnly = false) {
-  const ConditionEntry &E = *M.Entry;
+/// The method plans of an ArrayList pair. The (length x index x index)
+/// split lattice is walked once: each split replays the two orders, builds
+/// its snapshots and agreement goal once and lowers Phi once per condition
+/// formula, and every requested method adds its role pair and hint lemmas.
+/// A method stops at the first split where its Phi or the agreement goal
+/// leaves the bounded fragment; the other methods go on.
+std::vector<MethodPlan> buildSeqPlans(ExprFactory &F, const ConditionEntry &E,
+                                      const std::vector<MethodSpec> &Methods,
+                                      const std::vector<ExprRef> &Common,
+                                      int SeqLenBound) {
   const Operation &Op1 = E.op1();
   const Operation &Op2 = E.op2();
 
-  MethodPlan Plan;
-  Plan.Name = M.name();
+  std::vector<MethodPlan> Plans(Methods.size());
+  for (size_t MI = 0; MI != Methods.size(); ++MI) {
+    Plans[MI].Name = Methods[MI].Name;
+    Plans[MI].Common = Common;
+  }
+  size_t Live = Methods.size(); // Methods not yet stopped.
+  const ExprRef Conds[3] = {E.Before, E.Between, E.After}; // By kindIndex.
 
   ExprRef V1 = F.var("v1", Sort::Obj), V2 = F.var("v2", Sort::Obj);
-
-  // The shared symbolic-execution prefix of every case split: the argument
-  // objects and all element variables any split can mention are non-null.
-  // Asserting it once lets the warm session reuse its encoding across the
-  // whole (length x index x index) split lattice — and, in SharedPair
-  // mode, across every testing method of the pair.
-  Plan.Common = {F.ne(V1, F.nullConst()), F.ne(V2, F.nullConst())};
-  for (int64_t P = 0; P < SeqLenBound; ++P)
-    Plan.Common.push_back(
-        F.ne(F.var("e" + std::to_string(P), Sort::Obj), F.nullConst()));
-  if (CommonOnly)
-    return Plan; // Lazy planning only needs the prefix; splits come later.
 
   // Applies an operation at concrete index arguments on a term vector.
   // Returns false if the precondition fails.
@@ -797,11 +814,13 @@ MethodPlan buildSeqPlan(ExprFactory &F, const TestingMethod &M,
       Initial.push_back(F.var("e" + std::to_string(P), Sort::Obj));
 
     // Index argument ranges cover one past an insertion-grown list.
-    int64_t I1Lo = IntArg(Op1) ? 0 : 0, I1Hi = IntArg(Op1) ? N + 1 : 0;
-    int64_t I2Lo = IntArg(Op2) ? 0 : 0, I2Hi = IntArg(Op2) ? N + 1 : 0;
+    int64_t I1Hi = IntArg(Op1) ? N + 1 : 0;
+    int64_t I2Hi = IntArg(Op2) ? N + 1 : 0;
 
-    for (int64_t I1 = I1Lo; I1 <= I1Hi; ++I1) {
-      for (int64_t I2 = I2Lo; I2 <= I2Hi; ++I2) {
+    for (int64_t I1 = 0; I1 <= I1Hi; ++I1) {
+      for (int64_t I2 = 0; I2 <= I2Hi; ++I2) {
+        if (Live == 0)
+          return Plans;
         // --- First order (on A). ---
         SymSeq SA = Initial;
         SymValue R1a, R2a;
@@ -861,9 +880,33 @@ MethodPlan buildSeqPlan(ExprFactory &F, const TestingMethod &M,
             Subst["r2"] = RE;
         }
 
-        ExprRef PhiRaw = F.substitute(E.get(M.Kind), Subst);
-        ExprRef Phi = rewriteBool(
-            F, PhiRaw, [&](ExprRef A) { return Ctx.onAtom(A); });
+        auto Lower = [&](ExprRef Formula) {
+          return rewriteBool(F, F.substitute(Formula, Subst),
+                             [&](ExprRef A) { return Ctx.onAtom(A); });
+        };
+
+        // Phi once per condition kind a live method checks, with its own
+        // out-of-fragment flag; kinds that share one formula share its
+        // lowering.
+        ExprRef Phi[3] = {nullptr, nullptr, nullptr};
+        bool PhiUnsupported[3] = {false, false, false};
+        for (size_t MI = 0; MI != Methods.size(); ++MI) {
+          size_t K = kindIndex(Methods[MI].Kind);
+          if (Plans[MI].Unsupported || Phi[K])
+            continue;
+          size_t Src = K;
+          for (size_t J = 0; J != 3; ++J)
+            if (Phi[J] && Conds[J] == Conds[K])
+              Src = J;
+          if (Src != K) {
+            Phi[K] = Phi[Src];
+            PhiUnsupported[K] = PhiUnsupported[Src];
+            continue;
+          }
+          Ctx.SawUnsupportedAtom = false;
+          Phi[K] = Lower(Conds[K]);
+          PhiUnsupported[K] = Ctx.SawUnsupportedAtom;
+        }
 
         // The scan snapshot for op1 in the reverse order: the state
         // after op2 ran first.
@@ -876,7 +919,8 @@ MethodPlan buildSeqPlan(ExprFactory &F, const TestingMethod &M,
         }
         Ctx.Snapshots["retB1"] = &RetB1Snap;
 
-        // Agreement goal.
+        // Agreement goal, shared by every method.
+        Ctx.SawUnsupportedAtom = false;
         std::vector<ExprRef> Agree;
         if (!RevPreOk) {
           Agree.push_back(F.falseExpr());
@@ -913,48 +957,52 @@ MethodPlan buildSeqPlan(ExprFactory &F, const TestingMethod &M,
           }
         }
         ExprRef AgreeAll = F.conj(std::move(Agree));
+        bool AgreeUnsupported = Ctx.SawUnsupportedAtom;
 
-        VcSplit Split;
-        Split.Assumed = roleAssumptions(F, M.Role, Phi, AgreeAll);
-        // Attached proof hints: the script's note/pickWitness lemmas are
-        // valid over every reached scenario (validateScript machine-checks
-        // exactly that), so assuming them can never flip a genuine
-        // countermodel — it only lets the refutation name which hints it
-        // used via their labels in the unsat core. Assuming commands are
-        // case structure, not lemmas, and are not asserted. A hint whose
-        // lowering leaves the bounded fragment is skipped rather than
-        // poisoning the plan.
-        if (Hint)
-          for (const HintCommand &Cmd : Hint->Commands) {
-            if (Cmd.Kind == HintCommandKind::Assuming)
-              continue;
-            bool SavedUnsupported = Ctx.SawUnsupportedAtom;
-            Ctx.SawUnsupportedAtom = false;
-            ExprRef Lowered =
-                rewriteBool(F, F.substitute(Cmd.Formula, Subst),
-                            [&](ExprRef A) { return Ctx.onAtom(A); });
-            bool HintUnsupported = Ctx.SawUnsupportedAtom;
-            Ctx.SawUnsupportedAtom = SavedUnsupported;
-            if (!HintUnsupported)
-              Split.Assumed.push_back({Lowered, Cmd.Label});
+        std::string Label = "n=" + std::to_string(N) +
+                            " i1=" + std::to_string(I1) +
+                            " i2=" + std::to_string(I2);
+        for (size_t MI = 0; MI != Methods.size(); ++MI) {
+          const MethodSpec &MS = Methods[MI];
+          MethodPlan &Plan = Plans[MI];
+          if (Plan.Unsupported)
+            continue;
+          size_t K = kindIndex(MS.Kind);
+          VcSplit Split;
+          Split.Assumed = roleAssumptions(F, MS.Role, Phi[K], AgreeAll);
+          // Attached proof hints: the script's note/pickWitness lemmas are
+          // valid over every reached scenario (validateScript
+          // machine-checks exactly that), so assuming them can never flip
+          // a genuine countermodel — it only lets the refutation name
+          // which hints it used via their labels in the unsat core.
+          // Assuming commands are case structure, not lemmas, and are not
+          // asserted. A hint whose lowering leaves the bounded fragment is
+          // skipped rather than poisoning the plan.
+          if (MS.Hint)
+            for (const HintCommand &Cmd : MS.Hint->Commands) {
+              if (Cmd.Kind == HintCommandKind::Assuming)
+                continue;
+              Ctx.SawUnsupportedAtom = false;
+              ExprRef Lowered = Lower(Cmd.Formula);
+              if (!Ctx.SawUnsupportedAtom)
+                Split.Assumed.push_back({Lowered, Cmd.Label});
+            }
+          Split.Label = Label;
+          Plan.Splits.push_back(std::move(Split));
+
+          if (PhiUnsupported[K] || AgreeUnsupported) {
+            // The lowering replaced an atom by a free variable; this
+            // method's plan ends here and it reports unverified.
+            Plan.Unsupported = true;
+            Plan.UnsupportedNote =
+                "unsupported atom shape in bounded lowering";
+            --Live;
           }
-        Split.Label = "n=" + std::to_string(N) +
-                      " i1=" + std::to_string(I1) +
-                      " i2=" + std::to_string(I2);
-        Plan.Splits.push_back(std::move(Split));
-
-        if (Ctx.SawUnsupportedAtom) {
-          // The lowering replaced an atom by a free variable; the plan
-          // ends here and the method reports unverified.
-          Plan.Unsupported = true;
-          Plan.UnsupportedNote =
-              "unsupported atom shape in bounded lowering";
-          return Plan;
         }
       }
     }
   }
-  return Plan;
+  return Plans;
 }
 
 } // namespace
@@ -1033,43 +1081,69 @@ uint64_t splitsOf(const PairPlan &PP) {
 } // namespace
 
 MethodPlan SymbolicEngine::plan(const TestingMethod &M) const {
-  switch (M.family().Kind) {
-  case StateKind::Counter:
-    return buildCounterPlan(F, M);
-  case StateKind::Set:
-    return buildSetPlan(F, M);
-  case StateKind::Map:
-    return buildMapPlan(F, M);
-  case StateKind::Seq: {
-    const HintScript *Hint = nullptr;
-    if (Hints)
+  return std::move(planMethods(*M.Entry, {M}).front());
+}
+
+std::vector<MethodPlan>
+SymbolicEngine::planMethods(const ConditionEntry &E,
+                            const std::vector<TestingMethod> &Ms) const {
+  std::vector<MethodSpec> Specs;
+  for (const TestingMethod &M : Ms) {
+    assert(M.Entry == &E && "every method must test the planned entry");
+    MethodSpec MS{M.Kind, M.Role, M.name(), nullptr};
+    if (Hints && E.Fam->Kind == StateKind::Seq)
       for (const HintScript &S : *Hints)
         if (S.matches(M)) {
-          Hint = &S;
+          MS.Hint = &S;
           break;
         }
-    return buildSeqPlan(F, M, SeqLenBound, Hint);
+    Specs.push_back(std::move(MS));
   }
+  std::vector<ExprRef> Common = planCommonOnly(E);
+  switch (E.Fam->Kind) {
+  case StateKind::Counter:
+    return buildCounterPlans(F, E, Specs, Common);
+  case StateKind::Set:
+    return buildSetPlans(F, E, Specs, Common);
+  case StateKind::Map:
+    return buildMapPlans(F, E, Specs, Common);
+  case StateKind::Seq:
+    return buildSeqPlans(F, E, Specs, Common, SeqLenBound);
   }
   semcomm_unreachable("invalid family kind");
 }
 
 std::vector<ExprRef>
 SymbolicEngine::planCommonOnly(const ConditionEntry &E) const {
-  // The Common prefix depends only on the entry's operations, never on
-  // the testing method's kind or role, so one method stands for all six.
-  TestingMethod M;
-  M.Entry = &E;
-  M.Kind = ConditionKind::Before;
-  M.Role = MethodRole::Soundness;
-  // Only the Seq builder materializes a split lattice worth skipping; the
-  // single-VC families' plans are one formula each, and hash-consing
-  // dedups their construction against the later full plan anyway.
-  if (M.family().Kind == StateKind::Seq)
-    return buildSeqPlan(F, M, SeqLenBound, /*Hint=*/nullptr,
-                        /*CommonOnly=*/true)
-        .Common;
-  return plan(M).Common;
+  // The pair-common prefix: the arguments (and, for ArrayList, every
+  // element variable a split can mention) are non-null. Asserting it once
+  // lets a warm session reuse its encoding across the split lattice and
+  // the pair's six methods. It depends only on the entry's operations, so
+  // lazy planning asks for it without building a single method.
+  auto NonNull = [this](const std::string &Name) {
+    return F.ne(F.var(Name, Sort::Obj), F.nullConst());
+  };
+  std::vector<ExprRef> Common;
+  switch (E.Fam->Kind) {
+  case StateKind::Counter:
+    break;
+  case StateKind::Map:
+    for (const std::string &Base : E.op1().ArgBaseNames)
+      Common.push_back(NonNull(Base + "1"));
+    for (const std::string &Base : E.op2().ArgBaseNames)
+      Common.push_back(NonNull(Base + "2"));
+    break;
+  case StateKind::Set:
+  case StateKind::Seq:
+    // Set plans compare membership of v1/v2 whatever the arguments; Seq
+    // plans also read the element variables of the longest list.
+    Common = {NonNull("v1"), NonNull("v2")};
+    if (E.Fam->Kind == StateKind::Seq)
+      for (int P = 0; P < SeqLenBound; ++P)
+        Common.push_back(NonNull("e" + std::to_string(P)));
+    break;
+  }
+  return Common;
 }
 
 std::vector<ExprRef> SymbolicEngine::familyCommonOf(
@@ -1082,8 +1156,7 @@ std::vector<ExprRef> SymbolicEngine::familyCommonOf(
 }
 
 PairPlan SymbolicEngine::planPair(const ConditionEntry &E) const {
-  PairPlan PP;
-  PP.Key = E.pairName();
+  std::vector<TestingMethod> Ms;
   for (ConditionKind K : {ConditionKind::Before, ConditionKind::Between,
                           ConditionKind::After})
     for (MethodRole Role : {MethodRole::Soundness, MethodRole::Completeness}) {
@@ -1091,9 +1164,9 @@ PairPlan SymbolicEngine::planPair(const ConditionEntry &E) const {
       M.Entry = &E;
       M.Kind = K;
       M.Role = Role;
-      PP.Methods.push_back(plan(M));
+      Ms.push_back(M);
     }
-  return PP;
+  return {E.pairName(), planMethods(E, Ms)};
 }
 
 FamilyPlan SymbolicEngine::planFamily(
@@ -1237,7 +1310,9 @@ SymbolicEngine::verifyCatalog(const Catalog &C,
 CatalogOutcome
 SymbolicEngine::verifyGroups(const std::vector<FamilyEntries> &Groups) {
   CatalogOutcome Out;
+  Stopwatch PlanTimer;
   CatalogPlan CP = planGroups(Groups);
+  Out.PlanMillis = PlanTimer.millis();
   CatalogSession Sess(F, CP, ConflictBudget, Certify);
   Sess.configureClauseGc(true, GcBudget);
 
@@ -1252,12 +1327,16 @@ SymbolicEngine::verifyGroups(const std::vector<FamilyEntries> &Groups) {
 
     const std::vector<const ConditionEntry *> &Entries = Groups[FI].Entries;
     for (size_t PI = 0; PI != Entries.size(); ++PI) {
+      PlanTimer.reset();
       PairPlan PP = planPair(*Entries[PI]);
+      double PairPlanMillis = PlanTimer.millis();
+      Out.PlanMillis += PairPlanMillis;
       uint64_t PairSplits = splitsOf(PP);
       FO.TotalSplits += PairSplits;
       FO.PeakMaterializedSplits =
           std::max(FO.PeakMaterializedSplits, PairSplits);
       PairOutcome PO;
+      PO.PlanMillis = PairPlanMillis;
       uint64_t ChecksBefore = Sess.checks();
       int64_t ConflictsBefore = Sess.conflicts();
       uint64_t RedBefore = Sess.dbReductions();
@@ -1323,9 +1402,15 @@ SymbolicEngine::verifyGroups(const std::vector<FamilyEntries> &Groups) {
 }
 
 PairOutcome SymbolicEngine::verifyPair(const ConditionEntry &E) {
-  if (isColdMode(Mode))
-    return dischargeCold(F, planPair(E).Methods, ConflictBudget, GcBudget,
-                         Certify);
+  if (isColdMode(Mode)) {
+    Stopwatch PlanTimer;
+    PairPlan PP = planPair(E);
+    double PlanMillis = PlanTimer.millis();
+    PairOutcome PO =
+        dischargeCold(F, PP.Methods, ConflictBudget, GcBudget, Certify);
+    PO.PlanMillis = PlanMillis;
+    return PO;
+  }
   // A single pair is a one-pair catalog plan: the pair sits at the root.
   CatalogOutcome CO = verifyGroups({{E.Fam, {&E}}});
   return std::move(CO.Families.front().Pairs.front());

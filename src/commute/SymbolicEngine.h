@@ -109,6 +109,8 @@ struct CatalogOutcome {
   unsigned Selectors = 0; ///< Family + pair + method selectors.
   uint64_t TotalSplits = 0;
   uint64_t PeakMaterializedSplits = 0;
+  /// Planning wall time: the planGroups pass plus every pair's planPair.
+  double PlanMillis = 0;
 
   /// Certification aggregates over the one catalog-session trace (zero
   /// unless the engine certifies).
@@ -167,12 +169,16 @@ public:
   CatalogOutcome verifyCatalog(const Catalog &C,
                                const std::vector<const Family *> &Fams);
 
-  /// Compiles one testing method to its discharge plan (exposed so tests
-  /// can replay plans against differently configured sessions).
+  /// Compiles one testing method to its discharge plan: planPair's
+  /// builder asked for this method alone (exposed so tests can replay
+  /// plans against differently configured sessions).
   MethodPlan plan(const TestingMethod &M) const;
 
   /// Compiles one entry's six testing methods to a pair plan, in
-  /// (kind x role) enumeration order.
+  /// (kind x role) enumeration order. The pair's symbolic execution and
+  /// agreement goal are built once (once per split for ArrayList) and Phi
+  /// once per condition kind (ArrayList kinds with one formula share its
+  /// lowering); only the role assumptions and hint lemmas are per method.
   PairPlan planPair(const ConditionEntry &E) const;
 
   /// Compiles a set of catalog entries to a whole-family plan: six method
@@ -222,9 +228,13 @@ private:
   entriesOf(const Catalog &C, const std::vector<const Family *> &Fams);
   /// planCatalog over explicit entry lists.
   CatalogPlan planGroups(const std::vector<FamilyEntries> &Groups) const;
-  /// The Common prefix of \p E's method plans without materializing the
-  /// ArrayList split lattice (the prefixes are a handful of
-  /// well-formedness formulas, identical across an entry's six methods).
+  /// The plans of \p Ms, which all test \p E, in order: the one plan
+  /// builder behind plan and planPair.
+  std::vector<MethodPlan>
+  planMethods(const ConditionEntry &E,
+              const std::vector<TestingMethod> &Ms) const;
+  /// The Common prefix of \p E's method plans, built without any method:
+  /// a handful of well-formedness formulas over the entry's arguments.
   std::vector<ExprRef> planCommonOnly(const ConditionEntry &E) const;
   /// Intersection of planCommonOnly over \p Entries, in first-entry
   /// order — planFamily's family-common prefix.

@@ -492,6 +492,7 @@ TEST(DriverReport, JsonRoundTrips) {
   expectField(Doc, "tool", std::string("semcommute-verify"));
   expectField(Doc, "threads", R.Threads);
   expectField(Doc, "wall_ms", R.WallMillis);
+  expectField(Doc, "plan_ms", R.PlanMillis);
   expectField(Doc["scope"], "set_universe", R.Bounds.SetUniverse);
   expectField(Doc["scope"], "counter_range", R.Bounds.CounterRange);
   ASSERT_EQ(Doc["families"].size(), R.Families.size());
@@ -625,7 +626,17 @@ TEST(DriverReport, CatalogStatsRoundTrip) {
   EXPECT_EQ(R.CatalogSessions[0].FamilyNames, "Accumulator");
   EXPECT_EQ(R.CatalogSessions[1].FamilyNames, "Set");
   json::Value Doc = R.toJson();
+  expectField(Doc, "plan_ms", R.PlanMillis);
   ASSERT_EQ(Doc["catalog_stats"].size(), R.CatalogSessions.size());
+  // Every session plans its pairs, within its own wall clock; the
+  // top-level planning time is the sum over the sessions.
+  double PlanSum = 0;
+  for (const CatalogStats &A : R.CatalogSessions) {
+    EXPECT_GT(A.PlanMillis, 0) << A.FamilyNames;
+    EXPECT_LE(A.PlanMillis, A.Millis) << A.FamilyNames;
+    PlanSum += A.PlanMillis;
+  }
+  EXPECT_EQ(R.PlanMillis, PlanSum);
   for (size_t I = 0; I != R.CatalogSessions.size(); ++I) {
     const CatalogStats &A = R.CatalogSessions[I];
     const json::Value &Row = Doc["catalog_stats"].at(I);
@@ -653,6 +664,7 @@ TEST(DriverReport, CatalogStatsRoundTrip) {
     expectField(Row, "peak_live_bridges", A.PeakLiveBridges);
     expectField(Row, "selectors", A.Selectors);
     expectField(Row, "ms", A.Millis);
+    expectField(Row, "plan_ms", A.PlanMillis);
   }
 }
 

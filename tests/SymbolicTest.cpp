@@ -230,3 +230,90 @@ TEST(SymbolicEngineTest, EnginesAgreeOnRandomizedWeakenings) {
     }
   }
 }
+
+namespace {
+/// FNV-1a over \p Text, folded into \p H.
+uint64_t fnv1a(uint64_t H, const std::string &Text) {
+  for (unsigned char C : Text) {
+    H ^= C;
+    H *= 1099511628211ull;
+  }
+  return H;
+}
+
+/// A digest of every planPair method plan over the whole catalog: names,
+/// both prefixes with their tags, every split's label and tagged
+/// assumptions, and the unsupported marker, in printed form.
+uint64_t catalogPlanDigest(const Catalog &C, const SymbolicEngine &Eng) {
+  uint64_t H = 14695981039346656037ull;
+  for (const Family *Fam : allFamilies())
+    for (const ConditionEntry &E : C.entries(*Fam)) {
+      PairPlan PP = Eng.planPair(E);
+      H = fnv1a(H, "pair " + Fam->Name + " " + PP.Key + "\n");
+      for (const MethodPlan &MP : PP.Methods) {
+        H = fnv1a(H, "method " + MP.Name + "\n");
+        for (ExprRef X : MP.Common)
+          H = fnv1a(H, "common " + printAbstract(X) + "\n");
+        for (const TaggedAssumption &A : MP.Scoped)
+          H = fnv1a(H, "scoped " + A.Label + " " + printAbstract(A.E) + "\n");
+        for (const VcSplit &S : MP.Splits) {
+          H = fnv1a(H, "split " + S.Label + "\n");
+          for (const TaggedAssumption &A : S.Assumed)
+            H = fnv1a(H,
+                      "assume " + A.Label + " " + printAbstract(A.E) + "\n");
+        }
+        H = fnv1a(H, std::string("unsupported ") +
+                         (MP.Unsupported ? "1 " : "0 ") + MP.UnsupportedNote +
+                         "\n");
+      }
+    }
+  return H;
+}
+} // namespace
+
+TEST(SymbolicEngineTest, CatalogPlansArePinned) {
+  // Every plan the catalog produces, hint lemmas included, is pinned by
+  // digest at two sequence bounds. A planner change that alters, drops or
+  // reorders any formula, label or tag changes a digest; a refactor of how
+  // plans are built must leave both unchanged.
+  ExprFactory F;
+  Catalog C{F};
+  std::vector<HintScript> Scripts = buildArrayListHintScripts(F);
+  SymbolicEngine Bound2(F, /*SeqLenBound=*/2);
+  SymbolicEngine Bound3(F, /*SeqLenBound=*/3);
+  Bound2.attachHints(&Scripts);
+  Bound3.attachHints(&Scripts);
+  EXPECT_EQ(catalogPlanDigest(C, Bound2), 545493777903467613ull);
+  EXPECT_EQ(catalogPlanDigest(C, Bound3), 4501179067810564785ull);
+}
+
+TEST(SymbolicEngineTest, UnsupportedBetweenTruncatesOnlyItsOwnMethods) {
+  // Two index terms under Lt leave the bounded fragment. Only the Between
+  // methods plan that atom: each stops at the first split, while Before
+  // and After keep the catalog entry's whole lattice.
+  SymbolicFixture &Fx = fixture();
+  Vocab D(Fx.F);
+  SymbolicEngine Engine(Fx.F, /*SeqLenBound=*/2);
+  const ConditionEntry &Real =
+      Fx.C.entry(arrayListFamily(), "add_at", "get");
+  ConditionEntry Mutant = Real;
+  Mutant.Between = D.lt(D.idx(D.S1, D.V1), D.idx(D.S2, D.V2));
+  PairPlan Full = Engine.planPair(Real);
+  PairPlan Cut = Engine.planPair(Mutant);
+  ASSERT_EQ(Cut.Methods.size(), 6u);
+  for (size_t I = 0; I != Cut.Methods.size(); ++I) {
+    const MethodPlan &MP = Cut.Methods[I];
+    bool Between = I == 2 || I == 3; // (kind x role) enumeration order.
+    EXPECT_EQ(MP.Unsupported, Between) << MP.Name;
+    if (Between) {
+      EXPECT_EQ(MP.Splits.size(), 1u) << MP.Name;
+      EXPECT_FALSE(MP.UnsupportedNote.empty()) << MP.Name;
+    } else {
+      EXPECT_EQ(MP.Splits.size(), Full.Methods[I].Splits.size()) << MP.Name;
+      EXPECT_GT(MP.Splits.size(), 1u) << MP.Name;
+    }
+  }
+  SymbolicResult R = Engine.verifyPair(Mutant).Methods[2];
+  EXPECT_FALSE(R.Verified);
+  EXPECT_EQ(R.NumVcs, 1u);
+}

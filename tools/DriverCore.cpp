@@ -288,12 +288,12 @@ void fillSessionStats(const CatalogOutcome &CO, const char *ModeName,
 /// Runs one session group: a warm mode through one CatalogSession
 /// (SymbolicEngine::verifyGroups), OneShot through dischargeCold.
 /// Writes the group's job records and pair rows and, when \p Session is
-/// set (warm modes), its session row. A one-pair group's pair row carries
-/// the group's wall clock.
-void runSessionGroup(const Catalog &C, const DriverOptions &Opts,
-                     const std::vector<PairGroup> &PairGroups,
-                     const SessionGroup &G, std::vector<JobRecord> &Jobs,
-                     std::vector<PairStats> &Pairs, CatalogStats *Session) {
+/// set (warm modes), its session row, and returns the group's planning
+/// time. A one-pair group's pair row carries the group's wall clock.
+double runSessionGroup(const Catalog &C, const DriverOptions &Opts,
+                       const std::vector<PairGroup> &PairGroups,
+                       const SessionGroup &G, std::vector<JobRecord> &Jobs,
+                       std::vector<PairStats> &Pairs, CatalogStats *Session) {
   Stopwatch Timer;
   SymbolicEngine Sym(C.factory(), Opts.SymbolicSeqLenBound,
                      Opts.SymbolicConflictBudget, Opts.SymbolicMode);
@@ -304,6 +304,7 @@ void runSessionGroup(const Catalog &C, const DriverOptions &Opts,
     CO.Families.emplace_back();
     CO.Families[0].Pairs.push_back(
         Sym.verifyPair(*PairGroups[G.PairIdx[0]].Entry));
+    CO.PlanMillis = CO.Families[0].Pairs[0].PlanMillis;
   } else {
     SymbolicEngine::FamilyEntries Group;
     Group.Fam = PairGroups[G.PairIdx[0]].Entry->Fam;
@@ -334,7 +335,9 @@ void runSessionGroup(const Catalog &C, const DriverOptions &Opts,
   if (Session) {
     fillSessionStats(CO, ModeName, *Session);
     Session->Millis = Wall;
+    Session->PlanMillis = CO.PlanMillis;
   }
+  return CO.PlanMillis;
 }
 
 } // namespace
@@ -415,6 +418,7 @@ Report driver::runFullCatalog(const Catalog &C, const DriverOptions &Opts) {
   std::vector<PairStats> Pairs(PairGroups.size());
   std::vector<CatalogStats> SessionRows(
       isColdMode(Opts.SymbolicMode) ? 0 : Sessions.size());
+  std::vector<double> PlanMillis(Sessions.size());
 
   unsigned Threads = Opts.Threads == 0 ? 1 : Opts.Threads;
   ExhaustiveEngine Engine(Opts.Bounds);
@@ -430,9 +434,10 @@ Report driver::runFullCatalog(const Catalog &C, const DriverOptions &Opts) {
     }
     for (size_t G = 0; G != Sessions.size(); ++G)
       Pool.submit([&C, &Opts, &PairGroups, &Sessions, &Jobs, &Pairs,
-                   &SessionRows, G] {
-        runSessionGroup(C, Opts, PairGroups, Sessions[G], Jobs, Pairs,
-                        SessionRows.empty() ? nullptr : &SessionRows[G]);
+                   &PlanMillis, &SessionRows, G] {
+        PlanMillis[G] =
+            runSessionGroup(C, Opts, PairGroups, Sessions[G], Jobs, Pairs,
+                            SessionRows.empty() ? nullptr : &SessionRows[G]);
       });
     Pool.wait();
   }
@@ -440,6 +445,8 @@ Report driver::runFullCatalog(const Catalog &C, const DriverOptions &Opts) {
   Report R;
   R.Threads = Threads;
   R.WallMillis = Wall.millis();
+  for (double Ms : PlanMillis)
+    R.PlanMillis += Ms;
   R.Certified = Opts.Certify;
   R.Bounds = Opts.Bounds;
   R.Results = std::move(Jobs);
@@ -500,6 +507,7 @@ json::Value Report::toJson() const {
   Root.set("tool", json::Value::string("semcommute-verify"));
   Root.set("threads", json::Value::integer(Threads));
   Root.set("wall_ms", json::Value::number(WallMillis));
+  Root.set("plan_ms", json::Value::number(PlanMillis));
   if (Certified)
     Root.set("certify", json::Value::boolean(true));
   if (!Error.empty())
@@ -605,6 +613,7 @@ json::Value Report::toJson() const {
             json::Value::integer(static_cast<int64_t>(S.PeakLiveBridges)));
       V.set("selectors", json::Value::integer(S.Selectors));
       V.set("ms", json::Value::number(S.Millis));
+      V.set("plan_ms", json::Value::number(S.PlanMillis));
       CatArr.push(std::move(V));
     }
     Root.set("catalog_stats", std::move(CatArr));

@@ -198,12 +198,17 @@ struct CatalogStats {
   uint64_t PeakLiveBridges = 0;
   unsigned Selectors = 0; ///< Family + pair + method selectors.
   double Millis = 0;
+  double PlanMillis = 0; ///< Planning share of Millis (CatalogOutcome).
 };
 
 /// Everything a run produces; serializes to the JSON report.
 struct Report {
   unsigned Threads = 1;
   double WallMillis = 0;
+  /// Symbolic planning time summed over every session group (the warm
+  /// sessions' PlanMillis, the cold pairs' planPair time): like a family's
+  /// JobMillis, a sum across workers.
+  double PlanMillis = 0;
   bool Certified = false; ///< The run logged + checked proof traces.
   Scope Bounds;
   std::vector<FamilySummary> Families;
