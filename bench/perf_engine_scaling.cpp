@@ -8,24 +8,20 @@
 // §4.1's small-scope argument: the verdicts stabilize by scope 3 while the
 // cost grows combinatorially — the reason the default scope suffices.
 //
-// The symbolic section compares the three discharge strategies — one-shot
-// session-per-VC (the cold oracle), the shared per-pair session (selector
-// literals, one warm solver for all six methods of an op-pair), and the
-// shared family session (one warm solver for the whole family, per-pair
-// scopes retired when done, Tseitin variables recycled) — and emits
-// machine-readable BENCH_JSON lines that bench/run_all.sh collects into
-// BENCH_semcommute.json, including the pair-over-oneshot and
-// family-over-pair speedup ratios, the clause-GC/eviction counters, and a
-// peak-live-variables series (peak live vs. cumulative variable demand,
-// per bound) showing what index recycling buys.
+// The symbolic section compares the two discharge strategies — one-shot
+// session-per-VC (the cold oracle) and the shared per-pair session
+// (selector literals, one warm solver for all six methods of an op-pair)
+// — and emits machine-readable BENCH_JSON lines that bench/run_all.sh
+// collects into BENCH_semcommute.json, including the pair-over-oneshot
+// speedup ratio and the clause-GC counters.
 //
 // A second sweep varies the clause-GC budget
 // (SymbolicEngine::setClauseGcBudget, i.e. SatSolver::setClauseGcLimit)
-// over the shared-family ArrayList suite so
+// over the shared-pair ArrayList suite so
 // the default threshold is picked from measured peak-retention/time data
 // instead of MiniSat folklore.
 //
-// A third run compares the shared-family ArrayList suite with the §5.2.1
+// A third run compares the shared-pair ArrayList suite with the §5.2.1
 // proof-hint scripts attached against a hints-off baseline, emitting the
 // conflict reduction (and the max single-VC conflict count, i.e. the
 // budget the suite actually needs) so the ArrayList conflict budget is a
@@ -59,6 +55,7 @@ struct SymbolicRun {
   unsigned Failures = 0;
   unsigned Methods = 0;
   uint64_t RetainedClauses = 0;
+  uint64_t PeakRetainedClauses = 0; ///< Max over the pair sessions.
   uint64_t DbReductions = 0;
   uint64_t ReclaimedClauses = 0;
 };
@@ -85,61 +82,37 @@ SymbolicRun runOneShotSuite(ExprFactory &F, const Catalog &C, int Bound) {
   return Out;
 }
 
-/// Pair-grouped discharge: all six methods of each pair share one session.
-SymbolicRun runSharedPairSuite(ExprFactory &F, const Catalog &C, int Bound) {
+/// Pair-grouped discharge: all six methods of each pair share one
+/// session, as in the driver's shared-pair mode. \p GcBudget sets the
+/// clause-GC first limit (0 keeps the default); with \p Hints, the
+/// §5.2.1 scripts attach as labeled split assumptions.
+SymbolicRun runSharedPairSuite(ExprFactory &F, const Catalog &C, int Bound,
+                               int64_t GcBudget = 0,
+                               const std::vector<HintScript> *Hints =
+                                   nullptr) {
   SymbolicEngine Engine(F, Bound, /*ConflictBudget=*/200000,
                         SolveMode::SharedPair);
-  SymbolicRun Out;
-  Stopwatch W;
-  for (const ConditionEntry &E : C.entries(arrayListFamily())) {
-    PairOutcome O = Engine.verifyPair(E);
-    for (const SymbolicResult &R : O.Methods) {
-      Out.Vcs += R.NumVcs;
-      Out.Failures += !R.Verified;
-      ++Out.Methods;
-    }
-    Out.Conflicts += O.Conflicts;
-    Out.RetainedClauses += O.RetainedClauses;
-    Out.DbReductions += O.DbReductions;
-    Out.ReclaimedClauses += O.ReclaimedClauses;
-  }
-  Out.Seconds = W.seconds();
-  return Out;
-}
-
-/// Family-level discharge: every ArrayList pair through one family
-/// session, each pair's scope retired when its six methods are done. With
-/// \p Hints, the §5.2.1 scripts attach as labeled split assumptions.
-SymbolicRun runSharedFamilySuite(ExprFactory &F, const Catalog &C, int Bound,
-                                 int64_t GcBudget,
-                                 FamilyTierStats *StatsOut = nullptr,
-                                 const std::vector<HintScript> *Hints =
-                                     nullptr,
-                                 CatalogSessionStats *SessionOut = nullptr) {
-  SymbolicEngine Engine(F, Bound, /*ConflictBudget=*/200000,
-                        SolveMode::SharedFamily);
   Engine.setClauseGcBudget(GcBudget);
   Engine.attachHints(Hints);
   SymbolicRun Out;
   Stopwatch W;
-  CatalogOutcome CO = Engine.verifyCatalog(C, {&arrayListFamily()});
-  const FamilyOutcome &FO = CO.Families.front();
-  for (const PairOutcome &O : FO.Pairs)
+  for (const ConditionEntry &E : C.entries(arrayListFamily())) {
+    CatalogOutcome CO = Engine.verifyGroups({{E.Fam, {&E}}});
+    const PairOutcome &O = CO.Families.front().Pairs.front();
     for (const SymbolicResult &R : O.Methods) {
       Out.Vcs += R.NumVcs;
       Out.MaxVcConflicts = std::max(Out.MaxVcConflicts, R.MaxVcConflicts);
       Out.Failures += !R.Verified;
       ++Out.Methods;
     }
-  Out.Conflicts = FO.Conflicts;
-  Out.RetainedClauses = FO.Stats.PeakRetainedClauses;
-  Out.DbReductions = FO.DbReductions;
-  Out.ReclaimedClauses = FO.ReclaimedClauses;
+    Out.Conflicts += O.Conflicts;
+    Out.RetainedClauses += O.RetainedClauses;
+    Out.PeakRetainedClauses =
+        std::max(Out.PeakRetainedClauses, CO.Stats.PeakRetainedClauses);
+    Out.DbReductions += O.DbReductions;
+    Out.ReclaimedClauses += O.ReclaimedClauses;
+  }
   Out.Seconds = W.seconds();
-  if (StatsOut)
-    *StatsOut = FO.Stats;
-  if (SessionOut)
-    *SessionOut = CO.Stats;
   return Out;
 }
 
@@ -180,122 +153,89 @@ int main(int argc, char **argv) {
   }
 
   std::printf("\nSymbolic engine, full ArrayList method suite by length "
-              "bound:\none-shot session-per-VC vs shared per-pair vs shared "
-              "family session:\n\n");
-  std::printf("%8s %10s %12s %12s %12s %12s %9s %9s\n", "bound", "methods",
-              "VCs", "oneshot(s)", "pair(s)", "family(s)", "pair-gain",
-              "fam-gain");
+              "bound:\none-shot session-per-VC vs shared per-pair "
+              "session:\n\n");
+  std::printf("%8s %10s %12s %12s %12s %9s\n", "bound", "methods", "VCs",
+              "oneshot(s)", "pair(s)", "pair-gain");
   for (int Bound = 2; Bound <= MaxSymbolicBound; ++Bound) {
     // Untimed warm-up: intern this bound's expressions into the shared
     // factory so no timed leg pays first-time allocation.
     runSharedPairSuite(F, C, Bound);
     SymbolicRun OneShot = runOneShotSuite(F, C, Bound);
     SymbolicRun Pair = runSharedPairSuite(F, C, Bound);
-    FamilyTierStats FamStats;
-    CatalogSessionStats SessStats;
-    SymbolicRun Fam = runSharedFamilySuite(F, C, Bound, /*GcBudget=*/0,
-                                           &FamStats, nullptr, &SessStats);
-    // The acceptance metrics: each tier must at least hold the line
-    // against the one below it.
+    // The acceptance metric: the warm session must at least hold the
+    // line against the cold oracle.
     double PairGain = Pair.Seconds > 0 ? OneShot.Seconds / Pair.Seconds : 0;
-    double FamGain = Fam.Seconds > 0 ? Pair.Seconds / Fam.Seconds : 0;
-    unsigned Failures = OneShot.Failures + Pair.Failures + Fam.Failures;
-    std::printf("%8d %10u %12llu %12.3f %12.3f %12.3f %8.2fx %8.2fx%s\n",
-                Bound, Pair.Methods, (unsigned long long)Pair.Vcs,
-                OneShot.Seconds, Pair.Seconds, Fam.Seconds, PairGain, FamGain,
-                Failures ? "  FAILURES!" : "");
-    // The peak-live-variables series: what recycling buys at this bound.
-    std::printf("%8s family vars: peak %llu live of %llu requested, "
-                "%llu recycled, peak %llu live clauses\n", "",
-                (unsigned long long)SessStats.PeakLiveVars,
-                (unsigned long long)SessStats.VarRequests,
-                (unsigned long long)SessStats.RecycledVars,
-                (unsigned long long)SessStats.PeakLiveClauses);
+    unsigned Failures = OneShot.Failures + Pair.Failures;
+    std::printf("%8d %10u %12llu %12.3f %12.3f %8.2fx%s\n", Bound,
+                Pair.Methods, (unsigned long long)Pair.Vcs, OneShot.Seconds,
+                Pair.Seconds, PairGain, Failures ? "  FAILURES!" : "");
     // Machine-readable line for bench/run_all.sh's aggregate baseline.
     std::printf("BENCH_JSON {\"bench\":\"perf_engine_scaling\","
                 "\"metric\":\"symbolic_arraylist_suite\",\"bound\":%d,"
                 "\"methods\":%u,\"vcs\":%llu,\"oneshot_s\":%.4f,"
-                "\"shared_pair_s\":%.4f,\"shared_family_s\":%.4f,"
+                "\"shared_pair_s\":%.4f,"
                 "\"pair_over_oneshot_speedup\":%.3f,"
-                "\"family_over_pair_speedup\":%.3f,"
                 "\"oneshot_conflicts\":%lld,"
                 "\"shared_pair_conflicts\":%lld,"
-                "\"shared_family_conflicts\":%lld,"
                 "\"shared_pair_retained_clauses\":%llu,"
+                "\"shared_pair_peak_retained_clauses\":%llu,"
                 "\"shared_pair_db_reductions\":%llu,"
                 "\"shared_pair_reclaimed_clauses\":%llu,"
-                "\"family_peak_retained_clauses\":%llu,"
-                "\"family_evictions\":%llu,"
-                "\"family_evicted_clauses\":%llu,"
-                "\"family_prefix_reuses\":%llu,"
-                "\"family_peak_live_vars\":%llu,"
-                "\"family_var_requests\":%llu,"
-                "\"family_recycled_vars\":%llu,"
-                "\"family_peak_live_clauses\":%llu,"
                 "\"failures\":%u}\n",
                 Bound, Pair.Methods, (unsigned long long)Pair.Vcs,
-                OneShot.Seconds, Pair.Seconds, Fam.Seconds, PairGain, FamGain,
+                OneShot.Seconds, Pair.Seconds, PairGain,
                 (long long)OneShot.Conflicts, (long long)Pair.Conflicts,
-                (long long)Fam.Conflicts,
                 (unsigned long long)Pair.RetainedClauses,
+                (unsigned long long)Pair.PeakRetainedClauses,
                 (unsigned long long)Pair.DbReductions,
-                (unsigned long long)Pair.ReclaimedClauses,
-                (unsigned long long)FamStats.PeakRetainedClauses,
-                (unsigned long long)FamStats.PairsRetired,
-                (unsigned long long)FamStats.EvictedClauses,
-                (unsigned long long)FamStats.PrefixReuses,
-                (unsigned long long)SessStats.PeakLiveVars,
-                (unsigned long long)SessStats.VarRequests,
-                (unsigned long long)SessStats.RecycledVars,
-                (unsigned long long)SessStats.PeakLiveClauses, Failures);
+                (unsigned long long)Pair.ReclaimedClauses, Failures);
   }
 
-  // Clause-GC budget sweep over the shared-family ArrayList suite: the
+  // Clause-GC budget sweep over the shared-pair ArrayList suite: the
   // default reduce threshold is whatever this data says, not folklore.
   // (A budget below the workload's live-lemma count trades re-derivation
   // conflicts for retention; a budget above it never fires.)
-  std::printf("\nClause-GC budget sweep, shared-family ArrayList suite "
+  std::printf("\nClause-GC budget sweep, shared-pair ArrayList suite "
               "(bound 3):\n\n");
   std::printf("%10s %10s %12s %14s %12s %12s\n", "budget", "time(s)",
               "conflicts", "peak-retained", "reductions", "reclaimed");
-  runSharedFamilySuite(F, C, 3, 0); // Warm-up.
+  runSharedPairSuite(F, C, 3); // Warm-up.
   std::vector<int64_t> GcBudgets =
       Quick ? std::vector<int64_t>{100, 500, 4000}
             : std::vector<int64_t>{100, 250, 500, 1000, 2000, 4000};
   for (int64_t Budget : GcBudgets) {
-    FamilyTierStats FamStats;
-    SymbolicRun Run = runSharedFamilySuite(F, C, 3, Budget, &FamStats);
+    SymbolicRun Run = runSharedPairSuite(F, C, 3, Budget);
     std::printf("%10lld %10.3f %12lld %14llu %12llu %12llu%s\n",
                 (long long)Budget, Run.Seconds, (long long)Run.Conflicts,
-                (unsigned long long)FamStats.PeakRetainedClauses,
+                (unsigned long long)Run.PeakRetainedClauses,
                 (unsigned long long)Run.DbReductions,
                 (unsigned long long)Run.ReclaimedClauses,
                 Run.Failures ? "  FAILURES!" : "");
     std::printf("BENCH_JSON {\"bench\":\"perf_engine_scaling\","
                 "\"metric\":\"gc_budget_sweep\",\"bound\":3,"
-                "\"gc_budget\":%lld,\"shared_family_s\":%.4f,"
+                "\"gc_budget\":%lld,\"shared_pair_s\":%.4f,"
                 "\"conflicts\":%lld,\"peak_retained_clauses\":%llu,"
                 "\"db_reductions\":%llu,\"reclaimed_clauses\":%llu,"
                 "\"failures\":%u}\n",
                 (long long)Budget, Run.Seconds, (long long)Run.Conflicts,
-                (unsigned long long)FamStats.PeakRetainedClauses,
+                (unsigned long long)Run.PeakRetainedClauses,
                 (unsigned long long)Run.DbReductions,
                 (unsigned long long)Run.ReclaimedClauses, Run.Failures);
   }
 
-  // Hint-guided budget measurement: the shared-family ArrayList suite with
+  // Hint-guided budget measurement: the shared-pair ArrayList suite with
   // the §5.2.1 proof-hint scripts attached vs. the hints-off baseline. The
   // max single-VC conflict count is the budget the suite actually needs —
   // whether --symbolic conflict budgets can drop is a data question, so
   // both numbers land in the committed baseline.
-  std::printf("\nHint-guided budget measurement, shared-family ArrayList "
+  std::printf("\nHint-guided budget measurement, shared-pair ArrayList "
               "suite (bound 3):\n\n");
   std::printf("%10s %10s %12s %16s\n", "hints", "time(s)", "conflicts",
               "max-vc-conflicts");
   std::vector<HintScript> Scripts = buildArrayListHintScripts(F);
-  SymbolicRun HintsOff = runSharedFamilySuite(F, C, 3, /*GcBudget=*/0);
-  SymbolicRun HintsOn = runSharedFamilySuite(F, C, 3, /*GcBudget=*/0,
-                                             /*StatsOut=*/nullptr, &Scripts);
+  SymbolicRun HintsOff = runSharedPairSuite(F, C, 3);
+  SymbolicRun HintsOn = runSharedPairSuite(F, C, 3, /*GcBudget=*/0, &Scripts);
   for (const auto &Leg : {std::make_pair("off", &HintsOff),
                           std::make_pair("on", &HintsOn)})
     std::printf("%10s %10.3f %12lld %16lld%s\n", Leg.first,

@@ -146,21 +146,21 @@ else
   failures=$((failures + 1))
 fi
 
-# Family-session snapshot: the same catalog under --solve-mode
-# shared-family at one thread, whose per-session eviction / peak-retention
-# / prefix-reuse / subtree-retirement / variable-recycling counters join
-# the baseline so family-session regressions (unbounded retention or
+# Warm-session snapshot: the same catalog under --solve-mode shared-pair
+# at one thread, whose per-session peak-retention / prefix-reuse /
+# live-variable counters join the baseline (summed or maxed over the
+# pair sessions) so warm-session regressions (unbounded retention or
 # variable growth, lost prefix sharing) are caught like wall-time ones.
 FAMILY_JSON="$RESULTS_DIR/driver_family_stats.json"
 if [ -x "$DRIVER_BIN" ]; then
-  echo "== semcommute-verify (shared-family session snapshot)"
+  echo "== semcommute-verify (shared-pair session snapshot)"
   start=$(now)
   if "$DRIVER_BIN" --families all --engine symbolic \
-       --solve-mode shared-family --threads 1 --quiet \
+       --solve-mode shared-pair --threads 1 --quiet \
        --json "$FAMILY_JSON" > "$RESULTS_DIR/driver_family_stats.txt" 2>&1
   then status=ok; else
     status=failed
-    echo "FAILED  semcommute-verify shared-family (see $RESULTS_DIR/driver_family_stats.txt)"
+    echo "FAILED  semcommute-verify shared-pair (see $RESULTS_DIR/driver_family_stats.txt)"
     failures=$((failures + 1))
   fi
   end=$(now)
@@ -170,16 +170,16 @@ else
   record "driver_family_stats" 0 missing
 fi
 
-# Certification snapshot: the same one-thread shared-family run with
+# Certification snapshot: the same one-thread shared-pair run with
 # --certify, so the baseline records the cost of proof logging + the
 # in-process RUP check relative to the uncertified run directly above
 # (certify_overhead_x) alongside the certificate counts.
 CERTIFY_JSON="$RESULTS_DIR/driver_certify_stats.json"
 if [ -x "$DRIVER_BIN" ]; then
-  echo "== semcommute-verify (certified shared-family snapshot)"
+  echo "== semcommute-verify (certified shared-pair snapshot)"
   start=$(now)
   if "$DRIVER_BIN" --families all --engine symbolic \
-       --solve-mode shared-family --threads 1 --certify --quiet \
+       --solve-mode shared-pair --threads 1 --certify --quiet \
        --json "$CERTIFY_JSON" > "$RESULTS_DIR/driver_certify_stats.txt" 2>&1
   then status=ok; else
     status=failed
@@ -331,8 +331,9 @@ if os.path.exists(driver_path):
             },
         }
 
-# Family-session statistics from the shared-family snapshot run: one
-# catalog_stats row per family session.
+# Warm-session statistics from the shared-pair snapshot run, aggregated
+# over its catalog_stats rows (one per pair session): counters summed,
+# high-water marks maxed.
 family_stats = None
 family_path = os.path.join(results_dir, "driver_family_stats.json")
 if os.path.exists(family_path):
@@ -342,15 +343,21 @@ if os.path.exists(family_path):
     except json.JSONDecodeError:
         report = None
     if report:
-        family_stats = {
-            "engine": "symbolic",
-            "mode": "shared-family",
-            "sessions": report.get("catalog_stats", []),
-        }
+        rows = report.get("catalog_stats", [])
+        family_stats = {"engine": "symbolic", "mode": "shared-pair",
+                        "sessions": len(rows)}
+        for key in ("pairs", "methods", "vcs", "checks", "sat_conflicts",
+                    "prefix_asserts", "prefix_reuses", "pair_evictions",
+                    "evicted_clauses", "recycled_vars", "var_requests",
+                    "released_selectors", "selectors"):
+            family_stats[key] = sum(r.get(key, 0) for r in rows)
+        for key in ("peak_live_vars", "peak_live_clauses",
+                    "peak_retained_clauses", "peak_live_bridges"):
+            family_stats[key] = max((r.get(key, 0) for r in rows), default=0)
 
 # Certification statistics from the --certify snapshot: certificate and
 # checker-database counts, whether every proof checked, the wall-time
-# ratio against the uncertified shared-family run (certify_overhead_x),
+# ratio against the uncertified shared-pair run (certify_overhead_x),
 # and the pass's symbolic planning time (plan_ms, one thread, so
 # plan_share is its share of the wall) with the host's CPU count.
 certify_stats = None
@@ -374,7 +381,7 @@ if os.path.exists(certify_path):
         wall = report.get("wall_ms")
         certify_stats = {
             "engine": "symbolic",
-            "mode": "shared-family",
+            "mode": "shared-pair",
             "jobs": len(sym),
             "jobs_proof_checked": sum(1 for r in sym
                                       if r.get("proof_checked")),

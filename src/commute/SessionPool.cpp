@@ -12,13 +12,14 @@
 #include <algorithm>
 #include <cassert>
 #include <functional>
+#include <memory>
 
 using namespace semcomm;
 
 namespace {
 
 /// Discharges every split of \p Plan in session scope \p Scope — the
-/// shared tail of PairTier::discharge and dischargeCold, so the split
+/// shared tail of CatalogSession::discharge and dischargeCold, so the split
 /// loop, core-label recording, countermodel assembly, and the
 /// Unsupported-trump rule cannot drift between the warm and cold paths.
 /// \p SessionForSplit returns the session each split runs on (the cold
@@ -199,8 +200,7 @@ SymbolicResult semcomm::dischargePlan(ExprFactory &F, const MethodPlan &Plan,
   if (isColdMode(Mode))
     return std::move(
         dischargeCold(F, {Plan}, Budget, GcBudget, Certify).Methods[0]);
-  CatalogPlan CP;
-  CP.Families.push_back({Plan.Name, Plan.Common, {PairPlan{Plan.Name, {}}}});
+  CatalogPlan CP{Plan.Common, {{Plan.Name, {PairPlan{Plan.Name, {}}}}}};
   CatalogSession Sess(F, CP, Budget, Certify);
   Sess.configureClauseGc(true, GcBudget);
   SymbolicResult R;
@@ -211,54 +211,69 @@ SymbolicResult semcomm::dischargePlan(ExprFactory &F, const MethodPlan &Plan,
 }
 
 //===----------------------------------------------------------------------===//
-// PairTier
+// CatalogSession
 //===----------------------------------------------------------------------===//
 
-PairTier::PairTier(SmtSession &Session, SmtSession::ScopeId Parent,
-                   std::vector<const std::set<ExprRef> *> OuterBases,
-                   std::optional<std::string> RootPair, int64_t Budget,
-                   FamilyTierStats &Stats, unsigned &SelectorCount)
-    : Session(Session), Parent(Parent), OuterBases(std::move(OuterBases)),
-      RootPair(std::move(RootPair)), Budget(Budget), Stats(Stats),
-      SelectorCount(SelectorCount) {}
+CatalogSession::CatalogSession(ExprFactory &F, const CatalogPlan &Plan,
+                               int64_t Budget, bool Certify)
+    : Plan(Plan), Budget(Budget), Session(F) {
+  // Certification must switch on before the first assertion reaches the
+  // solver — the proof's Input steps have to cover the whole database.
+  if (Certify)
+    Session.enableCertification();
+  for (ExprRef C : Plan.CatalogCommon)
+    if (CatalogBase.insert(C).second) {
+      Session.assertBase(C);
+      ++Stats.PrefixAsserts;
+    }
+  // The sole pair of a one-pair plan needs no selector of its own: its
+  // method scopes sit directly under the root and each guarded formula
+  // carries one selector, not two.
+  std::vector<PairId> Pairs;
+  for (size_t FI = 0; FI != Plan.Families.size(); ++FI)
+    for (const PairPlan &PP : Plan.Families[FI].Pairs)
+      Pairs.push_back({FI, PP.Key});
+  if (Pairs.size() == 1)
+    RootPair = Pairs.front();
+}
 
-PairTier::PairScope &PairTier::ensurePair(const std::string &Key) {
-  auto It = LivePairs.find(Key);
+void CatalogSession::configureClauseGc(bool Enabled, int64_t FirstLimit) {
+  Session.solver().setClauseGc(Enabled);
+  if (FirstLimit > 0)
+    Session.solver().setClauseGcLimit(FirstLimit);
+}
+
+CatalogSession::PairScope &CatalogSession::ensurePair(const PairId &Id) {
+  assert(Id.first < Plan.Families.size() &&
+         "family index outside the catalog plan");
+  auto It = LivePairs.find(Id);
   if (It != LivePairs.end())
     return It->second;
-  PairScope &PS = LivePairs[Key];
+  PairScope &PS = LivePairs[Id];
   ++Stats.PairsOpened;
-  if (RootPair && Key == *RootPair) {
-    // The root pair needs no selector of its own: its prefix is the
-    // parent's, so its method scopes sit directly under the parent and
-    // each guarded formula carries one selector, not two.
-    PS.Scope = Parent;
-    return PS;
-  }
+  if (Id == RootPair)
+    return PS; // The root pair's prefix is the session base.
   // The pair scope owns a Tseitin layer: its formulas' definition vars
-  // retire — and their indices recycle — with the scope. A retired key
-  // re-opens as a fresh scope with a fresh selector.
-  PS.Scope = Session.openScope(Parent, /*OwnLayer=*/true, "pair:" + Key);
+  // retire — and their indices recycle — with the scope. A retired pair
+  // re-opens as a fresh scope with a fresh selector. The label names the
+  // family: pair keys repeat across families, and proof tags are built
+  // from scope labels.
+  PS.Scope = Session.openScope(
+      SmtSession::RootScope, /*OwnLayer=*/true,
+      "pair:" + Plan.Families[Id.first].FamilyName + "/" + Id.second);
   ++SelectorCount;
   return PS;
 }
 
-bool PairTier::discharge(const std::string &PairKey, const MethodPlan &MPlan,
-                         SymbolicResult &R) {
-  PairScope &PS = ensurePair(PairKey);
+bool CatalogSession::discharge(size_t FamIdx, const std::string &PairKey,
+                               const MethodPlan &MPlan, SymbolicResult &R) {
+  PairScope &PS = ensurePair({FamIdx, PairKey});
 
-  // Pair-common prefix: formulas already in an outer base (session- or
-  // family-common) are reuses; the remainder is asserted once under the
-  // pair selector.
+  // Pair-common prefix: formulas already in the catalog base are reuses;
+  // the remainder is asserted once in the pair's scope. It cannot join the
+  // base: planGroups already hoists every formula that is sound there.
   for (ExprRef C : MPlan.Common) {
-    bool InOuter = false;
-    for (const std::set<ExprRef> *B : OuterBases)
-      InOuter = InOuter || B->count(C) != 0;
-    if (InOuter) {
-      ++Stats.PrefixReuses;
-      continue;
-    }
-    if (PS.AssertedCommon.insert(C).second) {
+    if (!CatalogBase.count(C) && PS.AssertedCommon.insert(C).second) {
       Session.assertInScope(PS.Scope, C);
       ++Stats.PrefixAsserts;
     } else {
@@ -292,178 +307,34 @@ bool PairTier::discharge(const std::string &PairKey, const MethodPlan &MPlan,
       Session.assertInScope(MScope, S.E);
   }
 
-  uint64_t RedBefore = static_cast<uint64_t>(Session.dbReductions());
-  uint64_t RecBefore = static_cast<uint64_t>(Session.reclaimedClauses());
+  uint64_t RedBefore = dbReductions();
+  uint64_t RecBefore = reclaimedClauses();
   bool Ok = dischargeSplits(
       MPlan, Budget, MScope, &Stats.PeakRetainedClauses,
       [this]() -> SmtSession & { return Session; }, R);
-  R.DbReductions += static_cast<uint64_t>(Session.dbReductions()) - RedBefore;
-  R.ReclaimedClauses +=
-      static_cast<uint64_t>(Session.reclaimedClauses()) - RecBefore;
+  R.DbReductions += dbReductions() - RedBefore;
+  R.ReclaimedClauses += reclaimedClauses() - RecBefore;
   return Ok;
 }
 
-size_t PairTier::retirePair(const std::string &PairKey) {
-  auto It = LivePairs.find(PairKey);
+size_t CatalogSession::retirePair(size_t FamIdx, const std::string &PairKey) {
+  auto It = LivePairs.find({FamIdx, PairKey});
   if (It == LivePairs.end())
     return 0;
   // The root pair has no scope of its own: its method scopes stay under
-  // the parent, unreachable once their bookkeeping is dropped (a re-opened
+  // the root, unreachable once their bookkeeping is dropped (a re-opened
   // root pair opens fresh method scopes).
-  size_t Evicted =
-      It->second.Scope != Parent ? Session.retireScope(It->second.Scope) : 0;
+  size_t Evicted = It->second.Scope != SmtSession::RootScope
+                       ? Session.retireScope(It->second.Scope)
+                       : 0;
   LivePairs.erase(It);
   ++Stats.PairsRetired;
   Stats.EvictedClauses += Evicted;
   return Evicted;
 }
 
-size_t PairTier::retireAll() {
-  size_t Evicted = 0;
-  while (!LivePairs.empty()) {
-    std::string Key = LivePairs.begin()->first;
-    Evicted += retirePair(Key);
-  }
-  return Evicted;
-}
-
-//===----------------------------------------------------------------------===//
-// CatalogSession
-//===----------------------------------------------------------------------===//
-
-CatalogSession::CatalogSession(ExprFactory &F, const CatalogPlan &Plan,
-                               int64_t Budget, bool Certify)
-    : Plan(Plan), Budget(Budget), Session(F), Tiers(Plan.Families.size()) {
-  // Certification must switch on before the first assertion reaches the
-  // solver — the proof's Input steps have to cover the whole database.
-  if (Certify)
-    Session.enableCertification();
-  // A sole family's common prefix is session base too: its tier then
-  // lives at the root (see ensureFamily).
-  std::vector<ExprRef> Base = Plan.CatalogCommon;
-  if (Plan.Families.size() == 1)
-    Base.insert(Base.end(), Plan.Families[0].FamilyCommon.begin(),
-                Plan.Families[0].FamilyCommon.end());
-  for (ExprRef C : Base)
-    if (CatalogBase.insert(C).second) {
-      Session.assertBase(C);
-      ++CatStats.PrefixAsserts;
-    }
-}
-
-void CatalogSession::configureClauseGc(bool Enabled, int64_t FirstLimit) {
-  Session.solver().setClauseGc(Enabled);
-  if (FirstLimit > 0)
-    Session.solver().setClauseGcLimit(FirstLimit);
-}
-
-CatalogSession::FamilyTier &CatalogSession::ensureFamily(size_t FamIdx) {
-  assert(FamIdx < Tiers.size() && "family index outside the catalog plan");
-  FamilyTier &Tier = Tiers[FamIdx];
-  if (Tier.Alive)
-    return Tier;
-  const FamilyPlan &FP = Plan.Families[FamIdx];
-  std::optional<std::string> RootPair;
-  if (Plan.Families.size() == 1) {
-    // The sole family needs no selector of its own: its common prefix is
-    // session base, so its pair scopes sit directly under the root and
-    // each guarded formula carries one selector, not two. The same rule
-    // one level down: a sole pair sits at the root too.
-    Tier.Scope = SmtSession::RootScope;
-    if (FP.Pairs.size() == 1)
-      RootPair = FP.Pairs[0].Key;
-  } else {
-    // A retired family re-opens as a fresh scope with a fresh selector.
-    Tier.Scope = Session.openScope(SmtSession::RootScope, /*OwnLayer=*/true,
-                                   "fam:" + FP.FamilyName);
-    ++SelectorCount;
-  }
-  ++CatStats.FamiliesOpened;
-  Tier.Stats = FamilyTierStats{};
-  Tier.FamilyBase.clear();
-  // Family-common prefix: formulas already catalog base are reuses; the
-  // remainder is asserted once under the family selector.
-  for (ExprRef C : FP.FamilyCommon) {
-    if (CatalogBase.count(C)) {
-      ++Tier.Stats.PrefixReuses;
-      continue;
-    }
-    if (Tier.FamilyBase.insert(C).second) {
-      Session.assertInScope(Tier.Scope, C);
-      ++Tier.Stats.PrefixAsserts;
-    }
-  }
-  Tier.Pairs = std::make_unique<PairTier>(
-      Session, Tier.Scope,
-      std::vector<const std::set<ExprRef> *>{&CatalogBase, &Tier.FamilyBase},
-      std::move(RootPair), Budget, Tier.Stats, SelectorCount);
-  Tier.Alive = true;
-  return Tier;
-}
-
-bool CatalogSession::discharge(size_t FamIdx, const std::string &PairKey,
-                               const MethodPlan &MPlan, SymbolicResult &R) {
-  return ensureFamily(FamIdx).Pairs->discharge(PairKey, MPlan, R);
-}
-
-size_t CatalogSession::retirePair(size_t FamIdx, const std::string &PairKey) {
-  FamilyTier &Tier = Tiers[FamIdx];
-  if (!Tier.Alive)
-    return 0;
-  return Tier.Pairs->retirePair(PairKey);
-}
-
-size_t CatalogSession::retireFamily(size_t FamIdx) {
-  FamilyTier &Tier = Tiers[FamIdx];
-  if (!Tier.Alive)
-    return 0;
-  size_t Evicted;
-  if (Tier.Scope != SmtSession::RootScope) {
-    Evicted = Session.retireScope(Tier.Scope);
-    Tier.Stats.EvictedClauses += Evicted;
-    ++CatStats.FamiliesRetired;
-  } else {
-    Evicted = Tier.Pairs->retireAll(); // A root tier has no subtree.
-  }
-  // Fold the tier's counters into the retired accumulator so stats()
-  // keeps counting it after the bookkeeping is dropped.
-  RetiredTierAccum.PairsOpened += Tier.Stats.PairsOpened;
-  RetiredTierAccum.PairsRetired += Tier.Stats.PairsRetired;
-  RetiredTierAccum.EvictedClauses += Tier.Stats.EvictedClauses;
-  RetiredTierAccum.PeakRetainedClauses = std::max(
-      RetiredTierAccum.PeakRetainedClauses, Tier.Stats.PeakRetainedClauses);
-  RetiredTierAccum.PrefixAsserts += Tier.Stats.PrefixAsserts;
-  RetiredTierAccum.PrefixReuses += Tier.Stats.PrefixReuses;
-  Tier.Pairs.reset();
-  Tier.FamilyBase.clear();
-  Tier.Alive = false;
-  return Evicted;
-}
-
-const FamilyTierStats &CatalogSession::familyStats(size_t FamIdx) const {
-  return Tiers[FamIdx].Stats;
-}
-
 CatalogSessionStats CatalogSession::stats() const {
-  CatalogSessionStats S = CatStats;
-  FamilyTierStats Agg = RetiredTierAccum;
-  for (const FamilyTier &Tier : Tiers) {
-    if (!Tier.Alive)
-      continue;
-    Agg.PairsOpened += Tier.Stats.PairsOpened;
-    Agg.PairsRetired += Tier.Stats.PairsRetired;
-    Agg.EvictedClauses += Tier.Stats.EvictedClauses;
-    Agg.PeakRetainedClauses =
-        std::max(Agg.PeakRetainedClauses, Tier.Stats.PeakRetainedClauses);
-    Agg.PrefixAsserts += Tier.Stats.PrefixAsserts;
-    Agg.PrefixReuses += Tier.Stats.PrefixReuses;
-  }
-  S.PairsOpened = Agg.PairsOpened;
-  S.PairsRetired = Agg.PairsRetired;
-  S.PrefixAsserts += Agg.PrefixAsserts;
-  S.PrefixReuses += Agg.PrefixReuses;
-  S.EvictedClauses += Agg.EvictedClauses;
-  S.PeakRetainedClauses = Agg.PeakRetainedClauses;
+  CatalogSessionStats S = Stats;
   S.RecycledVars = static_cast<uint64_t>(Session.recycledVars());
   S.PeakLiveVars = static_cast<uint64_t>(Session.peakLiveVars());
   S.PeakLiveClauses = static_cast<uint64_t>(Session.peakClauses());

@@ -23,16 +23,15 @@
 ///  * Splits:  the VC instances (one per ArrayList case split), each a
 ///             set of labeled assumption formulas.
 ///
-/// Every warm mode discharges plans on one CatalogSession, at pair, family
-/// or catalog granularity: a scope tree whose catalog-common prefix is
-/// session base, with family, pair and method scopes nested beneath it.
-/// A tier with nothing to share sits at its parent with no selector of its
-/// own — the sole family of a one-family plan at the root, and the sole
-/// pair of a one-pair plan there too — so the default shared-pair mode
-/// asserts the pair-common prefix once as base, each method's Scoped
-/// prefix under its method selector, and checks every split under
-/// (selector + split) assumptions. Tseitin definitions, theory bridges,
-/// and learned clauses are shared by everything the session discharges.
+/// Every warm discharge runs on one CatalogSession, a scope tree of one
+/// shape: the catalog-common prefix is session base, pair scopes open
+/// directly beneath it, and method scopes nest inside their pair's. The
+/// sole pair of a one-pair plan sits at the root with no selector of its
+/// own, so the default shared-pair mode asserts the pair-common prefix once
+/// as base, each method's Scoped prefix under its method selector, and
+/// checks every split under (selector + split) assumptions. Tseitin
+/// definitions, theory bridges, and learned clauses are shared by
+/// everything the session discharges.
 ///
 /// The cold baseline, OneShot, runs through dischargeCold() instead: a
 /// fresh SmtSession per split, with the plan's whole prefix asserted as
@@ -52,7 +51,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -75,18 +73,14 @@ enum class SolveMode : uint8_t {
   /// session root, so all six methods share one solver under per-method
   /// selector literals and no pair selector. The default.
   SharedPair,
-  /// One warm CatalogSession per *family*, at every thread count: every
-  /// op-pair's remaining common prefix is asserted under a per-pair
-  /// selector nested in the family scope, method prefixes under method
-  /// selectors nested inside it, and a finished pair's scope is *retired*
-  /// (selector falsified, its clauses evicted) so the clause database is
-  /// bounded by the live pair plus the family-common prefix instead of
-  /// growing with the whole family.
+  /// Formerly one warm session per family, with pair scopes retired as
+  /// they finished. It capped the driver at one session per family and
+  /// was slower than SharedPair at four threads, so the driver rejects it;
+  /// the member stays only because the frozen perfbench parser names it.
   SharedFamily,
-  /// Formerly one warm session for the whole catalog at one thread. It
-  /// was slower than SharedFamily and peaked higher in memory, so the
-  /// driver rejects it; the member stays only because the frozen
-  /// perfbench parser names it. The engine treats it as any warm mode.
+  /// Formerly one warm session for the whole catalog at one thread; the
+  /// driver rejects it and the member stays only for the perfbench parser,
+  /// like SharedFamily. The engine treats both as any warm mode.
   SharedCatalog,
 };
 
@@ -170,7 +164,7 @@ struct MethodPlan {
 /// in (kind x role) enumeration order. A lazy catalog plan records only
 /// the Key and materializes the methods just before discharge.
 struct PairPlan {
-  std::string Key; ///< "op1,op2" — scopes the pair inside its family tier.
+  std::string Key; ///< "op1,op2"; unique within its family only.
   std::vector<MethodPlan> Methods;
 };
 
@@ -240,7 +234,7 @@ PairOutcome dischargeCold(ExprFactory &F, const std::vector<MethodPlan> &Plans,
 
 /// Discharges one standalone plan (a single testing method, an inverse
 /// VC) in \p Mode: a warm mode runs it on a one-pair CatalogSession whose
-/// family-common prefix is the plan's Common, OneShot through
+/// catalog-common prefix is the plan's Common, OneShot through
 /// dischargeCold. The result carries its certification verdict.
 SymbolicResult dischargePlan(ExprFactory &F, const MethodPlan &Plan,
                              SolveMode Mode, int64_t Budget, int64_t GcBudget,
@@ -249,100 +243,14 @@ SymbolicResult dischargePlan(ExprFactory &F, const MethodPlan &Plan,
 /// One family's share of a CatalogPlan.
 struct FamilyPlan {
   std::string FamilyName;
-  /// Well-formedness formulas present in *every* method plan's Common
-  /// prefix across the family: asserted once as unguarded session base
-  /// (they constrain only the family's shared argument/element vocabulary,
-  /// so they are sound for every pair).
-  std::vector<ExprRef> FamilyCommon;
   /// The family's pairs in discharge order (Methods may be empty: lazy
-  /// callers materialize them just before discharge). A one-family plan
-  /// with exactly one pair puts that pair at the session root.
+  /// callers materialize them just before discharge). A plan with exactly
+  /// one pair puts that pair at the session root.
   std::vector<PairPlan> Pairs;
 };
 
-/// Lifetime statistics of one family tier of a CatalogSession.
-struct FamilyTierStats {
-  uint64_t PairsOpened = 0;    ///< Pair scopes allocated.
-  /// Pair scopes retired (retirePair calls on a live pair; a root pair
-  /// counts although it has no scope of its own to evict).
-  uint64_t PairsRetired = 0;
-  uint64_t EvictedClauses = 0; ///< Clauses eviction removed from the DB.
-  /// High-water mark of retained clauses across every check — the number
-  /// scoped eviction is meant to bound (without it, the DB grows with the
-  /// family; with it, with the live pair).
-  uint64_t PeakRetainedClauses = 0;
-  /// Common-prefix assertions actually issued vs. skipped because the
-  /// formula was already in the family base or the pair scope (the
-  /// amortization the family tier exists for).
-  uint64_t PrefixAsserts = 0;
-  uint64_t PrefixReuses = 0;
-};
-
-/// The pair tier of a scope-tree session: the map of live pair scopes
-/// under one parent scope, common-prefix dedup against the outer
-/// (session/family) bases, method scopes nested inside their pair's
-/// scope, and the split discharge. Pair scopes own a Tseitin cache layer
-/// (their formulas' definition variables retire and recycle with them);
-/// method scopes share their pair's layer, since they only ever retire
-/// together with it. A retired pair re-opens as a fresh scope. The *root
-/// pair* — the sole pair of a one-pair plan — gets no scope of its own:
-/// its prefix is the parent's, and its method scopes open directly under
-/// the parent. One PairTier lives under each live family scope of a
-/// CatalogSession.
-class PairTier {
-public:
-  /// \p Parent is the scope the pair scopes open under (the family scope,
-  /// or the session root for a root-level tier). \p OuterBases are formula
-  /// sets already asserted above the pair scopes; prefix formulas found
-  /// there are counted as reuses. \p RootPair, when set, is the key of the
-  /// root pair.
-  PairTier(SmtSession &Session, SmtSession::ScopeId Parent,
-           std::vector<const std::set<ExprRef> *> OuterBases,
-           std::optional<std::string> RootPair, int64_t Budget,
-           FamilyTierStats &Stats, unsigned &SelectorCount);
-  PairTier(const PairTier &) = delete;
-  PairTier &operator=(const PairTier &) = delete;
-
-  bool discharge(const std::string &PairKey, const MethodPlan &Plan,
-                 SymbolicResult &R);
-  size_t retirePair(const std::string &PairKey);
-  /// Retires every live pair scope. Returns the clauses evicted.
-  size_t retireAll();
-
-private:
-  /// One registered method scope with the plan fingerprint it was opened
-  /// for (the plan's Common + Scoped formulas; hash-consing makes pointer
-  /// equality structural equality). The fingerprint guards against two
-  /// *different* plans sharing a name: a mismatch opens a fresh scope
-  /// instead of silently proving the new plan against the old plan's
-  /// prefix.
-  struct PlanSelectorEntry {
-    std::vector<ExprRef> Fingerprint;
-    SmtSession::ScopeId Scope = SmtSession::RootScope;
-  };
-
-  /// The live scope of one pair (Parent for the root pair).
-  struct PairScope {
-    SmtSession::ScopeId Scope = SmtSession::RootScope;
-    std::set<ExprRef> AssertedCommon; ///< Dedup under this pair's selector.
-    /// Registered method scopes, keyed by plan name.
-    std::map<std::string, std::vector<PlanSelectorEntry>> Methods;
-  };
-
-  PairScope &ensurePair(const std::string &PairKey);
-
-  SmtSession &Session;
-  SmtSession::ScopeId Parent;
-  std::vector<const std::set<ExprRef> *> OuterBases;
-  std::optional<std::string> RootPair;
-  int64_t Budget;
-  FamilyTierStats &Stats;
-  unsigned &SelectorCount;
-  std::map<std::string, PairScope> LivePairs;
-};
-
 /// The whole-catalog discharge plan a CatalogSession runs. Families carry
-/// their common prefix (and, for eager callers, their pair plans); the
+/// their pair keys (and, for eager callers, their pair plans); the
 /// catalog-common prefix is the subset of well-formedness formulas every
 /// entry either asserts itself or provably cannot mention (its variables
 /// are outside the entry's vocabulary), hoisted to the session root.
@@ -351,21 +259,22 @@ struct CatalogPlan {
   std::vector<FamilyPlan> Families;
 };
 
-/// Lifetime statistics of one catalog-level session. Per-family counters
-/// (prefix asserts/reuses, evictions, peak retention) aggregate the
-/// family tiers, live and retired; the variable numbers come from the
-/// solver's recycling accounting.
+/// Lifetime statistics of one catalog-level session. The variable numbers
+/// come from the solver's recycling accounting.
 struct CatalogSessionStats {
-  uint64_t FamiliesOpened = 0;
-  /// Family-subtree retirements (retireFamily calls on a live family with
-  /// a selector scope of its own; a root tier has no subtree to retire
-  /// and is not counted).
-  uint64_t FamiliesRetired = 0;
-  uint64_t PairsOpened = 0;
+  uint64_t PairsOpened = 0; ///< Pair scopes allocated.
+  /// Pair scopes retired (retirePair calls on a live pair; a root pair
+  /// counts although it has no scope of its own to evict).
   uint64_t PairsRetired = 0;
-  uint64_t PrefixAsserts = 0; ///< Catalog + family + pair level.
+  /// Common-prefix assertions actually issued (catalog base and pair
+  /// scopes) vs. skipped because the formula was already in the catalog
+  /// base or the pair scope.
+  uint64_t PrefixAsserts = 0;
   uint64_t PrefixReuses = 0;
-  uint64_t EvictedClauses = 0;
+  uint64_t EvictedClauses = 0; ///< Clauses pair retirement removed.
+  /// High-water mark of retained clauses across every check — the number
+  /// scoped eviction is meant to bound (with it, the database grows with
+  /// the live pairs instead of with everything discharged).
   uint64_t PeakRetainedClauses = 0;
   /// Variable recycling: indices reclaimed by scope retirements, the
   /// live-variable and clause high-water marks, and the cumulative
@@ -386,20 +295,22 @@ struct CatalogSessionStats {
   uint64_t PeakLiveBridges = 0;
 };
 
-/// The warm solver session of every warm mode: one per pair
-/// (SolveMode::SharedPair) or per family (SharedFamily) in the driver,
-/// one over all served families in the verification service. The
-/// catalog-common prefix is session base —
-/// with a one-family plan, so is the family's common prefix, and its tier
-/// lives at the root with no selector of its own; with a one-pair plan,
-/// the pair lives there too and only method selectors remain. Otherwise
-/// each family's remaining common prefix lives under a per-family
-/// selector; pair scopes nest under their family's, method scopes under
-/// their pair's. retirePair()/retireFamily() retire whole subtrees, and
-/// the solver recycles the retired scopes' definition variables, so the
-/// session's memory is bounded by the live pair — not by catalog size —
-/// while the atom table and bridge lattice are derived once for all
-/// families. Not thread-safe: one CatalogSession lives on one worker.
+/// The warm solver session of every warm discharge: one per pair in the
+/// driver (SolveMode::SharedPair), one over all served families in the
+/// verification service. The catalog-common prefix is session base; each
+/// live pair owns a selector scope directly beneath it, holding whatever
+/// part of the pair's Common prefix the base lacks, and method scopes nest
+/// under their pair's. Pair scopes are keyed by (family, pair key) — one
+/// key can name a pair in several families — and labeled "pair:Fam/Key",
+/// so proof tags stay unique across families. The sole pair of a one-pair
+/// plan sits at the root and only method selectors remain. retirePair()
+/// retires a pair's whole subtree and the solver recycles its definition
+/// variables, so the session's memory is bounded by the live pairs — not
+/// by catalog size — while the atom table and bridge lattice are derived
+/// once for all families. Pair scopes own a Tseitin cache layer; method
+/// scopes share their pair's, since they only ever retire with it. A
+/// retired pair re-opens as a fresh scope. Not thread-safe: one
+/// CatalogSession lives on one worker.
 class CatalogSession {
 public:
   /// Asserts \p Plan's catalog-common prefix as session base. The plan
@@ -417,27 +328,19 @@ public:
   /// the no-GC baseline; tests force aggressive reduction).
   void configureClauseGc(bool Enabled, int64_t FirstLimit = 0);
 
-  /// Discharges every split of \p Plan under family \p FamIdx (an index
-  /// into the catalog plan's Families) and pair \p PairKey. Opens the
-  /// family scope — asserting its remaining common prefix — on first use;
-  /// a retired family or pair transparently re-opens as a fresh scope.
-  /// Returns true when the method verifies.
+  /// Discharges every split of \p Plan under pair \p PairKey of family
+  /// \p FamIdx (an index into the catalog plan's Families). Opens the pair
+  /// scope — asserting the part of the plan's Common prefix the catalog
+  /// base lacks — on first use; a retired pair transparently re-opens as
+  /// a fresh scope. Returns true when the method verifies.
   bool discharge(size_t FamIdx, const std::string &PairKey,
                  const MethodPlan &Plan, SymbolicResult &R);
 
   /// Retires one pair's scope subtree. Returns the clauses evicted.
   size_t retirePair(size_t FamIdx, const std::string &PairKey);
 
-  /// Retires family \p FamIdx's whole scope subtree — the family
-  /// selector, every still-live pair under it, and their method scopes —
-  /// in one solver pass (a root tier retires its live pairs one by one).
-  /// Returns the clauses evicted.
-  size_t retireFamily(size_t FamIdx);
-
-  /// Per-family tier statistics (reset when a retired family re-opens).
-  const FamilyTierStats &familyStats(size_t FamIdx) const;
-  /// Catalog-level statistics snapshot (aggregates live + retired tiers
-  /// and the solver's variable accounting).
+  /// Statistics snapshot (session counters and the solver's variable
+  /// accounting).
   CatalogSessionStats stats() const;
 
   /// Lifetime statistics.
@@ -469,26 +372,37 @@ public:
   }
 
 private:
-  /// The live scope of one family.
-  struct FamilyTier {
-    bool Alive = false;
-    /// RootScope for a one-family plan's root tier.
+  /// One registered method scope with the plan fingerprint it was opened
+  /// for (the plan's Common + Scoped formulas; hash-consing makes pointer
+  /// equality structural equality). The fingerprint guards against two
+  /// *different* plans sharing a name: a mismatch opens a fresh scope
+  /// instead of silently proving the new plan against the old plan's
+  /// prefix.
+  struct PlanSelectorEntry {
+    std::vector<ExprRef> Fingerprint;
     SmtSession::ScopeId Scope = SmtSession::RootScope;
-    std::set<ExprRef> FamilyBase; ///< Formulas under the family selector.
-    std::unique_ptr<PairTier> Pairs;
-    FamilyTierStats Stats;
   };
 
-  FamilyTier &ensureFamily(size_t FamIdx);
+  /// The live scope of one pair (the root for the root pair).
+  struct PairScope {
+    SmtSession::ScopeId Scope = SmtSession::RootScope;
+    std::set<ExprRef> AssertedCommon; ///< Dedup under this pair's selector.
+    /// Registered method scopes, keyed by plan name.
+    std::map<std::string, std::vector<PlanSelectorEntry>> Methods;
+  };
+  using PairId = std::pair<size_t, std::string>; ///< (family, pair key).
+
+  PairScope &ensurePair(const PairId &Id);
 
   const CatalogPlan &Plan;
   int64_t Budget;
   SmtSession Session;
   std::set<ExprRef> CatalogBase; ///< CatalogCommon membership (dedup only).
-  std::vector<FamilyTier> Tiers; ///< Parallel to Plan.Families.
+  /// The root pair of a one-pair plan, if any.
+  std::optional<PairId> RootPair;
+  std::map<PairId, PairScope> LivePairs;
   unsigned SelectorCount = 0;
-  CatalogSessionStats CatStats;        ///< Catalog-level counters.
-  FamilyTierStats RetiredTierAccum; ///< Folded stats of retired tiers.
+  CatalogSessionStats Stats; ///< Session counters (solver numbers excluded).
 };
 
 } // namespace semcomm

@@ -1009,23 +1009,6 @@ std::vector<MethodPlan> buildSeqPlans(ExprFactory &F, const ConditionEntry &E,
 
 namespace {
 
-/// Intersects \p Next into \p Inter (first-call copies), keeping
-/// first-seen order so the assertion sequence — and with it every solver
-/// statistic — is a function of the entry list alone.
-void intersectCommon(bool &First, std::vector<ExprRef> &Inter,
-                     const std::vector<ExprRef> &Next) {
-  if (First) {
-    Inter = Next;
-    First = false;
-    return;
-  }
-  std::set<ExprRef> Present(Next.begin(), Next.end());
-  Inter.erase(std::remove_if(
-                  Inter.begin(), Inter.end(),
-                  [&Present](ExprRef C) { return Present.count(C) == 0; }),
-              Inter.end());
-}
-
 /// A sorted variable identity: name plus sort tag. Sort matters —
 /// Accumulator's increase(v) makes an *Int* "v1" that must not collide
 /// with the object-sorted "v1" of the container families.
@@ -1146,15 +1129,6 @@ SymbolicEngine::planCommonOnly(const ConditionEntry &E) const {
   return Common;
 }
 
-std::vector<ExprRef> SymbolicEngine::familyCommonOf(
-    const std::vector<const ConditionEntry *> &Entries) const {
-  bool First = true;
-  std::vector<ExprRef> Inter;
-  for (const ConditionEntry *E : Entries)
-    intersectCommon(First, Inter, planCommonOnly(*E));
-  return First ? std::vector<ExprRef>{} : Inter;
-}
-
 PairPlan SymbolicEngine::planPair(const ConditionEntry &E) const {
   std::vector<TestingMethod> Ms;
   for (ConditionKind K : {ConditionKind::Before, ConditionKind::Between,
@@ -1167,19 +1141,6 @@ PairPlan SymbolicEngine::planPair(const ConditionEntry &E) const {
       Ms.push_back(M);
     }
   return {E.pairName(), planMethods(E, Ms)};
-}
-
-FamilyPlan SymbolicEngine::planFamily(
-    const std::string &FamilyName,
-    const std::vector<const ConditionEntry *> &Entries) const {
-  FamilyPlan FP;
-  FP.FamilyName = FamilyName;
-  for (const ConditionEntry *E : Entries)
-    FP.Pairs.push_back(planPair(*E));
-  // Family-common prefix: the Common formulas present in every method plan
-  // of every pair, hoisted to session base.
-  FP.FamilyCommon = familyCommonOf(Entries);
-  return FP;
 }
 
 std::vector<SymbolicEngine::FamilyEntries>
@@ -1217,22 +1178,17 @@ SymbolicEngine::planGroups(const std::vector<FamilyEntries> &Groups) const {
   for (const FamilyEntries &G : Groups) {
     FamilyPlan FP;
     FP.FamilyName = G.Fam->Name;
-    bool First = true;
-    std::vector<ExprRef> Inter;
     for (const ConditionEntry *E : G.Entries) {
       // Pair keys only: verifyGroups materializes each pair's methods
       // just before its discharge.
       FP.Pairs.push_back({E->pairName(), {}});
       std::vector<ExprRef> Com = planCommonOnly(*E);
-      intersectCommon(First, Inter, Com);
       for (ExprRef F2 : Com)
         if (CandidateSet.insert(F2).second)
           Candidates.push_back(F2);
       Infos.push_back({E, std::set<ExprRef>(Com.begin(), Com.end()),
                        entryVocabulary(*E, G.Fam->Kind, SeqLenBound)});
     }
-    if (!First)
-      FP.FamilyCommon = std::move(Inter);
     CP.Families.push_back(std::move(FP));
   }
 
@@ -1361,16 +1317,12 @@ SymbolicEngine::verifyGroups(const std::vector<FamilyEntries> &Groups) {
       FO.Pairs.push_back(std::move(PO));
     }
 
-    FO.Stats = Sess.familyStats(FI);
     FO.Checks = Sess.checks() - FamChecksBefore;
     FO.Conflicts = Sess.conflicts() - FamConflictsBefore;
     FO.RetainedClauses = Sess.retainedClauses();
     FO.DbReductions = Sess.dbReductions() - FamRedBefore;
     FO.ReclaimedClauses = Sess.reclaimedClauses() - FamRecBefore;
     FO.Selectors = Sess.numSelectors() - FamSelBefore;
-    // The family's pairs are all retired; retire its whole scope subtree
-    // so the next family starts from the catalog-common base alone.
-    Sess.retireFamily(FI);
     Out.TotalSplits += FO.TotalSplits;
     Out.PeakMaterializedSplits =
         std::max(Out.PeakMaterializedSplits, FO.PeakMaterializedSplits);

@@ -36,11 +36,12 @@
 /// Discharge strategy: each testing method is compiled to a MethodPlan
 /// (pair-common prefix, selector-scoped method prefix, labeled VC splits)
 /// and discharged on a CatalogSession (see SessionPool.h) through the one
-/// per-pair loop of verifyGroups, whatever the session serves: one pair,
-/// one family, or several families. Every warm SolveMode is alike here;
-/// only how a caller groups pairs into sessions differs. OneShot (cold
-/// start per split) remains as the independent cold oracle, discharged
-/// through dischargeCold.
+/// per-pair loop of verifyGroups, whether the session serves one pair (the
+/// driver's shared-pair mode) or several families (the catalog tests and
+/// benches). Pair scopes open directly under the catalog-common base and
+/// retire as their six methods finish. OneShot (cold start per split)
+/// remains as the independent cold oracle, discharged through
+/// dischargeCold.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,15 +58,14 @@
 
 namespace semcomm {
 
-/// Outcome of verifying every op-pair of one family through one family
-/// tier of a CatalogSession, plus the tier-level statistics.
+/// Outcome of verifying every op-pair of one family through a
+/// CatalogSession; counters are the family's share of the session.
 struct FamilyOutcome {
   std::string Family;
   std::vector<std::string> PairKeys; ///< "op1,op2", catalog entry order.
   std::vector<PairOutcome> Pairs;    ///< Parallel to PairKeys; per-pair
                                      ///< stats are deltas over the shared
                                      ///< session.
-  FamilyTierStats Stats;             ///< Eviction / prefix-reuse counters.
   uint64_t Checks = 0;               ///< SMT checks the session served.
   int64_t Conflicts = 0;             ///< CDCL conflicts across the family.
   uint64_t RetainedClauses = 0;      ///< Clauses alive at the end.
@@ -79,8 +79,8 @@ struct FamilyOutcome {
   uint64_t TotalSplits = 0;
   uint64_t PeakMaterializedSplits = 0;
 
-  /// Certification aggregates over the family session's trace (zero
-  /// unless the engine certifies).
+  /// Certification aggregates over the session's trace (zero unless the
+  /// engine certifies).
   bool Certified = false;
   uint64_t ProofSteps = 0;
   uint64_t ProofQueries = 0;
@@ -96,7 +96,7 @@ struct FamilyOutcome {
 
 /// Outcome of verifying one or more families through a single
 /// CatalogSession: per-family outcomes plus the session statistics —
-/// prefix amortization, subtree retirements, variable recycling, and the
+/// prefix amortization, pair retirements, variable recycling, and the
 /// peak-liveness bounds.
 struct CatalogOutcome {
   std::vector<FamilyOutcome> Families; ///< Requested-family order.
@@ -106,7 +106,7 @@ struct CatalogOutcome {
   uint64_t RetainedClauses = 0; ///< Clauses alive at the end.
   uint64_t DbReductions = 0;
   uint64_t ReclaimedClauses = 0;
-  unsigned Selectors = 0; ///< Family + pair + method selectors.
+  unsigned Selectors = 0; ///< Pair + method selectors.
   uint64_t TotalSplits = 0;
   uint64_t PeakMaterializedSplits = 0;
   /// Planning wall time: the planGroups pass plus every pair's planPair.
@@ -157,12 +157,11 @@ public:
   };
 
   /// Verifies \p Groups through one CatalogSession, the engine's one warm
-  /// entry point: the catalog-common prefix is asserted once, each family
-  /// opens a selector scope beneath it, pairs are planned lazily just
-  /// before their discharge and retired (their plans dropped) when their
-  /// six methods are done, and a finished family's whole scope subtree is
-  /// retired in one pass. A single pair sits at the session root. Family,
-  /// pair, and method order are deterministic.
+  /// entry point: the catalog-common prefix is asserted once, pairs are
+  /// planned lazily just before their discharge, each opens a selector
+  /// scope beneath the base, and each is retired (its plans dropped) when
+  /// its six methods are done. A single pair sits at the session root.
+  /// Family, pair, and method order are deterministic.
   CatalogOutcome verifyGroups(const std::vector<FamilyEntries> &Groups);
 
   /// verifyGroups over every entry of each of \p Fams, in catalog order.
@@ -181,18 +180,9 @@ public:
   /// lowering); only the role assumptions and hint lemmas are per method.
   PairPlan planPair(const ConditionEntry &E) const;
 
-  /// Compiles a set of catalog entries to a whole-family plan: six method
-  /// plans per pair, plus the family-common prefix (the Common formulas
-  /// present in every method plan, hoisted to session base). Eager —
-  /// every pair's splits are materialized; the verify* entry points use
-  /// the lazy per-pair path instead.
-  FamilyPlan planFamily(const std::string &FamilyName,
-                        const std::vector<const ConditionEntry *> &Entries)
-      const;
-
-  /// Compiles the catalog-level plan for \p Fams: per-family common
-  /// prefixes and pair keys (methods left unmaterialized — verifyGroups
-  /// plans them lazily) plus the catalog-common prefix, the well-formedness formulas
+  /// Compiles the catalog-level plan for \p Fams: per-family pair keys
+  /// (methods left unmaterialized — verifyGroups plans them lazily) plus
+  /// the catalog-common prefix, the well-formedness formulas
   /// every entry either asserts in its own Common prefix or provably
   /// cannot mention (none of the formula's variables occur in the entry's
   /// vocabulary), hoisted to the session root.
@@ -236,10 +226,6 @@ private:
   /// The Common prefix of \p E's method plans, built without any method:
   /// a handful of well-formedness formulas over the entry's arguments.
   std::vector<ExprRef> planCommonOnly(const ConditionEntry &E) const;
-  /// Intersection of planCommonOnly over \p Entries, in first-entry
-  /// order — planFamily's family-common prefix.
-  std::vector<ExprRef>
-  familyCommonOf(const std::vector<const ConditionEntry *> &Entries) const;
 
   ExprFactory &F;
   int SeqLenBound;

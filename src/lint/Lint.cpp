@@ -467,11 +467,11 @@ LintResult lint::lintCatalog(ExprFactory &F, int SeqLenBound,
   // 3+4. Label checks per materialized method plan, and a structural
   // replay of the catalog-session script through a real (audited,
   // non-solving) SmtSession: catalog-common at the root, one layer-owning
-  // scope per family, one per pair, method scopes sharing their pair's
-  // layer, every split encoded under its selector path, and pair/family
-  // subtrees retired exactly as the production CatalogSession retires
-  // them. The analyzer drains the event stream per pair so the log never
-  // holds more than one pair's encoder traffic.
+  // scope per pair directly beneath it, method scopes sharing their pair's
+  // layer, every split encoded under its selector path, and each pair's
+  // subtree retired exactly as the production CatalogSession retires it.
+  // The analyzer drains the event stream per pair so the log never holds
+  // more than one pair's encoder traffic.
   audit::Log Log;
   AuditAnalyzer Analyzer;
   SmtSession Session(F);
@@ -483,18 +483,12 @@ LintResult lint::lintCatalog(ExprFactory &F, int SeqLenBound,
   }
   for (size_t FI = 0; FI != Fams.size(); ++FI) {
     const FamilyPlan &FP = CP.Families[FI];
-    SmtSession::ScopeId FamScope = Session.openScope(
-        SmtSession::RootScope, /*OwnLayer=*/true, "fam:" + FP.FamilyName);
-    std::set<ExprRef> FamilyBase = CatalogBase;
-    for (ExprRef E : FP.FamilyCommon)
-      if (FamilyBase.insert(E).second)
-        Session.assertInScope(FamScope, E);
-
     for (const ConditionEntry &E : C.entries(*Fams[FI])) {
       PairPlan PP = Eng.planPair(E);
       std::string PairWhere = FP.FamilyName + " " + PP.Key;
-      SmtSession::ScopeId PairScope =
-          Session.openScope(FamScope, /*OwnLayer=*/true, "pair:" + PP.Key);
+      SmtSession::ScopeId PairScope = Session.openScope(
+          SmtSession::RootScope, /*OwnLayer=*/true,
+          "pair:" + FP.FamilyName + "/" + PP.Key);
       std::set<ExprRef> PairBase;
       for (const MethodPlan &MP : PP.Methods) {
         Append(checkPlanLabels(PairWhere + " " + MP.Name, MP));
@@ -503,7 +497,7 @@ LintResult lint::lintCatalog(ExprFactory &F, int SeqLenBound,
         SmtSession::ScopeId MScope =
             Session.openScope(PairScope, /*OwnLayer=*/false, "sel:" + MP.Name);
         for (ExprRef Com : MP.Common)
-          if (!FamilyBase.count(Com) && PairBase.insert(Com).second)
+          if (!CatalogBase.count(Com) && PairBase.insert(Com).second)
             Session.assertInScope(PairScope, Com);
         for (const TaggedAssumption &A : MP.Scoped)
           Session.assertInScope(MScope, A.E);
@@ -519,8 +513,6 @@ LintResult lint::lintCatalog(ExprFactory &F, int SeqLenBound,
       Session.retireScope(PairScope);
       Analyzer.drain(Log);
     }
-    Session.retireScope(FamScope);
-    Analyzer.drain(Log);
   }
   R.AuditEvents = Analyzer.eventsSeen();
   Append(Analyzer.takeFindings());

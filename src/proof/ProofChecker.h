@@ -155,9 +155,17 @@ struct CertifySummary {
   uint64_t QueriesPassed = 0;
   uint64_t PeakClauses = 0; ///< Max over the folded runs.
   std::string Error;        ///< First failing run's error.
-  /// Tag -> passed, over every folded run (tags are unique per session;
-  /// rotation epochs keep them unique across folds).
+  /// Tag -> passed, over every folded run. A tag can name several
+  /// queries (a service re-opens a retired pair under the same scope
+  /// labels, and shards share labels); it passes only if every query that
+  /// carries it passed, whatever the fold order.
   std::map<std::string, bool> QueryOutcome;
+
+  void recordQuery(const std::string &Tag, bool Passed) {
+    auto [It, Fresh] = QueryOutcome.try_emplace(Tag, Passed);
+    if (!Fresh)
+      It->second = It->second && Passed;
+  }
 
   void fold(const CheckResult &R) {
     Checked = true;
@@ -169,7 +177,7 @@ struct CertifySummary {
     if (Error.empty() && !R.Error.empty())
       Error = R.Error;
     for (const QueryResult &Q : R.Queries)
-      QueryOutcome[Q.Tag] = Q.Passed;
+      recordQuery(Q.Tag, Q.Passed);
   }
   void fold(const CertifySummary &O) {
     if (!O.Checked)
@@ -182,8 +190,8 @@ struct CertifySummary {
     PeakClauses = std::max(PeakClauses, O.PeakClauses);
     if (Error.empty() && !O.Error.empty())
       Error = O.Error;
-    for (const auto &KV : O.QueryOutcome)
-      QueryOutcome[KV.first] = KV.second;
+    for (const auto &[Tag, Passed] : O.QueryOutcome)
+      recordQuery(Tag, Passed);
   }
   /// True when every tag of \p Tags was checked and passed.
   bool allPassed(const std::vector<std::string> &Tags) const {

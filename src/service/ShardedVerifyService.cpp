@@ -230,21 +230,8 @@ void ShardedVerifyService::resetPeakStats() {
 
 proof::CertifySummary ShardedVerifyService::finishCertification() {
   proof::CertifySummary Out;
-  for (const auto &S : Shards) {
-    const proof::CertifySummary &Part = S->finishCertification();
-    if (!Part.Checked)
-      continue;
-    Out.Checked = true;
-    Out.Ok = Out.Ok && Part.Ok;
-    Out.Steps += Part.Steps;
-    Out.Queries += Part.Queries;
-    Out.QueriesPassed += Part.QueriesPassed;
-    Out.PeakClauses = std::max(Out.PeakClauses, Part.PeakClauses);
-    if (Out.Error.empty() && !Part.Error.empty())
-      Out.Error = Part.Error;
-    for (const auto &[Tag, Passed] : Part.QueryOutcome)
-      Out.QueryOutcome.emplace(Tag, Passed);
-  }
+  for (const auto &S : Shards)
+    Out.fold(S->finishCertification());
   return Out;
 }
 

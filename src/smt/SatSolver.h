@@ -260,7 +260,7 @@ private:
   /// Live learned clauses that trigger a GC. The default comes from
   /// bench/perf_engine_scaling's gc_budget_sweep: on the catalog workload,
   /// budgets at or below ~500 reclaim clauses with *zero* extra conflicts
-  /// (lemma locality is per-pair, and family sessions evict pairs anyway),
+  /// (lemma locality is per-pair, and multi-pair sessions evict pairs),
   /// while larger thresholds simply never fire; on the conflict-heavy
   /// warm-pigeonhole bench, 500 bounds retention without changing any
   /// answer. Overridable per session via setClauseGcLimit (the sweep and

@@ -113,9 +113,9 @@ public:
   /// \p OwnLayer is set the scope owns a Tseitin cache layer: definition
   /// variables created while asserting or checking in the scope are
   /// private to its subtree and are evicted and *recycled* when the scope
-  /// retires (the family/catalog tiers give each pair and family scope
-  /// its own layer; method scopes share their pair's, since they only
-  /// ever retire together with it).
+  /// retires (a CatalogSession gives each pair scope its own layer;
+  /// method scopes share their pair's, since they only ever retire
+  /// together with it).
   ScopeId openScope(ScopeId Parent = RootScope, bool OwnLayer = false,
                     std::string Label = "");
 

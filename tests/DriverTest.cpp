@@ -321,12 +321,31 @@ TEST(DriverEngines, SymbolicVerdictsAreThreadCountInvariant) {
       EXPECT_EQ(Serial.Pairs[I].RetainedClauses,
                 Parallel.Pairs[I].RetainedClauses);
     }
+    // So are the warm sessions' rows: one per pair, in job-list order.
+    ASSERT_EQ(Parallel.CatalogSessions.size(), Parallel.Pairs.size());
+    for (size_t I = 0; I != Serial.CatalogSessions.size(); ++I) {
+      const CatalogStats &A = Serial.CatalogSessions[I];
+      const CatalogStats &B = Parallel.CatalogSessions[I];
+      EXPECT_EQ(A.FamilyNames, B.FamilyNames);
+      EXPECT_EQ(A.Checks, B.Checks) << I;
+      EXPECT_EQ(A.Conflicts, B.Conflicts) << I;
+      EXPECT_EQ(A.PrefixReuses, B.PrefixReuses) << I;
+      EXPECT_EQ(A.PeakLiveVars, B.PeakLiveVars) << I;
+      EXPECT_EQ(A.PeakLiveClauses, B.PeakLiveClauses) << I;
+      EXPECT_EQ(A.PeakRetainedClauses, B.PeakRetainedClauses) << I;
+    }
+  }
+  ASSERT_EQ(Serial.CatalogSessions.size(), Serial.Pairs.size());
+  for (const CatalogStats &CS : Serial.CatalogSessions) {
+    EXPECT_EQ(CS.Families, 1u) << CS.FamilyNames;
+    EXPECT_EQ(CS.PairEvictions, CS.Pairs) << CS.FamilyNames;
+    EXPECT_GT(CS.Checks, 0u) << CS.FamilyNames;
   }
 }
 
 TEST(DriverEngines, SolveModesAgreeOnDriverVerdicts) {
-  // The shared-family mode and the one-shot oracle must reach the same
-  // verdicts as the shared-pair default (only the statistics may differ).
+  // The one-shot oracle must reach the same verdicts as the shared-pair
+  // default (only the statistics may differ).
   DriverFixture Fx;
   DriverOptions Opts;
   Opts.Engine = EngineKind::Symbolic;
@@ -337,130 +356,61 @@ TEST(DriverEngines, SolveModesAgreeOnDriverVerdicts) {
   Report Shared = runFullCatalog(Fx.C, Opts);
   Opts.SymbolicMode = SolveMode::OneShot;
   Report OneShot = runFullCatalog(Fx.C, Opts);
-  Opts.SymbolicMode = SolveMode::SharedFamily;
-  Report FamilyRun = runFullCatalog(Fx.C, Opts);
 
   EXPECT_EQ(Shared.failures(), 0u);
   EXPECT_EQ(OneShot.failures(), 0u);
-  EXPECT_EQ(FamilyRun.failures(), 0u);
   EXPECT_TRUE(Shared.sameVerdicts(OneShot));
-  EXPECT_TRUE(Shared.sameVerdicts(FamilyRun));
   for (const PairStats &P : OneShot.Pairs) {
     EXPECT_EQ(P.Mode, "oneshot");
     EXPECT_EQ(P.SessionsOpened, P.Vcs); // One fresh session per VC split.
     EXPECT_EQ(P.Selectors, 0u);
   }
 
-  // Every warm mode reports one session row per session: one per pair
-  // under shared-pair.
+  // The warm mode reports one session row per pair. Each session holds
+  // its pair at the root: six method selectors, no pair selector, the
+  // pair retired once at the end with nothing of its own to evict, and
+  // the Common prefix asserted once as base and reused by every method.
   ASSERT_EQ(Shared.CatalogSessions.size(), Shared.Pairs.size());
   for (size_t I = 0; I != Shared.Pairs.size(); ++I) {
     const CatalogStats &CS = Shared.CatalogSessions[I];
+    const PairStats &P = Shared.Pairs[I];
     EXPECT_EQ(CS.Mode, "shared-pair");
     EXPECT_EQ(CS.FamilyNames, "Set");
+    EXPECT_EQ(CS.Families, 1u);
     EXPECT_EQ(CS.Pairs, 1u);
-    EXPECT_EQ(CS.Checks, Shared.Pairs[I].Checks);
+    EXPECT_EQ(CS.Checks, P.Checks);
+    EXPECT_EQ(CS.Selectors, 6u);
+    EXPECT_EQ(P.Selectors, 6u);
+    EXPECT_EQ(P.SessionsOpened, 1u);
+    EXPECT_EQ(CS.PairEvictions, 1u);
+    EXPECT_EQ(CS.EvictedClauses, 0u);
+    EXPECT_GT(CS.PrefixAsserts, 0u);
+    EXPECT_EQ(CS.PrefixReuses, 6 * CS.PrefixAsserts);
+    EXPECT_GT(CS.PeakRetainedClauses, 0u);
     EXPECT_GT(CS.PeakLiveVars, 0u);
+    EXPECT_LE(CS.PeakLiveVars, CS.VarRequests);
   }
   EXPECT_TRUE(OneShot.CatalogSessions.empty()); // Cold: no warm session.
-
-  // The family run reports one warm session for the whole family, pair
-  // rows under shared-family mode, and a session row whose eviction,
-  // retirement and recycling counters show every pair was retired. The
-  // session's one family sits at its root, so no family subtree retires.
-  ASSERT_EQ(FamilyRun.CatalogSessions.size(), 1u);
-  const CatalogStats &CS = FamilyRun.CatalogSessions[0];
-  EXPECT_EQ(CS.Mode, "shared-family");
-  EXPECT_EQ(CS.FamilyNames, "Set");
-  EXPECT_EQ(CS.Families, 1u);
-  EXPECT_EQ(CS.Pairs, FamilyRun.Pairs.size());
-  EXPECT_EQ(CS.PairEvictions, FamilyRun.Pairs.size());
-  EXPECT_EQ(CS.SubtreeRetirements, 0u);
-  EXPECT_GT(CS.EvictedClauses, 0u);
-  EXPECT_GT(CS.PrefixReuses, 0u);
-  EXPECT_GT(CS.PeakRetainedClauses, 0u);
-  EXPECT_GT(CS.RecycledVars, 0u);
-  EXPECT_GT(CS.PeakLiveVars, 0u);
-  EXPECT_LT(CS.PeakLiveVars, CS.VarRequests);
-  uint64_t Sessions = 0;
-  for (const PairStats &P : FamilyRun.Pairs) {
-    EXPECT_EQ(P.Mode, "shared-family");
-    EXPECT_EQ(P.Selectors, 7u); // Pair selector + six method selectors.
-    Sessions += P.SessionsOpened;
-  }
-  EXPECT_EQ(Sessions, 1u);
-}
-
-TEST(DriverEngines, SharedFamilyVerdictsAreThreadCountInvariant) {
-  // The acceptance bar of the family session: on the full catalog,
-  // shared-family verdicts and solver statistics are identical at 1, 2
-  // and 8 threads (each family runs its pairs in catalog order on one
-  // worker), and every session row shows bounded retention via eviction
-  // and recycled variables. Each session's one family sits at its root,
-  // so no session retires a family subtree.
-  DriverFixture Fx;
-  DriverOptions Opts;
-  Opts.Engine = EngineKind::Symbolic;
-  Opts.SymbolicMode = SolveMode::SharedFamily;
-  Opts.SymbolicSeqLenBound = 2;
-
-  Opts.Threads = 1;
-  Report Serial = runFullCatalog(Fx.C, Opts);
-  EXPECT_EQ(Serial.failures(), 0u);
-  ASSERT_EQ(Serial.CatalogSessions.size(), 4u);
-  for (const CatalogStats &CS : Serial.CatalogSessions) {
-    EXPECT_EQ(CS.Families, 1u) << CS.FamilyNames;
-    EXPECT_EQ(CS.PairEvictions, CS.Pairs) << CS.FamilyNames;
-    EXPECT_EQ(CS.SubtreeRetirements, 0u) << CS.FamilyNames;
-    EXPECT_GT(CS.Checks, 0u) << CS.FamilyNames;
-  }
-  uint64_t Recycled = 0;
-  for (const CatalogStats &CS : Serial.CatalogSessions)
-    Recycled += CS.RecycledVars;
-  EXPECT_GT(Recycled, 0u);
-
-  for (unsigned Threads : {2u, 8u}) {
-    Opts.Threads = Threads;
-    Report Parallel = runFullCatalog(Fx.C, Opts);
-    EXPECT_TRUE(Serial.sameVerdicts(Parallel)) << Threads;
-    EXPECT_EQ(Parallel.failures(), 0u);
-    for (size_t I = 0; I != Serial.Results.size(); ++I) {
-      EXPECT_EQ(Serial.Results[I].Vcs, Parallel.Results[I].Vcs)
-          << Serial.Results[I].key();
-      EXPECT_EQ(Serial.Results[I].Conflicts, Parallel.Results[I].Conflicts)
-          << Serial.Results[I].key();
-      EXPECT_EQ(Serial.Results[I].ProofCore, Parallel.Results[I].ProofCore)
-          << Serial.Results[I].key();
-    }
-    ASSERT_EQ(Serial.CatalogSessions.size(), Parallel.CatalogSessions.size());
-    for (size_t I = 0; I != Serial.CatalogSessions.size(); ++I) {
-      const CatalogStats &A = Serial.CatalogSessions[I];
-      const CatalogStats &B = Parallel.CatalogSessions[I];
-      EXPECT_EQ(A.FamilyNames, B.FamilyNames);
-      EXPECT_EQ(A.Checks, B.Checks) << A.FamilyNames;
-      EXPECT_EQ(A.Conflicts, B.Conflicts) << A.FamilyNames;
-      EXPECT_EQ(A.PeakLiveVars, B.PeakLiveVars) << A.FamilyNames;
-      EXPECT_EQ(A.EvictedClauses, B.EvictedClauses) << A.FamilyNames;
-      EXPECT_EQ(A.RecycledVars, B.RecycledVars) << A.FamilyNames;
-    }
-  }
 }
 
 TEST(DriverEngines, SharedCatalogModeYieldsErrorReport) {
-  // The whole-catalog schedule and the per-method cold mode are gone:
-  // asking for either fails the run, naming what to use instead, rather
-  // than quietly running another schedule.
+  // The whole-catalog, per-family and per-method schedules are gone:
+  // asking for any of them fails the run, naming the removed mode and the
+  // two that remain, rather than quietly running another schedule.
   DriverFixture Fx;
   DriverOptions Opts;
   Opts.Engine = EngineKind::Symbolic;
   Opts.Families = {"Accumulator"};
-  for (auto [Mode, Instead] :
-       {std::pair{SolveMode::SharedCatalog, "shared-family"},
-        std::pair{SolveMode::PerMethod, "shared-pair"}}) {
+  for (SolveMode Mode : {SolveMode::SharedCatalog, SolveMode::SharedFamily,
+                         SolveMode::PerMethod}) {
     SCOPED_TRACE(solveModeName(Mode));
     Opts.SymbolicMode = Mode;
     Report R = runFullCatalog(Fx.C, Opts);
-    EXPECT_NE(R.Error.find(Instead), std::string::npos) << R.Error;
+    EXPECT_NE(R.Error.find(solveModeName(Mode)), std::string::npos)
+        << R.Error;
+    EXPECT_NE(R.Error.find("use shared-pair"), std::string::npos) << R.Error;
+    EXPECT_NE(R.Error.find("oneshot"), std::string::npos) << R.Error;
+    EXPECT_EQ(R.Error.find('\n'), std::string::npos) << R.Error;
     EXPECT_TRUE(R.Results.empty());
     EXPECT_EQ(R.failures(), 1u);
   }
@@ -617,18 +567,19 @@ TEST(DriverReport, CatalogStatsRoundTrip) {
   DriverFixture Fx;
   DriverOptions Opts;
   Opts.Engine = EngineKind::Symbolic;
-  Opts.SymbolicMode = SolveMode::SharedFamily;
   Opts.Families = {"Accumulator", "Set"};
   Opts.Threads = 2;
 
   Report R = runFullCatalog(Fx.C, Opts);
-  ASSERT_EQ(R.CatalogSessions.size(), 2u);
-  EXPECT_EQ(R.CatalogSessions[0].FamilyNames, "Accumulator");
-  EXPECT_EQ(R.CatalogSessions[1].FamilyNames, "Set");
+  ASSERT_EQ(R.CatalogSessions.size(), R.Pairs.size());
+  EXPECT_EQ(R.CatalogSessions.front().FamilyNames, "Accumulator");
+  EXPECT_EQ(R.CatalogSessions.back().FamilyNames, "Set");
+  for (size_t I = 0; I != R.Pairs.size(); ++I)
+    EXPECT_EQ(R.CatalogSessions[I].FamilyNames, R.Pairs[I].Family);
   json::Value Doc = R.toJson();
   expectField(Doc, "plan_ms", R.PlanMillis);
   ASSERT_EQ(Doc["catalog_stats"].size(), R.CatalogSessions.size());
-  // Every session plans its pairs, within its own wall clock; the
+  // Every session plans its pair, within its own wall clock; the
   // top-level planning time is the sum over the sessions.
   double PlanSum = 0;
   for (const CatalogStats &A : R.CatalogSessions) {
@@ -651,7 +602,7 @@ TEST(DriverReport, CatalogStatsRoundTrip) {
     expectField(Row, "sat_conflicts", A.Conflicts);
     expectField(Row, "prefix_asserts", A.PrefixAsserts);
     expectField(Row, "prefix_reuses", A.PrefixReuses);
-    expectField(Row, "subtree_retirements", A.SubtreeRetirements);
+    EXPECT_EQ(Row.find("subtree_retirements"), nullptr);
     expectField(Row, "pair_evictions", A.PairEvictions);
     expectField(Row, "evicted_clauses", A.EvictedClauses);
     expectField(Row, "recycled_vars", A.RecycledVars);

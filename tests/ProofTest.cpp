@@ -38,6 +38,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <optional>
+#include <set>
 #include <string>
 
 using namespace semcomm;
@@ -261,6 +262,40 @@ TEST(ProofCheckerTest, FailedQueryRupIsRecordedPerTag) {
   EXPECT_FALSE(S.allPassed({"good", "missing"}));
 }
 
+TEST(ProofCheckerTest, DuplicateTagPassesOnlyIfEveryQueryPassed) {
+  // One tag can name several queries: a service re-opens a retired pair
+  // under the same scope labels, and shards share labels. The tag passes
+  // only when all of them passed, whichever result is folded first —
+  // within one run and across folded summaries.
+  CheckResult Fail, Pass;
+  Fail.Ok = false;
+  Fail.Queries = {{"pair:Set/add,add|sel:m#0", false, "not RUP"}};
+  Pass.Ok = true;
+  Pass.Queries = {{"pair:Set/add,add|sel:m#0", true, ""}};
+
+  for (bool FailFirst : {true, false}) {
+    SCOPED_TRACE(FailFirst ? "failing query first" : "passing query first");
+    CertifySummary Runs;
+    Runs.fold(FailFirst ? Fail : Pass);
+    Runs.fold(FailFirst ? Pass : Fail);
+    EXPECT_FALSE(Runs.allPassed({"pair:Set/add,add|sel:m#0"}));
+
+    CertifySummary A, B, Merged;
+    A.fold(Fail);
+    B.fold(Pass);
+    Merged.fold(FailFirst ? A : B);
+    Merged.fold(FailFirst ? B : A);
+    EXPECT_FALSE(Merged.allPassed({"pair:Set/add,add|sel:m#0"}));
+  }
+
+  CheckResult Both;
+  Both.Ok = true;
+  Both.Queries = {Pass.Queries[0], Pass.Queries[0]};
+  CertifySummary S;
+  S.fold(Both);
+  EXPECT_TRUE(S.allPassed({"pair:Set/add,add|sel:m#0"}));
+}
+
 //===----------------------------------------------------------------------===//
 // Solver-integrated certification
 //===----------------------------------------------------------------------===//
@@ -462,20 +497,24 @@ TEST(CertifiedEngineTest, SharedPairCertifiesAnEntry) {
 }
 
 TEST(CertifiedEngineTest, CatalogSessionCertifiesThroughRetireAndRecycle) {
-  // Two families through one certifying catalog session: family and pair
-  // subtree retirements, variable recycling, and (with a tiny GC budget)
-  // clause-DB reductions all land in one trace that must check out.
+  // Three families through one certifying catalog session: pair subtree
+  // retirements, variable recycling, and (with a tiny GC budget)
+  // clause-DB reductions all land in one trace that must check out, and
+  // every certified query carries a tag of its own.
   ExprFactory F;
   Catalog C(F);
   SymbolicEngine Eng(F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000);
   Eng.setCertify(true);
   Eng.setClauseGcBudget(50); // Aggressive reduction exercises Delete steps.
-  std::vector<const Family *> Fams = {&accumulatorFamily(), &setFamily()};
+  // Set and Map share pair keys such as "size,size".
+  std::vector<const Family *> Fams = {&accumulatorFamily(), &setFamily(),
+                                      &mapFamily()};
   CatalogOutcome O = Eng.verifyCatalog(C, Fams);
   EXPECT_EQ(O.failures(), 0u);
   EXPECT_TRUE(O.Certified);
   EXPECT_GT(O.ProofQueries, 0u);
   EXPECT_GT(O.Stats.RecycledVars, 0u); // Recycle steps were in the trace.
+  std::set<std::string> Tags;
   for (const FamilyOutcome &FO : O.Families) {
     EXPECT_TRUE(FO.Certified);
     for (const PairOutcome &PO : FO.Pairs)
@@ -483,8 +522,11 @@ TEST(CertifiedEngineTest, CatalogSessionCertifiesThroughRetireAndRecycle) {
         EXPECT_TRUE(R.ProofChecked)
             << FO.Family << ": a method's certificate failed";
         EXPECT_EQ(R.ProofQueries, R.ProofQueryTags.size());
+        Tags.insert(R.ProofQueryTags.begin(), R.ProofQueryTags.end());
       }
   }
+  // Scope labels name the family, so no two queries share a tag.
+  EXPECT_EQ(Tags.size(), O.ProofQueries);
 }
 
 TEST(CertifiedEngineTest, CertifyAgreesWithUncertifiedVerdicts) {

@@ -40,8 +40,17 @@ PoolFixture &fixture() {
 /// with pair \p Key at the session root.
 CatalogPlan onePairPlan(const std::string &Key = "p") {
   CatalogPlan CP;
-  CP.Families.push_back({"demo", {}, {PairPlan{Key, {}}}});
+  CP.Families.push_back({"demo", {PairPlan{Key, {}}}});
   return CP;
+}
+
+/// True when some label of \p Labels starts with \p Prefix.
+bool anyLabelStartsWith(const std::vector<std::string> &Labels,
+                        const std::string &Prefix) {
+  return std::any_of(Labels.begin(), Labels.end(),
+                     [&Prefix](const std::string &L) {
+                       return L.rfind(Prefix, 0) == 0;
+                     });
 }
 
 } // namespace
@@ -139,7 +148,8 @@ TEST(SharedSessionTest, UnsatCoreLabelsNameTheUsedAssumptions) {
   EXPECT_TRUE(Has("a"));
   EXPECT_TRUE(Has("not-b"));
   EXPECT_FALSE(Has("unused"));
-  EXPECT_FALSE(Has("pair:p")); // The root pair has no selector to name.
+  // The root pair has no selector to name.
+  EXPECT_FALSE(anyLabelStartsWith(R.CoreLabels, "pair:"));
 }
 
 TEST(SharedSessionTest, UnsupportedPlanReportsItsNote) {
@@ -173,15 +183,7 @@ TEST(SharedSessionTest, SharedPairRegistersSixMethodSelectorsAndNoPairSelector) 
   EXPECT_EQ(O.Selectors, 6u);
   EXPECT_EQ(O.SessionsOpened, 1u);
   for (const SymbolicResult &R : O.Methods)
-    for (const std::string &L : R.CoreLabels)
-      EXPECT_NE(L.rfind("pair:", 0), 0u) << L;
-
-  // The family-tier modes run a lone pair through the same session.
-  SymbolicEngine Family(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000,
-                        SolveMode::SharedFamily);
-  PairOutcome FO = Family.verifyPair(E);
-  EXPECT_EQ(FO.Selectors, 6u);
-  EXPECT_EQ(FO.Conflicts, O.Conflicts);
+    EXPECT_FALSE(anyLabelStartsWith(R.CoreLabels, "pair:"));
 }
 
 /// Fuzz: random subsets of a pair's six methods, in random order, through
@@ -253,10 +255,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SharedPairFuzzTest,
 
 namespace {
 
-/// A one-family catalog plan: the session SharedFamily mode runs.
-CatalogPlan oneFamilyPlan(FamilyPlan FP) {
+/// A catalog plan over one family whose pairs the caller names at
+/// discharge time, with \p Common as catalog base.
+CatalogPlan oneFamilyPlan(const std::string &Name,
+                          std::vector<ExprRef> Common = {}) {
   CatalogPlan CP;
-  CP.Families.push_back(std::move(FP));
+  CP.CatalogCommon = std::move(Common);
+  CP.Families.push_back({Name, {}});
   return CP;
 }
 
@@ -269,9 +274,7 @@ TEST(FamilySessionTest, SelectorsNestAndRetireCleanly) {
   PoolFixture &Fx = fixture();
   ExprRef X = Fx.F.var("fam_x", Sort::Bool);
 
-  FamilyPlan FP;
-  FP.FamilyName = "demo";
-  CatalogPlan CP = oneFamilyPlan(FP);
+  CatalogPlan CP = oneFamilyPlan("demo");
   CatalogSession Sess(Fx.F, CP, /*Budget=*/-1);
 
   MethodPlan Pos;
@@ -286,23 +289,24 @@ TEST(FamilySessionTest, SelectorsNestAndRetireCleanly) {
   SymbolicResult R1, R2;
   EXPECT_TRUE(Sess.discharge(0, "p1", Pos, R1));
   EXPECT_TRUE(Sess.discharge(0, "p2", Neg, R2));
-  // Pair selector + method selector per pair; the sole family's tier is
-  // the session root and needs no selector.
+  // Pair selector + method selector per pair.
   EXPECT_EQ(Sess.numSelectors(), 4u);
-  EXPECT_EQ(Sess.familyStats(0).PairsOpened, 2u);
+  EXPECT_EQ(Sess.stats().PairsOpened, 2u);
+  // Each pair asserted its own Common prefix in its own scope.
+  EXPECT_EQ(Sess.stats().PrefixAsserts, 2u);
 
   // The core names the pair scope, the method selector, and the split.
   auto Has = [&R1](const char *L) {
     return std::find(R1.CoreLabels.begin(), R1.CoreLabels.end(), L) !=
            R1.CoreLabels.end();
   };
-  EXPECT_TRUE(Has("pair:p1"));
+  EXPECT_TRUE(Has("pair:demo/p1"));
   EXPECT_TRUE(Has("not-x"));
 
   uint64_t Retained = Sess.retainedClauses();
   EXPECT_GT(Sess.retirePair(0, "p1"), 0u);
   EXPECT_LT(Sess.retainedClauses(), Retained);
-  EXPECT_EQ(Sess.familyStats(0).PairsRetired, 1u);
+  EXPECT_EQ(Sess.stats().PairsRetired, 1u);
   EXPECT_TRUE(Sess.session().solver().reasonInvariantHolds());
 
   // p2 still verifies after p1's eviction; p1 re-opens under a fresh
@@ -310,49 +314,25 @@ TEST(FamilySessionTest, SelectorsNestAndRetireCleanly) {
   SymbolicResult R3, R4;
   EXPECT_TRUE(Sess.discharge(0, "p2", Neg, R3));
   EXPECT_TRUE(Sess.discharge(0, "p1", Pos, R4));
-  EXPECT_EQ(Sess.familyStats(0).PairsOpened, 3u);
-}
-
-TEST(FamilySessionTest, FamilyCommonPrefixIsSharedAcrossPairs) {
-  PoolFixture &Fx = fixture();
-  ExprRef X = Fx.F.var("famc_x", Sort::Bool);
-
-  FamilyPlan FP;
-  FP.FamilyName = "demo2";
-  FP.FamilyCommon = {X};
-  CatalogPlan CP = oneFamilyPlan(FP);
-  CatalogSession Sess(Fx.F, CP, /*Budget=*/-1);
-  // The sole family's common prefix is session base from the start.
-  EXPECT_EQ(Sess.stats().PrefixAsserts, 1u);
-
-  MethodPlan M;
-  M.Name = "m";
-  M.Common = {X}; // Already session base: counted as a reuse, not asserted.
-  M.Splits.push_back(VcSplit{{{Fx.F.lnot(X), "not-x"}}, ""});
-  SymbolicResult R1, R2;
-  EXPECT_TRUE(Sess.discharge(0, "p1", M, R1));
-  EXPECT_TRUE(Sess.discharge(0, "p2", M, R2));
-  EXPECT_EQ(Sess.stats().PrefixAsserts, 1u);
-  // One reuse when the family tier opens, one per pair.
-  EXPECT_EQ(Sess.familyStats(0).PrefixReuses, 3u);
+  EXPECT_EQ(Sess.stats().PairsOpened, 3u);
 }
 
 TEST(SymbolicEngineTest, VerifyFamilyMatchesSharedPairOnWholeCatalog) {
-  // The family tier is a pure performance refactor: every verdict equals
-  // the shared-pair tier's, pair by pair and method by method, and every
-  // finished pair is retired.
+  // One session over a whole family is a pure performance refactor:
+  // every verdict equals the per-pair sessions', pair by pair and method
+  // by method, and every finished pair is retired.
   PoolFixture &Fx = fixture();
-  SymbolicEngine FamEng(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000,
-                        SolveMode::SharedFamily);
+  SymbolicEngine FamEng(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000);
   SymbolicEngine Pair(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000,
                       SolveMode::SharedPair);
 
   for (const Family *Fam : allFamilies()) {
-    FamilyOutcome FO = FamEng.verifyCatalog(Fx.C, {Fam}).Families.front();
+    CatalogOutcome CO = FamEng.verifyCatalog(Fx.C, {Fam});
+    const FamilyOutcome &FO = CO.Families.front();
     const std::vector<ConditionEntry> &Entries = Fx.C.entries(*Fam);
     ASSERT_EQ(FO.Pairs.size(), Entries.size()) << Fam->Name;
-    EXPECT_EQ(FO.Stats.PairsRetired, Entries.size());
-    EXPECT_EQ(FO.Stats.PairsOpened, Entries.size());
+    EXPECT_EQ(CO.Stats.PairsRetired, Entries.size());
+    EXPECT_EQ(CO.Stats.PairsOpened, Entries.size());
     for (size_t I = 0; I != Entries.size(); ++I) {
       EXPECT_EQ(FO.PairKeys[I], Entries[I].pairName());
       PairOutcome Want = Pair.verifyPair(Entries[I]);
@@ -368,39 +348,36 @@ TEST(SymbolicEngineTest, VerifyFamilyMatchesSharedPairOnWholeCatalog) {
 }
 
 TEST(SymbolicEngineTest, EvictionBoundsRetainedClausesAcrossAFamily) {
-  // The point of the family tier's eviction: the peak database stays near
-  // one live pair's footprint instead of accumulating every pair's. The
-  // no-eviction reference discharges the same plans through the same
-  // one-family catalog session without ever retiring a pair.
+  // The point of pair retirement: the peak database of a session serving
+  // a whole family stays near one live pair's footprint instead of
+  // accumulating every pair's. The no-eviction reference discharges the
+  // same plans through the same catalog plan without ever retiring a pair.
   PoolFixture &Fx = fixture();
-  SymbolicEngine Eng(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000,
-                     SolveMode::SharedFamily);
+  SymbolicEngine Eng(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000);
 
   const Family &Fam = mapFamily();
-  FamilyOutcome Evicting =
-      Eng.verifyCatalog(Fx.C, {&Fam}).Families.front();
+  CatalogSessionStats Evicting = Eng.verifyCatalog(Fx.C, {&Fam}).Stats;
 
-  std::vector<const ConditionEntry *> Entries;
-  for (const ConditionEntry &E : Fx.C.entries(Fam))
-    Entries.push_back(&E);
-  CatalogPlan CP = oneFamilyPlan(Eng.planFamily(Fam.Name, Entries));
+  CatalogPlan CP = Eng.planCatalog(Fx.C, {&Fam});
   CatalogSession NoEvict(Fx.F, CP, /*Budget=*/200000);
-  for (const PairPlan &PP : CP.Families[0].Pairs)
+  for (const ConditionEntry &E : Fx.C.entries(Fam)) {
+    PairPlan PP = Eng.planPair(E);
     for (const MethodPlan &MP : PP.Methods) {
       SymbolicResult R;
       NoEvict.discharge(0, PP.Key, MP, R);
     }
-  uint64_t NoEvictPeak = NoEvict.familyStats(0).PeakRetainedClauses;
+  }
+  uint64_t NoEvictPeak = NoEvict.stats().PeakRetainedClauses;
 
-  EXPECT_GT(Evicting.Stats.EvictedClauses, 0u);
-  EXPECT_LT(Evicting.Stats.PeakRetainedClauses, NoEvictPeak);
+  EXPECT_GT(Evicting.EvictedClauses, 0u);
+  EXPECT_LT(Evicting.PeakRetainedClauses, NoEvictPeak);
   // Not proportional to family size: the evicting peak stays well under
   // half of the accumulate-everything peak on the 49-pair Map family.
-  EXPECT_LT(Evicting.Stats.PeakRetainedClauses, NoEvictPeak / 2);
+  EXPECT_LT(Evicting.PeakRetainedClauses, NoEvictPeak / 2);
 }
 
 /// Eviction-soundness fuzz: random pair discharge / retire / re-verify
-/// orders through one family tier — including mutant catalogs whose
+/// orders through one session over a family — including mutant catalogs whose
 /// proofs fail — against a no-eviction per-pair reference. Verdicts must
 /// match everywhere and the solver's reason invariant must survive every
 /// eviction.
@@ -409,8 +386,7 @@ class FamilyEvictionFuzzTest : public ::testing::TestWithParam<int> {};
 TEST_P(FamilyEvictionFuzzTest, RandomRetireOrdersMatchNoEvictionReference) {
   PoolFixture &Fx = fixture();
   std::mt19937 Rng(GetParam());
-  SymbolicEngine Planner(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000,
-                         SolveMode::SharedFamily);
+  SymbolicEngine Planner(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000);
 
   for (int Trial = 0; Trial < 12; ++Trial) {
     const Family *Fam = allFamilies()[Rng() % allFamilies().size()];
@@ -425,11 +401,14 @@ TEST_P(FamilyEvictionFuzzTest, RandomRetireOrdersMatchNoEvictionReference) {
         E.Before = E.Between = E.After = Fx.F.trueExpr();
       Picked.push_back(E);
     }
-    std::vector<const ConditionEntry *> Ptrs;
+    // The family's catalog-common prefix is session base (the hoist rule
+    // holds for mutants too: they keep the original's vocabulary); the
+    // rest of each pair's Common prefix goes into its pair scope.
+    std::vector<PairPlan> Pairs;
     for (const ConditionEntry &E : Picked)
-      Ptrs.push_back(&E);
-    CatalogPlan CP = oneFamilyPlan(Planner.planFamily(Fam->Name, Ptrs));
-    const FamilyPlan &FP = CP.Families[0];
+      Pairs.push_back(Planner.planPair(E));
+    CatalogPlan CP = oneFamilyPlan(
+        Fam->Name, Planner.planCatalog(Fx.C, {Fam}).CatalogCommon);
     CatalogSession Sess(Fx.F, CP, /*Budget=*/200000);
     Sess.configureClauseGc(true, /*FirstLimit=*/64);
 
@@ -437,8 +416,8 @@ TEST_P(FamilyEvictionFuzzTest, RandomRetireOrdersMatchNoEvictionReference) {
     // method of a random pair (re-verification after retirement included),
     // or retire a random pair.
     for (int Step = 0; Step < 24; ++Step) {
-      size_t PI = Rng() % FP.Pairs.size();
-      const PairPlan &PP = FP.Pairs[PI];
+      size_t PI = Rng() % Pairs.size();
+      const PairPlan &PP = Pairs[PI];
       // Keys may repeat across picked entries; index the key by position
       // so a mutant and its original stay distinguishable to the test.
       std::string Key = PP.Key + "#" + std::to_string(PI);
@@ -463,8 +442,8 @@ TEST_P(FamilyEvictionFuzzTest, RandomRetireOrdersMatchNoEvictionReference) {
       ASSERT_EQ(Got.NumVcs, Want.NumVcs) << MP.Name;
     }
     // Retire everything that is still live and confirm the solver state.
-    for (size_t PI = 0; PI != FP.Pairs.size(); ++PI)
-      Sess.retirePair(0, FP.Pairs[PI].Key + "#" + std::to_string(PI));
+    for (size_t PI = 0; PI != Pairs.size(); ++PI)
+      Sess.retirePair(0, Pairs[PI].Key + "#" + std::to_string(PI));
     ASSERT_TRUE(Sess.session().solver().reasonInvariantHolds());
   }
 }
@@ -472,71 +451,78 @@ TEST_P(FamilyEvictionFuzzTest, RandomRetireOrdersMatchNoEvictionReference) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FamilyEvictionFuzzTest,
                          ::testing::Values(23, 47, 89, 131));
 
-TEST(CatalogSessionTest, FamilyScopesIsolateAndSubtreeRetire) {
-  // Two families with contradictory family-common prefixes coexist under
-  // their family selectors; retiring one family's subtree (family scope,
-  // pair scopes, method scopes, one solver pass) leaves the other
-  // family's proofs intact and recycles the retired scopes' variables.
+TEST(CatalogSessionTest, SamePairKeyInTwoFamiliesGetsSeparateScopes) {
+  // Pair keys repeat across families ("size,size" names a pair of Set,
+  // Map and ArrayList). One certifying session serves key "p" in two
+  // families with contradictory Common prefixes: each pair gets a scope
+  // of its own, both proofs hold, the certified tags differ, and retiring
+  // one pair leaves the other's proofs intact and recycles its variables.
   PoolFixture &Fx = fixture();
   ExprRef X = Fx.F.var("cat_x", Sort::Bool);
   ExprRef W = Fx.F.var("cat_w", Sort::Bool);
 
   CatalogPlan CP;
-  CP.Families.resize(2);
-  CP.Families[0].FamilyName = "demoA";
-  CP.Families[0].FamilyCommon = {X};
-  CP.Families[1].FamilyName = "demoB";
-  CP.Families[1].FamilyCommon = {Fx.F.lnot(X)};
-  CatalogSession Sess(Fx.F, CP, /*Budget=*/-1);
+  CP.Families = {{"demoA", {}}, {"demoB", {}}};
+  CatalogSession Sess(Fx.F, CP, /*Budget=*/-1, /*Certify=*/true);
 
   // Compound scoped/split formulas, so the pair scopes own Tseitin
-  // definitions (the variables subtree retirement recycles).
+  // definitions (the variables pair retirement recycles).
   MethodPlan Pos;
   Pos.Name = "m";
+  Pos.Common = {X};
   Pos.Scoped.push_back({Fx.F.disj({X, W}), "x-or-w"});
   Pos.Splits.push_back(
       VcSplit{{{Fx.F.conj({Fx.F.lnot(X), W}), "not-x-and-w"}}, ""});
   MethodPlan Neg;
   Neg.Name = "m";
+  Neg.Common = {Fx.F.lnot(X)};
   Neg.Splits.push_back(VcSplit{{{Fx.F.conj({X, W}), "x-and-w"}}, ""});
 
   SymbolicResult R1, R2;
   EXPECT_TRUE(Sess.discharge(0, "p", Pos, R1));
   EXPECT_TRUE(Sess.discharge(1, "p", Neg, R2));
-  // Family + pair + method selector per family.
-  EXPECT_EQ(Sess.numSelectors(), 6u);
-  EXPECT_EQ(Sess.stats().FamiliesOpened, 2u);
+  // Pair + method selector per family; no family selector.
+  EXPECT_EQ(Sess.numSelectors(), 4u);
   EXPECT_EQ(Sess.stats().PairsOpened, 2u);
+  EXPECT_EQ(Sess.stats().PrefixAsserts, 2u);
 
-  // The core names the family scope, the pair scope, and the split.
-  auto Has = [&R1](const char *L) {
-    return std::find(R1.CoreLabels.begin(), R1.CoreLabels.end(), L) !=
-           R1.CoreLabels.end();
+  // The labels name the family, so cores and proof tags tell the two
+  // pairs apart.
+  auto Has = [](const SymbolicResult &R, const char *L) {
+    return std::find(R.CoreLabels.begin(), R.CoreLabels.end(), L) !=
+           R.CoreLabels.end();
   };
-  EXPECT_TRUE(Has("fam:demoA"));
-  EXPECT_TRUE(Has("not-x-and-w"));
+  EXPECT_TRUE(Has(R1, "pair:demoA/p"));
+  EXPECT_TRUE(Has(R2, "pair:demoB/p"));
+  EXPECT_FALSE(anyLabelStartsWith(R1.CoreLabels, "fam:"));
+  ASSERT_EQ(R1.ProofQueryTags.size(), 1u);
+  ASSERT_EQ(R2.ProofQueryTags.size(), 1u);
+  EXPECT_NE(R1.ProofQueryTags[0], R2.ProofQueryTags[0]);
 
   uint64_t Retained = Sess.retainedClauses();
   int64_t RecycledBefore = Sess.session().recycledVars();
-  EXPECT_GT(Sess.retireFamily(0), 0u);
+  EXPECT_GT(Sess.retirePair(0, "p"), 0u);
   EXPECT_LT(Sess.retainedClauses(), Retained);
-  EXPECT_EQ(Sess.stats().FamiliesRetired, 1u);
   EXPECT_GT(Sess.session().recycledVars(), RecycledBefore);
   EXPECT_TRUE(Sess.session().solver().reasonInvariantHolds());
 
-  // demoB still verifies after demoA's subtree retirement; demoA
-  // re-opens as a fresh scope and verifies again.
+  // demoB's pair still verifies; demoA's re-opens as a fresh scope.
   SymbolicResult R3, R4;
   EXPECT_TRUE(Sess.discharge(1, "p", Neg, R3));
   EXPECT_TRUE(Sess.discharge(0, "p", Pos, R4));
-  EXPECT_EQ(Sess.stats().FamiliesOpened, 3u);
+  EXPECT_EQ(Sess.stats().PairsOpened, 3u);
+
+  const proof::CertifySummary &Cert = Sess.finishCertification();
+  EXPECT_TRUE(Cert.Ok);
+  for (const SymbolicResult *R : {&R1, &R2, &R3, &R4})
+    EXPECT_TRUE(Cert.allPassed(R->ProofQueryTags));
 }
 
 TEST(CatalogSessionTest, CountermodelsNameNoSelector) {
   // A failed proof's countermodel lists state atoms only. Selectors are
-  // solver variables the session mints, not atoms, so no family, pair or
-  // method selector can appear in it (a family selector once leaked in
-  // as "__fam_famA").
+  // solver variables the session mints, not atoms, so no pair or method
+  // selector can appear in it (a family selector once leaked in as
+  // "__fam_famA").
   PoolFixture &Fx = fixture();
   ExprRef X = Fx.F.var("x", Sort::Obj), Y = Fx.F.var("y", Sort::Obj);
   CatalogPlan CP;
@@ -555,10 +541,10 @@ TEST(CatalogSessionTest, CountermodelsNameNoSelector) {
 }
 
 TEST(SymbolicEngineTest, VerifyCatalogMatchesSharedPairOnWholeCatalog) {
-  // The catalog tier is a pure performance refactor: every verdict equals
-  // the shared-pair tier's, family by family, pair by pair, method by
-  // method; every pair and every family subtree is retired; and the
-  // session recycles variables.
+  // One session over the whole catalog is a pure performance refactor:
+  // every verdict equals the per-pair sessions', family by family, pair by
+  // pair, method by method; every pair is retired; and the session
+  // recycles variables.
   PoolFixture &Fx = fixture();
   SymbolicEngine CatEng(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000);
   SymbolicEngine Pair(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000,
@@ -566,16 +552,16 @@ TEST(SymbolicEngineTest, VerifyCatalogMatchesSharedPairOnWholeCatalog) {
 
   CatalogOutcome CO = CatEng.verifyCatalog(Fx.C, allFamilies());
   ASSERT_EQ(CO.Families.size(), allFamilies().size());
-  EXPECT_EQ(CO.Stats.FamiliesRetired, allFamilies().size());
   EXPECT_GT(CO.Stats.RecycledVars, 0u);
   EXPECT_LT(CO.Stats.PeakLiveVars, CO.Stats.VarRequests);
 
+  size_t Pairs = 0;
   for (size_t FI = 0; FI != allFamilies().size(); ++FI) {
     const Family *Fam = allFamilies()[FI];
     const FamilyOutcome &FO = CO.Families[FI];
     const std::vector<ConditionEntry> &Entries = Fx.C.entries(*Fam);
     ASSERT_EQ(FO.Pairs.size(), Entries.size()) << Fam->Name;
-    EXPECT_EQ(FO.Stats.PairsRetired, Entries.size());
+    Pairs += Entries.size();
     for (size_t I = 0; I != Entries.size(); ++I) {
       EXPECT_EQ(FO.PairKeys[I], Entries[I].pairName());
       PairOutcome Want = Pair.verifyPair(Entries[I]);
@@ -587,6 +573,8 @@ TEST(SymbolicEngineTest, VerifyCatalogMatchesSharedPairOnWholeCatalog) {
       }
     }
   }
+  EXPECT_EQ(CO.Stats.PairsOpened, Pairs);
+  EXPECT_EQ(CO.Stats.PairsRetired, Pairs);
 }
 
 TEST(SymbolicEngineTest, CatalogCommonPrefixHoistsSharedWellFormedness) {
@@ -627,7 +615,6 @@ TEST(SymbolicEngineTest, CatalogRecyclingBoundsLiveVarsBelowDemand) {
         }
         Sess.retirePair(FI, PP.Key);
       }
-      Sess.retireFamily(FI);
     }
     return Failures;
   };
@@ -661,23 +648,18 @@ TEST(SymbolicEngineTest, LazyPlanningBoundsMaterializedSplits) {
   // and drops them after retirePair: the peak number of live splits is
   // one pair's worth, far below the whole family's.
   PoolFixture &Fx = fixture();
-  SymbolicEngine Eng(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000,
-                     SolveMode::SharedFamily);
+  SymbolicEngine Eng(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000);
   FamilyOutcome FO =
       Eng.verifyCatalog(Fx.C, {&arrayListFamily()}).Families.front();
   EXPECT_GT(FO.PeakMaterializedSplits, 0u);
   EXPECT_GT(FO.TotalSplits, FO.PeakMaterializedSplits * 10);
 
   // The peak equals the largest single pair's split count — exactly what
-  // the eager planner would have materialized for that pair alone.
-  std::vector<const ConditionEntry *> Entries;
-  for (const ConditionEntry &E : Fx.C.entries(arrayListFamily()))
-    Entries.push_back(&E);
-  FamilyPlan Eager = Eng.planFamily(arrayListFamily().Name, Entries);
+  // planPair materializes for that pair alone.
   uint64_t MaxPair = 0, Total = 0;
-  for (const PairPlan &PP : Eager.Pairs) {
+  for (const ConditionEntry &E : Fx.C.entries(arrayListFamily())) {
     uint64_t N = 0;
-    for (const MethodPlan &MP : PP.Methods)
+    for (const MethodPlan &MP : Eng.planPair(E).Methods)
       N += MP.Splits.size();
     MaxPair = std::max(MaxPair, N);
     Total += N;

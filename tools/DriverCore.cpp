@@ -218,17 +218,11 @@ void runJob(const ExhaustiveEngine &Engine, const Catalog &C,
 }
 
 /// The symbolic commutativity jobs of one (family, op-pair): its six
-/// testing methods.
+/// testing methods. The unit of symbolic commutativity work, run on one
+/// worker: one warm session (shared-pair) or the cold oracle (oneshot).
 struct PairGroup {
   const ConditionEntry *Entry = nullptr;
   std::vector<size_t> JobIdx; ///< Six jobs, in (kind x role) order.
-};
-
-/// The unit of symbolic commutativity work, run on one worker: the pairs
-/// one session serves — one pair under shared-pair and oneshot, one
-/// whole family under shared-family — in enumeration order.
-struct SessionGroup {
-  std::vector<size_t> PairIdx; ///< Indices into the PairGroup list.
 };
 
 /// Copies a pair outcome into its stats row. Millis is the sum of the
@@ -271,7 +265,6 @@ void fillSessionStats(const CatalogOutcome &CO, const char *ModeName,
   Stats.Conflicts = CO.Conflicts;
   Stats.PrefixAsserts = CO.Stats.PrefixAsserts;
   Stats.PrefixReuses = CO.Stats.PrefixReuses;
-  Stats.SubtreeRetirements = CO.Stats.FamiliesRetired;
   Stats.PairEvictions = CO.Stats.PairsRetired;
   Stats.EvictedClauses = CO.Stats.EvictedClauses;
   Stats.RecycledVars = CO.Stats.RecycledVars;
@@ -285,56 +278,41 @@ void fillSessionStats(const CatalogOutcome &CO, const char *ModeName,
   Stats.Selectors = CO.Selectors;
 }
 
-/// Runs one session group: a warm mode through one CatalogSession
-/// (SymbolicEngine::verifyGroups), OneShot through dischargeCold.
-/// Writes the group's job records and pair rows and, when \p Session is
-/// set (warm modes), its session row, and returns the group's planning
-/// time. A one-pair group's pair row carries the group's wall clock.
-double runSessionGroup(const Catalog &C, const DriverOptions &Opts,
-                       const std::vector<PairGroup> &PairGroups,
-                       const SessionGroup &G, std::vector<JobRecord> &Jobs,
-                       std::vector<PairStats> &Pairs, CatalogStats *Session) {
+/// Runs one pair group: shared-pair through a one-pair CatalogSession
+/// (SymbolicEngine::verifyGroups), OneShot through dischargeCold. Writes the
+/// group's job records and pair row and, when \p Session is set (warm
+/// mode), its session row, and returns the pair's planning time. The pair
+/// row carries the group's wall clock.
+double runPairGroup(const Catalog &C, const DriverOptions &Opts,
+                    const PairGroup &PG, std::vector<JobRecord> &Jobs,
+                    PairStats &Pair, CatalogStats *Session) {
   Stopwatch Timer;
   SymbolicEngine Sym(C.factory(), Opts.SymbolicSeqLenBound,
                      Opts.SymbolicConflictBudget, Opts.SymbolicMode);
   Sym.setCertify(Opts.Certify);
   CatalogOutcome CO;
   if (isColdMode(Opts.SymbolicMode)) {
-    assert(G.PairIdx.size() == 1 && "a cold session group is one pair");
     CO.Families.emplace_back();
-    CO.Families[0].Pairs.push_back(
-        Sym.verifyPair(*PairGroups[G.PairIdx[0]].Entry));
+    CO.Families[0].Pairs.push_back(Sym.verifyPair(*PG.Entry));
     CO.PlanMillis = CO.Families[0].Pairs[0].PlanMillis;
   } else {
-    SymbolicEngine::FamilyEntries Group;
-    Group.Fam = PairGroups[G.PairIdx[0]].Entry->Fam;
-    for (size_t PI : G.PairIdx)
-      Group.Entries.push_back(PairGroups[PI].Entry);
-    CO = Sym.verifyGroups({Group});
+    CO = Sym.verifyGroups({{PG.Entry->Fam, {PG.Entry}}});
   }
 
   const char *ModeName = solveModeName(Opts.SymbolicMode);
-  const std::vector<PairOutcome> &Outcomes = CO.Families.front().Pairs;
-  assert(Outcomes.size() == G.PairIdx.size() &&
-         "session group out of sync with its outcome");
-  for (size_t I = 0; I != G.PairIdx.size(); ++I) {
-    const PairGroup &PG = PairGroups[G.PairIdx[I]];
-    const PairOutcome &PO = Outcomes[I];
-    assert(PO.Methods.size() == PG.JobIdx.size() &&
-           "pair group out of sync with enumeration");
-    for (size_t M = 0; M != PG.JobIdx.size(); ++M) {
-      JobRecord &Out = Jobs[PG.JobIdx[M]];
-      fillSymbolicRecord(PO.Methods[M], Out);
-      Out.Millis = PO.MethodMillis[M];
-    }
-    fillPairStats(PO, *PG.Entry, ModeName, Pairs[G.PairIdx[I]]);
+  const PairOutcome &PO = CO.Families.front().Pairs.front();
+  assert(PO.Methods.size() == PG.JobIdx.size() &&
+         "pair group out of sync with enumeration");
+  for (size_t M = 0; M != PG.JobIdx.size(); ++M) {
+    JobRecord &Out = Jobs[PG.JobIdx[M]];
+    fillSymbolicRecord(PO.Methods[M], Out);
+    Out.Millis = PO.MethodMillis[M];
   }
-  double Wall = Timer.millis();
-  if (G.PairIdx.size() == 1)
-    Pairs[G.PairIdx[0]].Millis = Wall;
+  fillPairStats(PO, *PG.Entry, ModeName, Pair);
+  Pair.Millis = Timer.millis();
   if (Session) {
     fillSessionStats(CO, ModeName, *Session);
-    Session->Millis = Wall;
+    Session->Millis = Pair.Millis;
     Session->PlanMillis = CO.PlanMillis;
   }
   return CO.PlanMillis;
@@ -345,12 +323,11 @@ double runSessionGroup(const Catalog &C, const DriverOptions &Opts,
 Report driver::runFullCatalog(const Catalog &C, const DriverOptions &Opts) {
   std::string Error;
   std::vector<const Family *> Fams = resolveFamilies(Opts.Families, Error);
-  if (Error.empty() && Opts.SymbolicMode == SolveMode::SharedCatalog)
-    Error = "solve mode shared-catalog was removed; use shared-family (one "
-            "warm session per family)";
-  if (Error.empty() && Opts.SymbolicMode == SolveMode::PerMethod)
-    Error = "solve mode per-method was removed; use shared-pair (one warm "
-            "session per op-pair) or oneshot (the cold oracle)";
+  if (Error.empty() && Opts.SymbolicMode != SolveMode::SharedPair &&
+      !isColdMode(Opts.SymbolicMode))
+    Error = std::string("solve mode ") + solveModeName(Opts.SymbolicMode) +
+            " was removed; use shared-pair (one warm session per op-pair) "
+            "or oneshot (the cold oracle)";
   if (!Error.empty()) {
     Report R;
     R.Threads = Opts.Threads == 0 ? 1 : Opts.Threads;
@@ -389,36 +366,25 @@ Report driver::runFullCatalog(const Catalog &C, const DriverOptions &Opts) {
     }
   }
 
-  // Group the symbolic commutativity jobs by (family, op-pair) — the six
+  // Group the symbolic commutativity jobs by (family, op-pair): the six
   // testing methods of one pair, which enumeration emits contiguously in
-  // (kind x role) order — and the pairs into session groups: a whole
-  // family under shared-family, one pair otherwise. Group order is
-  // enumeration order, so every statistic is a function of the options.
-  bool PerFamily = Opts.SymbolicMode == SolveMode::SharedFamily;
+  // (kind x role) order. Group order is enumeration order, so every
+  // statistic is a function of the options.
   std::vector<PairGroup> PairGroups;
-  std::vector<SessionGroup> Sessions;
   std::map<const ConditionEntry *, size_t> PairOf;
-  std::map<const Family *, size_t> SessionOf;
   for (size_t I = 0; I != Jobs.size(); ++I) {
     const PreparedJob &P = Prepared[I];
     if (!P.Symbolic || P.Inverse)
       continue;
     auto [It, Fresh] = PairOf.try_emplace(P.Entry, PairGroups.size());
-    if (Fresh) {
+    if (Fresh)
       PairGroups.push_back({P.Entry, {}});
-      size_t S = Sessions.size();
-      if (PerFamily)
-        S = SessionOf.try_emplace(P.Fam, S).first->second;
-      if (S == Sessions.size())
-        Sessions.push_back({});
-      Sessions[S].PairIdx.push_back(It->second);
-    }
     PairGroups[It->second].JobIdx.push_back(I);
   }
   std::vector<PairStats> Pairs(PairGroups.size());
   std::vector<CatalogStats> SessionRows(
-      isColdMode(Opts.SymbolicMode) ? 0 : Sessions.size());
-  std::vector<double> PlanMillis(Sessions.size());
+      isColdMode(Opts.SymbolicMode) ? 0 : PairGroups.size());
+  std::vector<double> PlanMillis(PairGroups.size());
 
   unsigned Threads = Opts.Threads == 0 ? 1 : Opts.Threads;
   ExhaustiveEngine Engine(Opts.Bounds);
@@ -432,12 +398,12 @@ Report driver::runFullCatalog(const Catalog &C, const DriverOptions &Opts) {
         runJob(Engine, C, Opts, Prepared[I], Jobs[I]);
       });
     }
-    for (size_t G = 0; G != Sessions.size(); ++G)
-      Pool.submit([&C, &Opts, &PairGroups, &Sessions, &Jobs, &Pairs,
-                   &PlanMillis, &SessionRows, G] {
+    for (size_t G = 0; G != PairGroups.size(); ++G)
+      Pool.submit([&C, &Opts, &PairGroups, &Jobs, &Pairs, &PlanMillis,
+                   &SessionRows, G] {
         PlanMillis[G] =
-            runSessionGroup(C, Opts, PairGroups, Sessions[G], Jobs, Pairs,
-                            SessionRows.empty() ? nullptr : &SessionRows[G]);
+            runPairGroup(C, Opts, PairGroups[G], Jobs, Pairs[G],
+                         SessionRows.empty() ? nullptr : &SessionRows[G]);
       });
     Pool.wait();
   }
@@ -587,9 +553,6 @@ json::Value Report::toJson() const {
             json::Value::integer(static_cast<int64_t>(S.PrefixAsserts)));
       V.set("prefix_reuses",
             json::Value::integer(static_cast<int64_t>(S.PrefixReuses)));
-      V.set("subtree_retirements",
-            json::Value::integer(
-                static_cast<int64_t>(S.SubtreeRetirements)));
       V.set("pair_evictions",
             json::Value::integer(static_cast<int64_t>(S.PairEvictions)));
       V.set("evicted_clauses",
@@ -728,21 +691,18 @@ std::string driver::renderSummary(const Report &R) {
       Out += Buf;
     }
     if (!R.CatalogSessions.empty()) {
-      uint64_t Subtrees = 0, Recycled = 0, PeakVars = 0, Demand = 0,
-               PeakCls = 0;
+      uint64_t Recycled = 0, PeakVars = 0, Demand = 0, PeakCls = 0;
       for (const CatalogStats &S : R.CatalogSessions) {
-        Subtrees += S.SubtreeRetirements;
         Recycled += S.RecycledVars;
         PeakVars = std::max(PeakVars, S.PeakLiveVars);
         PeakCls = std::max(PeakCls, S.PeakLiveClauses);
         Demand += S.VarRequests;
       }
       std::snprintf(Buf, sizeof(Buf),
-                    "catalog sessions: %zu sessions, %llu family-subtree "
-                    "retirements, %llu vars recycled (peak %llu live of "
-                    "%llu requested), peak %llu live clauses\n",
+                    "catalog sessions: %zu sessions, %llu vars recycled "
+                    "(peak %llu live of %llu requested), peak %llu live "
+                    "clauses\n",
                     R.CatalogSessions.size(),
-                    static_cast<unsigned long long>(Subtrees),
                     static_cast<unsigned long long>(Recycled),
                     static_cast<unsigned long long>(PeakVars),
                     static_cast<unsigned long long>(Demand),

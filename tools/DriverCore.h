@@ -13,12 +13,11 @@
 /// dispatches the independent verification jobs across a work-stealing
 /// ThreadPool, and aggregates per-family timings plus a JSON report.
 ///
-/// Symbolic commutativity jobs run in *session groups*: the six testing
-/// methods of one (family, op-pair) always run together, and one worker
-/// runs a group's pairs through one warm solver session — one pair per
-/// session under SolveMode::SharedPair, one family under SharedFamily (the
-/// cold OneShot oracle runs one pair per group, without a session). The
-/// report gains one row per pair and one per warm session. The job list,
+/// Symbolic commutativity jobs run in *pair groups*: the six testing
+/// methods of one (family, op-pair) always run together on one worker,
+/// through one warm solver session under SolveMode::SharedPair or the
+/// cold OneShot oracle without one. The report gains one row per pair and,
+/// under shared-pair, one per warm session. The job list,
 /// the groups and the result order are fully determined by the options —
 /// never by thread scheduling — so an N-thread run and a 1-thread run
 /// produce byte-identical verdict sequences (DriverTest pins this down).
@@ -66,10 +65,9 @@ struct DriverOptions {
   /// Per-VC CDCL conflict budget for the symbolic engine.
   int64_t SymbolicConflictBudget = 200000;
   /// Session strategy for the symbolic engine: shared-pair (default, one
-  /// warm session per op-pair), shared-family (one warm session per
-  /// family, pair scopes retired as they finish), or the oneshot cold
-  /// oracle. PerMethod and SharedCatalog are rejected: the run returns an
-  /// error report.
+  /// warm session per op-pair) or the oneshot cold oracle. The removed
+  /// modes (PerMethod, SharedFamily, SharedCatalog) are rejected: the run
+  /// returns an error report.
   SolveMode SymbolicMode = SolveMode::SharedPair;
   /// Certified verdicts (--certify): symbolic sessions log DRAT-style
   /// proof traces, the independent RUP checker replays each trace
@@ -143,8 +141,8 @@ struct FamilySummary {
 
 /// Reuse statistics of one op-pair (symbolic commutativity jobs only; one
 /// row per (family, op-pair) in job-list order). Counters are the pair's
-/// share of its session; Millis is the pair's wall clock when it had its
-/// session group to itself, else the sum of its method times.
+/// pair's own session (or, under oneshot, sums over its cold sessions);
+/// Millis is the pair group's wall clock.
 struct PairStats {
   std::string Family;
   std::string Op1, Op2;
@@ -162,8 +160,7 @@ struct PairStats {
 };
 
 /// Reuse, retirement, and recycling statistics of one warm session
-/// (symbolic commutativity jobs under a warm SolveMode; one row per
-/// session — per pair under shared-pair, per family under shared-family).
+/// (symbolic commutativity jobs under shared-pair: one row per pair).
 struct CatalogStats {
   std::string Mode;        ///< solveModeName of the run.
   std::string FamilyNames; ///< Comma-joined families this session served.
@@ -173,12 +170,9 @@ struct CatalogStats {
   uint64_t Vcs = 0;
   uint64_t Checks = 0;
   int64_t Conflicts = 0;
-  /// Prefix amortization across the catalog + family + pair levels.
+  /// Prefix amortization across the catalog and pair levels.
   uint64_t PrefixAsserts = 0;
   uint64_t PrefixReuses = 0;
-  /// Whole-family scope subtrees retired in one pass (0 for a one-family
-  /// session, whose family sits at the root with no subtree of its own).
-  uint64_t SubtreeRetirements = 0;
   uint64_t PairEvictions = 0; ///< Pair scopes retired.
   uint64_t EvictedClauses = 0;
   /// Variable recycling: indices reclaimed by scope retirements, the
@@ -196,7 +190,7 @@ struct CatalogStats {
   /// high-water mark.
   uint64_t ReleasedSelectors = 0;
   uint64_t PeakLiveBridges = 0;
-  unsigned Selectors = 0; ///< Family + pair + method selectors.
+  unsigned Selectors = 0; ///< Pair + method selectors.
   double Millis = 0;
   double PlanMillis = 0; ///< Planning share of Millis (CatalogOutcome).
 };
@@ -205,7 +199,7 @@ struct CatalogStats {
 struct Report {
   unsigned Threads = 1;
   double WallMillis = 0;
-  /// Symbolic planning time summed over every session group (the warm
+  /// Symbolic planning time summed over every pair group (the warm
   /// sessions' PlanMillis, the cold pairs' planPair time): like a family's
   /// JobMillis, a sum across workers.
   double PlanMillis = 0;
@@ -215,7 +209,7 @@ struct Report {
   std::vector<JobRecord> Results;
   /// Per-pair shared-session reuse stats (empty for exhaustive-only runs).
   std::vector<PairStats> Pairs;
-  /// Per-warm-session stats (every warm SolveMode; empty for cold and
+  /// Per-warm-session stats (shared-pair; empty for cold and
   /// exhaustive-only runs).
   std::vector<CatalogStats> CatalogSessions;
   /// Non-empty when the run never started (e.g. unknown family name); a

@@ -160,8 +160,6 @@ ServiceStats aggregateStats(const ShardedServiceStats &SS) {
     Agg.PlansBuilt += Sh.Stats.PlansBuilt;
     const CatalogSessionStats &In = Sh.Stats.Session;
     CatalogSessionStats &Out = Agg.Session;
-    Out.FamiliesOpened += In.FamiliesOpened;
-    Out.FamiliesRetired += In.FamiliesRetired;
     Out.PairsOpened += In.PairsOpened;
     Out.PairsRetired += In.PairsRetired;
     Out.PrefixAsserts += In.PrefixAsserts;

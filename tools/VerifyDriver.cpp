@@ -44,11 +44,9 @@ void printUsage(const char *Argv0) {
       "                    engine (default: 3); requires --engine\n"
       "                    symbolic or both\n"
       "  --solve-mode M    symbolic session strategy: shared-pair (default,\n"
-      "                    one warm solver per op-pair), shared-family (one\n"
-      "                    warm solver per family with per-pair scope\n"
-      "                    eviction), or oneshot (a fresh solver per VC,\n"
-      "                    the cold oracle); requires --engine symbolic\n"
-      "                    or both\n"
+      "                    one warm solver per op-pair) or oneshot (a fresh\n"
+      "                    solver per VC, the cold oracle); requires\n"
+      "                    --engine symbolic or both\n"
       "  --certify         certified verdicts: every symbolic session logs\n"
       "                    a DRAT-style proof trace and the independent RUP\n"
       "                    checker replays it in-process; job rows gain\n"
@@ -133,23 +131,19 @@ int main(int argc, char **argv) {
       std::string M = needValue("--solve-mode");
       if (M == "shared-pair") {
         Opts.SymbolicMode = SolveMode::SharedPair;
-      } else if (M == "shared-family") {
-        Opts.SymbolicMode = SolveMode::SharedFamily;
       } else if (M == "oneshot") {
         Opts.SymbolicMode = SolveMode::OneShot;
-      } else if (M == "shared-catalog") {
-        std::fprintf(stderr, "solve mode shared-catalog was removed; use "
-                             "shared-family (one warm solver per family)\n");
-        return 2;
-      } else if (M == "per-method") {
-        std::fprintf(stderr, "solve mode per-method was removed; use "
-                             "shared-pair (one warm solver per op-pair) or "
-                             "oneshot (the cold oracle)\n");
+      } else if (M == "shared-family" || M == "shared-catalog" ||
+                 M == "per-method") {
+        std::fprintf(stderr,
+                     "solve mode %s was removed; use shared-pair (one warm "
+                     "solver per op-pair) or oneshot (the cold oracle)\n",
+                     M.c_str());
         return 2;
       } else {
         std::fprintf(stderr,
-                     "unknown solve mode '%s' (expected shared-pair, "
-                     "shared-family or oneshot)\n",
+                     "unknown solve mode '%s' (expected shared-pair or "
+                     "oneshot)\n",
                      M.c_str());
         return 2;
       }
