@@ -171,9 +171,9 @@ else
 fi
 
 # Certification snapshot: the same one-thread shared-pair run with
-# --certify, so the baseline records the cost of proof logging + the
-# in-process RUP check relative to the uncertified run directly above
-# (certify_overhead_x) alongside the certificate counts.
+# --certify, so the baseline records the certificate counts; the cost of
+# proof logging + the in-process RUP check (certify_overhead_x) comes from
+# the interleaved runs below.
 CERTIFY_JSON="$RESULTS_DIR/driver_certify_stats.json"
 if [ -x "$DRIVER_BIN" ]; then
   echo "== semcommute-verify (certified shared-pair snapshot)"
@@ -191,6 +191,38 @@ if [ -x "$DRIVER_BIN" ]; then
     "$(awk "BEGIN{printf \"%.3f\", $end - $start}")" "$status"
 else
   record "driver_certify_stats" 0 missing
+fi
+
+# Certification overhead: seven interleaved plain and certified one-thread
+# shared-pair runs. certify_overhead_x is the ratio of the two
+# minimum walls: one run of each reads whatever noise that pair caught,
+# and interleaving keeps host drift out of the ratio.
+CERTIFY_PASSES=7
+rm -f "$RESULTS_DIR"/certify_overhead_*.json
+if [ -x "$DRIVER_BIN" ]; then
+  echo "== semcommute-verify (certify overhead, $CERTIFY_PASSES interleaved pairs)"
+  start=$(now)
+  status=ok
+  i=1
+  while [ "$i" -le "$CERTIFY_PASSES" ]; do
+    for mode in plain certify; do
+      if [ "$mode" = certify ]; then flag=--certify; else flag=; fi
+      # $flag is deliberately unquoted: empty for the plain run.
+      # shellcheck disable=SC2086
+      "$DRIVER_BIN" --families all --engine symbolic \
+        --solve-mode shared-pair --threads 1 $flag --quiet \
+        --json "$RESULTS_DIR/certify_overhead_${mode}_$i.json" \
+        > /dev/null 2>&1 || status=failed
+    done
+    i=$((i + 1))
+  done
+  if [ "$status" = failed ]; then
+    echo "FAILED  semcommute-verify certify overhead"
+    failures=$((failures + 1))
+  fi
+  end=$(now)
+  record "certify_overhead" \
+    "$(awk "BEGIN{printf \"%.3f\", $end - $start}")" "$status"
 fi
 
 # Service-loop snapshot: one 3-pass full-catalog semcommute-serve run
@@ -247,7 +279,7 @@ else
 fi
 
 python3 - "$RESULTS_DIR" "$TIMINGS_TSV" "$BASELINE_JSON" <<'EOF'
-import json, os, sys
+import glob, json, os, sys
 
 results_dir, timings_tsv, out_path = sys.argv[1:4]
 
@@ -356,10 +388,23 @@ if os.path.exists(family_path):
             family_stats[key] = max((r.get(key, 0) for r in rows), default=0)
 
 # Certification statistics from the --certify snapshot: certificate and
-# checker-database counts, whether every proof checked, the wall-time
-# ratio against the uncertified shared-pair run (certify_overhead_x),
-# and the pass's symbolic planning time (plan_ms, one thread, so
-# plan_share is its share of the wall) with the host's CPU count.
+# checker-database counts, whether every proof checked, the min-of-N
+# wall-time ratio of the interleaved certified and plain runs
+# (certify_overhead_x over certify_overhead_passes pairs), and the pass's
+# symbolic planning time (plan_ms, one thread, so plan_share is its share
+# of the wall) with the host's CPU count.
+def overhead_walls(mode):
+    walls = []
+    for path in glob.glob(os.path.join(
+            results_dir, f"certify_overhead_{mode}_*.json")):
+        try:
+            with open(path) as f:
+                walls.append(json.load(f)["wall_ms"])
+        except (json.JSONDecodeError, OSError, KeyError):
+            pass
+    return walls
+
+
 certify_stats = None
 certify_path = os.path.join(results_dir, "driver_certify_stats.json")
 if os.path.exists(certify_path):
@@ -371,14 +416,9 @@ if os.path.exists(certify_path):
     if report and report.get("certify"):
         sym = [r for r in report.get("results", [])
                if r.get("engine") == "symbolic"]
-        plain_wall = None
-        if family_stats is not None:
-            try:
-                with open(family_path) as f:
-                    plain_wall = json.load(f).get("wall_ms")
-            except (json.JSONDecodeError, OSError):
-                pass
         wall = report.get("wall_ms")
+        plain_walls = overhead_walls("plain")
+        cert_walls = overhead_walls("certify")
         certify_stats = {
             "engine": "symbolic",
             "mode": "shared-pair",
@@ -389,8 +429,11 @@ if os.path.exists(certify_path):
             "peak_proof_clauses": max((r.get("proof_clauses", 0)
                                        for r in sym), default=0),
             "wall_ms": wall,
-            "certify_overhead_x": (round(wall / plain_wall, 3)
-                                   if wall and plain_wall else None),
+            "certify_overhead_x": (
+                round(min(cert_walls) / min(plain_walls), 3)
+                if cert_walls and plain_walls else None),
+            "certify_overhead_passes": min(len(cert_walls),
+                                           len(plain_walls)),
             "plan_ms": report.get("plan_ms"),
             "plan_share": (round(report["plan_ms"] / wall, 3)
                            if wall and report.get("plan_ms") is not None

@@ -39,6 +39,13 @@ bool dischargeSplits(const MethodPlan &Plan, int64_t Budget,
 
   bool Ok = true;
   size_t FailedAt = Plan.Splits.size();
+  // Proof tag prefix: the scope path identifies the method within the
+  // session (the split index, appended per split, disambiguates its
+  // checks). proof::canonicalTag spells it as SmtSession::setProofTag
+  // does, so the tags recorded here match the certified query tags byte
+  // for byte. Built at the first split: the cold path has no session
+  // before.
+  std::string TagPrefix;
   for (size_t SI = 0; SI != Plan.Splits.size(); ++SI) {
     const VcSplit &Split = Plan.Splits[SI];
     SmtSession &Session = SessionForSplit();
@@ -49,18 +56,14 @@ bool dischargeSplits(const MethodPlan &Plan, int64_t Budget,
 
     std::string Tag;
     if (Session.certifying()) {
-      // Proof tag: the scope path identifies the method within the
-      // session; the split index disambiguates its checks. Spaces fold to
-      // '_' exactly as SmtSession::setProofTag does, so the tags recorded
-      // here match the Query-step tags in the trace byte for byte.
-      for (const std::string &L : Session.scopePathLabels(Scope))
-        Tag += (Tag.empty() ? "" : "|") + L;
-      if (Tag.empty())
-        Tag = Plan.Name;
-      for (char &C : Tag)
-        if (C == ' ')
-          C = '_';
-      Tag += "#" + std::to_string(SI);
+      if (SI == 0) {
+        for (const std::string &L : Session.scopePathLabels(Scope))
+          TagPrefix += (TagPrefix.empty() ? "" : "|") + L;
+        if (TagPrefix.empty())
+          TagPrefix = Plan.Name;
+        TagPrefix = proof::canonicalTag(std::move(TagPrefix)) + '#';
+      }
+      Tag = TagPrefix + std::to_string(SI);
       Session.setProofTag(Tag);
     }
 
@@ -139,8 +142,8 @@ PairOutcome semcomm::dischargeCold(ExprFactory &F,
   proof::CertifySummary Cert;
   std::unique_ptr<SmtSession> Session;
 
-  // Folds the open session's totals into the outcome and checks its trace
-  // now: the trace dies with the session.
+  // Folds the open session's totals and certification summary into the
+  // outcome: the session's checker dies with it.
   auto Close = [&] {
     if (!Session)
       return;
@@ -215,12 +218,13 @@ SymbolicResult semcomm::dischargePlan(ExprFactory &F, const MethodPlan &Plan,
 //===----------------------------------------------------------------------===//
 
 CatalogSession::CatalogSession(ExprFactory &F, const CatalogPlan &Plan,
-                               int64_t Budget, bool Certify)
+                               int64_t Budget, bool Certify,
+                               proof::ProofTrace *ProofRecorder)
     : Plan(Plan), Budget(Budget), Session(F) {
   // Certification must switch on before the first assertion reaches the
   // solver — the proof's Input steps have to cover the whole database.
   if (Certify)
-    Session.enableCertification();
+    Session.enableCertification(ProofRecorder);
   for (ExprRef C : Plan.CatalogCommon)
     if (CatalogBase.insert(C).second) {
       Session.assertBase(C);

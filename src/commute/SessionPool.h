@@ -316,11 +316,14 @@ public:
   /// Asserts \p Plan's catalog-common prefix as session base. The plan
   /// must outlive the session (family Pairs may be empty: lazy callers
   /// materialize pair plans just before discharge). \p Certify turns on
-  /// proof logging before any assertion reaches the solver. Every
-  /// session encodes its own prefix: sessions over the same plan and
-  /// factory reach the same database (same clauses, atoms and bridges).
+  /// streaming proof checking before any assertion reaches the solver;
+  /// \p ProofRecorder is SmtSession::enableCertification's test hook.
+  /// Every session encodes its own prefix: sessions over the same plan
+  /// and factory reach the same database (same clauses, atoms and
+  /// bridges).
   CatalogSession(ExprFactory &F, const CatalogPlan &Plan, int64_t Budget,
-                 bool Certify = false);
+                 bool Certify = false,
+                 proof::ProofTrace *ProofRecorder = nullptr);
   CatalogSession(const CatalogSession &) = delete;
   CatalogSession &operator=(const CatalogSession &) = delete;
 
@@ -366,7 +369,7 @@ public:
   void resetPeakStats() { Session.resetPeakStats(); }
 
   bool certifying() const { return Session.certifying(); }
-  /// Runs the independent checker over the session's trace (idempotent).
+  /// The session checker's running outcome (SmtSession).
   const proof::CertifySummary &finishCertification() {
     return Session.finishCertification();
   }

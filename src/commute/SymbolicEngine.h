@@ -196,10 +196,11 @@ public:
   void setClauseGcBudget(int64_t Budget) { GcBudget = Budget; }
 
   /// Turns on certified verdicts (the driver's --certify knob): every
-  /// session the engine opens logs a DRAT-style proof trace, the
-  /// independent RUP checker replays it when the session closes, and each
-  /// method's SymbolicResult records whether its Unsat verdicts carried
-  /// checked certificates (ProofQueries / ProofClauses / ProofChecked).
+  /// session the engine opens streams its DRAT-style proof steps into the
+  /// independent RUP checker, which checks each verdict as it is logged,
+  /// and each method's SymbolicResult records whether its Unsat verdicts
+  /// carried checked certificates (ProofQueries / ProofClauses /
+  /// ProofChecked).
   void setCertify(bool C) { Certify = C; }
   bool certify() const { return Certify; }
 

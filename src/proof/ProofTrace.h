@@ -7,8 +7,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The proof trace a certifying SatSolver emits and the independent checker
-/// (ProofChecker.h) consumes. The format is DRAT with two extensions that
+/// The proof steps a certifying SatSolver emits, in their recorded form. The
+/// solver streams each step straight into the independent checker
+/// (ProofChecker.h) as it logs it; a ProofTrace is the same step sequence
+/// kept whole — what a recorder attached to a session receives, what the
+/// text form serializes and parses, and what ProofChecker::check()
+/// re-checks step by step. The format is DRAT with two extensions that
 /// make a *reusing* incremental solver checkable:
 ///
 ///  * Deletion records cover every clause the solver drops — clause-DB
@@ -24,11 +28,11 @@
 ///    unit, no root assignment) before the solver may rebind it — the
 ///    invariant that makes variable recycling sound.
 ///
-/// Query steps slice the single session-long trace into per-verdict
+/// Query steps slice the single session-long stream into per-verdict
 /// certificates: each carries a caller-chosen tag (the assumption-selector
 /// path of the verification condition) plus the final unsat core, and the
 /// checker validates that core against the clauses live *at that point in
-/// the trace*. One warm catalog session therefore yields an individually
+/// the stream*. One warm catalog session therefore yields an individually
 /// checkable certificate per condition.
 ///
 /// Literals are signed DIMACS integers (+v / -v, variables 1-based in the
@@ -78,18 +82,23 @@ struct Step {
   std::string Tag;
 };
 
-/// An append-only proof log. The emitting solver owns the order; the
-/// checker replays it front to back.
+/// A query tag in its one text-form spelling: spaces fold to '_', so a tag
+/// is always one token. Every place that stamps or records a tag uses it.
+inline std::string canonicalTag(std::string T) {
+  for (char &C : T)
+    if (C == ' ')
+      C = '_';
+  return T;
+}
+
+/// An append-only record of proof steps, in the order the solver logged
+/// them. A certifying session keeps none; tests record one to mutate,
+/// serialize or re-check a session's whole stream.
 class ProofTrace {
 public:
-  /// Sets the tag stamped onto subsequent Query steps. Spaces are folded
-  /// to '_' so a tag is always one token of the text form.
-  void setTag(std::string T) {
-    for (char &C : T)
-      if (C == ' ')
-        C = '_';
-    CurrentTag = std::move(T);
-  }
+  /// Sets the tag stamped onto subsequent Query steps, in its
+  /// canonicalTag spelling.
+  void setTag(std::string T) { CurrentTag = canonicalTag(std::move(T)); }
   const std::string &tag() const { return CurrentTag; }
 
   void addInput(std::vector<int> Lits) {

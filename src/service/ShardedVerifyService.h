@@ -129,8 +129,8 @@ public:
   void resetPeakStats();
 
   bool certifying() const { return Cfg.Base.Certify; }
-  /// Folds every shard's certification outcome (each shard's trace is
-  /// checked independently — per-shard --certify).
+  /// Folds every shard's certification outcome (each shard's proof
+  /// stream is checked independently — per-shard --certify).
   proof::CertifySummary finishCertification();
 
   /// Serializes the service image (schema 4; see the file comment).

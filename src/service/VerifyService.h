@@ -141,8 +141,8 @@ public:
   /// plateau criterion compares per-pass peaks.
   void resetPeakStats() { Sess.resetPeakStats(); }
 
-  /// Checks the warm session's proof trace (idempotent; meaningful only
-  /// when the config's Certify is set).
+  /// The warm session's running certification outcome: every verdict was
+  /// checked as it was served (meaningful only when Certify is set).
   const proof::CertifySummary &finishCertification() {
     return Sess.finishCertification();
   }

@@ -13,20 +13,59 @@
 
 using namespace semcomm;
 
+void SatSolver::logProofLits(proof::StepKind K) {
+  switch (K) {
+  case proof::StepKind::Input:
+    Proof->addInput(ProofLits);
+    if (ProofRecorder)
+      ProofRecorder->addInput(ProofLits);
+    break;
+  case proof::StepKind::Derive:
+    Proof->addDerive(ProofLits);
+    if (ProofRecorder)
+      ProofRecorder->addDerive(ProofLits);
+    break;
+  case proof::StepKind::Delete:
+    Proof->addDelete(ProofLits);
+    if (ProofRecorder)
+      ProofRecorder->addDelete(ProofLits);
+    break;
+  case proof::StepKind::Recycle:
+  case proof::StepKind::Query:
+    assert(false && "not a clause step");
+    break;
+  }
+}
+
 namespace {
-/// The proof trace speaks signed DIMACS ints; Lit::Encoded already is one.
-std::vector<int> proofLits(const std::vector<Lit> &C) {
-  std::vector<int> Out;
-  Out.reserve(C.size());
+/// The proof speaks signed DIMACS ints; Lit::Encoded already is one.
+void toDimacs(const std::vector<Lit> &C, std::vector<int> &Out) {
+  Out.clear();
   for (Lit L : C)
     Out.push_back(L.Encoded);
-  return Out;
 }
 } // namespace
 
-void SatSolver::logQueryProof(const std::vector<Lit> &Core) {
-  if (Proof)
-    Proof->addQuery(proofLits(Core), Clauses.size());
+void SatSolver::logClause(proof::StepKind K, const std::vector<Lit> &C) {
+  toDimacs(C, ProofLits);
+  logProofLits(K);
+}
+
+void SatSolver::logUnit(proof::StepKind K, Lit L) {
+  ProofLits.assign(1, L.Encoded);
+  logProofLits(K);
+}
+
+void SatSolver::logQueryProof(const std::vector<Lit> &Core,
+                              const std::string &Tag) {
+  if (!Proof)
+    return;
+  toDimacs(Core, ProofLits);
+  Proof->addQuery(ProofLits, Clauses.size(), Tag);
+  if (ProofRecorder) {
+    ProofRecorder->setTag(Tag);
+    ProofRecorder->addQuery(ProofLits, Clauses.size());
+  }
 }
 
 SatSolver::SatSolver() {
@@ -103,13 +142,13 @@ void SatSolver::addClause(const std::vector<Lit> &Input) {
   // base, as the CNF stream does in standard DRAT checking.
   if (C.empty()) {
     if (Proof)
-      Proof->addInput({});
+      logClause(proof::StepKind::Input, C);
     Unsatisfiable = true;
     return;
   }
   if (C.size() == 1) {
     if (Proof)
-      Proof->addInput({C[0].Encoded});
+      logUnit(proof::StepKind::Input, C[0]);
     if (valueOf(C[0]) == 0) {
       Unsatisfiable = true;
       return;
@@ -121,7 +160,7 @@ void SatSolver::addClause(const std::vector<Lit> &Input) {
     return;
   }
   if (Proof)
-    Proof->addInput(proofLits(C));
+    logClause(proof::StepKind::Input, C);
 
   Clauses.push_back({std::move(C), false, 0, 0.0});
   attach(static_cast<int>(Clauses.size()) - 1);
@@ -373,7 +412,7 @@ SatResult SatSolver::solve(const std::vector<Lit> &Assumptions,
       analyze(ConflictIdx, Learned, BackLevel, Glue);
       backtrack(BackLevel);
       if (Proof)
-        Proof->addDerive(proofLits(Learned));
+        logClause(proof::StepKind::Derive, Learned);
       if (Learned.size() == 1) {
         // Asserting unit: analyze() computed BackLevel 0, so the trail is
         // already at the root and the unit survives every future solve.
@@ -485,8 +524,8 @@ size_t SatSolver::reduceDb() {
     Remove[static_cast<size_t>(Candidates[I])] = true;
   if (Proof)
     for (size_t I = 0; I != Target; ++I)
-      Proof->addDelete(
-          proofLits(Clauses[static_cast<size_t>(Candidates[I])].Lits));
+      logClause(proof::StepKind::Delete,
+                Clauses[static_cast<size_t>(Candidates[I])].Lits);
   compactClauses(Remove);
 
   LearnedAlive -= static_cast<int64_t>(Target);
@@ -559,7 +598,7 @@ size_t SatSolver::retireScopes(const std::vector<Lit> &Selectors,
   if (Proof)
     for (Lit L : Trail)
       if (Reason[L.var()] >= 0)
-        Proof->addDerive({L.Encoded});
+        logUnit(proof::StepKind::Derive, L);
   for (Lit L : Trail)
     Reason[L.var()] = -1;
 
@@ -604,7 +643,7 @@ size_t SatSolver::retireScopes(const std::vector<Lit> &Selectors,
     if (Proof)
       for (size_t I = 0; I != Clauses.size(); ++I)
         if (Remove[I])
-          Proof->addDelete(proofLits(Clauses[I].Lits));
+          logClause(proof::StepKind::Delete, Clauses[I].Lits);
     compactClauses(Remove);
     LearnedAlive -= LearnedRemoved;
     EvictedClauses += static_cast<int64_t>(Removed);
@@ -643,7 +682,7 @@ size_t SatSolver::retireScopes(const std::vector<Lit> &Selectors,
       // deletion, or the checker would (rightly) refuse to recycle an
       // index that still carries an axiom.
       if (Proof)
-        Proof->addDelete({Lit(V, Assign[S] == 1).Encoded});
+        logUnit(proof::StepKind::Delete, Lit(V, Assign[S] == 1));
       Assign[S] = Undef;
       Level[S] = 0;
       DropFromTrail[S] = true;
@@ -663,8 +702,11 @@ size_t SatSolver::retireScopes(const std::vector<Lit> &Selectors,
   // Recycle records go after every unit delete of the batch so the checker
   // rebuilds its root state once, not per variable.
   if (Proof)
-    for (int V : RecycleLog)
+    for (int V : RecycleLog) {
       Proof->addRecycle(V);
+      if (ProofRecorder)
+        ProofRecorder->addRecycle(V);
+    }
   if (TrailDirty) {
     // Root level: no decision marks to maintain, and dropping a literal
     // nothing mentions cannot enable or retract any propagation.

@@ -40,7 +40,7 @@
 #ifndef SEMCOMM_SMT_SATSOLVER_H
 #define SEMCOMM_SMT_SATSOLVER_H
 
-#include "proof/ProofTrace.h"
+#include "proof/ProofChecker.h"
 
 #include <cstddef>
 #include <cstdint>
@@ -202,20 +202,26 @@ public:
   /// contains that literal — the invariant reduceDb() must preserve.
   bool reasonInvariantHolds() const;
 
-  /// Attaches a DRAT-style proof trace (proof/ProofTrace.h). Must be set
-  /// before the first addClause() so the trace sees every stored clause;
-  /// the solver does not own the trace. While attached, the solver logs
-  /// every stored input clause, every learned clause (including the
-  /// root-trail literals dumped before a retirement detaches their
-  /// reasons), every deletion — reduceDb, retireScopes, and the unit
-  /// clauses compacted off the trail when a pinned variable is recycled —
-  /// and every recycled variable index.
-  void setProofTrace(proof::ProofTrace *P) { Proof = P; }
-  proof::ProofTrace *proofTrace() const { return Proof; }
+  /// Attaches the independent proof checker (proof/ProofChecker.h) the
+  /// solver streams its DRAT-style proof steps into, and optionally a
+  /// trace that records the same steps (proof/ProofTrace.h). Must be set
+  /// before the first addClause() so the checker sees every stored clause;
+  /// the solver owns neither. While attached, the solver logs every stored
+  /// input clause, every learned clause (including the root-trail literals
+  /// dumped before a retirement detaches their reasons), every deletion —
+  /// reduceDb, retireScopes, and the unit clauses compacted off the trail
+  /// when a pinned variable is recycled — and every recycled variable
+  /// index.
+  void setProofLog(proof::ProofChecker *Checker,
+                   proof::ProofTrace *Recorder = nullptr) {
+    Proof = Checker;
+    ProofRecorder = Recorder;
+  }
   /// Logs one Query step: \p Core is the final unsat core of a verdict the
-  /// caller wants certified; the live stored-clause count is stamped so
-  /// the checker can cross-check its mirrored database.
-  void logQueryProof(const std::vector<Lit> &Core);
+  /// caller wants certified, \p Tag its certificate name; the live
+  /// stored-clause count is stamped so the checker can cross-check its
+  /// mirrored database.
+  void logQueryProof(const std::vector<Lit> &Core, const std::string &Tag);
 
 private:
   enum : uint8_t { Undef = 2 };
@@ -275,7 +281,9 @@ private:
   std::vector<int> FreeVars;     ///< Recycled indices, LIFO.
   std::vector<uint8_t> IsFree;   ///< Per-var free-list membership.
   bool RecyclingEnabled = true;
-  proof::ProofTrace *Proof = nullptr; ///< Not owned; null = no logging.
+  proof::ProofChecker *Proof = nullptr; ///< Not owned; null = no logging.
+  proof::ProofTrace *ProofRecorder = nullptr; ///< Not owned; optional.
+  std::vector<int> ProofLits; ///< Scratch: one step's DIMACS literals.
   int64_t RecycledVars = 0;
   int64_t ReleasedSelectors = 0;
   int64_t VarRequests = 0;
@@ -303,6 +311,12 @@ private:
   /// and rebuilds every watch list (root level only; shared tail of
   /// reduceDb() and retireScope()).
   void compactClauses(const std::vector<bool> &Remove);
+  /// Proof logging (callers check Proof first): streams one Input /
+  /// Derive / Delete step of clause \p C, or of the unit \p L, to the
+  /// checker and the recorder.
+  void logClause(proof::StepKind K, const std::vector<Lit> &C);
+  void logUnit(proof::StepKind K, Lit L);
+  void logProofLits(proof::StepKind K); ///< Logs the ProofLits scratch.
   void analyzeFinal(Lit Failed); ///< Fills AssumpCore from the trail.
   void backtrack(int ToLevel);
   void bumpActivity(int Var);

@@ -351,20 +351,23 @@ SmtSession::SmtSession(ExprFactory &F) : F(F), Encoder(Sat) {
   Scopes.push_back(ScopeNode{}); // RootScope: unguarded, root layer.
 }
 
-void SmtSession::enableCertification() {
-  assert(!ProofLog && "certification enabled twice");
+void SmtSession::enableCertification(proof::ProofTrace *Recorder) {
+  assert(!Checker && "certification enabled twice");
   assert(Checks == 0 && Sat.numVars() == 0 &&
          "certification must be enabled before the first assertion");
-  ProofLog = std::make_unique<proof::ProofTrace>();
-  Sat.setProofTrace(ProofLog.get());
+  Checker = std::make_unique<proof::ProofChecker>(&Cert);
+  Sat.setProofLog(Checker.get(), Recorder);
+}
+
+void SmtSession::setProofTag(const std::string &T) {
+  if (!Checker)
+    return;
+  ProofTag = proof::canonicalTag(T);
 }
 
 const proof::CertifySummary &SmtSession::finishCertification() {
-  if (ProofLog && !CertFinished) {
-    proof::ProofChecker Checker;
-    Cert.fold(Checker.check(*ProofLog));
-    CertFinished = true;
-  }
+  if (Checker)
+    Cert.setTotals(Checker->result());
   return Cert;
 }
 
@@ -590,7 +593,7 @@ SatResult SmtSession::check(const std::vector<ExprRef> &Assumed,
     // One certified verdict: the minimized core under the caller's current
     // proof tag. Sat/Unknown checks have no certificate — a countermodel
     // is its own witness, and the engine treats Unknown as a failed proof.
-    Sat.logQueryProof(Core);
+    Sat.logQueryProof(Core, ProofTag);
   }
   LastConflicts = Sat.numConflicts() - ConflictsBefore;
   LastDecisions = Sat.numDecisions() - DecisionsBefore;

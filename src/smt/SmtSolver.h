@@ -178,25 +178,23 @@ public:
 
   /// --- Certification (proof logging + independent checking) -----------
   ///
-  /// Turns on DRAT-style proof logging. Must be called before the first
-  /// assertion or check: the trace has to see every stored clause, or the
-  /// checker would reject honest deletions. Each Unsat check() logs one
-  /// Query step carrying the current proof tag and the minimized core.
-  void enableCertification();
-  bool certifying() const { return ProofLog != nullptr; }
+  /// Turns on certification: every proof step the solver logs streams
+  /// into an independent proof::ProofChecker, which checks each Unsat
+  /// check()'s Query step (the current proof tag plus the minimized core)
+  /// the moment it is logged; no trace is kept. Must be called before the
+  /// first assertion or check: the checker has to see every stored
+  /// clause, or it would reject honest deletions. \p Recorder, when
+  /// given, also receives every step — the hook for tests that mutate or
+  /// re-check a session's whole trace; it must outlive the session.
+  void enableCertification(proof::ProofTrace *Recorder = nullptr);
+  bool certifying() const { return Checker != nullptr; }
   /// Tag stamped onto subsequently certified verdicts (the selector path
-  /// of the verification condition being discharged).
-  void setProofTag(const std::string &T) {
-    if (ProofLog)
-      ProofLog->setTag(T);
-  }
-  /// Replays the accumulated trace through the independent proof::
-  /// ProofChecker and caches the outcome. Idempotent; cheap when
-  /// certification was never enabled (returns an unchecked summary).
+  /// of the verification condition being discharged), in its
+  /// proof::canonicalTag spelling.
+  void setProofTag(const std::string &T);
+  /// The checker's running outcome over every verdict certified so far;
+  /// an unchecked summary when certification was never enabled.
   const proof::CertifySummary &finishCertification();
-  /// The live trace (null unless certifying) — exposed for the rejection
-  /// tests, which mutate serialized copies.
-  proof::ProofTrace *proofTrace() { return ProofLog.get(); }
 
   /// Attaches a discipline event log (scope/assert/check/retire plus the
   /// encoder's layer events) for the lint replay. Not owned.
@@ -355,9 +353,10 @@ private:
   int64_t LiveBridges = 0;
   int64_t PeakLiveBridges = 0;
 
-  std::unique_ptr<proof::ProofTrace> ProofLog; ///< Null unless certifying.
+  /// Null unless certifying. Records each query's outcome into Cert.
+  std::unique_ptr<proof::ProofChecker> Checker;
   proof::CertifySummary Cert;
-  bool CertFinished = false;
+  std::string ProofTag;
   audit::Log *Audit = nullptr; ///< Optional discipline event log.
 
   size_t Checks = 0;

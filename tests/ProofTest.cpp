@@ -7,17 +7,21 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Covers the certification tentpole in three layers:
+/// Covers certification in four layers:
 ///
 ///  * ProofChecker unit tests over hand-built traces (acceptance and the
 ///    persistent-root-propagation completeness case);
 ///  * rejection tests: corrupted, truncated, and permuted proofs — and a
 ///    "mutated solver" that skips one deletion record — must all fail
 ///    certification, pinning down that the checker is not a rubber stamp;
+///  * a differential test: the streaming watched-literal checker and the
+///    occurrence-list reference (ReferenceProofChecker.h) must return the
+///    same result on seeded random traces;
 ///  * solver-integrated certification: warm SmtSessions and the symbolic
 ///    engines certify real catalog slices through reduceDb, scope
-///    retirement, and variable recycling, and the checked verdicts agree
-///    with the uncertified run.
+///    retirement, and variable recycling, the checked verdicts agree
+///    with the uncertified run, and a recorded catalog session re-checks
+///    whole to exactly its streaming summary.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,18 +35,22 @@
 #include "smt/SmtSolver.h"
 #include "spec/Family.h"
 
+#include "ReferenceProofChecker.h"
 #include "TextMutator.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <optional>
 #include <set>
 #include <string>
 
 using namespace semcomm;
 using namespace semcomm::proof;
+using semcomm::testing_support::ReferenceProofChecker;
+using semcomm::testing_support::SplitMix64;
 using semcomm::testing_support::TextMutator;
 
 //===----------------------------------------------------------------------===//
@@ -101,8 +109,9 @@ TEST(ProofTraceTest, TruncatedTextFailsToParse) {
 // canonical text the solver writes.
 TEST(ProofTraceTest, MutantsRejectOrRoundTrip) {
   ExprFactory F;
+  ProofTrace Recorded; // Outlives the session it records.
   SmtSession S(F);
-  S.enableCertification();
+  S.enableCertification(&Recorded);
   ExprRef X = F.var("x", Sort::Bool);
   ExprRef Y = F.var("y", Sort::Bool);
   ExprRef Z = F.var("z", Sort::Bool);
@@ -113,12 +122,11 @@ TEST(ProofTraceTest, MutantsRejectOrRoundTrip) {
   S.assertInScope(Scope, F.conj({F.lnot(Y), F.disj({X, Z})}));
   S.setProofTag("pre retire");
   EXPECT_EQ(S.check({X}, -1, Scope), SatResult::Unsat);
-  ASSERT_NE(S.proofTrace(), nullptr);
-  const std::string Early = S.proofTrace()->serialize();
+  const std::string Early = Recorded.serialize();
   S.retireScope(Scope);
   S.setProofTag("post");
   EXPECT_EQ(S.check({X, F.lnot(Y)}), SatResult::Unsat);
-  const std::string Full = S.proofTrace()->serialize();
+  const std::string Full = Recorded.serialize();
   for (char Kind : {'i', 'd', 'q'})
     ASSERT_NE(Full.find(std::string("\n") + Kind + ' '), std::string::npos)
         << "seed trace has no '" << Kind << "' step";
@@ -144,6 +152,20 @@ TEST(ProofTraceTest, MutantsRejectOrRoundTrip) {
 //===----------------------------------------------------------------------===//
 // ProofChecker acceptance
 //===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The summary a whole checked trace folds to: its run totals plus one
+/// (tag, passed) outcome per query row.
+CertifySummary summaryOf(const CheckResult &R) {
+  CertifySummary S;
+  S.setTotals(R);
+  for (const QueryResult &Q : R.Queries)
+    S.recordQuery(Q.Tag, Q.Passed);
+  return S;
+}
+
+} // namespace
 
 TEST(ProofCheckerTest, AcceptsResolutionDerivation) {
   ProofTrace T;
@@ -255,8 +277,7 @@ TEST(ProofCheckerTest, FailedQueryRupIsRecordedPerTag) {
   EXPECT_FALSE(R.Queries[0].Passed);
   EXPECT_TRUE(R.Queries[1].Passed);
 
-  CertifySummary S;
-  S.fold(R);
+  CertifySummary S = summaryOf(R);
   EXPECT_FALSE(S.allPassed({"bogus"}));
   EXPECT_TRUE(S.allPassed({"good"}));
   EXPECT_FALSE(S.allPassed({"good", "missing"}));
@@ -276,13 +297,13 @@ TEST(ProofCheckerTest, DuplicateTagPassesOnlyIfEveryQueryPassed) {
   for (bool FailFirst : {true, false}) {
     SCOPED_TRACE(FailFirst ? "failing query first" : "passing query first");
     CertifySummary Runs;
-    Runs.fold(FailFirst ? Fail : Pass);
-    Runs.fold(FailFirst ? Pass : Fail);
+    Runs.fold(summaryOf(FailFirst ? Fail : Pass));
+    Runs.fold(summaryOf(FailFirst ? Pass : Fail));
     EXPECT_FALSE(Runs.allPassed({"pair:Set/add,add|sel:m#0"}));
 
     CertifySummary A, B, Merged;
-    A.fold(Fail);
-    B.fold(Pass);
+    A.fold(summaryOf(Fail));
+    B.fold(summaryOf(Pass));
     Merged.fold(FailFirst ? A : B);
     Merged.fold(FailFirst ? B : A);
     EXPECT_FALSE(Merged.allPassed({"pair:Set/add,add|sel:m#0"}));
@@ -291,9 +312,226 @@ TEST(ProofCheckerTest, DuplicateTagPassesOnlyIfEveryQueryPassed) {
   CheckResult Both;
   Both.Ok = true;
   Both.Queries = {Pass.Queries[0], Pass.Queries[0]};
-  CertifySummary S;
-  S.fold(Both);
+  CertifySummary S = summaryOf(Both);
   EXPECT_TRUE(S.allPassed({"pair:Set/add,add|sel:m#0"}));
+}
+
+//===----------------------------------------------------------------------===//
+// Differential: streaming watched-literal checker vs the reference oracle
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A seeded random trace over a few variables mixing every step kind the
+/// checker handles: RUP derives (resolvents and weakenings of live
+/// clauses) and non-RUP ones, held and unheld deletions, unit deletions
+/// that force a root rebuild, live and dead recycles, and queries with
+/// right and wrong live counts. \p FaultPerMille is the per-step chance
+/// of a step that stops the check (a random derive, an unheld deletion, a
+/// live recycle, a wrong live count), so some traces end early and the
+/// others run to the end.
+ProofTrace randomTrace(uint64_t Seed, unsigned Steps, unsigned FaultPerMille) {
+  SplitMix64 Rng{Seed};
+  ProofTrace T;
+  const int NumVars = 8 + static_cast<int>(Rng.below(16));
+  const size_t Target = 4 + Rng.below(24); // Live-clause set point.
+  std::vector<std::vector<int>> Live;      // Alive >= 2-literal clauses.
+  std::vector<int> Units;                  // Alive unit records.
+  auto Fault = [&] { return Rng.below(1000) < FaultPerMille; };
+  auto Lit = [&](int Var) { return Rng.below(2) ? Var : -Var; };
+  auto RandomClause = [&](size_t Size) {
+    std::vector<int> C;
+    while (C.size() != Size) {
+      int V = 1 + static_cast<int>(Rng.below(static_cast<size_t>(NumVars)));
+      if (std::none_of(C.begin(), C.end(),
+                       [V](int L) { return std::abs(L) == V; }))
+        C.push_back(Lit(V));
+    }
+    return C;
+  };
+  auto Shuffled = [&](std::vector<int> C) {
+    for (size_t I = C.size(); I > 1; --I)
+      std::swap(C[I - 1], C[Rng.below(I)]);
+    return C;
+  };
+  auto Store = [&](const std::vector<int> &C) {
+    if (C.size() == 1)
+      Units.push_back(C[0]);
+    else if (!C.empty())
+      Live.push_back(C);
+  };
+  // A RUP clause: the resolvent of two live clauses, or a live clause
+  // weakened by one more literal. Empty when no candidate was found.
+  auto RupClause = [&]() -> std::vector<int> {
+    if (Live.empty())
+      return {};
+    const std::vector<int> &A = Live[Rng.below(Live.size())];
+    if (Rng.below(2)) {
+      int Pivot = A[Rng.below(A.size())];
+      for (const std::vector<int> &B : Live) {
+        if (std::find(B.begin(), B.end(), -Pivot) == B.end())
+          continue;
+        std::vector<int> Res;
+        bool Tautology = false;
+        for (const std::vector<int> *Side : {&A, &B})
+          for (int L : *Side) {
+            if (L == Pivot || L == -Pivot ||
+                std::find(Res.begin(), Res.end(), L) != Res.end())
+              continue;
+            Tautology |= std::find(Res.begin(), Res.end(), -L) != Res.end();
+            Res.push_back(L);
+          }
+        if (!Tautology && !Res.empty())
+          return Shuffled(Res);
+      }
+    }
+    std::vector<int> Weak = A;
+    for (int V = 1; V <= NumVars; ++V)
+      if (std::none_of(Weak.begin(), Weak.end(),
+                       [V](int L) { return std::abs(L) == V; })) {
+        Weak.push_back(Lit(V));
+        break;
+      }
+    return Shuffled(Weak);
+  };
+  auto DeleteAt = [&](size_t I) {
+    T.addDelete(Shuffled(Live[I]));
+    Live.erase(Live.begin() + static_cast<std::ptrdiff_t>(I));
+  };
+
+  for (unsigned N = 0; N != Steps; ++N) {
+    size_t Roll = Rng.below(100);
+    if (Roll < 28) { // Input.
+      if (Rng.below(1000) == 0) {
+        T.addInput({});
+        continue;
+      }
+      size_t Size = Rng.below(12) == 0 ? 1 : 2 + Rng.below(3);
+      std::vector<int> C = RandomClause(Size);
+      T.addInput(C);
+      Store(C);
+    } else if (Roll < 46) { // Derive.
+      std::vector<int> C = Fault() ? RandomClause(1 + Rng.below(3))
+                                   : RupClause();
+      if (C.empty())
+        continue;
+      T.addDerive(C);
+      Store(C);
+    } else if (Roll < 72) { // Delete.
+      if (Fault()) {
+        T.addDelete(RandomClause(2 + Rng.below(3)));
+      } else if (!Units.empty() && Rng.below(6) == 0) {
+        size_t I = Rng.below(Units.size());
+        T.addDelete({Units[I]});
+        Units.erase(Units.begin() + static_cast<std::ptrdiff_t>(I));
+      } else if (Live.size() > Target / 2 && !Live.empty()) {
+        DeleteAt(Rng.below(Live.size()));
+      }
+    } else if (Roll < 80) { // Recycle.
+      int V = 1 + static_cast<int>(Rng.below(static_cast<size_t>(NumVars)));
+      if (!Fault()) {
+        // Kill the variable first: delete every clause and unit naming it.
+        for (size_t I = Live.size(); I-- != 0;)
+          if (std::any_of(Live[I].begin(), Live[I].end(),
+                          [V](int L) { return std::abs(L) == V; }))
+            DeleteAt(I);
+        for (size_t I = Units.size(); I-- != 0;)
+          if (std::abs(Units[I]) == V) {
+            T.addDelete({Units[I]});
+            Units.erase(Units.begin() + static_cast<std::ptrdiff_t>(I));
+          }
+      }
+      T.addRecycle(V);
+    } else { // Query.
+      T.setTag("q" + std::to_string(Rng.below(40)));
+      std::vector<int> Core;
+      if (!Live.empty() && Rng.below(2)) {
+        for (int L : Live[Rng.below(Live.size())])
+          Core.push_back(-L); // Falsifies a live clause: conflicts.
+      } else {
+        Core = RandomClause(1 + Rng.below(3));
+      }
+      uint64_t Count = Live.size();
+      if (Fault())
+        Count += Rng.below(2) ? 1 : static_cast<uint64_t>(-1);
+      T.addQuery(Shuffled(Core), Count);
+    }
+  }
+  return T;
+}
+
+void expectSameResult(const CheckResult &Got, const CheckResult &Want,
+                      const std::string &What) {
+  SCOPED_TRACE(What);
+  EXPECT_EQ(Got.Ok, Want.Ok);
+  EXPECT_EQ(Got.Error, Want.Error);
+  EXPECT_EQ(Got.StepsChecked, Want.StepsChecked);
+  EXPECT_EQ(Got.QueriesChecked, Want.QueriesChecked);
+  EXPECT_EQ(Got.QueriesPassed, Want.QueriesPassed);
+  EXPECT_EQ(Got.PeakClauses, Want.PeakClauses);
+  ASSERT_EQ(Got.Queries.size(), Want.Queries.size());
+  for (size_t I = 0; I != Got.Queries.size(); ++I) {
+    EXPECT_EQ(Got.Queries[I].Tag, Want.Queries[I].Tag) << "query " << I;
+    EXPECT_EQ(Got.Queries[I].Passed, Want.Queries[I].Passed) << "query " << I;
+    EXPECT_EQ(Got.Queries[I].Error, Want.Queries[I].Error) << "query " << I;
+  }
+}
+
+void expectSameSummary(const CertifySummary &Got, const CertifySummary &Want) {
+  EXPECT_EQ(Got.Checked, Want.Checked);
+  EXPECT_EQ(Got.Ok, Want.Ok);
+  EXPECT_EQ(Got.Steps, Want.Steps);
+  EXPECT_EQ(Got.Queries, Want.Queries);
+  EXPECT_EQ(Got.QueriesPassed, Want.QueriesPassed);
+  EXPECT_EQ(Got.PeakClauses, Want.PeakClauses);
+  EXPECT_EQ(Got.Error, Want.Error);
+  EXPECT_EQ(Got.QueryOutcome, Want.QueryOutcome);
+}
+
+} // namespace
+
+TEST(ProofCheckerDifferentialTest, MatchesReferenceOnRandomTraces) {
+  // Both checkers see the same seeded traces; every CheckResult field
+  // must agree. The tallies below pin down that the traces really reach
+  // each outcome (so agreement is not vacuous).
+  unsigned RanToEnd = 0, PassedQueries = 0, FailedQueries = 0;
+  std::set<std::string> FatalKinds;
+  for (uint64_t Seed = 1; Seed <= 400; ++Seed) {
+    unsigned FaultPerMille = Seed % 4 == 0 ? 0 : 2 + Seed % 7;
+    ProofTrace T = randomTrace(Seed, Seed % 8 == 0 ? 6000 : 1500,
+                               FaultPerMille);
+    CheckResult Want = ReferenceProofChecker().check(T);
+    CheckResult Got = ProofChecker().check(T);
+    expectSameResult(Got, Want, "seed " + std::to_string(Seed));
+
+    // The streaming form a session uses: queries fold into a summary as
+    // they are checked, and the summary matches the folded reference.
+    CertifySummary Streamed;
+    ProofChecker Sink(&Streamed);
+    Sink.check(T);
+    EXPECT_TRUE(Sink.result().Queries.empty());
+    Streamed.setTotals(Sink.result());
+    expectSameSummary(Streamed, summaryOf(Want));
+
+    RanToEnd += Want.Error.empty();
+    for (const QueryResult &Q : Want.Queries)
+      (Q.Passed ? PassedQueries : FailedQueries) += 1;
+    if (!Want.Error.empty()) {
+      size_t Open = Want.Error.find('(');
+      FatalKinds.insert(
+          Want.Error.substr(Open, Want.Error.find(')') - Open + 1));
+    }
+  }
+  std::printf("differential: %u traces ran to the end, %u/%u queries "
+              "passed, %zu fatal step kinds\n",
+              RanToEnd, PassedQueries, PassedQueries + FailedQueries,
+              FatalKinds.size());
+  EXPECT_GT(RanToEnd, 0u);
+  EXPECT_GT(PassedQueries, 0u);
+  EXPECT_GT(FailedQueries, 0u);
+  for (const char *Kind : {"(derive)", "(delete)", "(recycle)", "(query)"})
+    EXPECT_TRUE(FatalKinds.count(Kind)) << "no trace failed at a " << Kind
+                                        << " step";
 }
 
 //===----------------------------------------------------------------------===//
@@ -372,8 +610,9 @@ TEST(CertifiedSessionTest, MutatedTraceSkippingOneDeletionFails) {
   // honest trace. The checker must notice — either through the RUP break,
   // the recycle liveness check, or the Query live-count cross-check.
   ExprFactory F;
+  ProofTrace Recorded; // Outlives the session it records.
   SmtSession S(F);
-  S.enableCertification();
+  S.enableCertification(&Recorded);
   ExprRef X = F.var("x", Sort::Bool);
   ExprRef Y = F.var("y", Sort::Bool);
   S.assertBase(F.implies(X, Y));
@@ -386,16 +625,15 @@ TEST(CertifiedSessionTest, MutatedTraceSkippingOneDeletionFails) {
   S.setProofTag("post");
   EXPECT_EQ(S.check({X, F.lnot(Y)}), SatResult::Unsat);
 
-  ASSERT_NE(S.proofTrace(), nullptr);
   // Honest trace passes.
   {
-    ProofTrace Honest = *S.proofTrace();
+    ProofTrace Honest = Recorded;
     ProofChecker C;
     CheckResult R = C.check(Honest);
     EXPECT_TRUE(R.Ok) << R.Error;
   }
   // Mutated trace: erase the first Delete step.
-  ProofTrace Mutated = *S.proofTrace();
+  ProofTrace Mutated = Recorded;
   auto &Steps = Mutated.mutableSteps();
   auto It = std::find_if(Steps.begin(), Steps.end(), [](const Step &St) {
     return St.Kind == StepKind::Delete;
@@ -412,8 +650,9 @@ TEST(CertifiedSessionTest, PermutedTraceFails) {
   // a clause the checker does not hold yet, so the replay must reject the
   // reordering. A retired scope guarantees Delete steps exist.
   ExprFactory F;
+  ProofTrace Recorded; // Outlives the session it records.
   SmtSession S(F);
-  S.enableCertification();
+  S.enableCertification(&Recorded);
   ExprRef A = F.var("a", Sort::Bool);
   ExprRef B = F.var("b", Sort::Bool);
   S.assertBase(F.implies(A, B));
@@ -424,8 +663,7 @@ TEST(CertifiedSessionTest, PermutedTraceFails) {
   EXPECT_EQ(S.check({A}, -1, Scope), SatResult::Unsat);
   S.retireScope(Scope);
 
-  ASSERT_NE(S.proofTrace(), nullptr);
-  ProofTrace Mutated = *S.proofTrace();
+  ProofTrace Mutated = Recorded;
   auto &Steps = Mutated.mutableSteps();
   auto It = std::find_if(Steps.begin(), Steps.end(), [](const Step &St) {
     return St.Kind == StepKind::Delete;
@@ -443,15 +681,16 @@ TEST(CertifiedSessionTest, CorruptedCoreFailsItsQueryOnly) {
   // Corrupt one Query's core (replace it with a fresh, unconstrained
   // variable): that query must fail while the rest of the trace checks.
   ExprFactory F;
+  ProofTrace Recorded; // Outlives the session it records.
   SmtSession S(F);
-  S.enableCertification();
+  S.enableCertification(&Recorded);
   ExprRef A = F.var("a", Sort::Bool);
   ExprRef B = F.var("b", Sort::Bool);
   S.assertBase(F.implies(A, B));
   S.setProofTag("target");
   EXPECT_EQ(S.check({A, F.lnot(B)}), SatResult::Unsat);
 
-  ProofTrace Mutated = *S.proofTrace();
+  ProofTrace Mutated = Recorded;
   bool Corrupted = false;
   int MaxVar = 0;
   for (const Step &St : Mutated.steps())
@@ -467,8 +706,7 @@ TEST(CertifiedSessionTest, CorruptedCoreFailsItsQueryOnly) {
   CheckResult R = C.check(Mutated);
   EXPECT_FALSE(R.Ok);
   EXPECT_TRUE(R.Error.empty()) << R.Error; // Query failure, not fatal.
-  CertifySummary Sum;
-  Sum.fold(R);
+  CertifySummary Sum = summaryOf(R);
   EXPECT_FALSE(Sum.allPassed({"target"}));
 }
 
@@ -527,6 +765,49 @@ TEST(CertifiedEngineTest, CatalogSessionCertifiesThroughRetireAndRecycle) {
   }
   // Scope labels name the family, so no two queries share a tag.
   EXPECT_EQ(Tags.size(), O.ProofQueries);
+}
+
+TEST(CertifiedEngineTest, RecordedCatalogTraceRechecksToStreamingSummary) {
+  // A certifying catalog session checks its proof as it is logged and
+  // keeps no trace. Recording the same steps and re-checking them whole
+  // must give exactly the streaming summary — through pair retirement,
+  // variable recycling and (with a tiny GC budget) clause-DB reductions.
+  ExprFactory F;
+  Catalog C(F);
+  SymbolicEngine Eng(F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000);
+  std::vector<const Family *> Fams = {&accumulatorFamily(), &setFamily(),
+                                      &mapFamily()};
+  CatalogPlan CP = Eng.planCatalog(C, Fams);
+  ProofTrace Recorded;
+  CatalogSession Sess(F, CP, /*Budget=*/200000, /*Certify=*/true, &Recorded);
+  Sess.configureClauseGc(true, 50);
+  unsigned Verified = 0, Methods = 0;
+  for (size_t FI = 0; FI != Fams.size(); ++FI)
+    for (const ConditionEntry &E : C.entries(*Fams[FI])) {
+      PairPlan PP = Eng.planPair(E);
+      for (const MethodPlan &MP : PP.Methods) {
+        SymbolicResult R;
+        Verified += Sess.discharge(FI, PP.Key, MP, R);
+        ++Methods;
+      }
+      Sess.retirePair(FI, PP.Key);
+    }
+  EXPECT_EQ(Verified, Methods);
+
+  const CertifySummary &Streamed = Sess.finishCertification();
+  EXPECT_TRUE(Streamed.Ok) << Streamed.Error;
+  EXPECT_GT(Streamed.Queries, 0u);
+  EXPECT_EQ(Streamed.Steps, Recorded.size());
+  EXPECT_GT(Sess.session().recycledVars(), 0);
+  bool SawDelete = std::any_of(
+      Recorded.steps().begin(), Recorded.steps().end(),
+      [](const Step &St) { return St.Kind == StepKind::Delete; });
+  EXPECT_TRUE(SawDelete);
+
+  CheckResult Whole = ProofChecker().check(Recorded);
+  expectSameResult(Whole, ReferenceProofChecker().check(Recorded),
+                   "recorded catalog session");
+  expectSameSummary(Streamed, summaryOf(Whole));
 }
 
 TEST(CertifiedEngineTest, CertifyAgreesWithUncertifiedVerdicts) {
