@@ -15,13 +15,7 @@
 // collects into BENCH_semcommute.json, including the pair-over-oneshot
 // speedup ratio and the clause-GC counters.
 //
-// A second sweep varies the clause-GC budget
-// (SymbolicEngine::setClauseGcBudget, i.e. SatSolver::setClauseGcLimit)
-// over the shared-pair ArrayList suite so
-// the default threshold is picked from measured peak-retention/time data
-// instead of MiniSat folklore.
-//
-// A third run compares the shared-pair ArrayList suite with the §5.2.1
+// A second run compares the shared-pair ArrayList suite with the §5.2.1
 // proof-hint scripts attached against a hints-off baseline, emitting the
 // conflict reduction (and the max single-VC conflict count, i.e. the
 // budget the suite actually needs) so the ArrayList conflict budget is a
@@ -29,10 +23,10 @@
 //
 //===----------------------------------------------------------------------===//
 
-// With --quick the sweeps trim to a ~5s budget (exhaustive scope <= 4,
-// symbolic bound <= 3, three GC budget points) — what bench/run_all.sh
-// passes unless SEMCOMM_BENCH_FULL=1. Every BENCH_JSON metric name is
-// emitted either way; the full sweep just adds the expensive rows.
+// With --quick the sweeps trim to a ~3s budget (exhaustive scope <= 4,
+// symbolic bound <= 3) — what bench/run_all.sh passes unless
+// SEMCOMM_BENCH_FULL=1. Every BENCH_JSON metric name is emitted either
+// way; the full sweep just adds the expensive rows.
 
 #include "commute/ExhaustiveEngine.h"
 #include "commute/ProofHints.h"
@@ -83,22 +77,18 @@ SymbolicRun runOneShotSuite(ExprFactory &F, const Catalog &C, int Bound) {
 }
 
 /// Pair-grouped discharge: all six methods of each pair share one
-/// session, as in the driver's shared-pair mode. \p GcBudget sets the
-/// clause-GC first limit (0 keeps the default); with \p Hints, the
+/// session, as in the driver's shared-pair mode. With \p Hints, the
 /// §5.2.1 scripts attach as labeled split assumptions.
 SymbolicRun runSharedPairSuite(ExprFactory &F, const Catalog &C, int Bound,
-                               int64_t GcBudget = 0,
                                const std::vector<HintScript> *Hints =
                                    nullptr) {
   SymbolicEngine Engine(F, Bound, /*ConflictBudget=*/200000,
                         SolveMode::SharedPair);
-  Engine.setClauseGcBudget(GcBudget);
   Engine.attachHints(Hints);
   SymbolicRun Out;
   Stopwatch W;
   for (const ConditionEntry &E : C.entries(arrayListFamily())) {
-    CatalogOutcome CO = Engine.verifyGroups({{E.Fam, {&E}}});
-    const PairOutcome &O = CO.Families.front().Pairs.front();
+    PairOutcome O = Engine.verifyPair(E);
     for (const SymbolicResult &R : O.Methods) {
       Out.Vcs += R.NumVcs;
       Out.MaxVcConflicts = std::max(Out.MaxVcConflicts, R.MaxVcConflicts);
@@ -108,7 +98,7 @@ SymbolicRun runSharedPairSuite(ExprFactory &F, const Catalog &C, int Bound,
     Out.Conflicts += O.Conflicts;
     Out.RetainedClauses += O.RetainedClauses;
     Out.PeakRetainedClauses =
-        std::max(Out.PeakRetainedClauses, CO.Stats.PeakRetainedClauses);
+        std::max(Out.PeakRetainedClauses, O.Session.PeakRetainedClauses);
     Out.DbReductions += O.DbReductions;
     Out.ReclaimedClauses += O.ReclaimedClauses;
   }
@@ -192,38 +182,6 @@ int main(int argc, char **argv) {
                 (unsigned long long)Pair.ReclaimedClauses, Failures);
   }
 
-  // Clause-GC budget sweep over the shared-pair ArrayList suite: the
-  // default reduce threshold is whatever this data says, not folklore.
-  // (A budget below the workload's live-lemma count trades re-derivation
-  // conflicts for retention; a budget above it never fires.)
-  std::printf("\nClause-GC budget sweep, shared-pair ArrayList suite "
-              "(bound 3):\n\n");
-  std::printf("%10s %10s %12s %14s %12s %12s\n", "budget", "time(s)",
-              "conflicts", "peak-retained", "reductions", "reclaimed");
-  runSharedPairSuite(F, C, 3); // Warm-up.
-  std::vector<int64_t> GcBudgets =
-      Quick ? std::vector<int64_t>{100, 500, 4000}
-            : std::vector<int64_t>{100, 250, 500, 1000, 2000, 4000};
-  for (int64_t Budget : GcBudgets) {
-    SymbolicRun Run = runSharedPairSuite(F, C, 3, Budget);
-    std::printf("%10lld %10.3f %12lld %14llu %12llu %12llu%s\n",
-                (long long)Budget, Run.Seconds, (long long)Run.Conflicts,
-                (unsigned long long)Run.PeakRetainedClauses,
-                (unsigned long long)Run.DbReductions,
-                (unsigned long long)Run.ReclaimedClauses,
-                Run.Failures ? "  FAILURES!" : "");
-    std::printf("BENCH_JSON {\"bench\":\"perf_engine_scaling\","
-                "\"metric\":\"gc_budget_sweep\",\"bound\":3,"
-                "\"gc_budget\":%lld,\"shared_pair_s\":%.4f,"
-                "\"conflicts\":%lld,\"peak_retained_clauses\":%llu,"
-                "\"db_reductions\":%llu,\"reclaimed_clauses\":%llu,"
-                "\"failures\":%u}\n",
-                (long long)Budget, Run.Seconds, (long long)Run.Conflicts,
-                (unsigned long long)Run.PeakRetainedClauses,
-                (unsigned long long)Run.DbReductions,
-                (unsigned long long)Run.ReclaimedClauses, Run.Failures);
-  }
-
   // Hint-guided budget measurement: the shared-pair ArrayList suite with
   // the §5.2.1 proof-hint scripts attached vs. the hints-off baseline. The
   // max single-VC conflict count is the budget the suite actually needs —
@@ -235,7 +193,7 @@ int main(int argc, char **argv) {
               "max-vc-conflicts");
   std::vector<HintScript> Scripts = buildArrayListHintScripts(F);
   SymbolicRun HintsOff = runSharedPairSuite(F, C, 3);
-  SymbolicRun HintsOn = runSharedPairSuite(F, C, 3, /*GcBudget=*/0, &Scripts);
+  SymbolicRun HintsOn = runSharedPairSuite(F, C, 3, &Scripts);
   for (const auto &Leg : {std::make_pair("off", &HintsOff),
                           std::make_pair("on", &HintsOn)})
     std::printf("%10s %10.3f %12lld %16lld%s\n", Leg.first,

@@ -64,15 +64,31 @@ record() { # name seconds status
 # wall time; the default aggregation run uses a calibrated 250k-op budget
 # (~17 s) that still exercises every grid cell, and SEMCOMM_BENCH_FULL=1
 # restores the full-resolution grid. perf_engine_scaling gets the same
-# treatment: its full sweep (exhaustive scope 5, symbolic bound 4, six GC
-# budget points) costs ~24 s; --quick trims it to ~5 s while emitting
-# every BENCH_JSON metric name.
+# treatment: its full sweep (exhaustive scope 5, symbolic bound 4) costs
+# ~11 s; --quick trims it to ~3 s while emitting every BENCH_JSON metric
+# name.
 bench_args() { # name
   case "$1" in
     perf_engine_scaling)
       [ "${SEMCOMM_BENCH_FULL:-0}" = "1" ] || echo "--quick" ;;
     perf_speculation)
       [ "${SEMCOMM_BENCH_FULL:-0}" = "1" ] || echo "--ops 250000" ;;
+  esac
+}
+
+# Speedup runs: perf_engine_scaling's pair_over_oneshot_speedup and
+# perf_dynamic_check's indexed_speedup_x / constant_speedup_x are ratios
+# of two timed legs, and one run moves them by up to 1.8x on a shared
+# host. Those two benches run SPEEDUP_RUNS times (the first run's output
+# is <name>.txt, the others <name>.run<i>.txt); the baseline takes each
+# leg's minimum over the runs, since noise only adds time, and records
+# the ratio of the minimums with the run count, as certify_overhead_x
+# does below.
+SPEEDUP_RUNS=5
+bench_runs() { # name
+  case "$1" in
+    perf_engine_scaling|perf_dynamic_check) echo "$SPEEDUP_RUNS" ;;
+    *) echo 1 ;;
   esac
 }
 
@@ -90,10 +106,18 @@ for bench in $PLAIN_BENCHES; do
   fi
   echo "== $bench"
   start=$(now)
-  # shellcheck disable=SC2046 # bench_args emits space-separated flags
-  if "$bin" $(bench_args "$bench") > "$RESULTS_DIR/$bench.txt" 2>&1
-  then status=ok; else
-    status=failed
+  rm -f "$RESULTS_DIR/$bench".run*.txt
+  status=ok
+  runs=$(bench_runs "$bench")
+  i=1
+  while [ "$i" -le "$runs" ]; do
+    out="$RESULTS_DIR/$bench.txt"
+    [ "$i" -eq 1 ] || out="$RESULTS_DIR/$bench.run$i.txt"
+    # shellcheck disable=SC2046 # bench_args emits space-separated flags
+    "$bin" $(bench_args "$bench") > "$out" 2>&1 || status=failed
+    i=$((i + 1))
+  done
+  if [ "$status" = failed ]; then
     echo "FAILED  $bench (see $RESULTS_DIR/$bench.txt)"
     failures=$((failures + 1))
   fi
@@ -297,18 +321,71 @@ ran = [b["name"] for b in benches if b["status"] == "ok"]
 
 # BENCH_JSON lines printed by the plain benches (machine-readable metrics
 # such as perf_engine_scaling's one-shot-vs-incremental comparison).
-inline_metrics = []
-for name in ran:
-    path = os.path.join(results_dir, name + ".txt")
+def bench_json(path):
+    rows = []
     if not os.path.exists(path):
-        continue
+        return rows
     with open(path) as f:
         for line in f:
             if line.startswith("BENCH_JSON "):
                 try:
-                    inline_metrics.append(json.loads(line[len("BENCH_JSON "):]))
+                    rows.append(json.loads(line[len("BENCH_JSON "):]))
                 except json.JSONDecodeError:
                     pass
+    return rows
+
+inline_metrics = []
+for name in ran:
+    inline_metrics.extend(bench_json(os.path.join(results_dir, name + ".txt")))
+
+# The speedup benches' rows over all of their runs (see SPEEDUP_RUNS): each
+# timed leg becomes its minimum over the runs, each speedup the ratio of
+# the minimums, and the row records how many runs it covers.
+def all_runs(name):
+    paths = [os.path.join(results_dir, name + ".txt")] + glob.glob(
+        os.path.join(results_dir, name + ".run*.txt"))
+    return [row for path in paths for row in bench_json(path)]
+
+def min_leg(rows, field):
+    vals = [r[field] for r in rows if r.get(field) is not None]
+    return min(vals) if vals else None
+
+def ratio(num, den, digits):
+    return round(num / den, digits) if num and den else None
+
+scaling = [r for r in all_runs("perf_engine_scaling")
+           if r.get("metric") == "symbolic_arraylist_suite"]
+check_rows = [r for r in all_runs("perf_dynamic_check")
+              if r.get("metric") == "qps"]
+def variant_ns(variant):
+    return min_leg([r for r in check_rows if r.get("variant") == variant],
+                   "ns_per_op")
+
+for m in inline_metrics:
+    if m.get("bench") == "perf_engine_scaling" and \
+            m.get("metric") == "symbolic_arraylist_suite":
+        legs = [r for r in scaling if r.get("bound") == m.get("bound")]
+        m["oneshot_s"] = min_leg(legs, "oneshot_s")
+        m["shared_pair_s"] = min_leg(legs, "shared_pair_s")
+        m["pair_over_oneshot_speedup"] = ratio(m["oneshot_s"],
+                                               m["shared_pair_s"], 3)
+        m["runs"] = len(legs)
+    elif m.get("bench") == "perf_dynamic_check" and m.get("metric") == "qps":
+        legs = [r for r in check_rows if r.get("variant") == m["variant"]]
+        m["ns_per_op"] = min_leg(legs, "ns_per_op")
+        m["qps"] = round(1e9 / m["ns_per_op"]) if m["ns_per_op"] else None
+        m["runs"] = len(legs)
+    elif m.get("bench") == "perf_dynamic_check" and \
+            m.get("metric") == "index_summary":
+        m["interpreted_ns"] = variant_ns("set_interp_conservative")
+        m["indexed_ns"] = variant_ns("set_indexed_handle")
+        m["constant_ns"] = variant_ns("const_indexed_bitmap")
+        m["raw_op_ns"] = variant_ns("set_raw_add")
+        m["indexed_speedup_x"] = ratio(m["interpreted_ns"], m["indexed_ns"], 2)
+        m["constant_speedup_x"] = ratio(variant_ns("const_interp"),
+                                        m["constant_ns"], 2)
+        m["speedup_runs"] = len(
+            [r for r in check_rows if r.get("variant") == "const_interp"])
 
 google = {}
 for name in ran:
@@ -549,7 +626,7 @@ if sharded_runs:
     }
 
 doc = {
-    "schema": 9,
+    "schema": 10,
     "tool": "bench/run_all.sh",
     "benches": benches,
     "inline_metrics": inline_metrics,

@@ -136,8 +136,7 @@ void semcomm::backfillCertification(const proof::CertifySummary &S,
 
 PairOutcome semcomm::dischargeCold(ExprFactory &F,
                                    const std::vector<MethodPlan> &Plans,
-                                   int64_t Budget, int64_t GcBudget,
-                                   bool Certify) {
+                                   int64_t Budget, bool Certify) {
   PairOutcome Out;
   proof::CertifySummary Cert;
   std::unique_ptr<SmtSession> Session;
@@ -162,9 +161,6 @@ PairOutcome semcomm::dischargeCold(ExprFactory &F,
     Session = std::make_unique<SmtSession>(F);
     if (Certify)
       Session->enableCertification();
-    Session->solver().setClauseGc(true);
-    if (GcBudget > 0)
-      Session->solver().setClauseGcLimit(GcBudget);
     ++Out.SessionsOpened;
     std::set<ExprRef> Asserted;
     for (ExprRef C : Plan.Common)
@@ -190,7 +186,7 @@ PairOutcome semcomm::dischargeCold(ExprFactory &F,
     Out.Methods.push_back(std::move(R));
   }
   if (Certify) {
-    stampOutcomeCertification(Cert, Out);
+    Out.stampCertification(Cert);
     for (SymbolicResult &R : Out.Methods)
       backfillCertification(Cert, R);
   }
@@ -199,13 +195,11 @@ PairOutcome semcomm::dischargeCold(ExprFactory &F,
 
 SymbolicResult semcomm::dischargePlan(ExprFactory &F, const MethodPlan &Plan,
                                       SolveMode Mode, int64_t Budget,
-                                      int64_t GcBudget, bool Certify) {
+                                      bool Certify) {
   if (isColdMode(Mode))
-    return std::move(
-        dischargeCold(F, {Plan}, Budget, GcBudget, Certify).Methods[0]);
+    return std::move(dischargeCold(F, {Plan}, Budget, Certify).Methods[0]);
   CatalogPlan CP{Plan.Common, {{Plan.Name, {PairPlan{Plan.Name, {}}}}}};
   CatalogSession Sess(F, CP, Budget, Certify);
-  Sess.configureClauseGc(true, GcBudget);
   SymbolicResult R;
   R.Verified = Sess.discharge(0, Plan.Name, Plan, R);
   if (Certify)
@@ -241,12 +235,6 @@ CatalogSession::CatalogSession(ExprFactory &F, const CatalogPlan &Plan,
     RootPair = Pairs.front();
 }
 
-void CatalogSession::configureClauseGc(bool Enabled, int64_t FirstLimit) {
-  Session.solver().setClauseGc(Enabled);
-  if (FirstLimit > 0)
-    Session.solver().setClauseGcLimit(FirstLimit);
-}
-
 CatalogSession::PairScope &CatalogSession::ensurePair(const PairId &Id) {
   assert(Id.first < Plan.Families.size() &&
          "family index outside the catalog plan");
@@ -275,7 +263,7 @@ bool CatalogSession::discharge(size_t FamIdx, const std::string &PairKey,
 
   // Pair-common prefix: formulas already in the catalog base are reuses;
   // the remainder is asserted once in the pair's scope. It cannot join the
-  // base: planGroups already hoists every formula that is sound there.
+  // base: planCatalog already hoists every formula that is sound there.
   for (ExprRef C : MPlan.Common) {
     if (!CatalogBase.count(C) && PS.AssertedCommon.insert(C).second) {
       Session.assertInScope(PS.Scope, C);

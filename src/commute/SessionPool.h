@@ -23,15 +23,17 @@
 ///  * Splits:  the VC instances (one per ArrayList case split), each a
 ///             set of labeled assumption formulas.
 ///
-/// Every warm discharge runs on one CatalogSession, a scope tree of one
+/// Every warm discharge runs on a CatalogSession, a scope tree of one
 /// shape: the catalog-common prefix is session base, pair scopes open
 /// directly beneath it, and method scopes nest inside their pair's. The
-/// sole pair of a one-pair plan sits at the root with no selector of its
-/// own, so the default shared-pair mode asserts the pair-common prefix once
-/// as base, each method's Scoped prefix under its method selector, and
-/// checks every split under (selector + split) assumptions. Tseitin
-/// definitions, theory bridges, and learned clauses are shared by
-/// everything the session discharges.
+/// engine (SymbolicEngine::verifyPair) opens one session per op-pair, and
+/// that sole pair sits at the root with no selector of its own: the
+/// pair-common prefix is asserted once as base, each method's Scoped
+/// prefix under its method selector, and every split is checked under
+/// (selector + split) assumptions. The verification service drives one
+/// multi-pair session per shard, opening and retiring pair scopes as
+/// requests arrive. Tseitin definitions, theory bridges, and learned
+/// clauses are shared by everything a session discharges.
 ///
 /// The cold baseline, OneShot, runs through dischargeCold() instead: a
 /// fresh SmtSession per split, with the plan's whole prefix asserted as
@@ -168,97 +170,6 @@ struct PairPlan {
   std::vector<MethodPlan> Methods;
 };
 
-/// Outcome of discharging all six testing methods of one pair, plus the
-/// session-level reuse statistics the driver reports per pair.
-struct PairOutcome {
-  /// Per-method results in enumeration order: before/between/after x
-  /// soundness/completeness.
-  std::vector<SymbolicResult> Methods;
-  std::vector<double> MethodMillis; ///< Wall time per method.
-  uint64_t Checks = 0;              ///< SMT checks the session served.
-  int64_t Conflicts = 0;            ///< CDCL conflicts across the pair.
-  uint64_t RetainedClauses = 0;     ///< Clauses alive at the end.
-  uint64_t DbReductions = 0;        ///< Clause-GC runs.
-  uint64_t ReclaimedClauses = 0;    ///< Clauses the GC reclaimed.
-  unsigned Selectors = 0;           ///< Selector literals registered.
-  /// Solver sessions opened: 1 for a warm session (0 for the later pairs
-  /// of a family or catalog session), one per split in OneShot mode.
-  size_t SessionsOpened = 0;
-  /// Wall time of the pair's planPair call (SymbolicEngine fills it).
-  double PlanMillis = 0;
-
-  /// Certification aggregates (zero unless the engine certifies): the
-  /// checker's verdict over the pair's session trace, its step/query
-  /// counts, and its database high-water mark.
-  bool Certified = false;
-  uint64_t ProofSteps = 0;
-  uint64_t ProofQueries = 0;
-  uint64_t ProofClauses = 0;
-
-  unsigned failures() const {
-    unsigned N = 0;
-    for (const SymbolicResult &R : Methods)
-      N += !R.Verified;
-    return N;
-  }
-};
-
-/// Stamps a session's certification verdict onto one method result: the
-/// checker database high-water mark, and whether every one of the
-/// method's own Unsat-query tags was checked and passed (a fatal trace
-/// error voids everything — the trace itself could not be replayed).
-void backfillCertification(const proof::CertifySummary &S, SymbolicResult &R);
-
-/// The outcome-level aggregate (pair, family or catalog) of one session's
-/// certification summary.
-template <typename Outcome>
-void stampOutcomeCertification(const proof::CertifySummary &S, Outcome &O) {
-  O.Certified = S.Checked && S.Ok;
-  O.ProofSteps = S.Steps;
-  O.ProofQueries = S.Queries;
-  O.ProofClauses = S.PeakClauses;
-}
-
-/// True for the cold baseline (OneShot), which opens fresh sessions
-/// instead of discharging on a warm CatalogSession.
-inline bool isColdMode(SolveMode M) { return M == SolveMode::OneShot; }
-
-/// The cold baseline: discharges \p Plans in order, each split on a fresh
-/// SmtSession with the plan's Common and Scoped prefix asserted as plain
-/// session base. The outcome's session totals sum over every session
-/// opened; when \p Certify is set each session certifies on its own and
-/// the summaries fold, so the whole run certifies as one. \p GcBudget is
-/// the clause-GC first limit (0 keeps the solver default).
-PairOutcome dischargeCold(ExprFactory &F, const std::vector<MethodPlan> &Plans,
-                          int64_t Budget, int64_t GcBudget, bool Certify);
-
-/// Discharges one standalone plan (a single testing method, an inverse
-/// VC) in \p Mode: a warm mode runs it on a one-pair CatalogSession whose
-/// catalog-common prefix is the plan's Common, OneShot through
-/// dischargeCold. The result carries its certification verdict.
-SymbolicResult dischargePlan(ExprFactory &F, const MethodPlan &Plan,
-                             SolveMode Mode, int64_t Budget, int64_t GcBudget,
-                             bool Certify);
-
-/// One family's share of a CatalogPlan.
-struct FamilyPlan {
-  std::string FamilyName;
-  /// The family's pairs in discharge order (Methods may be empty: lazy
-  /// callers materialize them just before discharge). A plan with exactly
-  /// one pair puts that pair at the session root.
-  std::vector<PairPlan> Pairs;
-};
-
-/// The whole-catalog discharge plan a CatalogSession runs. Families carry
-/// their pair keys (and, for eager callers, their pair plans); the
-/// catalog-common prefix is the subset of well-formedness formulas every
-/// entry either asserts itself or provably cannot mention (its variables
-/// are outside the entry's vocabulary), hoisted to the session root.
-struct CatalogPlan {
-  std::vector<ExprRef> CatalogCommon;
-  std::vector<FamilyPlan> Families;
-};
-
 /// Lifetime statistics of one catalog-level session. The variable numbers
 /// come from the solver's recycling accounting.
 struct CatalogSessionStats {
@@ -295,6 +206,97 @@ struct CatalogSessionStats {
   uint64_t PeakLiveBridges = 0;
 };
 
+/// Outcome of discharging all six testing methods of one pair, plus the
+/// session-level reuse statistics the driver reports per pair.
+struct PairOutcome {
+  /// Per-method results in enumeration order: before/between/after x
+  /// soundness/completeness.
+  std::vector<SymbolicResult> Methods;
+  std::vector<double> MethodMillis; ///< Wall time per method.
+  uint64_t Checks = 0;              ///< SMT checks the session served.
+  int64_t Conflicts = 0;            ///< CDCL conflicts across the pair.
+  uint64_t RetainedClauses = 0;     ///< Clauses alive at the end.
+  uint64_t DbReductions = 0;        ///< Clause-GC runs.
+  uint64_t ReclaimedClauses = 0;    ///< Clauses the GC reclaimed.
+  unsigned Selectors = 0;           ///< Selector literals registered.
+  /// Solver sessions opened: 1 for the warm pair session, one per split
+  /// in OneShot mode.
+  size_t SessionsOpened = 0;
+  /// Wall time of the pair's planning: its one-pair catalog plan (warm
+  /// modes) and its planPair call. SymbolicEngine fills it.
+  double PlanMillis = 0;
+  /// The warm pair session's lifetime statistics (all zero in OneShot
+  /// mode, which opens no CatalogSession).
+  CatalogSessionStats Session;
+
+  /// Certification aggregates (zero unless the engine certifies): the
+  /// checker's verdict over the pair's session trace, its step/query
+  /// counts, and its database high-water mark.
+  bool Certified = false;
+  uint64_t ProofSteps = 0;
+  uint64_t ProofQueries = 0;
+  uint64_t ProofClauses = 0;
+
+  unsigned failures() const {
+    unsigned N = 0;
+    for (const SymbolicResult &R : Methods)
+      N += !R.Verified;
+    return N;
+  }
+
+  /// Copies a session's certification summary into the aggregates.
+  void stampCertification(const proof::CertifySummary &S) {
+    Certified = S.Checked && S.Ok;
+    ProofSteps = S.Steps;
+    ProofQueries = S.Queries;
+    ProofClauses = S.PeakClauses;
+  }
+};
+
+/// Stamps a session's certification verdict onto one method result: the
+/// checker database high-water mark, and whether every one of the
+/// method's own Unsat-query tags was checked and passed (a fatal trace
+/// error voids everything — the trace itself could not be replayed).
+void backfillCertification(const proof::CertifySummary &S, SymbolicResult &R);
+
+/// True for the cold baseline (OneShot), which opens fresh sessions
+/// instead of discharging on a warm CatalogSession.
+inline bool isColdMode(SolveMode M) { return M == SolveMode::OneShot; }
+
+/// The cold baseline: discharges \p Plans in order, each split on a fresh
+/// SmtSession with the plan's Common and Scoped prefix asserted as plain
+/// session base. The outcome's session totals sum over every session
+/// opened; when \p Certify is set each session certifies on its own and
+/// the summaries fold, so the whole run certifies as one.
+PairOutcome dischargeCold(ExprFactory &F, const std::vector<MethodPlan> &Plans,
+                          int64_t Budget, bool Certify);
+
+/// Discharges one standalone plan (a single testing method, an inverse
+/// VC) in \p Mode: a warm mode runs it on a one-pair CatalogSession whose
+/// catalog-common prefix is the plan's Common, OneShot through
+/// dischargeCold. The result carries its certification verdict.
+SymbolicResult dischargePlan(ExprFactory &F, const MethodPlan &Plan,
+                             SolveMode Mode, int64_t Budget, bool Certify);
+
+/// One family's share of a CatalogPlan.
+struct FamilyPlan {
+  std::string FamilyName;
+  /// The family's pairs in discharge order (Methods may be empty: lazy
+  /// callers materialize them just before discharge). A plan with exactly
+  /// one pair puts that pair at the session root.
+  std::vector<PairPlan> Pairs;
+};
+
+/// The whole-catalog discharge plan a CatalogSession runs. Families carry
+/// their pair keys (and, for eager callers, their pair plans); the
+/// catalog-common prefix is the subset of well-formedness formulas every
+/// entry either asserts itself or provably cannot mention (its variables
+/// are outside the entry's vocabulary), hoisted to the session root.
+struct CatalogPlan {
+  std::vector<ExprRef> CatalogCommon;
+  std::vector<FamilyPlan> Families;
+};
+
 /// The warm solver session of every warm discharge: one per pair in the
 /// driver (SolveMode::SharedPair), one over all served families in the
 /// verification service. The catalog-common prefix is session base; each
@@ -327,10 +329,6 @@ public:
   CatalogSession(const CatalogSession &) = delete;
   CatalogSession &operator=(const CatalogSession &) = delete;
 
-  /// Clause-GC configuration applied to the session's solver (benches pin
-  /// the no-GC baseline; tests force aggressive reduction).
-  void configureClauseGc(bool Enabled, int64_t FirstLimit = 0);
-
   /// Discharges every split of \p Plan under pair \p PairKey of family
   /// \p FamIdx (an index into the catalog plan's Families). Opens the pair
   /// scope — asserting the part of the plan's Common prefix the catalog
@@ -359,7 +357,8 @@ public:
   unsigned numSelectors() const { return SelectorCount; }
 
   /// The underlying session, exposed so tests can assert solver
-  /// invariants (reasonInvariantHolds) after subtree evictions.
+  /// invariants (reasonInvariantHolds) after subtree evictions and force
+  /// clause-GC reductions through its solver.
   SmtSession &session() { return Session; }
 
   /// Restarts the solver's live-variable / live-clause / live-bridge

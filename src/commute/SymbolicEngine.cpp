@@ -1054,13 +1054,6 @@ std::set<std::string> entryVocabulary(const ConditionEntry &E, StateKind Kind,
   return V;
 }
 
-uint64_t splitsOf(const PairPlan &PP) {
-  uint64_t N = 0;
-  for (const MethodPlan &MP : PP.Methods)
-    N += MP.Splits.size();
-  return N;
-}
-
 } // namespace
 
 MethodPlan SymbolicEngine::plan(const TestingMethod &M) const {
@@ -1179,8 +1172,8 @@ SymbolicEngine::planGroups(const std::vector<FamilyEntries> &Groups) const {
     FamilyPlan FP;
     FP.FamilyName = G.Fam->Name;
     for (const ConditionEntry *E : G.Entries) {
-      // Pair keys only: verifyGroups materializes each pair's methods
-      // just before its discharge.
+      // Pair keys only: callers materialize each pair's methods just
+      // before its discharge.
       FP.Pairs.push_back({E->pairName(), {}});
       std::vector<ExprRef> Com = planCommonOnly(*E);
       for (ExprRef F2 : Com)
@@ -1254,116 +1247,45 @@ SymbolicEngine::planGroups(const std::vector<FamilyEntries> &Groups) const {
 }
 
 SymbolicResult SymbolicEngine::verify(const TestingMethod &M) {
-  return dischargePlan(F, plan(M), Mode, ConflictBudget, GcBudget, Certify);
-}
-
-CatalogOutcome
-SymbolicEngine::verifyCatalog(const Catalog &C,
-                              const std::vector<const Family *> &Fams) {
-  return verifyGroups(entriesOf(C, Fams));
-}
-
-CatalogOutcome
-SymbolicEngine::verifyGroups(const std::vector<FamilyEntries> &Groups) {
-  CatalogOutcome Out;
-  Stopwatch PlanTimer;
-  CatalogPlan CP = planGroups(Groups);
-  Out.PlanMillis = PlanTimer.millis();
-  CatalogSession Sess(F, CP, ConflictBudget, Certify);
-  Sess.configureClauseGc(true, GcBudget);
-
-  for (size_t FI = 0; FI != Groups.size(); ++FI) {
-    FamilyOutcome FO;
-    FO.Family = Groups[FI].Fam->Name;
-    uint64_t FamChecksBefore = Sess.checks();
-    int64_t FamConflictsBefore = Sess.conflicts();
-    uint64_t FamRedBefore = Sess.dbReductions();
-    uint64_t FamRecBefore = Sess.reclaimedClauses();
-    unsigned FamSelBefore = Sess.numSelectors();
-
-    const std::vector<const ConditionEntry *> &Entries = Groups[FI].Entries;
-    for (size_t PI = 0; PI != Entries.size(); ++PI) {
-      PlanTimer.reset();
-      PairPlan PP = planPair(*Entries[PI]);
-      double PairPlanMillis = PlanTimer.millis();
-      Out.PlanMillis += PairPlanMillis;
-      uint64_t PairSplits = splitsOf(PP);
-      FO.TotalSplits += PairSplits;
-      FO.PeakMaterializedSplits =
-          std::max(FO.PeakMaterializedSplits, PairSplits);
-      PairOutcome PO;
-      PO.PlanMillis = PairPlanMillis;
-      uint64_t ChecksBefore = Sess.checks();
-      int64_t ConflictsBefore = Sess.conflicts();
-      uint64_t RedBefore = Sess.dbReductions();
-      uint64_t RecBefore = Sess.reclaimedClauses();
-      unsigned SelBefore = Sess.numSelectors();
-      for (const MethodPlan &MP : PP.Methods) {
-        Stopwatch Timer;
-        SymbolicResult R;
-        R.Verified = Sess.discharge(FI, PP.Key, MP, R);
-        PO.MethodMillis.push_back(Timer.millis());
-        PO.Methods.push_back(std::move(R));
-      }
-      PO.Checks = Sess.checks() - ChecksBefore;
-      PO.Conflicts = Sess.conflicts() - ConflictsBefore;
-      PO.RetainedClauses = Sess.retainedClauses();
-      PO.DbReductions = Sess.dbReductions() - RedBefore;
-      PO.ReclaimedClauses = Sess.reclaimedClauses() - RecBefore;
-      PO.Selectors = Sess.numSelectors() - SelBefore;
-      PO.SessionsOpened = FI == 0 && PI == 0 ? 1 : 0; // One for the run.
-      Sess.retirePair(FI, PP.Key);
-      FO.PairKeys.push_back(PP.Key);
-      FO.Pairs.push_back(std::move(PO));
-    }
-
-    FO.Checks = Sess.checks() - FamChecksBefore;
-    FO.Conflicts = Sess.conflicts() - FamConflictsBefore;
-    FO.RetainedClauses = Sess.retainedClauses();
-    FO.DbReductions = Sess.dbReductions() - FamRedBefore;
-    FO.ReclaimedClauses = Sess.reclaimedClauses() - FamRecBefore;
-    FO.Selectors = Sess.numSelectors() - FamSelBefore;
-    Out.TotalSplits += FO.TotalSplits;
-    Out.PeakMaterializedSplits =
-        std::max(Out.PeakMaterializedSplits, FO.PeakMaterializedSplits);
-    Out.Families.push_back(std::move(FO));
-  }
-
-  Out.Stats = Sess.stats();
-  Out.Checks = Sess.checks();
-  Out.Conflicts = Sess.conflicts();
-  Out.RetainedClauses = Sess.retainedClauses();
-  Out.DbReductions = Sess.dbReductions();
-  Out.ReclaimedClauses = Sess.reclaimedClauses();
-  Out.Selectors = Sess.numSelectors();
-  if (Certify) {
-    // One trace covers the entire catalog session — every family, pair,
-    // and method verdict certifies against the same certificate stream.
-    const proof::CertifySummary &S = Sess.finishCertification();
-    stampOutcomeCertification(S, Out);
-    for (FamilyOutcome &FO : Out.Families) {
-      stampOutcomeCertification(S, FO);
-      for (PairOutcome &PO : FO.Pairs) {
-        for (SymbolicResult &R : PO.Methods)
-          backfillCertification(S, R);
-        stampOutcomeCertification(S, PO);
-      }
-    }
-  }
-  return Out;
+  return dischargePlan(F, plan(M), Mode, ConflictBudget, Certify);
 }
 
 PairOutcome SymbolicEngine::verifyPair(const ConditionEntry &E) {
+  Stopwatch PlanTimer;
   if (isColdMode(Mode)) {
-    Stopwatch PlanTimer;
     PairPlan PP = planPair(E);
     double PlanMillis = PlanTimer.millis();
-    PairOutcome PO =
-        dischargeCold(F, PP.Methods, ConflictBudget, GcBudget, Certify);
+    PairOutcome PO = dischargeCold(F, PP.Methods, ConflictBudget, Certify);
     PO.PlanMillis = PlanMillis;
     return PO;
   }
-  // A single pair is a one-pair catalog plan: the pair sits at the root.
-  CatalogOutcome CO = verifyGroups({{E.Fam, {&E}}});
-  return std::move(CO.Families.front().Pairs.front());
+  // A one-pair catalog plan: the pair sits at the session root.
+  CatalogPlan CP = planGroups({{E.Fam, {&E}}});
+  PairPlan PP = planPair(E);
+  PairOutcome PO;
+  PO.PlanMillis = PlanTimer.millis();
+  CatalogSession Sess(F, CP, ConflictBudget, Certify);
+  for (const MethodPlan &MP : PP.Methods) {
+    Stopwatch Timer;
+    SymbolicResult R;
+    R.Verified = Sess.discharge(0, PP.Key, MP, R);
+    PO.MethodMillis.push_back(Timer.millis());
+    PO.Methods.push_back(std::move(R));
+  }
+  PO.Checks = Sess.checks();
+  PO.Conflicts = Sess.conflicts();
+  PO.RetainedClauses = Sess.retainedClauses();
+  PO.DbReductions = Sess.dbReductions();
+  PO.ReclaimedClauses = Sess.reclaimedClauses();
+  PO.Selectors = Sess.numSelectors();
+  PO.SessionsOpened = 1;
+  Sess.retirePair(0, PP.Key);
+  PO.Session = Sess.stats();
+  if (Certify) {
+    const proof::CertifySummary &S = Sess.finishCertification();
+    for (SymbolicResult &R : PO.Methods)
+      backfillCertification(S, R);
+    PO.stampCertification(S);
+  }
+  return PO;
 }

@@ -34,14 +34,12 @@
 /// paper's ArrayList verification time (Table 5.8).
 ///
 /// Discharge strategy: each testing method is compiled to a MethodPlan
-/// (pair-common prefix, selector-scoped method prefix, labeled VC splits)
-/// and discharged on a CatalogSession (see SessionPool.h) through the one
-/// per-pair loop of verifyGroups, whether the session serves one pair (the
-/// driver's shared-pair mode) or several families (the catalog tests and
-/// benches). Pair scopes open directly under the catalog-common base and
-/// retire as their six methods finish. OneShot (cold start per split)
-/// remains as the independent cold oracle, discharged through
-/// dischargeCold.
+/// (pair-common prefix, selector-scoped method prefix, labeled VC splits).
+/// verifyPair discharges one op-pair's six methods on a one-pair
+/// CatalogSession (see SessionPool.h) with the pair at the session root;
+/// the service drives its own multi-pair CatalogSession over planCatalog's
+/// plan. OneShot (cold start per split) remains as the independent cold
+/// oracle, discharged through dischargeCold.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,75 +56,6 @@
 
 namespace semcomm {
 
-/// Outcome of verifying every op-pair of one family through a
-/// CatalogSession; counters are the family's share of the session.
-struct FamilyOutcome {
-  std::string Family;
-  std::vector<std::string> PairKeys; ///< "op1,op2", catalog entry order.
-  std::vector<PairOutcome> Pairs;    ///< Parallel to PairKeys; per-pair
-                                     ///< stats are deltas over the shared
-                                     ///< session.
-  uint64_t Checks = 0;               ///< SMT checks the session served.
-  int64_t Conflicts = 0;             ///< CDCL conflicts across the family.
-  uint64_t RetainedClauses = 0;      ///< Clauses alive at the end.
-  uint64_t DbReductions = 0;
-  uint64_t ReclaimedClauses = 0;
-  unsigned Selectors = 0; ///< Pair + method selectors registered.
-  /// Lazy-planning accounting: VC splits materialized over the whole run
-  /// vs. the largest number alive at once (one pair's worth — plans are
-  /// built just before discharge and dropped after retirePair, so plan
-  /// memory no longer grows with family size).
-  uint64_t TotalSplits = 0;
-  uint64_t PeakMaterializedSplits = 0;
-
-  /// Certification aggregates over the session's trace (zero unless the
-  /// engine certifies).
-  bool Certified = false;
-  uint64_t ProofSteps = 0;
-  uint64_t ProofQueries = 0;
-  uint64_t ProofClauses = 0;
-
-  unsigned failures() const {
-    unsigned N = 0;
-    for (const PairOutcome &P : Pairs)
-      N += P.failures();
-    return N;
-  }
-};
-
-/// Outcome of verifying one or more families through a single
-/// CatalogSession: per-family outcomes plus the session statistics —
-/// prefix amortization, pair retirements, variable recycling, and the
-/// peak-liveness bounds.
-struct CatalogOutcome {
-  std::vector<FamilyOutcome> Families; ///< Requested-family order.
-  CatalogSessionStats Stats;
-  uint64_t Checks = 0;
-  int64_t Conflicts = 0;
-  uint64_t RetainedClauses = 0; ///< Clauses alive at the end.
-  uint64_t DbReductions = 0;
-  uint64_t ReclaimedClauses = 0;
-  unsigned Selectors = 0; ///< Pair + method selectors.
-  uint64_t TotalSplits = 0;
-  uint64_t PeakMaterializedSplits = 0;
-  /// Planning wall time: the planGroups pass plus every pair's planPair.
-  double PlanMillis = 0;
-
-  /// Certification aggregates over the one catalog-session trace (zero
-  /// unless the engine certifies).
-  bool Certified = false;
-  uint64_t ProofSteps = 0;
-  uint64_t ProofQueries = 0;
-  uint64_t ProofClauses = 0;
-
-  unsigned failures() const {
-    unsigned N = 0;
-    for (const FamilyOutcome &FO : Families)
-      N += FO.failures();
-    return N;
-  }
-};
-
 /// Symbolic verifier for generated testing methods.
 class SymbolicEngine {
 public:
@@ -142,31 +71,13 @@ public:
   /// from several engines sharing one (thread-safe) ExprFactory.
   SymbolicResult verify(const TestingMethod &M);
 
-  /// Verifies all six testing methods of \p E: in every warm mode through
-  /// a one-pair CatalogSession (one warm solver for the whole pair, the
-  /// pair at the session root), in OneShot mode through dischargeCold.
-  /// Method order is deterministic, so results and statistics are a
-  /// function of the options alone.
+  /// Verifies all six testing methods of \p E, the engine's one per-pair
+  /// entry point: in every warm mode through a one-pair CatalogSession
+  /// (one warm solver for the whole pair, the pair at the session root,
+  /// retired when its six methods are done), in OneShot mode through
+  /// dischargeCold. Method order is deterministic, so results and
+  /// statistics are a function of the options alone.
   PairOutcome verifyPair(const ConditionEntry &E);
-
-  /// One family's share of a warm session: the entries to verify, in
-  /// order.
-  struct FamilyEntries {
-    const Family *Fam = nullptr;
-    std::vector<const ConditionEntry *> Entries;
-  };
-
-  /// Verifies \p Groups through one CatalogSession, the engine's one warm
-  /// entry point: the catalog-common prefix is asserted once, pairs are
-  /// planned lazily just before their discharge, each opens a selector
-  /// scope beneath the base, and each is retired (its plans dropped) when
-  /// its six methods are done. A single pair sits at the session root.
-  /// Family, pair, and method order are deterministic.
-  CatalogOutcome verifyGroups(const std::vector<FamilyEntries> &Groups);
-
-  /// verifyGroups over every entry of each of \p Fams, in catalog order.
-  CatalogOutcome verifyCatalog(const Catalog &C,
-                               const std::vector<const Family *> &Fams);
 
   /// Compiles one testing method to its discharge plan: planPair's
   /// builder asked for this method alone (exposed so tests can replay
@@ -181,19 +92,13 @@ public:
   PairPlan planPair(const ConditionEntry &E) const;
 
   /// Compiles the catalog-level plan for \p Fams: per-family pair keys
-  /// (methods left unmaterialized — verifyGroups plans them lazily) plus
-  /// the catalog-common prefix, the well-formedness formulas
-  /// every entry either asserts in its own Common prefix or provably
-  /// cannot mention (none of the formula's variables occur in the entry's
-  /// vocabulary), hoisted to the session root.
+  /// (methods left unmaterialized — callers plan each pair just before
+  /// its discharge) plus the catalog-common prefix, the well-formedness
+  /// formulas every entry either asserts in its own Common prefix or
+  /// provably cannot mention (none of the formula's variables occur in
+  /// the entry's vocabulary), hoisted to the session root.
   CatalogPlan planCatalog(const Catalog &C,
                           const std::vector<const Family *> &Fams) const;
-
-  /// Clause-GC budget: the live-learned-clause count at which a session's
-  /// first database reduction fires (0 keeps the solver default). The
-  /// perf_engine_scaling sweep and the proof tests set it; the driver
-  /// keeps the default.
-  void setClauseGcBudget(int64_t Budget) { GcBudget = Budget; }
 
   /// Turns on certified verdicts (the driver's --certify knob): every
   /// session the engine opens streams its DRAT-style proof steps into the
@@ -214,6 +119,11 @@ public:
   }
 
 private:
+  /// One family's share of a catalog plan: the entries to plan, in order.
+  struct FamilyEntries {
+    const Family *Fam = nullptr;
+    std::vector<const ConditionEntry *> Entries;
+  };
   /// Every entry of each of \p Fams, in catalog order.
   static std::vector<FamilyEntries>
   entriesOf(const Catalog &C, const std::vector<const Family *> &Fams);
@@ -232,7 +142,6 @@ private:
   int SeqLenBound;
   int64_t ConflictBudget;
   SolveMode Mode;
-  int64_t GcBudget = 0;
   bool Certify = false;
   const std::vector<HintScript> *Hints = nullptr;
 };

@@ -208,6 +208,5 @@ SymbolicResult semcomm::verifyInverseSymbolic(ExprFactory &F,
     break;
   }
 
-  return dischargePlan(F, Plan, Mode, ConflictBudget, /*GcBudget=*/0,
-                       Certify);
+  return dischargePlan(F, Plan, Mode, ConflictBudget, Certify);
 }

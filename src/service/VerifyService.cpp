@@ -19,9 +19,7 @@ using namespace semcomm::service;
 VerifyService::VerifyService(const Catalog &C, const CatalogPlan &Plan,
                              const ServiceConfig &Cfg)
     : Eng(C.factory(), Cfg.SeqLenBound, Cfg.ConflictBudget),
-      Sess(C.factory(), Plan, Cfg.ConflictBudget, Cfg.Certify) {
-  Sess.configureClauseGc(true);
-}
+      Sess(C.factory(), Plan, Cfg.ConflictBudget, Cfg.Certify) {}
 
 const PairPlan &VerifyService::planFor(const ConditionEntry &E) {
   auto It = Plans.find(&E);

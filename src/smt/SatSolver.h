@@ -119,8 +119,8 @@ public:
 
   /// Clause-database reduction. GC runs automatically during solve() once
   /// the live learned-clause count passes a growing threshold; both knobs
-  /// exist so tests can force aggressive reduction and benches can pin the
-  /// no-GC baseline.
+  /// exist so tests can force aggressive reduction and build the no-GC
+  /// reference, and benches can pin the no-GC baseline.
   void setClauseGc(bool Enabled) { GcEnabled = Enabled; }
   /// First reduction fires at \p FirstLimit live learned clauses; each
   /// reduction raises the threshold by 50%. Values below 1 keep the
@@ -263,14 +263,14 @@ private:
   int64_t LearnedClauses = 0;
   int64_t LearnedAlive = 0;   ///< Learned clauses currently in the database.
   bool GcEnabled = true;
-  /// Live learned clauses that trigger a GC. The default comes from
-  /// bench/perf_engine_scaling's gc_budget_sweep: on the catalog workload,
-  /// budgets at or below ~500 reclaim clauses with *zero* extra conflicts
-  /// (lemma locality is per-pair, and multi-pair sessions evict pairs),
-  /// while larger thresholds simply never fire; on the conflict-heavy
-  /// warm-pigeonhole bench, 500 bounds retention without changing any
-  /// answer. Overridable per session via setClauseGcLimit (the sweep and
-  /// the proof tests use it).
+  /// Live learned clauses that trigger a GC: a constant every session
+  /// runs with. No catalog session reaches it: a full-catalog
+  /// semcommute-verify run, and semcommute-serve runs of 10k and 40k
+  /// requests on 1 and 4 shards, of --passes 5 and of 10k certified
+  /// requests, reduce the database 0 times. On the conflict-heavy
+  /// warm-pigeonhole bench (perf_sat_solver) it bounds retention without
+  /// changing any answer. Tests lower it through setClauseGcLimit to force
+  /// reductions.
   int64_t ReduceLimit = 500;
   int64_t DbReductions = 0;
   int64_t ReclaimedClauses = 0;

@@ -35,6 +35,7 @@
 #include "smt/SmtSolver.h"
 #include "spec/Family.h"
 
+#include "CatalogSessionRun.h"
 #include "ReferenceProofChecker.h"
 #include "TextMutator.h"
 
@@ -49,7 +50,10 @@
 
 using namespace semcomm;
 using namespace semcomm::proof;
+using semcomm::testing_support::failuresOf;
 using semcomm::testing_support::ReferenceProofChecker;
+using semcomm::testing_support::runCatalogSession;
+using semcomm::testing_support::SessionPairRun;
 using semcomm::testing_support::SplitMix64;
 using semcomm::testing_support::TextMutator;
 
@@ -736,42 +740,45 @@ TEST(CertifiedEngineTest, SharedPairCertifiesAnEntry) {
 
 TEST(CertifiedEngineTest, CatalogSessionCertifiesThroughRetireAndRecycle) {
   // Three families through one certifying catalog session: pair subtree
-  // retirements, variable recycling, and (with a tiny GC budget)
+  // retirements, variable recycling, and (with a tiny GC limit)
   // clause-DB reductions all land in one trace that must check out, and
   // every certified query carries a tag of its own.
   ExprFactory F;
   Catalog C(F);
   SymbolicEngine Eng(F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000);
-  Eng.setCertify(true);
-  Eng.setClauseGcBudget(50); // Aggressive reduction exercises Delete steps.
   // Set and Map share pair keys such as "size,size".
   std::vector<const Family *> Fams = {&accumulatorFamily(), &setFamily(),
                                       &mapFamily()};
-  CatalogOutcome O = Eng.verifyCatalog(C, Fams);
-  EXPECT_EQ(O.failures(), 0u);
-  EXPECT_TRUE(O.Certified);
-  EXPECT_GT(O.ProofQueries, 0u);
-  EXPECT_GT(O.Stats.RecycledVars, 0u); // Recycle steps were in the trace.
+  CatalogPlan CP = Eng.planCatalog(C, Fams);
+  CatalogSession Sess(F, CP, /*Budget=*/200000, /*Certify=*/true);
+  // Aggressive reduction exercises Delete steps.
+  Sess.session().solver().setClauseGcLimit(50);
+  std::vector<std::vector<SessionPairRun>> Runs =
+      runCatalogSession(Eng, C, Fams, Sess);
+  EXPECT_EQ(failuresOf(Runs), 0u);
+  const CertifySummary &Cert = Sess.finishCertification();
+  EXPECT_TRUE(Cert.Checked && Cert.Ok) << Cert.Error;
+  EXPECT_GT(Cert.Queries, 0u);
+  EXPECT_GT(Sess.stats().RecycledVars, 0u); // Recycle steps were in the trace.
   std::set<std::string> Tags;
-  for (const FamilyOutcome &FO : O.Families) {
-    EXPECT_TRUE(FO.Certified);
-    for (const PairOutcome &PO : FO.Pairs)
-      for (const SymbolicResult &R : PO.Methods) {
+  for (size_t FI = 0; FI != Fams.size(); ++FI)
+    for (SessionPairRun &P : Runs[FI])
+      for (SymbolicResult &R : P.Methods) {
+        backfillCertification(Cert, R);
         EXPECT_TRUE(R.ProofChecked)
-            << FO.Family << ": a method's certificate failed";
+            << Fams[FI]->Name << ": a method's certificate failed";
         EXPECT_EQ(R.ProofQueries, R.ProofQueryTags.size());
         Tags.insert(R.ProofQueryTags.begin(), R.ProofQueryTags.end());
       }
-  }
   // Scope labels name the family, so no two queries share a tag.
-  EXPECT_EQ(Tags.size(), O.ProofQueries);
+  EXPECT_EQ(Tags.size(), Cert.Queries);
 }
 
 TEST(CertifiedEngineTest, RecordedCatalogTraceRechecksToStreamingSummary) {
   // A certifying catalog session checks its proof as it is logged and
   // keeps no trace. Recording the same steps and re-checking them whole
   // must give exactly the streaming summary — through pair retirement,
-  // variable recycling and (with a tiny GC budget) clause-DB reductions.
+  // variable recycling and (with a tiny GC limit) clause-DB reductions.
   ExprFactory F;
   Catalog C(F);
   SymbolicEngine Eng(F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000);
@@ -780,19 +787,8 @@ TEST(CertifiedEngineTest, RecordedCatalogTraceRechecksToStreamingSummary) {
   CatalogPlan CP = Eng.planCatalog(C, Fams);
   ProofTrace Recorded;
   CatalogSession Sess(F, CP, /*Budget=*/200000, /*Certify=*/true, &Recorded);
-  Sess.configureClauseGc(true, 50);
-  unsigned Verified = 0, Methods = 0;
-  for (size_t FI = 0; FI != Fams.size(); ++FI)
-    for (const ConditionEntry &E : C.entries(*Fams[FI])) {
-      PairPlan PP = Eng.planPair(E);
-      for (const MethodPlan &MP : PP.Methods) {
-        SymbolicResult R;
-        Verified += Sess.discharge(FI, PP.Key, MP, R);
-        ++Methods;
-      }
-      Sess.retirePair(FI, PP.Key);
-    }
-  EXPECT_EQ(Verified, Methods);
+  Sess.session().solver().setClauseGcLimit(50);
+  EXPECT_EQ(failuresOf(runCatalogSession(Eng, C, Fams, Sess)), 0u);
 
   const CertifySummary &Streamed = Sess.finishCertification();
   EXPECT_TRUE(Streamed.Ok) << Streamed.Error;
@@ -811,32 +807,39 @@ TEST(CertifiedEngineTest, RecordedCatalogTraceRechecksToStreamingSummary) {
 }
 
 TEST(CertifiedEngineTest, CertifyAgreesWithUncertifiedVerdicts) {
-  ExprFactory F1;
-  Catalog C1(F1);
-  SymbolicEngine Plain(F1, 2, 200000);
-  std::vector<const Family *> Fams1 = {&accumulatorFamily(), &setFamily()};
-  CatalogOutcome A = Plain.verifyCatalog(C1, Fams1);
+  // The same two families through a plain and a certifying catalog
+  // session, each over a factory of its own: certification changes no
+  // verdict, and only the certifying session's trace checks.
+  auto Run = [](bool Certify, std::vector<std::vector<SessionPairRun>> &Out,
+                bool &Certified) {
+    ExprFactory F;
+    Catalog C(F);
+    SymbolicEngine Eng(F, 2, 200000);
+    std::vector<const Family *> Fams = {&accumulatorFamily(), &setFamily()};
+    CatalogPlan CP = Eng.planCatalog(C, Fams);
+    CatalogSession Sess(F, CP, /*Budget=*/200000, Certify);
+    Out = runCatalogSession(Eng, C, Fams, Sess);
+    const CertifySummary &Cert = Sess.finishCertification();
+    Certified = Cert.Checked && Cert.Ok;
+  };
+  std::vector<std::vector<SessionPairRun>> A, B;
+  bool ACertified = false, BCertified = false;
+  Run(/*Certify=*/false, A, ACertified);
+  Run(/*Certify=*/true, B, BCertified);
 
-  ExprFactory F2;
-  Catalog C2(F2);
-  SymbolicEngine Certified(F2, 2, 200000);
-  Certified.setCertify(true);
-  std::vector<const Family *> Fams2 = {&accumulatorFamily(), &setFamily()};
-  CatalogOutcome B = Certified.verifyCatalog(C2, Fams2);
-
-  ASSERT_EQ(A.Families.size(), B.Families.size());
-  for (size_t FI = 0; FI != A.Families.size(); ++FI) {
-    ASSERT_EQ(A.Families[FI].Pairs.size(), B.Families[FI].Pairs.size());
-    for (size_t PI = 0; PI != A.Families[FI].Pairs.size(); ++PI) {
-      const PairOutcome &PA = A.Families[FI].Pairs[PI];
-      const PairOutcome &PB = B.Families[FI].Pairs[PI];
+  ASSERT_EQ(A.size(), B.size());
+  for (size_t FI = 0; FI != A.size(); ++FI) {
+    ASSERT_EQ(A[FI].size(), B[FI].size());
+    for (size_t PI = 0; PI != A[FI].size(); ++PI) {
+      const SessionPairRun &PA = A[FI][PI];
+      const SessionPairRun &PB = B[FI][PI];
       ASSERT_EQ(PA.Methods.size(), PB.Methods.size());
       for (size_t MI = 0; MI != PA.Methods.size(); ++MI)
         EXPECT_EQ(PA.Methods[MI].Verified, PB.Methods[MI].Verified);
     }
   }
-  EXPECT_FALSE(A.Certified);
-  EXPECT_TRUE(B.Certified);
+  EXPECT_FALSE(ACertified);
+  EXPECT_TRUE(BCertified);
 }
 
 TEST(CertifiedEngineTest, InversePathCertifies) {

@@ -18,12 +18,17 @@
 
 #include "commute/SymbolicEngine.h"
 
+#include "CatalogSessionRun.h"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <random>
 
 using namespace semcomm;
+using semcomm::testing_support::failuresOf;
+using semcomm::testing_support::runCatalogSession;
+using semcomm::testing_support::SessionPairRun;
 
 namespace {
 
@@ -322,26 +327,26 @@ TEST(SymbolicEngineTest, VerifyFamilyMatchesSharedPairOnWholeCatalog) {
   // every verdict equals the per-pair sessions', pair by pair and method
   // by method, and every finished pair is retired.
   PoolFixture &Fx = fixture();
-  SymbolicEngine FamEng(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000);
   SymbolicEngine Pair(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000,
                       SolveMode::SharedPair);
 
   for (const Family *Fam : allFamilies()) {
-    CatalogOutcome CO = FamEng.verifyCatalog(Fx.C, {Fam});
-    const FamilyOutcome &FO = CO.Families.front();
+    CatalogPlan CP = Pair.planCatalog(Fx.C, {Fam});
+    CatalogSession Sess(Fx.F, CP, /*Budget=*/200000);
+    std::vector<SessionPairRun> Got =
+        runCatalogSession(Pair, Fx.C, {Fam}, Sess).front();
     const std::vector<ConditionEntry> &Entries = Fx.C.entries(*Fam);
-    ASSERT_EQ(FO.Pairs.size(), Entries.size()) << Fam->Name;
-    EXPECT_EQ(CO.Stats.PairsRetired, Entries.size());
-    EXPECT_EQ(CO.Stats.PairsOpened, Entries.size());
+    ASSERT_EQ(Got.size(), Entries.size()) << Fam->Name;
+    EXPECT_EQ(Sess.stats().PairsRetired, Entries.size());
+    EXPECT_EQ(Sess.stats().PairsOpened, Entries.size());
     for (size_t I = 0; I != Entries.size(); ++I) {
-      EXPECT_EQ(FO.PairKeys[I], Entries[I].pairName());
+      EXPECT_EQ(Got[I].Key, Entries[I].pairName());
       PairOutcome Want = Pair.verifyPair(Entries[I]);
-      ASSERT_EQ(FO.Pairs[I].Methods.size(), Want.Methods.size());
+      ASSERT_EQ(Got[I].Methods.size(), Want.Methods.size());
       for (size_t M = 0; M != Want.Methods.size(); ++M) {
-        EXPECT_EQ(FO.Pairs[I].Methods[M].Verified,
-                  Want.Methods[M].Verified)
+        EXPECT_EQ(Got[I].Methods[M].Verified, Want.Methods[M].Verified)
             << Fam->Name << " " << Entries[I].pairName() << " method " << M;
-        EXPECT_EQ(FO.Pairs[I].Methods[M].NumVcs, Want.Methods[M].NumVcs);
+        EXPECT_EQ(Got[I].Methods[M].NumVcs, Want.Methods[M].NumVcs);
       }
     }
   }
@@ -356,17 +361,13 @@ TEST(SymbolicEngineTest, EvictionBoundsRetainedClausesAcrossAFamily) {
   SymbolicEngine Eng(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000);
 
   const Family &Fam = mapFamily();
-  CatalogSessionStats Evicting = Eng.verifyCatalog(Fx.C, {&Fam}).Stats;
-
   CatalogPlan CP = Eng.planCatalog(Fx.C, {&Fam});
+  CatalogSession Evict(Fx.F, CP, /*Budget=*/200000);
+  runCatalogSession(Eng, Fx.C, {&Fam}, Evict);
+  CatalogSessionStats Evicting = Evict.stats();
+
   CatalogSession NoEvict(Fx.F, CP, /*Budget=*/200000);
-  for (const ConditionEntry &E : Fx.C.entries(Fam)) {
-    PairPlan PP = Eng.planPair(E);
-    for (const MethodPlan &MP : PP.Methods) {
-      SymbolicResult R;
-      NoEvict.discharge(0, PP.Key, MP, R);
-    }
-  }
+  runCatalogSession(Eng, Fx.C, {&Fam}, NoEvict, /*Retire=*/false);
   uint64_t NoEvictPeak = NoEvict.stats().PeakRetainedClauses;
 
   EXPECT_GT(Evicting.EvictedClauses, 0u);
@@ -410,7 +411,7 @@ TEST_P(FamilyEvictionFuzzTest, RandomRetireOrdersMatchNoEvictionReference) {
     CatalogPlan CP = oneFamilyPlan(
         Fam->Name, Planner.planCatalog(Fx.C, {Fam}).CatalogCommon);
     CatalogSession Sess(Fx.F, CP, /*Budget=*/200000);
-    Sess.configureClauseGc(true, /*FirstLimit=*/64);
+    Sess.session().solver().setClauseGcLimit(64);
 
     // Random operation sequence over the picked pairs: discharge a random
     // method of a random pair (re-verification after retirement included),
@@ -434,7 +435,7 @@ TEST_P(FamilyEvictionFuzzTest, RandomRetireOrdersMatchNoEvictionReference) {
 
       SymbolicResult Want =
           dischargePlan(Fx.F, MP, SolveMode::OneShot, /*Budget=*/200000,
-                        /*GcBudget=*/0, /*Certify=*/false);
+                        /*Certify=*/false);
 
       ASSERT_EQ(Got.Verified, Want.Verified)
           << "seed=" << GetParam() << " trial=" << Trial << " step=" << Step
@@ -546,35 +547,37 @@ TEST(SymbolicEngineTest, VerifyCatalogMatchesSharedPairOnWholeCatalog) {
   // pair, method by method; every pair is retired; and the session
   // recycles variables.
   PoolFixture &Fx = fixture();
-  SymbolicEngine CatEng(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000);
   SymbolicEngine Pair(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000,
                       SolveMode::SharedPair);
 
-  CatalogOutcome CO = CatEng.verifyCatalog(Fx.C, allFamilies());
-  ASSERT_EQ(CO.Families.size(), allFamilies().size());
-  EXPECT_GT(CO.Stats.RecycledVars, 0u);
-  EXPECT_LT(CO.Stats.PeakLiveVars, CO.Stats.VarRequests);
+  CatalogPlan CP = Pair.planCatalog(Fx.C, allFamilies());
+  CatalogSession Sess(Fx.F, CP, /*Budget=*/200000);
+  std::vector<std::vector<SessionPairRun>> Got =
+      runCatalogSession(Pair, Fx.C, allFamilies(), Sess);
+  ASSERT_EQ(Got.size(), allFamilies().size());
+  CatalogSessionStats Stats = Sess.stats();
+  EXPECT_GT(Stats.RecycledVars, 0u);
+  EXPECT_LT(Stats.PeakLiveVars, Stats.VarRequests);
 
   size_t Pairs = 0;
   for (size_t FI = 0; FI != allFamilies().size(); ++FI) {
     const Family *Fam = allFamilies()[FI];
-    const FamilyOutcome &FO = CO.Families[FI];
     const std::vector<ConditionEntry> &Entries = Fx.C.entries(*Fam);
-    ASSERT_EQ(FO.Pairs.size(), Entries.size()) << Fam->Name;
+    ASSERT_EQ(Got[FI].size(), Entries.size()) << Fam->Name;
     Pairs += Entries.size();
     for (size_t I = 0; I != Entries.size(); ++I) {
-      EXPECT_EQ(FO.PairKeys[I], Entries[I].pairName());
+      EXPECT_EQ(Got[FI][I].Key, Entries[I].pairName());
       PairOutcome Want = Pair.verifyPair(Entries[I]);
-      ASSERT_EQ(FO.Pairs[I].Methods.size(), Want.Methods.size());
+      ASSERT_EQ(Got[FI][I].Methods.size(), Want.Methods.size());
       for (size_t M = 0; M != Want.Methods.size(); ++M) {
-        EXPECT_EQ(FO.Pairs[I].Methods[M].Verified, Want.Methods[M].Verified)
+        EXPECT_EQ(Got[FI][I].Methods[M].Verified, Want.Methods[M].Verified)
             << Fam->Name << " " << Entries[I].pairName() << " method " << M;
-        EXPECT_EQ(FO.Pairs[I].Methods[M].NumVcs, Want.Methods[M].NumVcs);
+        EXPECT_EQ(Got[FI][I].Methods[M].NumVcs, Want.Methods[M].NumVcs);
       }
     }
   }
-  EXPECT_EQ(CO.Stats.PairsOpened, Pairs);
-  EXPECT_EQ(CO.Stats.PairsRetired, Pairs);
+  EXPECT_EQ(Stats.PairsOpened, Pairs);
+  EXPECT_EQ(Stats.PairsRetired, Pairs);
 }
 
 TEST(SymbolicEngineTest, CatalogCommonPrefixHoistsSharedWellFormedness) {
@@ -604,27 +607,14 @@ TEST(SymbolicEngineTest, CatalogRecyclingBoundsLiveVarsBelowDemand) {
   SymbolicEngine Eng(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000);
   CatalogPlan CP = Eng.planCatalog(Fx.C, allFamilies());
 
-  auto RunAll = [&](CatalogSession &Sess) {
-    unsigned Failures = 0;
-    for (size_t FI = 0; FI != allFamilies().size(); ++FI) {
-      for (const ConditionEntry &E : Fx.C.entries(*allFamilies()[FI])) {
-        PairPlan PP = Eng.planPair(E);
-        for (const MethodPlan &MP : PP.Methods) {
-          SymbolicResult R;
-          Failures += !Sess.discharge(FI, PP.Key, MP, R);
-        }
-        Sess.retirePair(FI, PP.Key);
-      }
-    }
-    return Failures;
-  };
-
   CatalogSession Rec(Fx.F, CP, /*Budget=*/200000);
-  unsigned RecFailures = RunAll(Rec);
+  unsigned RecFailures =
+      failuresOf(runCatalogSession(Eng, Fx.C, allFamilies(), Rec));
 
   CatalogSession NoRec(Fx.F, CP, /*Budget=*/200000);
   NoRec.session().solver().setVarRecycling(false);
-  unsigned NoRecFailures = RunAll(NoRec);
+  unsigned NoRecFailures =
+      failuresOf(runCatalogSession(Eng, Fx.C, allFamilies(), NoRec));
 
   // Recycling is invisible in the verdicts...
   EXPECT_EQ(RecFailures, NoRecFailures);
@@ -641,31 +631,6 @@ TEST(SymbolicEngineTest, CatalogRecyclingBoundsLiveVarsBelowDemand) {
   // "Measurably": at least 15% of the cumulative allocation is recycled
   // away at bound 2; larger bounds only widen the gap.
   EXPECT_LT(RecStats.PeakLiveVars, NoRecAllocated * 85 / 100);
-}
-
-TEST(SymbolicEngineTest, LazyPlanningBoundsMaterializedSplits) {
-  // verifyGroups materializes each pair's splits just before discharge
-  // and drops them after retirePair: the peak number of live splits is
-  // one pair's worth, far below the whole family's.
-  PoolFixture &Fx = fixture();
-  SymbolicEngine Eng(Fx.F, /*SeqLenBound=*/2, /*ConflictBudget=*/200000);
-  FamilyOutcome FO =
-      Eng.verifyCatalog(Fx.C, {&arrayListFamily()}).Families.front();
-  EXPECT_GT(FO.PeakMaterializedSplits, 0u);
-  EXPECT_GT(FO.TotalSplits, FO.PeakMaterializedSplits * 10);
-
-  // The peak equals the largest single pair's split count — exactly what
-  // planPair materializes for that pair alone.
-  uint64_t MaxPair = 0, Total = 0;
-  for (const ConditionEntry &E : Fx.C.entries(arrayListFamily())) {
-    uint64_t N = 0;
-    for (const MethodPlan &MP : Eng.planPair(E).Methods)
-      N += MP.Splits.size();
-    MaxPair = std::max(MaxPair, N);
-    Total += N;
-  }
-  EXPECT_EQ(FO.PeakMaterializedSplits, MaxPair);
-  EXPECT_EQ(FO.TotalSplits, Total);
 }
 
 TEST(SharedSessionTest, OneShotModeRecreatesSessions) {

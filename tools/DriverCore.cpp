@@ -247,39 +247,36 @@ void fillPairStats(const PairOutcome &O, const ConditionEntry &E,
     Stats.Millis += Ms;
 }
 
-/// Copies a warm session's outcome into its stats row.
-void fillSessionStats(const CatalogOutcome &CO, const char *ModeName,
-                      CatalogStats &Stats) {
+/// Copies a warm pair session's outcome into its stats row.
+void fillSessionStats(const PairOutcome &PO, const ConditionEntry &E,
+                      const char *ModeName, CatalogStats &Stats) {
   Stats.Mode = ModeName;
-  for (const FamilyOutcome &FO : CO.Families) {
-    Stats.FamilyNames += (Stats.FamilyNames.empty() ? "" : ",") + FO.Family;
-    Stats.Pairs += static_cast<unsigned>(FO.Pairs.size());
-    for (const PairOutcome &PO : FO.Pairs) {
-      Stats.Methods += static_cast<unsigned>(PO.Methods.size());
-      for (const SymbolicResult &R : PO.Methods)
-        Stats.Vcs += R.NumVcs;
-    }
-  }
-  Stats.Families = static_cast<unsigned>(CO.Families.size());
-  Stats.Checks = CO.Checks;
-  Stats.Conflicts = CO.Conflicts;
-  Stats.PrefixAsserts = CO.Stats.PrefixAsserts;
-  Stats.PrefixReuses = CO.Stats.PrefixReuses;
-  Stats.PairEvictions = CO.Stats.PairsRetired;
-  Stats.EvictedClauses = CO.Stats.EvictedClauses;
-  Stats.RecycledVars = CO.Stats.RecycledVars;
-  Stats.PeakLiveVars = CO.Stats.PeakLiveVars;
-  Stats.PeakLiveClauses = CO.Stats.PeakLiveClauses;
-  Stats.VarRequests = CO.Stats.VarRequests;
-  Stats.PeakRetainedClauses = CO.Stats.PeakRetainedClauses;
-  Stats.BridgeCompactions = CO.Stats.BridgeCompactions;
-  Stats.ReleasedSelectors = CO.Stats.ReleasedSelectors;
-  Stats.PeakLiveBridges = CO.Stats.PeakLiveBridges;
-  Stats.Selectors = CO.Selectors;
+  Stats.FamilyNames = E.Fam->Name;
+  Stats.Families = 1;
+  Stats.Pairs = 1;
+  Stats.Methods = static_cast<unsigned>(PO.Methods.size());
+  for (const SymbolicResult &R : PO.Methods)
+    Stats.Vcs += R.NumVcs;
+  Stats.Checks = PO.Checks;
+  Stats.Conflicts = PO.Conflicts;
+  const CatalogSessionStats &S = PO.Session;
+  Stats.PrefixAsserts = S.PrefixAsserts;
+  Stats.PrefixReuses = S.PrefixReuses;
+  Stats.PairEvictions = S.PairsRetired;
+  Stats.EvictedClauses = S.EvictedClauses;
+  Stats.RecycledVars = S.RecycledVars;
+  Stats.PeakLiveVars = S.PeakLiveVars;
+  Stats.PeakLiveClauses = S.PeakLiveClauses;
+  Stats.VarRequests = S.VarRequests;
+  Stats.PeakRetainedClauses = S.PeakRetainedClauses;
+  Stats.BridgeCompactions = S.BridgeCompactions;
+  Stats.ReleasedSelectors = S.ReleasedSelectors;
+  Stats.PeakLiveBridges = S.PeakLiveBridges;
+  Stats.Selectors = PO.Selectors;
 }
 
-/// Runs one pair group: shared-pair through a one-pair CatalogSession
-/// (SymbolicEngine::verifyGroups), OneShot through dischargeCold. Writes the
+/// Runs one pair group through SymbolicEngine::verifyPair: shared-pair on
+/// a one-pair CatalogSession, OneShot through dischargeCold. Writes the
 /// group's job records and pair row and, when \p Session is set (warm
 /// mode), its session row, and returns the pair's planning time. The pair
 /// row carries the group's wall clock.
@@ -290,17 +287,9 @@ double runPairGroup(const Catalog &C, const DriverOptions &Opts,
   SymbolicEngine Sym(C.factory(), Opts.SymbolicSeqLenBound,
                      Opts.SymbolicConflictBudget, Opts.SymbolicMode);
   Sym.setCertify(Opts.Certify);
-  CatalogOutcome CO;
-  if (isColdMode(Opts.SymbolicMode)) {
-    CO.Families.emplace_back();
-    CO.Families[0].Pairs.push_back(Sym.verifyPair(*PG.Entry));
-    CO.PlanMillis = CO.Families[0].Pairs[0].PlanMillis;
-  } else {
-    CO = Sym.verifyGroups({{PG.Entry->Fam, {PG.Entry}}});
-  }
+  PairOutcome PO = Sym.verifyPair(*PG.Entry);
 
   const char *ModeName = solveModeName(Opts.SymbolicMode);
-  const PairOutcome &PO = CO.Families.front().Pairs.front();
   assert(PO.Methods.size() == PG.JobIdx.size() &&
          "pair group out of sync with enumeration");
   for (size_t M = 0; M != PG.JobIdx.size(); ++M) {
@@ -311,11 +300,11 @@ double runPairGroup(const Catalog &C, const DriverOptions &Opts,
   fillPairStats(PO, *PG.Entry, ModeName, Pair);
   Pair.Millis = Timer.millis();
   if (Session) {
-    fillSessionStats(CO, ModeName, *Session);
+    fillSessionStats(PO, *PG.Entry, ModeName, *Session);
     Session->Millis = Pair.Millis;
-    Session->PlanMillis = CO.PlanMillis;
+    Session->PlanMillis = PO.PlanMillis;
   }
-  return CO.PlanMillis;
+  return PO.PlanMillis;
 }
 
 } // namespace

@@ -192,15 +192,15 @@ struct CatalogStats {
   uint64_t PeakLiveBridges = 0;
   unsigned Selectors = 0; ///< Pair + method selectors.
   double Millis = 0;
-  double PlanMillis = 0; ///< Planning share of Millis (CatalogOutcome).
+  double PlanMillis = 0; ///< Planning share of Millis (PairOutcome).
 };
 
 /// Everything a run produces; serializes to the JSON report.
 struct Report {
   unsigned Threads = 1;
   double WallMillis = 0;
-  /// Symbolic planning time summed over every pair group (the warm
-  /// sessions' PlanMillis, the cold pairs' planPair time): like a family's
+  /// Symbolic planning time summed over every pair group (each
+  /// pair's PairOutcome::PlanMillis, warm and cold): like a family's
   /// JobMillis, a sum across workers.
   double PlanMillis = 0;
   bool Certified = false; ///< The run logged + checked proof traces.

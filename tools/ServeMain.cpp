@@ -30,6 +30,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <random>
 #include <sstream>
 #include <string>
@@ -75,9 +76,9 @@ void printUsage(const char *Argv0) {
       "                    family+pair, family keeps a family on one shard\n"
       "\n"
       "checks and output:\n"
-      "  --check-verdicts  re-verify the served catalog in-process on one\n"
-      "                    fresh warm session and fail on any verdict\n"
-      "                    mismatch\n"
+      "  --check-verdicts  re-verify each served pair in-process on a\n"
+      "                    fresh engine of its own and fail on any\n"
+      "                    verdict mismatch\n"
       "  --assert-plateau  with --passes >= 3: fail unless pass 3's peak\n"
       "                    live vars/clauses/bridges are <= 1.05x pass 2's\n"
       "                    and pass 3 interned no expression node\n"
@@ -441,28 +442,31 @@ int main(int argc, char **argv) {
   }
 
   if (CheckVerdicts) {
-    // Independent reference: one fresh warm session over the same
-    // families. Verdicts must agree on every (family, pair, kind) the
-    // service served.
-    SymbolicEngine Ref(C.factory(), Cfg.SeqLenBound, Cfg.ConflictBudget);
-    CatalogOutcome Out = Ref.verifyCatalog(C, Fams);
-    std::map<std::string, std::pair<bool, bool>> RefVerdicts;
-    for (const FamilyOutcome &FO : Out.Families)
-      for (size_t PI = 0; PI != FO.PairKeys.size(); ++PI)
-        for (size_t K = 0; K != 3; ++K) {
-          const std::vector<SymbolicResult> &Ms = FO.Pairs[PI].Methods;
-          RefVerdicts[FO.Family + "|" + FO.PairKeys[PI] + "|" +
-                      std::to_string(K)] = {Ms[2 * K].Verified,
-                                            Ms[2 * K + 1].Verified};
-        }
+    // Independent reference: each served pair re-verified by a fresh
+    // verifyPair on an engine of its own, the reference the service tests
+    // use. Verdicts must agree on every (family, pair, kind) the service
+    // served.
+    std::map<std::string, const ConditionEntry *> EntryOf;
+    for (const Family *Fam : Fams)
+      for (const ConditionEntry &E : C.entries(*Fam))
+        EntryOf[Fam->Name + "|" + E.pairName()] = &E;
+    std::map<std::string, PairOutcome> RefPairs;
     uint64_t Mismatches = 0;
     for (const ServiceVerdict &V : Svc.log()) {
-      std::string Key = V.Req.Family + "|" + V.Req.Op1 + "," + V.Req.Op2 +
-                        "|" +
-                        std::to_string(static_cast<size_t>(V.Req.Kind));
-      auto It = RefVerdicts.find(Key);
-      if (It == RefVerdicts.end() || It->second.first != V.Sound ||
-          It->second.second != V.Complete) {
+      std::string Key = V.Req.Family + "|" + V.Req.Op1 + "," + V.Req.Op2;
+      auto It = RefPairs.find(Key);
+      if (It == RefPairs.end()) {
+        auto EIt = EntryOf.find(Key);
+        if (EIt != EntryOf.end()) {
+          SymbolicEngine Ref(C.factory(), Cfg.SeqLenBound,
+                             Cfg.ConflictBudget);
+          It = RefPairs.emplace(Key, Ref.verifyPair(*EIt->second)).first;
+        }
+      }
+      size_t KindIdx = static_cast<size_t>(V.Req.Kind);
+      if (It == RefPairs.end() ||
+          It->second.Methods[2 * KindIdx].Verified != V.Sound ||
+          It->second.Methods[2 * KindIdx + 1].Verified != V.Complete) {
         std::fprintf(stderr, "verdict mismatch: %s %s,%s %s\n",
                      V.Req.Family.c_str(), V.Req.Op1.c_str(),
                      V.Req.Op2.c_str(), conditionKindName(V.Req.Kind));
